@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"opsched/internal/exec"
 	"opsched/internal/graph"
@@ -23,14 +23,43 @@ type Runtime struct {
 	byKind map[op.Kind]*perfmodel.Profile
 	graph  *graph.Graph
 
-	// candMemo caches each operation class's prepared Strategy-3
-	// candidate list (top-k thread counts with instance-predicted times,
-	// conflict rule pre-applied). Profiles are frozen after Profile, so
-	// the list never changes — the paper's overhead note: "some decisions
-	// based on Strategy 3 to co-run operations can be reused without
-	// repeatedly running Strategy 3". Fit and throughput checks remain
-	// per scheduling event.
-	candMemo map[string][]perfmodel.Config
+	// cands holds each operation class's prepared Strategy-3 candidate
+	// list (top-k thread counts with instance-predicted times, conflict
+	// rule pre-applied). Profiles are frozen after Profile, so the list
+	// never changes — the paper's overhead note: "some decisions based on
+	// Strategy 3 to co-run operations can be reused without repeatedly
+	// running Strategy 3". Fit and throughput checks remain per
+	// scheduling event.
+	cands map[string][]perfmodel.Config
+}
+
+// tables is the read-only state a runtime derives from its frozen profile
+// store: the Strategy-2 per-kind profiles and the Strategy-3 candidate
+// lists. It is built once per (store, tablesKey) and shared by every
+// runtime profiled on an equal (machine, graph, interval) triple.
+type tables struct {
+	byKind map[op.Kind]*perfmodel.Profile
+	cands  map[string][]perfmodel.Config
+}
+
+// tablesKey holds the configuration fields the tables depend on.
+type tablesKey struct {
+	strategy2      bool
+	candidates     bool
+	retuneAll      bool
+	topK           int
+	maxThreadDelta int
+}
+
+func (rt *Runtime) tablesKey() tablesKey {
+	k := tablesKey{strategy2: rt.cfg.Strategy2}
+	if rt.cfg.Strategy3 && (rt.cfg.Strategy1 || rt.cfg.Strategy2) {
+		k.candidates = true
+		k.retuneAll = rt.cfg.RetuneAll
+		k.topK = rt.cfg.candidates()
+		k.maxThreadDelta = rt.cfg.maxThreadDelta()
+	}
+	return k
 }
 
 // New returns a runtime for machine m (nil means hw.NewKNL()).
@@ -52,23 +81,51 @@ func (rt *Runtime) Store() *perfmodel.Store { return rt.store }
 // reduction (Strategy 2). The paper folds this into the first few training
 // steps; the step budget is Store().StepsUsed(). Profiles come from the
 // process-wide perfmodel cache, so repeated runs over the same (machine,
-// graph) pair — the experiment sweep's common case — skip the search; the
-// runtime only ever reads the shared store after this point.
+// graph) pair — the experiment sweep's common case — skip the search, and
+// share the tables derived from the store; the runtime only ever reads
+// them after this point.
 func (rt *Runtime) Profile(g *graph.Graph) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
 	rt.graph = g
 	rt.store = perfmodel.CachedProfileGraph(rt.machine, g, rt.cfg.interval())
-	rt.byKind = perfmodel.LargestInstanceProfiles(g, rt.store)
-	rt.candMemo = make(map[string][]perfmodel.Config)
+	t := rt.store.Derive(rt.tablesKey(), func() any { return rt.buildTables(g) }).(*tables)
+	rt.byKind, rt.cands = t.byKind, t.cands
 	return nil
 }
 
-// Name implements exec.Scheduler.
+// buildTables derives the tables for rt's store and configuration: the
+// per-kind largest-instance profiles and, when Strategy 3 can run, the
+// candidate list of every tunable operation class in g (untunable ones
+// only ever run at the baseline width).
+func (rt *Runtime) buildTables(g *graph.Graph) *tables {
+	rt.byKind = perfmodel.LargestInstanceProfiles(g, rt.store)
+	t := &tables{byKind: rt.byKind}
+	if !rt.tablesKey().candidates {
+		return t
+	}
+	t.cands = make(map[string][]perfmodel.Config)
+	for _, n := range g.Nodes() {
+		if !rt.tunable(n.Op) {
+			continue
+		}
+		sig := n.Op.Signature()
+		if _, ok := t.cands[sig]; !ok {
+			t.cands[sig] = rt.prepareCandidates(n.Op)
+		}
+	}
+	return t
+}
+
+// Name implements exec.Scheduler. Every simulated job renders it, so it
+// avoids fmt for the reason hw.Machine.String does.
 func (rt *Runtime) Name() string {
-	return fmt.Sprintf("opsched(s1=%v,s2=%v,s3=%v,s4=%v,x=%d)",
-		rt.cfg.Strategy1, rt.cfg.Strategy2, rt.cfg.Strategy3, rt.cfg.Strategy4, rt.cfg.interval())
+	return "opsched(s1=" + strconv.FormatBool(rt.cfg.Strategy1) +
+		",s2=" + strconv.FormatBool(rt.cfg.Strategy2) +
+		",s3=" + strconv.FormatBool(rt.cfg.Strategy3) +
+		",s4=" + strconv.FormatBool(rt.cfg.Strategy4) +
+		",x=" + strconv.Itoa(rt.cfg.interval()) + ")"
 }
 
 // tunable reports whether the runtime may change the operation's intra-op
@@ -240,18 +297,20 @@ func (rt *Runtime) corunCandidate(o *op.Op, idle int, maxRemaining float64, cons
 	return perfmodel.Config{}, false
 }
 
-// candidates prepares (and memoizes) the Strategy-3 candidate list of one
-// operation class: the governing profile's top-k thread counts with this
-// instance's predicted times, conflict rule applied, fewest threads first.
+// candidates returns the prepared Strategy-3 candidate list of an
+// operation's class.
 func (rt *Runtime) candidates(o *op.Op) ([]perfmodel.Config, bool) {
-	sig := o.Signature()
-	if cands, ok := rt.candMemo[sig]; ok {
-		return cands, len(cands) > 0
-	}
-	inst, ok := rt.store.Get(sig)
+	cands := rt.cands[o.Signature()]
+	return cands, len(cands) > 0
+}
+
+// prepareCandidates builds the Strategy-3 candidate list of one operation
+// class: the governing profile's top-k thread counts with this instance's
+// predicted times, conflict rule applied, fewest threads first.
+func (rt *Runtime) prepareCandidates(o *op.Op) []perfmodel.Config {
+	inst, ok := rt.store.Get(o.Signature())
 	if !ok {
-		rt.candMemo[sig] = nil
-		return nil, false
+		return nil
 	}
 	// Candidates come from the governing profile — under Strategy 2 that
 	// is the kind's largest-instance profile, so the top-3 straddle the
@@ -278,8 +337,7 @@ func (rt *Runtime) candidates(o *op.Op) ([]perfmodel.Config, bool) {
 	}
 	// Deterministic order: fewest threads first among the top-k.
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Threads < cands[j].Threads })
-	rt.candMemo[sig] = cands
-	return cands, len(cands) > 0
+	return cands
 }
 
 // scheduleHyperThreading implements Strategy 4: when a running (or just

@@ -344,4 +344,10 @@ func TestRuntimeMachineAccessor(t *testing.T) {
 	if rt.Machine() != m {
 		t.Error("Machine() does not return the scheduled-for machine")
 	}
+	if got, want := rt.Name(), "opsched(s1=true,s2=true,s3=true,s4=true,x=4)"; got != want {
+		t.Errorf("Name() = %q, want %q", got, want)
+	}
+	if got, want := New(m, Config{Strategy1: true, Interval: 8}).Name(), "opsched(s1=true,s2=false,s3=false,s4=false,x=8)"; got != want {
+		t.Errorf("Name() = %q, want %q", got, want)
+	}
 }

@@ -12,6 +12,8 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"strconv"
+	"sync/atomic"
 
 	"opsched/internal/op"
 )
@@ -43,6 +45,8 @@ func (n *Node) Consumers() []NodeID { return n.outs }
 type Graph struct {
 	Name  string
 	nodes []*Node
+
+	sig atomic.Pointer[string] // memoized Signature; Add clears it
 }
 
 // New returns an empty graph.
@@ -63,6 +67,7 @@ func (g *Graph) Add(o *op.Op, name string, deps ...NodeID) NodeID {
 	}
 	n := &Node{ID: id, Name: name, Op: o, deps: append([]NodeID(nil), deps...)}
 	g.nodes = append(g.nodes, n)
+	g.sig.Store(nil)
 	for _, d := range deps {
 		p := g.nodes[d]
 		p.outs = append(p.outs, id)
@@ -86,18 +91,25 @@ func (g *Graph) Nodes() []*Node { return g.nodes }
 // of every node plus the dependency structure, independent of the graph's
 // name and of which Graph instance holds the nodes. Two independently built
 // copies of the same workload share a signature — what keys the perfmodel
-// profile cache across sweep workers.
+// profile cache across sweep workers. It is computed once per graph and
+// safe for concurrent use.
 func (g *Graph) Signature() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "n=%d;", len(g.nodes))
-	for _, n := range g.nodes {
-		fmt.Fprintf(h, "%s<", n.Op.Signature())
-		for _, d := range n.deps {
-			fmt.Fprintf(h, "%d,", d)
-		}
-		fmt.Fprint(h, ";")
+	if s := g.sig.Load(); s != nil {
+		return *s
 	}
-	return fmt.Sprintf("g%016x", h.Sum64())
+	h := fnv.New64a()
+	b := strconv.AppendInt(append(make([]byte, 0, 256), "n="...), int64(len(g.nodes)), 10)
+	h.Write(append(b, ';'))
+	for _, n := range g.nodes {
+		b = append(append(b[:0], n.Op.Signature()...), '<')
+		for _, d := range n.deps {
+			b = append(strconv.AppendInt(b, int64(d), 10), ',')
+		}
+		h.Write(append(b, ';'))
+	}
+	s := fmt.Sprintf("g%016x", h.Sum64())
+	g.sig.Store(&s)
+	return s
 }
 
 // Validate checks structural invariants: every node has a valid operation

@@ -215,3 +215,22 @@ func TestSignatureContentKeyed(t *testing.T) {
 		t.Error("different operation class did not change the signature")
 	}
 }
+
+// TestSignatureMemo: the memoized signature keeps the value the profile
+// cache has always keyed on, and Add invalidates it.
+func TestSignatureMemo(t *testing.T) {
+	g := New("memo")
+	a := g.Add(op.Conv(op.Conv2D, 32, 8, 8, 128, 3, 128, 2), "conv")
+	g.Add(&op.Op{Kind: op.AddN, Input: op.Dims{32, 8, 8, 128}, NumInputs: 3}, "addn", a)
+	if got, want := g.Signature(), "g7ae5b5c84d282c77"; got != want {
+		t.Fatalf("Signature() = %s, want %s", got, want)
+	}
+	before := g.Signature()
+	g.Add(op.Elementwise(op.Relu, 32, 8, 8, 128), "relu", a)
+	if g.Signature() == before {
+		t.Error("Add did not invalidate the memoized signature")
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Signature() }); n != 0 {
+		t.Errorf("Signature after first use: %v allocs, want 0", n)
+	}
+}

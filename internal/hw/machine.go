@@ -13,6 +13,7 @@ package hw
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Machine describes a manycore processor and the constants of its analytic
@@ -112,8 +113,12 @@ func (m *Machine) Bandwidth(p int) float64 {
 	return m.BWMaxBytesNs * fp / (fp + m.BWHalf)
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. Every simulated wave renders it, so it
+// avoids fmt: fmt's buffer pool makes a call's allocation count depend on
+// when the garbage collector last emptied the pool.
 func (m *Machine) String() string {
-	return fmt.Sprintf("machine{%d cores, %d tiles, %d HT/core, %.0f GB/s}",
-		m.Cores, m.Tiles(), m.HTPerCore, m.BWMaxBytesNs)
+	return "machine{" + strconv.Itoa(m.Cores) + " cores, " +
+		strconv.Itoa(m.Tiles()) + " tiles, " +
+		strconv.Itoa(m.HTPerCore) + " HT/core, " +
+		strconv.FormatFloat(m.BWMaxBytesNs, 'f', 0, 64) + " GB/s}"
 }

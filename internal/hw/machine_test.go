@@ -117,7 +117,7 @@ func TestPlacementString(t *testing.T) {
 }
 
 func TestMachineString(t *testing.T) {
-	if s := NewKNL().String(); s == "" {
-		t.Error("String() empty")
+	if s, want := NewKNL().String(), "machine{68 cores, 34 tiles, 4 HT/core, 380 GB/s}"; s != want {
+		t.Errorf("String() = %q, want %q", s, want)
 	}
 }

@@ -2,6 +2,9 @@ package op
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"opsched/internal/hw"
 )
@@ -27,6 +30,60 @@ type Op struct {
 	Window int
 	// NumInputs is the operand count for AddN/Concat; 0 means 2.
 	NumInputs int
+
+	// memo holds the instance's interned operation class from its first
+	// Signature or Cost call on. The fields above must not change after
+	// that, and an Op must not be copied (go vet's copylocks check
+	// flags copies, which would carry the memo to changed fields).
+	memo atomic.Pointer[class]
+}
+
+// class is the derived identity of one operation class: its signature and
+// its cost, computed once per process and shared by every instance that
+// interns to it.
+type class struct {
+	sig  string
+	cost hw.OpCost
+}
+
+// classKey identifies an interned class. Signature omits the pooling
+// window and operand counts up to two, yet both can change the cost, so
+// their effective values are part of the key.
+type classKey struct {
+	sig       string
+	window    int
+	numInputs int
+}
+
+var (
+	classesMu sync.Mutex
+	classes   = make(map[classKey]*class)
+)
+
+// ResetClasses drops the process-wide class intern table, so the next
+// first use of every operation class pays its full derivation again.
+// Instances that already hold their class keep it.
+func ResetClasses() {
+	classesMu.Lock()
+	defer classesMu.Unlock()
+	classes = make(map[classKey]*class)
+}
+
+// interned returns the instance's class, interning it on first use.
+func (o *Op) interned() *class {
+	if c := o.memo.Load(); c != nil {
+		return c
+	}
+	key := classKey{sig: o.signature(), window: o.window(), numInputs: o.numInputs()}
+	classesMu.Lock()
+	c, ok := classes[key]
+	if !ok {
+		c = &class{sig: key.sig, cost: o.cost(key.sig)}
+		classes[key] = c
+	}
+	classesMu.Unlock()
+	o.memo.Store(c)
+	return c
 }
 
 // stride returns the effective stride.
@@ -200,14 +257,17 @@ func (o *Op) TensorBytes() float64 {
 // This is what makes regression across operation classes genuinely hard
 // (Table IV) while direct per-class measurement (the hill climb) stays
 // exact: two runs of the same class always agree.
-func (o *Op) Cost() hw.OpCost {
+func (o *Op) Cost() hw.OpCost { return o.interned().cost }
+
+// cost derives Cost afresh for an instance whose signature is sig.
+func (o *Op) cost(sig string) hw.OpCost {
 	kp, ok := params[o.Kind]
 	if !ok {
 		kp = params[Reshape]
 	}
-	u1 := shapeHashUnit(o.Signature(), 1)
-	u2 := shapeHashUnit(o.Signature(), 2)
-	u3 := shapeHashUnit(o.Signature(), 3)
+	u1 := shapeHashUnit(sig, 1)
+	u2 := shapeHashUnit(sig, 2)
+	u3 := shapeHashUnit(sig, 3)
 	bytes := o.TensorBytes()
 	return hw.OpCost{
 		WorkNs:          kp.nsPerFlop * (0.90 + 0.20*u1) * o.FLOPs(),
@@ -235,18 +295,23 @@ func shapeHashUnit(sig string, salt uint64) float64 {
 
 // Signature identifies the (kind, shapes) class of the instance. Instances
 // with equal signatures share performance profiles in the runtime.
-func (o *Op) Signature() string {
-	s := string(o.Kind) + o.Input.String()
+func (o *Op) Signature() string { return o.interned().sig }
+
+// signature derives Signature afresh.
+func (o *Op) signature() string {
+	b := make([]byte, 0, 64)
+	b = append(b, o.Kind...)
+	b = o.Input.appendTo(b)
 	if len(o.Filter) > 0 {
-		s += o.Filter.String()
+		b = o.Filter.appendTo(b)
 	}
 	if o.Stride > 1 {
-		s += fmt.Sprintf("/s%d", o.Stride)
+		b = strconv.AppendInt(append(b, "/s"...), int64(o.Stride), 10)
 	}
 	if o.NumInputs > 2 {
-		s += fmt.Sprintf("/n%d", o.NumInputs)
+		b = strconv.AppendInt(append(b, "/n"...), int64(o.NumInputs), 10)
 	}
-	return s
+	return string(b)
 }
 
 // String implements fmt.Stringer.

@@ -22,6 +22,9 @@ func TestDims(t *testing.T) {
 	if got := (Dims{}).String(); got != "()" {
 		t.Errorf("empty String() = %q, want ()", got)
 	}
+	if got := (Dims{7, -2, 1 << 40}).String(); got != "(7,-2,1099511627776)" {
+		t.Errorf("String() = %q, want (7,-2,1099511627776)", got)
+	}
 	if (Dims{}).Elems() != 0 {
 		t.Error("empty Elems() != 0")
 	}

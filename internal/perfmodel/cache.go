@@ -1,11 +1,11 @@
 package perfmodel
 
 import (
-	"fmt"
 	"sync"
 
 	"opsched/internal/graph"
 	"opsched/internal/hw"
+	"opsched/internal/op"
 )
 
 // Cache memoizes ProfileGraph results keyed by (machine, graph signature,
@@ -18,7 +18,7 @@ import (
 // are frozen after the first few training steps).
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	entries map[cacheKey]*cacheEntry
 	hits    int
 	misses  int
 }
@@ -29,20 +29,22 @@ type cacheEntry struct {
 }
 
 // NewCache returns an empty profile cache.
-func NewCache() *Cache { return &Cache{entries: make(map[string]*cacheEntry)} }
+func NewCache() *Cache { return &Cache{entries: make(map[cacheKey]*cacheEntry)} }
 
 // cacheKey fingerprints the lookup: the machine's full analytic description
 // (any constant change invalidates profiles), the graph's content signature
 // and the climb interval.
-func cacheKey(m *hw.Machine, g *graph.Graph, interval int) string {
-	return fmt.Sprintf("%+v|%s|x=%d", *m, g.Signature(), interval)
+type cacheKey struct {
+	machine  hw.Machine
+	graph    string
+	interval int
 }
 
 // ProfileGraph returns the hill-climb store for (m, g, interval), computing
 // it at most once per key. The first caller per key runs the search; callers
 // arriving while it is in flight wait for the same result.
 func (c *Cache) ProfileGraph(m *hw.Machine, g *graph.Graph, interval int) *Store {
-	key := cacheKey(m, g, interval)
+	key := cacheKey{*m, g.Signature(), interval}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -86,7 +88,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*cacheEntry)
+	c.entries = make(map[cacheKey]*cacheEntry)
 	c.hits, c.misses = 0, 0
 }
 
@@ -102,6 +104,10 @@ func CachedProfileGraph(m *hw.Machine, g *graph.Graph, interval int) *Store {
 // CacheStats reports the process-wide cache's hits and misses.
 func CacheStats() (hits, misses int) { return defaultCache.Stats() }
 
-// ResetCache clears the process-wide cache (tests and benchmarks that must
-// measure cold profiling).
-func ResetCache() { defaultCache.Reset() }
+// ResetCache clears the process-wide cache, with the tables derived from
+// its stores and the operation-class intern table (tests and benchmarks
+// that must measure cold profiling).
+func ResetCache() {
+	defaultCache.Reset()
+	op.ResetClasses()
+}

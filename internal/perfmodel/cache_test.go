@@ -107,3 +107,42 @@ func TestCacheReset(t *testing.T) {
 		t.Error("recompute after Reset did not count as a miss")
 	}
 }
+
+// TestCachedProfileGraphHitAllocs: a process-wide cache hit allocates
+// nothing — it runs for every job of every simulated wave.
+func TestCachedProfileGraphHitAllocs(t *testing.T) {
+	m, g := knl(), cacheGraph()
+	CachedProfileGraph(m, g, 4)
+	if n := testing.AllocsPerRun(100, func() { CachedProfileGraph(m, g, 4) }); n != 0 {
+		t.Errorf("CachedProfileGraph hit: %v allocs, want 0", n)
+	}
+}
+
+// TestDeriveOncePerStore: Derive runs build once per key and store, and a
+// reset cache hands out a store with none of the old derived values.
+func TestDeriveOncePerStore(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	m := knl()
+	s := CachedProfileGraph(m, cacheGraph(), 4)
+	builds := 0
+	build := func() any { builds++; return builds }
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v := s.Derive("k", build); v != 1 {
+				t.Errorf("Derive = %v, want 1", v)
+			}
+		}()
+	}
+	wg.Wait()
+	if v := s.Derive("other", build); v != 2 || builds != 2 {
+		t.Errorf("second key: Derive = %v after %d builds, want 2 after 2", v, builds)
+	}
+	ResetCache()
+	if v := CachedProfileGraph(m, cacheGraph(), 4).Derive("k", build); v != 3 {
+		t.Errorf("after ResetCache: Derive = %v, want a fresh build (3)", v)
+	}
+}

@@ -128,7 +128,8 @@ func (pr *Profile) Predict(p int, pl hw.Placement) float64 {
 // TopConfigs returns the k most performant configurations (distinct thread
 // counts, each with its better placement) over the whole search space —
 // the candidate set Strategy 3 considers when fitting operations into idle
-// cores.
+// cores. The result is a fresh slice of exactly the configurations
+// returned, so holding it does not pin the rest of the ranking.
 func (pr *Profile) TopConfigs(m *hw.Machine, k int) []Config {
 	best := make(map[int]Config)
 	for _, c := range ValidCases(m) {
@@ -151,7 +152,9 @@ func (pr *Profile) TopConfigs(m *hw.Machine, k int) []Config {
 		return out[i].Threads < out[j].Threads
 	})
 	if k < len(out) {
-		out = out[:k]
+		top := make([]Config, k)
+		copy(top, out)
+		out = top
 	}
 	return out
 }

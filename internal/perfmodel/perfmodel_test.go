@@ -138,6 +138,11 @@ func TestTopConfigs(t *testing.T) {
 	if len(top) != 3 {
 		t.Fatalf("TopConfigs = %d entries, want 3", len(top))
 	}
+	// A longer backing array would keep every other ranked thread count
+	// alive behind each shared candidate list.
+	if cap(top) != 3 {
+		t.Errorf("cap(TopConfigs) = %d, want 3", cap(top))
+	}
 	if top[0].TimeNs > top[1].TimeNs || top[1].TimeNs > top[2].TimeNs {
 		t.Errorf("TopConfigs not sorted by time: %v", top)
 	}

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"sort"
+	"sync"
 
 	"opsched/internal/graph"
 	"opsched/internal/hw"
@@ -13,6 +14,35 @@ import (
 // every scheduling decision afterwards.
 type Store struct {
 	profiles map[string]*Profile
+
+	derivedMu sync.Mutex
+	derived   map[any]*derivedEntry
+}
+
+type derivedEntry struct {
+	once sync.Once
+	val  any
+}
+
+// Derive returns the value build computes for key, running build at most
+// once per store; concurrent callers for one key wait for the same result.
+// It lets consumers hang read-only tables derived from the frozen profiles
+// on the store, so they are shared wherever the store is and dropped with
+// it (ResetCache). key must be comparable and build must not modify the
+// store.
+func (s *Store) Derive(key any, build func() any) any {
+	s.derivedMu.Lock()
+	e, ok := s.derived[key]
+	if !ok {
+		if s.derived == nil {
+			s.derived = make(map[any]*derivedEntry)
+		}
+		e = &derivedEntry{}
+		s.derived[key] = e
+	}
+	s.derivedMu.Unlock()
+	e.once.Do(func() { e.val = build() })
+	return e.val
 }
 
 // NewStore returns an empty profile store.

@@ -2,8 +2,13 @@ package place
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"opsched/internal/core"
+	"opsched/internal/graph"
+	"opsched/internal/hw"
+	"opsched/internal/multijob"
 	"opsched/internal/nn"
 	"opsched/internal/obs"
 )
@@ -102,6 +107,54 @@ func BenchmarkPlaceHeteroStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := PlaceJobs(w, Cluster{Nodes: 1, GPUs: 1}, Options{Policy: "model-aware"}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCPUWaveSim prices one wave-memo miss: a fixed mixed KNL gang of
+// two training jobs and two inference requests simulated fresh through the
+// engine's CPU wave path (memo off), with graphs built and hill-climb
+// profiles cached beforehand as they are in a steady replay. Each iteration
+// pays a wave's per-job set-up — runtimes profiled from the cache, their
+// Strategy-3 tables looked up — plus the multi-job co-run itself; the
+// allocs/op gate keeps per-operation-class facts from being re-derived for
+// every job.
+func BenchmarkCPUWaveSim(b *testing.B) {
+	arb, err := multijob.NewArbiter("fair")
+	if err != nil {
+		b.Fatal(err)
+	}
+	graphs := make(map[string]*graph.Graph)
+	graphFor := func(model string) *graph.Graph {
+		if g, ok := graphs[model]; ok {
+			return g
+		}
+		g := modelGraph(model)
+		graphs[model] = g
+		return g
+	}
+	rt := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, arb, core.AllStrategies(), graphFor, true)[0]
+	gang := []WaveJob{
+		{Name: "lstm#0", Model: nn.LSTM, Priority: 1, Weight: 1, StepsLeft: 2},
+		{Name: "dcgan#1", Model: nn.DCGAN, Weight: 1, StepsLeft: 1},
+		{Name: "lstm@4#2", Model: InferKey(nn.LSTM, 4), Weight: 1, StepsLeft: 1, Class: ClassInference},
+		{Name: "dcgan@2#3", Model: InferKey(nn.DCGAN, 2), Weight: 1, StepsLeft: 1, Class: ClassInference},
+	}
+	if _, err := rt.RunWave(gang); err != nil {
+		b.Fatal(err)
+	}
+	// Start the timed waves on a collected heap: fewer collections land
+	// inside them, which steadies the allocs/op reading.
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := rt.RunWave(gang)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Jobs) != len(gang) {
+			b.Fatalf("wave priced %d jobs, want %d", len(res.Jobs), len(gang))
 		}
 	}
 }

@@ -295,14 +295,7 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 		if g, ok := graphs[model]; ok {
 			return g
 		}
-		var g *graph.Graph
-		if base, batch, ok := parseInferKey(model); ok {
-			// An inference work key prices the forward-only serving graph
-			// at its dynamic batch size, not the training step.
-			g = nn.MustBuildInference(base, batch).Graph
-		} else {
-			g = nn.MustBuild(model).Graph
-		}
+		g := modelGraph(model)
 		graphs[model] = g
 		return g
 	}
@@ -1286,6 +1279,16 @@ func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 		}
 		e.push(tgt)
 	}
+}
+
+// modelGraph builds the graph a work key prices: the training step for a
+// model name, the forward-only serving graph at its dynamic batch size for
+// an inference key.
+func modelGraph(key string) *graph.Graph {
+	if base, batch, ok := parseInferKey(key); ok {
+		return nn.MustBuildInference(base, batch).Graph
+	}
+	return nn.MustBuild(key).Graph
 }
 
 // buildRuntimes resolves every node descriptor to its NodeRuntime, sharing
