@@ -35,10 +35,6 @@
 //	opsched-bench -cluster 8 -gpus 2 -inference 64 -share mps
 //	                              # GPU nodes share via MPS-style spatial
 //	                              # partitioning instead of CUDA streams
-//	opsched-bench -cluster 100000 -gpus 10000 -workers 8
-//	                              # engine-internal parallelism: 8 workers
-//	                              # per cell (0 = GOMAXPROCS, 1 = serial);
-//	                              # output is byte-identical at any count
 //	opsched-bench -cluster 12 -metrics-out metrics.prom
 //	                              # dump the engine's metrics registry in
 //	                              # Prometheus text format after the sweep
@@ -202,7 +198,6 @@ func main() {
 	sloMs := flag.Float64("slo", 0, "per-request latency SLO of the -inference stream, in ms (0 = 50 calm gaps)")
 	shareMode := flag.String("share", "", `GPU sharing mode for -cluster fleets: "streams" (default) or "mps"`)
 	engineSpec := flag.String("engine", "batch", `execution engines for -cluster, comma-separated: "batch" (closed-workload engine), "pipeline" (streaming admission→placement→execution→metrics pipeline); both render byte-identically`)
-	workers := flag.Int("workers", 0, "engine-internal worker count per -cluster cell: 0 = auto (GOMAXPROCS), 1 = fully serial; output is byte-identical at any count")
 	metricsOut := flag.String("metrics-out", "", "write the -cluster sweep's metrics registry to this file in Prometheus text format")
 	traceOut := flag.String("trace-out", "", "write the -cluster run's virtual-time scheduler timeline to this file as Chrome trace-event JSON (single-cell grids only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -234,7 +229,7 @@ func main() {
 		out := obsOut{metricsPath: *metricsOut, tracePath: *traceOut}
 		runCluster(ctx, *clusterN, *policy, *nodesSpec, *gpusSpec, *models, *arbiter,
 			*seed, *gapMs, *steps, *preemptSpec, *triggerSpec, *engineSpec, inf, *shareMode,
-			*workers, *parallel, *jsonOut, out)
+			*parallel, *jsonOut, out)
 		return
 	}
 	if *metricsOut != "" || *traceOut != "" {
@@ -385,7 +380,7 @@ type obsOut struct {
 // mixed stream sweeps the same grid. Same determinism contract as the
 // other modes — stdout is byte-identical at any -parallel, timings go to
 // stderr or the JSON payload.
-func runCluster(ctx context.Context, n int, policySpec, nodesSpec, gpusSpec, modelsSpec, arbiterSpec string, seed uint64, gapMs float64, steps int, preemptSpec, triggerSpec, engineSpec string, inf inferenceSpec, shareMode string, workers, parallel int, jsonOut bool, out obsOut) {
+func runCluster(ctx context.Context, n int, policySpec, nodesSpec, gpusSpec, modelsSpec, arbiterSpec string, seed uint64, gapMs float64, steps int, preemptSpec, triggerSpec, engineSpec string, inf inferenceSpec, shareMode string, parallel int, jsonOut bool, out obsOut) {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "opsched-bench: %v\n", err)
 		os.Exit(1)
@@ -483,7 +478,6 @@ func runCluster(ctx context.Context, n int, policySpec, nodesSpec, gpusSpec, mod
 		Preempts:  preempts,
 		Engines:   engines,
 		Arbiter:   arb,
-		Workers:   workers,
 	}
 	if s := strings.TrimSpace(shareMode); s != "" && s != opsched.SharingStreams {
 		// A non-default sharing mode needs its own device descriptor; the

@@ -36,8 +36,8 @@
 //	POST /drain     close the stream and drain gracefully
 //	GET  /metrics   the scheduler's metrics registry in Prometheus text
 //	                exposition format: engine counters (admissions, waves,
-//	                preemptions, SLO attainment, wave-memo hit rate, shard
-//	                queues), pipeline stage latencies and backpressure
+//	                preemptions, SLO attainment, wave-memo hit rate, queue
+//	                depth), pipeline stage latencies and backpressure
 //	                gauges, and the serve process's own gauges
 //	GET  /healthz   liveness: 200 "ok" while serving, "draining" once the
 //	                stream is closing
@@ -115,7 +115,6 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 	policy := fs.String("policy", "", "placement policy (default spread)")
 	arbiter := fs.String("arbiter", "", "per-node cross-job arbiter (default fair)")
 	preempt := fs.String("preempt", "", `preemption trigger spec ("all", "priority+deadline", ...; empty = off)`)
-	workers := fs.Int("workers", 0, "engine-internal worker count: 0 = auto (GOMAXPROCS), 1 = fully serial; reports are byte-identical at any count")
 	snapEvery := fs.Int("snap-every", 10, "print a live snapshot to stderr every N completions (0 disables)")
 	buffer := fs.Int("buffer", 0, "inter-stage channel depth (0 = default)")
 	tick := fs.Duration("tick", 500*time.Millisecond, "virtual-clock tick interval in -http mode (retires work between submissions)")
@@ -136,7 +135,7 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 	reg := opsched.NewMetricsRegistry()
 	cfg := opsched.PipelineConfig{
 		Cluster: opsched.Cluster{Nodes: *nodes, GPUs: *gpus},
-		Options: opsched.PlaceOptions{Policy: *policy, Arbiter: *arbiter, Preempt: *preempt, Workers: *workers,
+		Options: opsched.PlaceOptions{Policy: *policy, Arbiter: *arbiter, Preempt: *preempt,
 			Obs: &opsched.Observer{Metrics: reg}},
 		Buffer: *buffer,
 	}
@@ -167,7 +166,7 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 
 	var httpSrv *http.Server
 	if *httpAddr != "" {
-		httpSrv = &http.Server{Addr: *httpAddr, Handler: srv.mux()}
+		httpSrv = newHTTPServer(*httpAddr, srv.mux())
 		go func() {
 			slog.Info("listening", "addr", *httpAddr)
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -238,6 +237,25 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 	}
 	fmt.Fprint(stdout, res.Render())
 	return nil
+}
+
+// HTTP connection timeouts: a client has readHeaderTimeout to deliver its
+// request headers, and a keep-alive connection closes after idleTimeout
+// without a request, so a client that dribbles bytes or parks an idle
+// connection cannot hold it (and its goroutine) forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the service's HTTP server with its connection
+// timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // server owns the pipeline handle shared by the feeders and HTTP.

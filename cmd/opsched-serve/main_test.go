@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -424,5 +426,41 @@ func TestSetupLogging(t *testing.T) {
 	}
 	if err := setupLogging("chatty"); err == nil {
 		t.Error("bogus level accepted")
+	}
+}
+
+// TestHTTPServerDropsSlowHeaders: a client that sends a partial request
+// header and then goes quiet is disconnected once the header deadline
+// passes, instead of holding the connection open forever.
+func TestHTTPServerDropsSlowHeaders(t *testing.T) {
+	srv := newHTTPServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts header=%v idle=%v, want %v / %v",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	// Same mechanism, shorter deadline, so the test stays fast.
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// No blank line: the header block never ends.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: opsched\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server still holds the half-sent request after %v", time.Since(start))
 	}
 }

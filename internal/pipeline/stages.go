@@ -169,7 +169,7 @@ func (p *Pipeline) execution(in <-chan stageMsg, grants chan<- grantMsg, picks <
 				return
 			}
 			// Refresh the engine's sampled gauges (wave-memo counters,
-			// shard queues) so a live scrape between ticks sees them.
+			// queue depth) so a live scrape between ticks sees them.
 			eng.ObsSample()
 			if p.po != nil {
 				p.po.ticks.Inc()

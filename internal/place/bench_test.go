@@ -43,10 +43,10 @@ func BenchmarkPlaceLargeStream(b *testing.B) {
 
 // BenchmarkPlaceHuge is the service-scale gate: tens of thousands of jobs
 // over a thousand-node (and, in full runs, a ten-thousand-node) GPU fleet
-// through the sharded event loop with gang-signature memoization. The 20k ×
+// through the event loop with gang-signature memoization. The 20k ×
 // 1k case must finish one iteration in well under a minute — the ISSUE 7
 // acceptance bound — and the 100k × 10k case is the ROADMAP north star,
-// skipped under -short because it holds a 10k-entry shard index hot for
+// skipped under -short because it holds a 10k-node event index hot for
 // minutes. ReportAllocs pins the arena-reuse work: per-round allocations
 // must not scale with the fleet.
 func BenchmarkPlaceHuge(b *testing.B) {

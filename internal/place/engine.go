@@ -1,12 +1,11 @@
 package place
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"opsched/internal/cluster"
@@ -122,6 +121,8 @@ type waveEntry struct {
 // waveHeap orders candidate node events by time, breaking ties on the
 // lower node index — the same deterministic order the former linear scan
 // produced, now at O(log nodes) per event instead of O(jobs × nodes).
+// Entries are never removed in place: re-indexing a node bumps its version
+// and the stale entry is skipped when it reaches the top.
 type waveHeap []waveEntry
 
 func (h waveHeap) Len() int { return len(h) }
@@ -193,17 +194,16 @@ type Engine struct {
 	// inference request is admitted; a training-only run never takes it.
 	anyInference bool
 
-	si        *shardedIndex
+	events    waveHeap
 	idxW      int
 	completed int
 	arrivalNs float64 // admission high-water mark: arrivals must not regress
 
-	// workers bounds the engine's parallelism (Options.Workers after
-	// defaulting); 1 is the fully serial engine. noMemo mirrors
-	// Options.NoWaveMemo — the speculative prefetcher is pointless without
-	// the cache to publish its results through.
-	workers int
-	noMemo  bool
+	// Fleet-wide aggregates over every node's staged queue, maintained
+	// incrementally wherever a node's queue changes (the queue gauges
+	// publish them without a rescan).
+	queuedJobs   int
+	queuedWorkNs float64
 
 	// Runtime-indexed hot-path tables: rtIdx maps each node to its
 	// runtime's position in uniqueRts; rtKind/rtCap/rtAlpha cache the
@@ -221,16 +221,6 @@ type Engine struct {
 	// work cache entry on the hot path; Place and checkpointWave keep it
 	// current whenever the job's node changes.
 	stepWork []float64
-
-	// Speculative wave prefetcher state (workers > 1 only): specNs is the
-	// last event timestamp speculated, specWG joins in-flight workers at
-	// Finish, specLive gates a new speculation batch on the previous one
-	// having drained, and accBuf holds the chunked placement scan's
-	// per-worker partial reductions.
-	specNs   float64
-	specWG   sync.WaitGroup
-	specLive atomic.Int64
-	accBuf   []pickAcc
 
 	// Per-round hot-path scratch, reused across events so the steady state
 	// allocates nothing per round. The engine is single-threaded, so plain
@@ -275,23 +265,12 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("place: shard count must be non-negative, got %d", opts.Shards)
-	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("place: worker count must be non-negative, got %d", opts.Workers)
-	}
 	cfg := opts.config()
 
-	// graphFor is shared by the engine's serial hot path and the wave
-	// workers' speculative simulations, so it locks. Graphs are immutable
-	// once built; only the map needs the mutex, and the lock is touched a
-	// handful of times per run (once per distinct model key).
+	// graphFor builds each model key's graph once per engine; the runtimes
+	// share it for work prediction and wave simulation.
 	graphs := make(map[string]*graph.Graph)
-	var graphsMu sync.Mutex
 	graphFor := func(model string) *graph.Graph {
-		graphsMu.Lock()
-		defer graphsMu.Unlock()
 		if g, ok := graphs[model]; ok {
 			return g
 		}
@@ -305,17 +284,10 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	// fleet-wide gang-signature wave memo.
 	runtimes := buildRuntimes(c.nodeDescriptors(), arb, cfg, graphFor, opts.NoWaveMemo)
 
-	shards := opts.Shards
-	if shards == 0 {
-		shards = autoShards(len(runtimes))
-	}
 	e := &Engine{
 		pol: pol, arb: arb, rts: runtimes, ic: c.interconnect(),
 		infos: make(map[string]*modelInfo), graphs: graphFor,
 		preemptOn: preemptOn, triggers: triggers,
-		si:      newShardedIndex(len(runtimes), shards),
-		workers: opts.workers(), noMemo: opts.NoWaveMemo,
-		specNs: math.Inf(-1),
 	}
 	e.nodes = make([]*nodeState, len(runtimes))
 	e.rtIdx = make([]int, len(runtimes))
@@ -426,12 +398,7 @@ func (e *Engine) ProcessNextEvent() ([]int, error) {
 	if node < 0 {
 		return nil, fmt.Errorf("place: no pending node event")
 	}
-	// Arm the prefetcher before retiring: while this event (and the rest
-	// of its batch) retires serially in canonical order, the worker pool
-	// pre-simulates the gangs the pending events will price, so the serial
-	// path finds them already in the wave memo.
-	e.maybeSpeculate(t)
-	e.si.pop(node) // consume the peeked (valid) entry
+	heap.Pop(&e.events) // consume the peeked (valid) entry
 	if e.eo != nil {
 		e.eo.events.Inc()
 	}
@@ -475,10 +442,6 @@ func (e *Engine) Job(ji int) PlacedJob {
 // every admitted job has completed (a caller that stalls earlier should
 // surface its own error — Finish reports whatever retired).
 func (e *Engine) Finish() *Result {
-	// Join any in-flight speculative wave workers: their results live only
-	// in the runtimes' concurrent caches, but the goroutines must not
-	// outlive the run.
-	e.specWG.Wait()
 	for ji := range e.placed {
 		e.placed[ji].StepsDone = e.done[ji]
 		if segs := e.path[ji]; len(segs) > 1 {
@@ -518,32 +481,42 @@ func (e *Engine) info(model string) *modelInfo {
 	return mi
 }
 
-// push re-indexes node i in its shard's event heap (stale entries are
+// push re-indexes node i in the event heap (stale entries are
 // version-skipped on peek).
 func (e *Engine) push(i int) {
 	ns := e.nodes[i]
 	ns.version++
 	if next := ns.nextEventNs(); !math.IsInf(next, 1) {
-		e.si.push(waveEntry{startNs: next, node: i, version: ns.version})
+		heap.Push(&e.events, waveEntry{startNs: next, node: i, version: ns.version})
 	}
 }
 
-// peek returns the earliest valid node event across every shard — the
-// deterministic k-way merge on (time, node index) — or (-1, +Inf).
+// peek returns the earliest valid node event on (time, node index),
+// popping stale entries along the way, or (-1, +Inf) when none is pending.
 func (e *Engine) peek() (int, float64) {
-	return e.si.peek(e.nodes)
+	for len(e.events) > 0 {
+		top := e.events[0]
+		if e.nodes[top.node].version == top.version {
+			return top.node, top.startNs
+		}
+		heap.Pop(&e.events)
+	}
+	return -1, math.Inf(1)
 }
 
-// Shards is the event loop's shard count; ShardStats snapshots each
-// shard's node range, retired-event count and incremental queue
-// aggregates (the returned slice is the caller's to keep).
-func (e *Engine) Shards() int { return len(e.si.shards) }
-
-// ShardStats returns a copy of the per-shard statistics.
-func (e *Engine) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(e.si.stats))
-	copy(out, e.si.stats)
-	return out
+// queueDelta folds one node's staged-queue change into the fleet-wide
+// aggregates and, with metrics attached, the queue gauges. An empty fleet
+// queue resets the work sum, so float residue from the incremental adds
+// and subtracts never accumulates across a run.
+func (e *Engine) queueDelta(dJobs int, dWorkNs float64) {
+	e.queuedJobs += dJobs
+	e.queuedWorkNs += dWorkNs
+	if e.queuedJobs == 0 {
+		e.queuedWorkNs = 0
+	}
+	if e.eo != nil {
+		e.obsQueueGauges()
+	}
 }
 
 // WaveMemoStats sums the fleet's gang-signature wave-memo counters: cache
@@ -574,13 +547,6 @@ func (e *Engine) remainingNs(ji int) float64 {
 	return float64(e.steps[ji]-e.done[ji]) * e.stepWork[ji]
 }
 
-// parallelViewsMin is the fleet size past which a sharded engine fans the
-// node-view snapshot out across its shards — one goroutine per contiguous
-// node range, writing disjoint slices, so the result is deterministic
-// whatever the interleaving. A var so tests can force the parallel path on
-// small fleets.
-var parallelViewsMin = 4096
-
 // Views snapshots every node for a placement decision on job ji at nowNs:
 // per-node hardware kind and capacity, the queued work priced on that
 // hardware (maintained incrementally, not rescanned), and the arriving
@@ -595,9 +561,7 @@ func (e *Engine) Views(ji int, nowNs float64) []NodeView {
 
 // ViewsInto fills vs — which must have length len(nodes) — with the same
 // snapshot Views returns, without allocating: the hot path for callers that
-// reuse a scratch slice (PlaceAuto, the pipeline's pooled grants). On a
-// sharded engine with a fleet of at least parallelViewsMin nodes the fill
-// fans out across the shards' disjoint node ranges.
+// reuse a scratch slice (PlaceAuto, the pipeline's pooled grants).
 func (e *Engine) ViewsInto(ji int, nowNs float64, vs []NodeView) {
 	if len(vs) != len(e.nodes) {
 		panic(fmt.Sprintf("place: ViewsInto needs a %d-node slice, got %d", len(e.nodes), len(vs)))
@@ -605,52 +569,32 @@ func (e *Engine) ViewsInto(ji int, nowNs float64, vs []NodeView) {
 	// One work-cache resolution per distinct runtime, not per node; the
 	// fill loop below touches only precomputed tables and node state.
 	work := e.jobWorkPerRuntime(ji)
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ns := e.nodes[i]
-			k := e.rtIdx[i]
-			v := &vs[i]
-			v.Index = i
-			v.Kind = e.rtKind[k]
-			v.Capacity = e.rtCap[k]
-			v.Resident = 0
-			if w := ns.wave; w != nil {
-				v.FreeNs = w.drainNs
-				if v.FreeNs > nowNs {
-					v.Resident = len(w.active)
-				}
-			} else {
-				v.FreeNs = ns.freeNs
+	for i, ns := range e.nodes {
+		k := e.rtIdx[i]
+		v := &vs[i]
+		v.Index = i
+		v.Kind = e.rtKind[k]
+		v.Capacity = e.rtCap[k]
+		v.Resident = 0
+		if w := ns.wave; w != nil {
+			v.FreeNs = w.drainNs
+			if v.FreeNs > nowNs {
+				v.Resident = len(w.active)
 			}
-			v.Queued = len(ns.queue)
-			v.QueuedWorkNs = ns.queuedWorkNs
-			v.JobWorkNs = work[k]
-			v.Alpha = e.rtAlpha[k]
+		} else {
+			v.FreeNs = ns.freeNs
 		}
+		v.Queued = len(ns.queue)
+		v.QueuedWorkNs = ns.queuedWorkNs
+		v.JobWorkNs = work[k]
+		v.Alpha = e.rtAlpha[k]
 	}
-	if e.workers > 1 && len(e.nodes) >= parallelViewsMin {
-		// Disjoint contiguous chunks, one per worker: every goroutine
-		// writes its own slice range, so the result is deterministic
-		// whatever the interleaving.
-		var wg sync.WaitGroup
-		for _, c := range chunkRanges(len(e.nodes), e.workers) {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fill(lo, hi)
-			}(c.lo, c.hi)
-		}
-		wg.Wait()
-		return
-	}
-	fill(0, len(e.nodes))
 }
 
 // jobWorkPerRuntime fills the engine's per-pick scratch with job ji's
 // predicted total solo work per distinct runtime (the NodeView.JobWorkNs
 // every node sharing that runtime reports), resolving each runtime's work
-// cache exactly once — which also pre-warms the caches so concurrent
-// readers stay on the lock-free path.
+// cache exactly once.
 func (e *Engine) jobWorkPerRuntime(ji int) []float64 {
 	model := e.workKeys[ji]
 	steps := float64(e.steps[ji])
@@ -665,8 +609,7 @@ func (e *Engine) jobWorkPerRuntime(ji int) []float64 {
 // engine's own policy — the batch wrapper's path. For the built-in
 // policies the node scan and the policy reduction run fused (fusedPick):
 // no NodeView is ever materialized, the per-node quantities are folded
-// straight into the policy's argmin — chunked across the worker pool on
-// large fleets — and the result is byte-identical to Views → Pick by the
+// straight into the policy's argmin, and the result is byte-identical to Views → Pick by the
 // policies' equivalence property test. A pipeline's placement stage runs
 // the identical policy itself (Views → Policy.Pick → Place), so both paths
 // make byte-identical decisions. In the fallback path the node views are
@@ -720,12 +663,9 @@ func (e *Engine) Place(ji, n int, at float64) error {
 	work := e.remainingNs(ji)
 	ns.queue = append(ns.queue, ji)
 	ns.queuedWorkNs += work
-	e.si.queueDelta(n, 1, work)
+	e.queueDelta(1, work)
 	if e.readyNs[ji] < ns.minReadyNs {
 		ns.minReadyNs = e.readyNs[ji]
-	}
-	if e.eo != nil {
-		e.obsShardGauges(n)
 	}
 	if e.tr != nil {
 		e.tr.AsyncInstant(obsPidJobs, int64(ji), "place", "job", at,
@@ -828,9 +768,7 @@ const maxDynamicBatch = 8
 // order.
 //
 // selectWave reads node and job state but commits nothing — admitWave owns
-// the queue compaction — which is what lets the speculative prefetcher ask
-// "what gang would launch here?" without perturbing the engine. It uses the
-// engine's scratch buffers, so only the event-loop goroutine may call it.
+// the queue compaction.
 func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 	ns := e.nodes[n]
 	capacity := ns.rt.Capacity()
@@ -974,7 +912,7 @@ func (e *Engine) admitWave(n int, startNs float64) ([]int, map[int][]int) {
 			ns.minReadyNs = e.readyNs[ji]
 		}
 	}
-	e.si.queueDelta(n, len(rest)-prevQueued, ns.queuedWorkNs-prevWorkNs)
+	e.queueDelta(len(rest)-prevQueued, ns.queuedWorkNs-prevWorkNs)
 	return admit, batch
 }
 
@@ -990,7 +928,6 @@ func (e *Engine) launchWave(n int, startNs float64) error {
 	ns.waves++
 	if e.eo != nil {
 		e.eo.waveLaunches.Inc()
-		e.obsShardGauges(n) // admitWave rebuilt the shard's queue aggregates
 	}
 	if e.tr != nil {
 		e.tr.CounterEvent(obsPidNodes, n, e.occName[n], startNs, obs.A("jobs", len(admit)))
@@ -1270,12 +1207,9 @@ func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 		e.checkpointNs[ji] = t
 		tn.queue = append(tn.queue, ji)
 		tn.queuedWorkNs += targets[tgt].WorkNs
-		e.si.queueDelta(tgt, 1, targets[tgt].WorkNs)
+		e.queueDelta(1, targets[tgt].WorkNs)
 		if e.readyNs[ji] < tn.minReadyNs {
 			tn.minReadyNs = e.readyNs[ji]
-		}
-		if e.eo != nil {
-			e.obsShardGauges(tgt)
 		}
 		e.push(tgt)
 	}

@@ -1,12 +1,9 @@
 package place
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Gang-signature wave memoization.
@@ -136,103 +133,49 @@ func gangKeys(kind string, jobs []WaveJob) (sig, fp string) {
 }
 
 // memoVariant is one simulated ordering of a canonical gang composition.
-// ready is closed once res (or err) is set; a variant found with ready
-// still open is an in-flight simulation to join, not to repeat.
 type memoVariant struct {
-	fp    string
-	ready chan struct{}
-	res   *WaveResult
-	err   error
+	fp  string
+	res *WaveResult
 }
 
-// memoShardCount spreads the cache across independently locked shards so
-// the serial retirement path and a fleet of speculative workers missing on
-// different signatures never serialize on one lock. Power of two so the
-// hash folds with a mask.
-const memoShardCount = 32
-
-// memoShard is one lock's worth of the cache, keyed by canonical signature.
-type memoShard struct {
-	mu      sync.Mutex
-	entries map[string][]*memoVariant
-}
-
-// waveMemo is the fleet-wide RunWave cache one runtime carries. It is safe
-// for concurrent use: lookups and stores shard their locking by signature
-// hash, and simulations are single-flight per ordered fingerprint — when
-// the engine's worker pool and its serial retirement path miss on the same
-// gang concurrently, exactly one simulation runs and everyone else blocks
-// on its result. Cached *WaveResult values are shared across waves and must
-// be treated as immutable by every caller.
+// waveMemo is the fleet-wide RunWave cache one runtime carries, keyed by
+// canonical signature with one variant per ordered fingerprint. The engine
+// drives it from its single event-loop goroutine. Cached *WaveResult
+// values are shared across waves and must be treated as immutable by
+// every caller.
 type waveMemo struct {
-	shards [memoShardCount]memoShard
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// shard picks the signature's lock shard.
-func (m *waveMemo) shard(sig string) *memoShard {
-	h := fnv.New32a()
-	h.Write([]byte(sig))
-	return &m.shards[h.Sum32()&(memoShardCount-1)]
+	entries map[string][]*memoVariant
+	hits    int
+	misses  int
 }
 
 // do returns the cached result of this exact ordered fingerprint under the
-// canonical signature, simulating it with sim at most once fleet-wide:
-// the first caller per fingerprint runs sim (a miss), concurrent and later
-// callers wait on — and share — its result (hits). A failed simulation is
-// not cached: its error propagates to every waiter and the next caller
-// retries, so a speculative worker can never poison the cache for the
-// serial path.
+// canonical signature, simulating it with sim on first use (a miss). A
+// failed simulation is not cached: the error propagates and the next call
+// retries.
 func (m *waveMemo) do(sig, fp string, sim func() (*WaveResult, error)) (*WaveResult, error) {
-	sh := m.shard(sig)
-	sh.mu.Lock()
-	for _, v := range sh.entries[sig] {
+	for _, v := range m.entries[sig] {
 		if v.fp == fp {
-			sh.mu.Unlock()
-			<-v.ready
-			if v.err != nil {
-				return nil, v.err
-			}
-			m.hits.Add(1)
+			m.hits++
 			return v.res, nil
 		}
 	}
-	v := &memoVariant{fp: fp, ready: make(chan struct{})}
-	if sh.entries == nil {
-		sh.entries = make(map[string][]*memoVariant)
-	}
-	sh.entries[sig] = append(sh.entries[sig], v)
-	sh.mu.Unlock()
-	m.misses.Add(1)
-
+	m.misses++
 	res, err := sim()
 	if err != nil {
-		// Unpublish before waking waiters: once ready closes, no new
-		// waiter can join the failed variant.
-		sh.mu.Lock()
-		vs := sh.entries[sig]
-		for i := range vs {
-			if vs[i] == v {
-				sh.entries[sig] = append(vs[:i], vs[i+1:]...)
-				break
-			}
-		}
-		sh.mu.Unlock()
-		v.err = err
-		close(v.ready)
 		return nil, err
 	}
-	v.res = res
-	close(v.ready)
+	if m.entries == nil {
+		m.entries = make(map[string][]*memoVariant)
+	}
+	m.entries[sig] = append(m.entries[sig], &memoVariant{fp: fp, res: res})
 	return res, nil
 }
 
 // stats reports the cache's hit/miss counters: hits are RunWave calls
-// served from (or joined onto) a cached simulation, misses are simulations
-// actually run.
+// served from a cached simulation, misses are simulations actually run.
 func (m *waveMemo) stats() (hits, misses int) {
-	return int(m.hits.Load()), int(m.misses.Load())
+	return m.hits, m.misses
 }
 
 // waveMemoStats is the optional introspection interface memoizing runtimes

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -184,5 +185,23 @@ func TestWaveMemoHitEquivalence(t *testing.T) {
 		if fh != 0 || fm != 0 {
 			t.Errorf("%s memo-free runtime reports hits=%d misses=%d, want zeros", pair.name, fh, fm)
 		}
+	}
+}
+
+// TestWaveMemoErrorNotCached: a failed simulation propagates to its caller
+// but is never published — the next caller re-simulates and can succeed.
+func TestWaveMemoErrorNotCached(t *testing.T) {
+	m := &waveMemo{}
+	boom := fmt.Errorf("transient")
+	if _, err := m.do("cpu::x", "cpu::x", func() (*WaveResult, error) { return nil, boom }); err != boom {
+		t.Fatalf("want the simulation error, got %v", err)
+	}
+	res, err := m.do("cpu::x", "cpu::x", func() (*WaveResult, error) { return &WaveResult{TotalNs: 1}, nil })
+	if err != nil || res.TotalNs != 1 {
+		t.Fatalf("retry after failure: res=%v err=%v", res, err)
+	}
+	hits, misses := m.stats()
+	if hits != 0 || misses != 2 {
+		t.Fatalf("counters after failure+retry: hits=%d misses=%d, want 0/2", hits, misses)
 	}
 }

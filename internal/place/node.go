@@ -2,8 +2,6 @@ package place
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"opsched/internal/core"
 	"opsched/internal/gpu"
@@ -129,42 +127,21 @@ type NodeRuntime interface {
 	RunWave(jobs []WaveJob) (*WaveResult, error)
 }
 
-// workCache is a concurrent read-mostly map from model key to a cached
-// per-model prediction: lock-free copy-on-write reads (the placement hot
-// path and the speculative wave workers), a mutex only on the rare insert.
-// The model-key universe is tiny — the four workloads plus a handful of
-// dynamic-batch inference keys — so cloning on insert costs nothing.
-type workCache[V any] struct {
-	m  atomic.Pointer[map[string]V]
-	mu sync.Mutex
-}
+// workCache memoizes a per-model prediction by model key. The model-key
+// universe is tiny — the four workloads plus a handful of dynamic-batch
+// inference keys.
+type workCache[V any] map[string]V
 
-// get returns the cached value for key, computing and publishing it under
-// the write lock on first use. Concurrent first uses may compute twice;
-// predictions are deterministic, so either result is the same value.
+// get returns the cached value for key, computing it on first use.
 func (c *workCache[V]) get(key string, compute func() V) V {
-	if m := c.m.Load(); m != nil {
-		if v, ok := (*m)[key]; ok {
-			return v
-		}
+	if v, ok := (*c)[key]; ok {
+		return v
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.m.Load()
-	if old != nil {
-		if v, ok := (*old)[key]; ok {
-			return v
-		}
+	if *c == nil {
+		*c = make(workCache[V], 8)
 	}
 	v := compute()
-	next := make(map[string]V, 8)
-	if old != nil {
-		for k, ov := range *old {
-			next[k] = ov
-		}
-	}
-	next[key] = v
-	c.m.Store(&next)
+	(*c)[key] = v
 	return v
 }
 
@@ -223,8 +200,7 @@ func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 }
 
 // simulate prices one wave fresh through the multi-job co-scheduling
-// engine. It reads only the runtime's concurrent caches and per-call
-// state, so the memo may run it from any worker goroutine.
+// engine.
 func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	mj := make([]multijob.Job, len(jobs))
 	for i, wj := range jobs {
@@ -300,8 +276,7 @@ func (g *gpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 }
 
 // simulate prices one wave fresh through the occupancy/stream co-run
-// model. Like the CPU side it touches only concurrent caches, so the memo
-// may run it from any worker goroutine.
+// model.
 func (g *gpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	works := make([]gpu.GraphWork, len(jobs))
 	for i, wj := range jobs {

@@ -2,7 +2,6 @@ package place
 
 import (
 	"fmt"
-	"strconv"
 
 	"opsched/internal/obs"
 )
@@ -46,10 +45,9 @@ type engineObs struct {
 	metTrain, missTrain int
 	metInfer, missInfer int
 
-	// Per-shard queue gauges, bound per shard index so the hot path never
-	// formats a label.
-	shardDepth []*obs.Gauge
-	shardWork  []*obs.Gauge
+	// Fleet-wide staged-queue gauges.
+	queueDepth *obs.Gauge
+	queuedWork *obs.Gauge
 
 	// Deltas already folded into memoHits/memoMisses (the runtimes report
 	// cumulative counts; ObsSample re-publishes the difference).
@@ -58,7 +56,7 @@ type engineObs struct {
 }
 
 // newEngineObs binds the engine's instruments against the registry.
-func newEngineObs(reg *obs.Registry, shards int) *engineObs {
+func newEngineObs(reg *obs.Registry) *engineObs {
 	eo := &engineObs{
 		reg: reg,
 		admitted: reg.Counter("opsched_engine_jobs_admitted_total",
@@ -68,7 +66,7 @@ func newEngineObs(reg *obs.Registry, shards int) *engineObs {
 		waveRounds: reg.Counter("opsched_engine_wave_rounds_total",
 			"Lockstep wave rounds retired (one step per resident job)."),
 		events: reg.Counter("opsched_engine_events_total",
-			"Node events retired through the sharded event loop."),
+			"Node events retired through the event loop."),
 		placeScanNs: reg.Histogram("opsched_engine_placement_scan_ns",
 			"Wall-clock nanoseconds per placement scan (PlaceAuto pick).",
 			obs.ExpBuckets(100, 10, 8)),
@@ -93,17 +91,10 @@ func newEngineObs(reg *obs.Registry, shards int) *engineObs {
 		"Jobs that retired every step, by class.", "class")
 	eo.completedTrain = completed.With(ClassTraining)
 	eo.completedInfer = completed.With(ClassInference)
-	depth := reg.GaugeVec("opsched_engine_shard_queue_depth",
-		"Staged (queued, not wave-resident) jobs per event-loop shard.", "shard")
-	work := reg.GaugeVec("opsched_engine_shard_queued_work_ns",
-		"Predicted solo work of the staged jobs per event-loop shard, in virtual ns.", "shard")
-	eo.shardDepth = make([]*obs.Gauge, shards)
-	eo.shardWork = make([]*obs.Gauge, shards)
-	for s := 0; s < shards; s++ {
-		l := strconv.Itoa(s)
-		eo.shardDepth[s] = depth.With(l)
-		eo.shardWork[s] = work.With(l)
-	}
+	eo.queueDepth = reg.Gauge("opsched_engine_queue_depth",
+		"Staged (queued, not wave-resident) jobs across the fleet.")
+	eo.queuedWork = reg.Gauge("opsched_engine_queued_work_ns",
+		"Predicted solo work of the fleet's staged jobs on their nodes, in virtual ns.")
 	return eo
 }
 
@@ -148,7 +139,7 @@ func (e *Engine) attachObs(o *obs.Observer) {
 	}
 	e.tr = o.Tracer
 	if o.Metrics != nil {
-		e.eo = newEngineObs(o.Metrics, len(e.si.stats))
+		e.eo = newEngineObs(o.Metrics)
 	}
 	if e.tr == nil {
 		return
@@ -162,13 +153,10 @@ func (e *Engine) attachObs(o *obs.Observer) {
 	}
 }
 
-// obsShardGauges refreshes the affected shard's queue gauges after a
-// stage/admit/checkpoint changed its incremental aggregates.
-func (e *Engine) obsShardGauges(node int) {
-	s := e.si.shardOf(node)
-	st := &e.si.stats[s]
-	e.eo.shardDepth[s].Set(float64(st.QueuedJobs))
-	e.eo.shardWork[s].Set(st.QueuedWorkNs)
+// obsQueueGauges publishes the fleet-wide queue aggregates.
+func (e *Engine) obsQueueGauges() {
+	e.eo.queueDepth.Set(float64(e.queuedJobs))
+	e.eo.queuedWork.Set(e.queuedWorkNs)
 }
 
 // obsComplete emits one job completion into both sinks.
@@ -184,7 +172,7 @@ func (e *Engine) obsComplete(ji int, p *PlacedJob) {
 }
 
 // ObsSample republishes the engine's sampled instruments — the
-// cumulative wave-memo counters and every shard's queue gauges — into
+// cumulative wave-memo counters and the fleet-wide queue gauges — into
 // the attached registry. The event-loop hooks keep the flow counters
 // current; this covers the values that are snapshots rather than
 // events, so a live scrape (the serve loop's /metrics) sees them without
@@ -203,9 +191,5 @@ func (e *Engine) ObsSample() {
 		e.eo.memoMisses.Add(uint64(d))
 		e.eo.lastMemoMisses = m
 	}
-	for s := range e.si.stats {
-		st := &e.si.stats[s]
-		e.eo.shardDepth[s].Set(float64(st.QueuedJobs))
-		e.eo.shardWork[s].Set(st.QueuedWorkNs)
-	}
+	e.obsQueueGauges()
 }

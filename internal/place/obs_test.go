@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"opsched/internal/obs"
@@ -29,13 +30,12 @@ func obsScenario() (Workload, Cluster, Options) {
 	opts := Options{
 		Policy: "model-aware", Arbiter: "priority",
 		Preempt: "priority+slo-at-risk",
-		Shards:  1, Workers: 1,
 	}
 	return w, c, opts
 }
 
 // TestObsByteIdentity: the core invariant — attaching observability must
-// not change one byte of the rendered report, at any worker count.
+// not change one byte of the rendered report.
 func TestObsByteIdentity(t *testing.T) {
 	w, c, opts := obsScenario()
 	plain, err := PlaceJobs(w, c, opts)
@@ -45,24 +45,19 @@ func TestObsByteIdentity(t *testing.T) {
 	if plain.MetricsDump != "" {
 		t.Fatalf("obs-off run carries a metrics dump")
 	}
-	for _, workers := range []int{1, 8} {
-		o := opts
-		o.Workers = workers
-		o.Obs = &obs.Observer{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer()}
-		res, err := PlaceJobs(w, c, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := res.Render(), plain.Render(); got != want {
-			t.Fatalf("workers=%d: obs-on report differs from obs-off:\n--- obs on\n%s\n--- obs off\n%s",
-				workers, got, want)
-		}
-		if res.MetricsDump == "" {
-			t.Fatalf("workers=%d: obs-on run has no metrics dump", workers)
-		}
-		if o.Obs.Tracer.Len() == 0 {
-			t.Fatalf("workers=%d: tracer recorded nothing", workers)
-		}
+	opts.Obs = &obs.Observer{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer()}
+	res, err := PlaceJobs(w, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Render(), plain.Render(); got != want {
+		t.Fatalf("obs-on report differs from obs-off:\n--- obs on\n%s\n--- obs off\n%s", got, want)
+	}
+	if res.MetricsDump == "" {
+		t.Fatalf("obs-on run has no metrics dump")
+	}
+	if opts.Obs.Tracer.Len() == 0 {
+		t.Fatalf("tracer recorded nothing")
 	}
 }
 
@@ -247,26 +242,43 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 }
 
-// TestObsTraceDeterministicAcrossWorkers: tracer emission happens only on
-// the serial retire path, so the exported trace is byte-identical at any
-// worker count — same discipline as the report itself.
-func TestObsTraceDeterministicAcrossWorkers(t *testing.T) {
+// TestObsRunToRunDeterminism: two obs-on runs of the same scenario export
+// byte-identical Chrome traces and byte-identical metrics dumps. Every
+// metric is schedule-derived except the wall-clock placement-scan
+// histogram, the only family stripped before comparing.
+func TestObsRunToRunDeterminism(t *testing.T) {
 	w, c, opts := obsScenario()
-	export := func(workers int) []byte {
+	run := func() (trace []byte, metrics string) {
 		o := opts
-		o.Workers = workers
 		tr := obs.NewTracer()
-		o.Obs = &obs.Observer{Tracer: tr}
-		if _, err := PlaceJobs(w, c, o); err != nil {
+		o.Obs = &obs.Observer{Metrics: obs.NewRegistry(), Tracer: tr}
+		res, err := PlaceJobs(w, c, o)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		var kept []string
+		for _, line := range strings.Split(res.MetricsDump, "\n") {
+			if !strings.Contains(line, "opsched_engine_placement_scan_ns") {
+				kept = append(kept, line)
+			}
+		}
+		return buf.Bytes(), strings.Join(kept, "\n")
 	}
-	if !bytes.Equal(export(1), export(8)) {
-		t.Fatalf("trace export differs between workers=1 and workers=8")
+	traceA, metricsA := run()
+	traceB, metricsB := run()
+	if !bytes.Equal(traceA, traceB) {
+		t.Errorf("trace export differs between two runs")
+	}
+	if metricsA != metricsB {
+		t.Errorf("metrics dump differs between two runs:\n--- run A\n%s\n--- run B\n%s", metricsA, metricsB)
+	}
+	for _, family := range []string{"opsched_engine_wave_memo_hits_total", "opsched_engine_queue_depth"} {
+		if !strings.Contains(metricsA, family) {
+			t.Errorf("metrics dump lacks %s", family)
+		}
 	}
 }

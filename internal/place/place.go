@@ -38,7 +38,6 @@ package place
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -385,24 +384,15 @@ type Options struct {
 	// "all" arms every built-in trigger; otherwise a "+"-separated list
 	// of trigger names, e.g. "priority+deadline".
 	Preempt string
-	// Shards is the event loop's shard count: the fleet is split into
-	// that many contiguous node groups, each with its own event heap and
-	// incremental aggregates, merged deterministically on (time, node
-	// index) — results are byte-identical at every shard count. 0 picks
-	// automatically from the fleet size; negative is rejected.
-	Shards int
 	// NoWaveMemo disables the fleet-wide gang-signature RunWave cache.
 	// Memoized and unmemoized runs are byte-identical — the cache only
 	// skips re-simulating a wave composition already priced — so this
 	// exists for benchmarks and equivalence tests, not correctness.
 	NoWaveMemo bool
-	// Workers bounds the engine's parallelism: the worker count for the
-	// speculative wave prefetcher and for the chunked placement scan on
-	// large fleets. 0 picks GOMAXPROCS automatically; 1 forces the fully
-	// serial path; negative is rejected. Results are byte-identical at
-	// every worker count — parallel waves retire in canonical (startNs,
-	// node) order and the placement reduction is associative with the
-	// serial tie-breaks — which the determinism gates enforce.
+	// Workers is ignored: the engine is serial.
+	//
+	// Deprecated: kept only so existing callers still compile; it has no
+	// effect.
 	Workers int
 	// Obs attaches the observability layer: a metrics registry the engine
 	// records its instruments into, and/or a virtual-time tracer
@@ -410,17 +400,9 @@ type Options struct {
 	// nil (the default) disables observability entirely — the engine then
 	// pays one nil check per emission point and allocates nothing extra —
 	// and an attached Observer only ever records: reports stay
-	// byte-identical with observability on, off, and at any worker/shard
-	// count, which the determinism gates enforce.
+	// byte-identical with observability on or off, which the determinism
+	// tests enforce.
 	Obs *obs.Observer
-}
-
-// workers is the effective engine parallelism after defaulting.
-func (o Options) workers() int {
-	if o.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 func (o Options) policy() string {

@@ -61,12 +61,6 @@ type ClusterGrid struct {
 	Engines []string
 	// Arbiter is the per-node cross-job policy; empty means "fair".
 	Arbiter string
-	// Workers bounds each cell's engine-internal parallelism
-	// (place.Options.Workers): 0 means auto (GOMAXPROCS), 1 forces the
-	// fully serial engine. Cells render byte-identically at every worker
-	// count, so the axis is free to tune against the sweep's own
-	// cell-level parallelism without re-validating results.
-	Workers int
 	// Machine is the CPU-node hardware model; nil means hw.NewKNL().
 	Machine *hw.Machine
 	// GPU is the GPU-node device model; nil means gpu.NewP100().
@@ -176,7 +170,7 @@ func (g ClusterGrid) points() []clusterPoint {
 								c: place.Cluster{Nodes: size, Machine: g.Machine,
 									GPUs: gcount, GPU: g.GPU, Interconnect: g.Interconnect},
 								opts: place.Options{Policy: pol, Arbiter: g.Arbiter,
-									Config: g.Config, Preempt: preemptOpt(pre), Workers: g.Workers,
+									Config: g.Config, Preempt: preemptOpt(pre),
 									Obs: g.Obs},
 							})
 						}

@@ -482,8 +482,8 @@ func ReplayTrace(ctx context.Context, cfg PipelineConfig, src JobSource, speed f
 // PlaceOptions.Obs (or PipelineConfig.Options.Obs): a metrics registry
 // and/or a virtual-time scheduler tracer. Either field may be nil; a nil
 // Observer (the default) disables observability entirely, and an attached
-// one only records — rendered reports stay byte-identical with it on, off,
-// and at any worker or shard count.
+// one only records — rendered reports stay byte-identical with it on or
+// off.
 type Observer = obs.Observer
 
 // MetricsRegistry is a lock-sharded registry of counters, gauges and
