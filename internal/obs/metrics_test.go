@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -139,5 +140,46 @@ func TestExpBuckets(t *testing.T) {
 		if b[i] != want[i] {
 			t.Fatalf("ExpBuckets = %v, want %v", b, want)
 		}
+	}
+}
+
+// TestHistogramVecExposition: a labeled histogram family keeps one child
+// per label tuple, renders each child's buckets with its labels ahead of
+// le, sorts children by label values, and spells an infinite sum out.
+func TestHistogramVecExposition(t *testing.T) {
+	r := NewRegistry()
+	v := r.HistogramVec("stage_ns", "per stage", []float64{10}, "stage", "node")
+	exec0 := v.With("exec", "0")
+	if v.With("exec", "0") != exec0 {
+		t.Fatalf("With does not cache children")
+	}
+	if v.With("exec", "1") == exec0 {
+		t.Fatalf("distinct label tuples share a child")
+	}
+	if again := r.HistogramVec("stage_ns", "per stage", []float64{10}, "stage", "node"); again.With("exec", "0") != exec0 {
+		t.Fatalf("re-registration lost the family's children")
+	}
+	exec0.Observe(5)
+	exec0.Observe(math.Inf(1))
+	v.With("admit", "0").Observe(20)
+
+	want := strings.Join([]string{
+		`# HELP stage_ns per stage`,
+		`# TYPE stage_ns histogram`,
+		`stage_ns_bucket{stage="admit",node="0",le="10"} 0`,
+		`stage_ns_bucket{stage="admit",node="0",le="+Inf"} 1`,
+		`stage_ns_sum{stage="admit",node="0"} 20`,
+		`stage_ns_count{stage="admit",node="0"} 1`,
+		`stage_ns_bucket{stage="exec",node="0",le="10"} 1`,
+		`stage_ns_bucket{stage="exec",node="0",le="+Inf"} 2`,
+		`stage_ns_sum{stage="exec",node="0"} +Inf`,
+		`stage_ns_count{stage="exec",node="0"} 2`,
+		`stage_ns_bucket{stage="exec",node="1",le="10"} 0`,
+		`stage_ns_bucket{stage="exec",node="1",le="+Inf"} 0`,
+		`stage_ns_sum{stage="exec",node="1"} 0`,
+		`stage_ns_count{stage="exec",node="1"} 0`,
+	}, "\n") + "\n"
+	if text := r.PrometheusText(); text != want {
+		t.Fatalf("exposition mismatch:\n got:\n%s\nwant:\n%s", text, want)
 	}
 }

@@ -124,3 +124,33 @@ func TestObserverNilAccessors(t *testing.T) {
 		t.Fatalf("observer accessors wrong")
 	}
 }
+
+// TestCounterEventExport: a counter sample records as a "C" event in the
+// counter category, keeps its series values as args, and Events returns a
+// copy the caller may modify without touching the log.
+func TestCounterEventExport(t *testing.T) {
+	tr := NewTracer()
+	tr.CounterEvent(1, 3, "n3 occupancy", 2000, A("jobs", 2), A("streams", 4))
+	evs := tr.Events()
+	if len(evs) != 1 || evs[0].Phase != "C" || evs[0].Cat != "counter" || evs[0].Tid != 3 {
+		t.Fatalf("counter sample recorded as %+v", evs)
+	}
+	evs[0].Name = "changed"
+	if tr.Events()[0].Name != "n3 occupancy" {
+		t.Fatalf("Events exposed the tracer's own log")
+	}
+
+	var b strings.Builder
+	if err := tr.WriteChromeTrace(&b); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	var ct chromeTrace
+	if err := json.Unmarshal([]byte(b.String()), &ct); err != nil {
+		t.Fatalf("invalid trace JSON: %v\n%s", err, b.String())
+	}
+	ev := ct.TraceEvents[0]
+	args, _ := ev["args"].(map[string]any)
+	if ev["ph"] != "C" || ev["ts"].(float64) != 2.0 || args["jobs"].(float64) != 2 || args["streams"].(float64) != 4 {
+		t.Fatalf("counter sample exported as %v", ev)
+	}
+}

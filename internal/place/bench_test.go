@@ -43,7 +43,7 @@ func BenchmarkPlaceLargeStream(b *testing.B) {
 
 // BenchmarkPlaceHuge is the service-scale gate: tens of thousands of jobs
 // over a thousand-node (and, in full runs, a ten-thousand-node) GPU fleet
-// through the event loop with gang-signature memoization. The 20k ×
+// through the event loop with wave memoization. The 20k ×
 // 1k case must finish one iteration in well under a minute — the ISSUE 7
 // acceptance bound — and the 100k × 10k case is the ROADMAP north star,
 // skipped under -short because it holds a 10k-node event index hot for
@@ -98,6 +98,50 @@ func BenchmarkPlaceLargeStreamObs(b *testing.B) {
 	}
 }
 
+// BenchmarkPlaceMultiStepMixed places one fixed, seeded trace of the kind
+// where wave simulation dominates: 250 multi-step (1-8 steps) training
+// jobs of all four models plus 125 tight-SLO inference requests, on 2 KNL
+// + 2 P100 under model-aware placement with every preemption trigger
+// armed. Preemption keeps re-forming gangs, so its cost tracks how often
+// the wave memo re-prices a gang it has already simulated. An untimed run
+// with metrics attached warms the profile cache and reads the memo's hit
+// rate, which the benchmark reports as memo_hit_rate; the timed runs
+// observe nothing.
+func BenchmarkPlaceMultiStepMixed(b *testing.B) {
+	train, err := SyntheticSteps(250, 3, nn.Names(), 100e6, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := train.Merge(MustSyntheticInference(125, 3, nn.Names(), 200e6, 50e6))
+	c := Cluster{Nodes: 2, GPUs: 2}
+	opts := Options{Policy: "model-aware", Preempt: "all"}
+
+	reg := obs.NewRegistry()
+	warm := opts
+	warm.Obs = &obs.Observer{Metrics: reg}
+	if _, err := PlaceJobs(w, c, warm); err != nil {
+		b.Fatal(err)
+	}
+	hits := reg.Counter("opsched_engine_wave_memo_hits_total", "").Value()
+	misses := reg.Counter("opsched_engine_wave_memo_misses_total", "").Value()
+	if misses == 0 {
+		b.Fatal("no wave was simulated")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := PlaceJobs(w, c, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Jobs) != len(w) {
+			b.Fatalf("placed %d jobs, want %d", len(res.Jobs), len(w))
+		}
+	}
+	b.ReportMetric(float64(len(w))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	b.ReportMetric(float64(hits)/float64(hits+misses), "memo_hit_rate")
+}
+
 // BenchmarkPlaceHeteroStream exercises the mixed-fleet path end to end —
 // CPU waves through multijob co-training next to GPU stream waves — at a
 // smoke-test size.
@@ -135,10 +179,10 @@ func BenchmarkCPUWaveSim(b *testing.B) {
 	}
 	rt := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, arb, core.AllStrategies(), graphFor, true)[0]
 	gang := []WaveJob{
-		{Name: "lstm#0", Model: nn.LSTM, Priority: 1, Weight: 1, StepsLeft: 2},
-		{Name: "dcgan#1", Model: nn.DCGAN, Weight: 1, StepsLeft: 1},
-		{Name: "lstm@4#2", Model: InferKey(nn.LSTM, 4), Weight: 1, StepsLeft: 1, Class: ClassInference},
-		{Name: "dcgan@2#3", Model: InferKey(nn.DCGAN, 2), Weight: 1, StepsLeft: 1, Class: ClassInference},
+		{Name: "lstm#0", Model: nn.LSTM, Priority: 1, Weight: 1},
+		{Name: "dcgan#1", Model: nn.DCGAN, Weight: 1},
+		{Name: "lstm@4#2", Model: InferKey(nn.LSTM, 4), Weight: 1, Class: ClassInference},
+		{Name: "dcgan@2#3", Model: InferKey(nn.DCGAN, 2), Weight: 1, Class: ClassInference},
 	}
 	if _, err := rt.RunWave(gang); err != nil {
 		b.Fatal(err)

@@ -281,7 +281,7 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 
 	// One runtime per distinct hardware descriptor: nodes sharing a
 	// machine or device share its per-model work cache — and its
-	// fleet-wide gang-signature wave memo.
+	// fleet-wide wave memo.
 	runtimes := buildRuntimes(c.nodeDescriptors(), arb, cfg, graphFor, opts.NoWaveMemo)
 
 	e := &Engine{
@@ -519,9 +519,9 @@ func (e *Engine) queueDelta(dJobs int, dWorkNs float64) {
 	}
 }
 
-// WaveMemoStats sums the fleet's gang-signature wave-memo counters: cache
-// hits are waves priced without a simulation. Both are zero when the memo
-// is disabled (Options.NoWaveMemo).
+// WaveMemoStats sums the fleet's wave-memo counters: cache hits are waves
+// priced without a simulation. Both are zero when the memo is disabled
+// (Options.NoWaveMemo).
 func (e *Engine) WaveMemoStats() (hits, misses int) {
 	for _, rt := range e.uniqueRts {
 		if ms, ok := rt.(waveMemoStats); ok {
@@ -985,14 +985,11 @@ func (e *Engine) runRound(n int, startNs float64) error {
 	jobs := e.waveJobBuf[:0]
 	for _, ji := range w.active {
 		sp := e.specs[ji]
-		wj := WaveJob{
-			Name: sp.Name, Model: sp.Model, Priority: sp.Priority, Weight: sp.Weight,
-			StepsLeft: e.steps[ji] - e.done[ji],
-		}
+		wj := WaveJob{Name: sp.Name, Model: sp.Model, Priority: sp.Priority, Weight: sp.Weight}
 		if sp.Inference() {
 			// An inference slot runs one batch-sized forward step: its
 			// work key carries the dynamic batch size, so every cache
-			// (runtime work, gang signature) prices it distinctly.
+			// (runtime work, wave memo) prices it distinctly.
 			wj.Model = InferKey(sp.Model, 1+len(w.batch[ji]))
 			wj.Class = ClassInference
 		}
@@ -1226,8 +1223,8 @@ func modelGraph(key string) *graph.Graph {
 }
 
 // buildRuntimes resolves every node descriptor to its NodeRuntime, sharing
-// one runtime — its per-model work cache and its gang-signature wave memo —
-// across nodes with the same hardware descriptor.
+// one runtime — its per-model work cache and its wave memo — across nodes
+// with the same hardware descriptor.
 func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, graphFor func(string) *graph.Graph, noMemo bool) []NodeRuntime {
 	cpus := make(map[*hw.Machine]*cpuRuntime)
 	gpus := make(map[*gpu.Device]*gpuRuntime)

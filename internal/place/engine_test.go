@@ -51,9 +51,9 @@ func goldenConfigs() []struct {
 	}
 }
 
-// TestWaveMemoEngineByteEquivalence: disabling the gang-signature memo
-// changes nothing but speed — every golden config renders byte-identically
-// with NoWaveMemo set.
+// TestWaveMemoEngineByteEquivalence: disabling the wave memo changes
+// nothing but speed — every golden config renders byte-identically with
+// NoWaveMemo set.
 func TestWaveMemoEngineByteEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs each golden config twice")

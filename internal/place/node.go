@@ -54,7 +54,10 @@ const (
 	KindGPU = "gpu"
 )
 
-// WaveJob is one resident job entering a gang-scheduled wave.
+// WaveJob is one resident job entering a gang-scheduled wave. A wave's
+// outcome is a function of its jobs' Model, Priority, normalized Weight and
+// Class, in input order; that ordered tuple list is exactly the wave memo's
+// key (gangsig.go). Name only labels the job.
 type WaveJob struct {
 	// Name and Model identify the job; Model is canonical (nn.Resolve).
 	Name  string
@@ -63,16 +66,8 @@ type WaveJob struct {
 	// device equally and ignore both.
 	Priority int
 	Weight   float64
-	// StepsLeft is the job's remaining step count when the round is
-	// priced. The wave simulators price one lockstep round and do not
-	// read it, but it feeds the gang signature's steps bucket so a
-	// step-count-aware runtime could be memoized without changing keys.
-	StepsLeft int
-	// Class is the job's workload class (ClassTraining when empty). An
-	// inference slot's Model is already an InferKey, so the class never
-	// needs its own slot in the gang signature — it is derivable from the
-	// model key — but carrying it explicitly lets the CPU runtime weight
-	// latency-class slots without string inspection.
+	// Class is the job's workload class (ClassTraining when empty). The
+	// CPU runtime boosts an inference slot's arbiter weight by it.
 	Class string
 }
 
@@ -155,7 +150,7 @@ type cpuRuntime struct {
 	cfg      core.Config
 	graphFor func(string) *graph.Graph
 	work     workCache[float64]
-	memo     *waveMemo // gang-signature RunWave cache; nil when disabled
+	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
 }
 
 // cpuMeshAlpha mirrors the exec engine's pinned mesh-interference
@@ -183,18 +178,12 @@ func (c *cpuRuntime) SoloWorkNs(model string) float64 {
 	})
 }
 
-// WaveMemoStats reports the runtime's gang-signature cache counters.
-func (c *cpuRuntime) WaveMemoStats() (hits, misses int) {
-	if c.memo == nil {
-		return 0, 0
-	}
-	return c.memo.stats()
-}
+// WaveMemoStats reports the runtime's wave-memo counters.
+func (c *cpuRuntime) WaveMemoStats() (hits, misses int) { return c.memo.stats() }
 
 func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 	if c.memo != nil {
-		sig, fp := gangKeys(KindCPU, jobs)
-		return c.memo.do(sig, fp, func() (*WaveResult, error) { return c.simulate(jobs) })
+		return c.memo.do(KindCPU, jobs, c.simulate)
 	}
 	return c.simulate(jobs)
 }
@@ -238,7 +227,7 @@ type gpuRuntime struct {
 	d        *gpu.Device
 	graphFor func(string) *graph.Graph
 	work     workCache[gpu.GraphWork]
-	memo     *waveMemo // gang-signature RunWave cache; nil when disabled
+	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
 }
 
 func (g *gpuRuntime) Kind() string              { return KindGPU }
@@ -259,18 +248,12 @@ func (g *gpuRuntime) graphWork(model string) gpu.GraphWork {
 
 func (g *gpuRuntime) SoloWorkNs(model string) float64 { return g.graphWork(model).SoloNs }
 
-// WaveMemoStats reports the runtime's gang-signature cache counters.
-func (g *gpuRuntime) WaveMemoStats() (hits, misses int) {
-	if g.memo == nil {
-		return 0, 0
-	}
-	return g.memo.stats()
-}
+// WaveMemoStats reports the runtime's wave-memo counters.
+func (g *gpuRuntime) WaveMemoStats() (hits, misses int) { return g.memo.stats() }
 
 func (g *gpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 	if g.memo != nil {
-		sig, fp := gangKeys(KindGPU, jobs)
-		return g.memo.do(sig, fp, func() (*WaveResult, error) { return g.simulate(jobs) })
+		return g.memo.do(KindGPU, jobs, g.simulate)
 	}
 	return g.simulate(jobs)
 }

@@ -77,7 +77,7 @@ func newEngineObs(reg *obs.Registry) *engineObs {
 		firings: reg.CounterVec("opsched_engine_trigger_firings_total",
 			"Wave cuts requested, by preemption trigger.", "trigger"),
 		memoHits: reg.Counter("opsched_engine_wave_memo_hits_total",
-			"RunWave calls served from the gang-signature wave memo."),
+			"RunWave calls served from the fleet-wide wave memo."),
 		memoMisses: reg.Counter("opsched_engine_wave_memo_misses_total",
 			"Wave simulations actually run (memo misses)."),
 		sloMet: reg.CounterVec("opsched_engine_slo_met_total",

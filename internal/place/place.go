@@ -108,7 +108,7 @@ func (j JobSpec) Inference() bool { return j.Class == ClassInference }
 
 // inferKeySep splits an inference work key "model/infer@batch": the string
 // the engine prices inference work under, so every model-keyed cache — the
-// per-runtime work caches, the staging-transfer cache, the gang signatures —
+// per-runtime work caches, the staging-transfer cache, the wave memo keys —
 // distinguishes serving graphs (and their dynamic batch sizes) from the
 // training graph of the same model without learning a second key scheme.
 const inferKeySep = "/infer@"
@@ -384,7 +384,7 @@ type Options struct {
 	// "all" arms every built-in trigger; otherwise a "+"-separated list
 	// of trigger names, e.g. "priority+deadline".
 	Preempt string
-	// NoWaveMemo disables the fleet-wide gang-signature RunWave cache.
+	// NoWaveMemo disables the fleet-wide RunWave cache.
 	// Memoized and unmemoized runs are byte-identical — the cache only
 	// skips re-simulating a wave composition already priced — so this
 	// exists for benchmarks and equivalence tests, not correctness.

@@ -14,6 +14,13 @@
 # the first run pays one-time warm-up (cold caches, runtime bookkeeping), so
 # a single-shot count would read that warm-up instead of the steady state.
 #
+# Benchmarks named by an "allocs" rule of .github/bench-tolerance.txt (the
+# allocation-gated ones) run a second time at -cpu 1, and their
+# allocs_per_op comes from that pass: with more than one P the runtime's
+# per-P caches make a one-iteration allocation count wobble by a few
+# objects, which a 0% gate would read as a regression. ns/op, jobs/s and
+# B/op still come from the default pass.
+#
 # Environment:
 #   BENCH_SHORT=1       pass -short (skips the multi-minute scale gates —
 #                       CI's quick artifact regeneration)
@@ -34,12 +41,24 @@ short=""
 title=$(sed -n 's/^title: *//p' "$list")
 raw="${BENCH_RAW_OUT:-}"
 [ -n "$raw" ] || raw=$(mktemp)
+raw1=$(mktemp) # the -cpu 1 pass over the allocation-gated benchmarks
+trap 'rm -f "$raw1"' EXIT
+gated=$(awk '!/^#/ && $1 == "allocs" && NF >= 3 { printf "%s ", $2 }' .github/bench-tolerance.txt)
 
 : >"$raw"
 grep -Ev '^title:|^#|^[[:space:]]*$' "$list" | while read -r pkg regex; do
 	echo "bench: go test $short -bench '$regex' $pkg (in $repo)" >&2
 	(cd "$repo" && go test $short -run '^$' -bench "$regex" \
 		-benchtime 1x -count 3 -benchmem -timeout 3600s "$pkg") >>"$raw"
+	# The listed top-level benchmarks an allocs rule's prefix names.
+	names=$(cd "$repo" && go test -list "$regex" "$pkg" | awk -v gated="$gated" '
+		BEGIN { n = split(gated, g, " ") }
+		/^Benchmark/ { for (i = 1; i <= n; i++) if (index($1, g[i]) == 1) { print $1; break } }' |
+		paste -sd '|' -)
+	[ -n "$names" ] || continue
+	echo "bench: go test $short -cpu 1 -bench '^($names)\$' $pkg (in $repo)" >&2
+	(cd "$repo" && go test $short -run '^$' -bench "^($names)\$" -cpu 1 \
+		-benchtime 1x -count 3 -benchmem -timeout 3600s "$pkg") >>"$raw1"
 done
 
 awk -v q='"' -v title="$title" '
@@ -59,6 +78,7 @@ function minimum(v, name, n,    i, m) {
 	for (i = 1; i < n; i++) if (v[name, i] + 0 < m + 0) m = v[name, i]
 	return m
 }
+FNR == 1 { pass++ }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: /, ""); cpu = $0 }
@@ -73,6 +93,10 @@ function minimum(v, name, n,    i, m) {
 		else if (u == "allocs/op") allocs = v
 	}
 	if (ns == "") next
+	if (pass == 2) {
+		if (allocs != "") allocs1v[name, na1[name]++] = allocs
+		next
+	}
 	if (!(name in runs)) order[bn++] = name
 	k = runs[name]++
 	nsv[name, k] = ns
@@ -92,7 +116,8 @@ END {
 		line = "    {" q "name" q ": " q name q ", " q "ns_per_op" q ": " median(nsv, name, runs[name])
 		if (nj[name]) line = line ", " q "jobs_per_s" q ": " median(jobsv, name, nj[name])
 		if (nb[name]) line = line ", " q "bytes_per_op" q ": " minimum(bytesv, name, nb[name])
-		if (na[name]) line = line ", " q "allocs_per_op" q ": " minimum(allocsv, name, na[name])
+		if (na1[name]) line = line ", " q "allocs_per_op" q ": " minimum(allocs1v, name, na1[name])
+		else if (na[name]) line = line ", " q "allocs_per_op" q ": " minimum(allocsv, name, na[name])
 		if (match(name, /pacing=[a-z]+/)) {
 			pacing = substr(name, RSTART + 7, RLENGTH - 7)
 			line = line ", " q "pacing" q ": " q pacing q
@@ -101,7 +126,7 @@ END {
 	}
 	print "  ]"
 	print "}"
-}' <"$raw" >"$out"
+}' "$raw" "$raw1" >"$out"
 
 echo "wrote $out:" >&2
 cat "$out" >&2
