@@ -197,7 +197,7 @@ func main() {
 	infGapMs := flag.Float64("inf-gap", 0.1, "mean calm-phase inter-arrival gap of the -inference stream, in ms (burst phases run 10x hotter)")
 	sloMs := flag.Float64("slo", 0, "per-request latency SLO of the -inference stream, in ms (0 = 50 calm gaps)")
 	shareMode := flag.String("share", "", `GPU sharing mode for -cluster fleets: "streams" (default) or "mps"`)
-	engineSpec := flag.String("engine", "batch", `execution engines for -cluster, comma-separated: "batch" (closed-workload engine), "pipeline" (streaming admission→placement→execution→metrics pipeline); both render byte-identically`)
+	engineSpec := flag.String("engine", "batch", `execution engines for -cluster, comma-separated: "batch" (closed-workload engine), "pipeline" (streaming admission→execution→metrics pipeline); both render byte-identically`)
 	metricsOut := flag.String("metrics-out", "", "write the -cluster sweep's metrics registry to this file in Prometheus text format")
 	traceOut := flag.String("trace-out", "", "write the -cluster run's virtual-time scheduler timeline to this file as Chrome trace-event JSON (single-cell grids only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")

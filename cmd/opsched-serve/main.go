@@ -1,6 +1,6 @@
 // Command opsched-serve runs the placement engine as a long-lived
-// scheduling service: a streaming admission→placement→execution→metrics
-// pipeline fed by a CSV job trace (a file or stdin) and/or ad-hoc HTTP
+// scheduling service: a streaming admission→execution→metrics pipeline
+// fed by a CSV job trace (a file or stdin) and/or ad-hoc HTTP
 // submissions, publishing live queue/JCT percentiles while jobs are in
 // flight and sealing the full placement report on graceful drain.
 //
@@ -296,10 +296,10 @@ func (s *server) nowNs() float64 { return float64(time.Since(s.start).Nanosecond
 
 func (s *server) tick() error { return s.p.Tick(s.nowNs()) }
 
-// mux routes the service's three endpoints, plus the net/http/pprof
-// profiling handlers under /debug/pprof/ — profiling a live scheduling
-// service is how the engine-parallelism work was measured, so the hooks
-// stay on permanently (they cost nothing until scraped).
+// mux routes the service's endpoints, plus the net/http/pprof profiling
+// handlers under /debug/pprof/: they cost nothing until scraped, and a
+// live service's hot paths show only under its own traffic, so the hooks
+// stay on permanently.
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/jobs", s.counted("jobs", method(http.MethodPost, s.handleSubmit)))

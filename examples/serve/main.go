@@ -1,6 +1,6 @@
 // Serve: the placement engine as a streaming service. A CSV job trace
 // (the Philly/Helios shape) streams row by row through the
-// admission→placement→execution→metrics pipeline — no job slice is ever
+// admission→execution→metrics pipeline — no job slice is ever
 // materialized — while the metrics stage publishes live queue/JCT
 // percentile snapshots between completions. When the trace ends, the END
 // flag drains every stage in order and the sealed placement report is

@@ -58,7 +58,7 @@ func BenchmarkBatchEngine(b *testing.B) {
 }
 
 // BenchmarkPipelineBatch drives the identical workload through the
-// four-stage streaming pipeline; the delta over BenchmarkBatchEngine is
+// three-stage streaming pipeline; the delta over BenchmarkBatchEngine is
 // the channel hand-off cost of stage separation.
 func BenchmarkPipelineBatch(b *testing.B) {
 	w := benchWorkload(b, 64)
@@ -152,6 +152,41 @@ func BenchmarkPipelineInferenceReplay(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
+}
+
+// BenchmarkPipelineFleet is the fleet-size regression guard of the
+// pipeline's placement path: one model-aware stream of one-step LSTM/DCGAN
+// jobs on 10k P100 nodes, placed by place.PlaceJobs (batch) and by RunBatch
+// (pipeline). At this fleet size the O(nodes) placement scan dominates each
+// job, so any placement work the pipeline adds on top of the engine's own
+// shows up as a per-job gap between the two sub-benchmarks.
+func BenchmarkPipelineFleet(b *testing.B) {
+	if testing.Short() {
+		b.Skip("10k-node fleet; run without -short")
+	}
+	w := place.MustSynthetic(3000, 7, []string{"lstm", "dcgan"}, 1e5)
+	c := place.Cluster{GPUs: 10_000}
+	opts := place.Options{Policy: "model-aware"}
+	for _, tc := range []struct {
+		name string
+		run  func() (*place.Result, error)
+	}{
+		{"batch", func() (*place.Result, error) { return place.PlaceJobs(w, c, opts) }},
+		{"pipeline", func() (*place.Result, error) { return RunBatch(context.Background(), w, c, opts) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := tc.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Jobs) != len(w) {
+					b.Fatalf("placed %d of %d jobs", len(res.Jobs), len(w))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(w)), "ns/job")
 		})
 	}
 }

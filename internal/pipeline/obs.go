@@ -14,15 +14,14 @@ import (
 type pipeObs struct {
 	// Per-stage handling latency (wall ns per message, receive excluded).
 	admissionNs *obs.Histogram
-	placementNs *obs.Histogram
 	executionNs *obs.Histogram
 	metricsNs   *obs.Histogram
 
-	// Input-channel occupancy sampled by each consuming stage at receive:
-	// a persistently full channel is upstream backpressure.
+	// Input-channel occupancy sampled by each consuming stage at receive,
+	// labelled by the stage that feeds the channel: a persistently full
+	// channel is upstream backpressure.
 	depthSubmit    *obs.Gauge
 	depthAdmission *obs.Gauge
-	depthPlacement *obs.Gauge
 	depthEvents    *obs.Gauge
 
 	submitted *obs.Counter
@@ -41,13 +40,11 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		"Buffered messages in a stage's input channel, sampled at receive.", "channel")
 	return &pipeObs{
 		admissionNs: stage.With("admission"),
-		placementNs: stage.With("placement"),
 		executionNs: stage.With("execution"),
 		metricsNs:   stage.With("metrics"),
 
 		depthSubmit:    depth.With("submit"),
 		depthAdmission: depth.With("admission"),
-		depthPlacement: depth.With("placement"),
 		depthEvents:    depth.With("events"),
 
 		submitted: reg.Counter("opsched_pipeline_jobs_submitted_total",

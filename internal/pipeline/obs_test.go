@@ -63,9 +63,8 @@ func TestPipelineMetricsOn(t *testing.T) {
 	}
 	stage := reg.HistogramVec("opsched_pipeline_stage_ns", "", nil, "stage")
 	for s, want := range map[string]uint64{
-		"admission": 5, // every submission, rejected or not
-		"placement": 4, // one decision per admitted job
-		"execution": 4,
+		"admission": 5,  // every submission, rejected or not
+		"execution": 4,  // one placement per admitted job
 		"metrics":   10, // 1 reject + 4 placed + 1 tick + 4 completions
 	} {
 		if got := stage.With(s).Count(); got != want {
@@ -75,11 +74,47 @@ func TestPipelineMetricsOn(t *testing.T) {
 	text := reg.PrometheusText()
 	for _, series := range []string{
 		`opsched_pipeline_stage_ns_bucket{stage="execution",le="+Inf"} 4`,
+		`opsched_pipeline_channel_depth{channel="admission"}`,
 		`opsched_pipeline_channel_depth{channel="events"}`,
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("exposition lacks %q", series)
 		}
+	}
+	for _, gone := range []string{`stage="placement"`, `channel="placement"`} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still carries the retired %s series", gone)
+		}
+	}
+}
+
+// TestPipelineFeedsScanMetric: execution places every admitted job through
+// the engine's own placement call, so a metrics-on stream records one
+// placement-scan latency per admitted job — none for a rejected one.
+func TestPipelineFeedsScanMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, err := New(context.Background(), Config{
+		Cluster: place.Cluster{Nodes: 1, GPUs: 2},
+		Options: place.Options{Policy: "model-aware", Obs: &obs.Observer{Metrics: reg}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := place.MustSynthetic(9, 4, []string{"lstm", "dcgan"}, 1e6)
+	w = append(w, place.JobSpec{Model: "no-such-model"}) // rejected by admission
+	for _, j := range w {
+		if err := p.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Close()
+	res, err := p.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := reg.Histogram("opsched_engine_placement_scan_ns", "", nil).Count()
+	if len(res.Jobs) != 9 || got != uint64(len(res.Jobs)) {
+		t.Errorf("scan histogram counted %d placements for %d admitted jobs, want 9 and 9", got, len(res.Jobs))
 	}
 }
 

@@ -1,27 +1,28 @@
 // Package pipeline restructures the cluster placement engine into an open,
-// channel-fed stream of four stages — admission (validation, sequence
-// tagging, arrival clamping), placement (policy pick against live node
-// views), execution (lockstep rounds and preemption triggers, owning the
-// virtual clock), and metrics (incremental queue/JCT percentiles published
-// while jobs are still in flight) — the staged-pipeline idiom of Octopus's
-// block pipeline (graph_builder → scheduler → executor with an END-flag
-// shutdown) applied to the trace-driven serving shape of the multi-tenant
-// DNN scheduling literature.
+// channel-fed stream of three stages — admission (validation, sequence
+// tagging, arrival clamping), execution (placement decisions, lockstep
+// rounds and preemption triggers, owning the engine and its virtual clock),
+// and metrics (incremental queue/JCT percentiles published while jobs are
+// still in flight) — the staged-pipeline idiom of Octopus's block pipeline
+// (graph_builder → scheduler → executor with an END-flag shutdown) applied
+// to the trace-driven serving shape of the multi-tenant DNN scheduling
+// literature. Each placement decision is one call made inline where
+// execution dispatches the job, not a hand-off to another stage.
 //
 // Every stage is one goroutine joined to its neighbours by a channel; an
 // explicit END flag travels the whole chain ahead of each channel close, so
 // shutdown is ordered and every in-flight job drains before the result is
-// sealed. Context cancellation unwinds all four stages without leaking a
+// sealed. Context cancellation unwinds all three stages without leaking a
 // goroutine.
 //
-// The stages drive the same open place.Engine the batch API wraps, and the
-// placement stage runs the identical deterministic policy, so feeding a
-// closed workload through the pipeline (RunBatch) renders byte-identically
-// to place.PlaceJobs — the CI-gated equivalence that lets the simulator
-// and the service share one engine. On top of the open stream, Replay
-// drives a trace Source (for example a streaming tracefile.Reader) through
-// the pipeline at native or time-compressed arrival rates without ever
-// materializing the full job slice.
+// Execution drives the same open place.Engine the batch API wraps, through
+// the same Arrive and Drain calls, so feeding a closed workload through the
+// pipeline (RunBatch) renders byte-identically to place.PlaceJobs — the
+// equivalence go test checks, which lets the simulator and the service
+// share one engine. On top of the open stream, Replay drives a trace Source
+// (for example a streaming tracefile.Reader) through the pipeline at native
+// or time-compressed arrival rates without ever materializing the full job
+// slice.
 package pipeline
 
 import (
@@ -43,32 +44,13 @@ const (
 	flagEnd
 )
 
-// stageMsg is the message type of the admission→placement and
-// placement→execution channels.
+// stageMsg is the message type of the admission→execution channel.
 type stageMsg struct {
 	flag   stageFlag
 	seq    int           // submission sequence (flagJob)
 	spec   place.JobSpec // canonicalized spec (flagJob)
 	err    error         // rejection cause (flagReject)
 	tickNs float64       // virtual-time horizon (flagTick)
-}
-
-// grantMsg is execution's reply to a pending placement request: the job's
-// canonical spec and the live node views at its virtual arrival instant.
-// The views slice is the pipeline's recycled grantBuf: placement reads it
-// only inside Policy.Pick (policies are pure and never retain views), so
-// the steady state reuses one fleet-sized snapshot buffer instead of
-// allocating one per job.
-type grantMsg struct {
-	ji    int
-	nowNs float64
-	spec  place.JobSpec
-	views []place.NodeView
-}
-
-// pickMsg carries the placement stage's decision back to execution.
-type pickMsg struct {
-	node int
 }
 
 // evKind tags execution→metrics events.
@@ -95,7 +77,8 @@ type Config struct {
 	// Cluster and Options are place.PlaceJobs' parameters, verbatim.
 	Cluster place.Cluster
 	Options place.Options
-	// Buffer is each inter-stage channel's depth; <= 0 means 64.
+	// Buffer is each inter-stage channel's depth, and so the largest burst
+	// of messages execution takes or hands on at once; <= 0 means 64.
 	Buffer int
 	// SnapshotEvery asks the metrics stage to publish a live Snapshot to
 	// OnSnapshot after every N-th job completion (0 disables). Driven by
@@ -113,13 +96,12 @@ func (c Config) buffer() int {
 	return c.Buffer
 }
 
-// Pipeline is one running admission→placement→execution→metrics chain.
+// Pipeline is one running admission→execution→metrics chain.
 // Submit jobs (and optionally Ticks) from any goroutine, Close to send the
 // END flag, Wait for the sealed result; Snapshot reads live metrics at any
 // point in between.
 type Pipeline struct {
 	cfg Config
-	pol place.Policy
 	eng *place.Engine
 
 	ctx    context.Context
@@ -136,12 +118,6 @@ type Pipeline struct {
 	// place.NewEngine from the same Observer.
 	po *pipeObs
 
-	// grantBuf is the recycled node-view snapshot the grant/pick handshake
-	// carries. The handshake is strictly serialized — execution blocks on
-	// the pick before issuing the next grant — so one buffer suffices, and
-	// the two channel sends order every reuse (no data race, no pool).
-	grantBuf []place.NodeView
-
 	res  *place.Result
 	err  error
 	once sync.Once
@@ -153,13 +129,12 @@ type Pipeline struct {
 // Stage indices of the done-channel barrier, in pipeline order.
 const (
 	stageAdmission = iota
-	stagePlacement
 	stageExecution
 	stageMetrics
 	numStages
 )
 
-// New assembles the four stages over a fresh engine and starts them. The
+// New assembles the three stages over a fresh engine and starts them. The
 // pipeline runs until Close drains it or ctx is cancelled; every
 // constructor error (invalid cluster, unknown policy/arbiter/trigger)
 // surfaces here, before any goroutine starts.
@@ -168,16 +143,12 @@ func New(ctx context.Context, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := place.NewPolicy(cfg.Options.PolicyName())
-	if err != nil {
-		return nil, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	p := &Pipeline{
-		cfg: cfg, pol: pol, eng: eng,
+		cfg: cfg, eng: eng,
 		ctx: cctx, cancel: cancel,
 		in:   make(chan stageMsg, cfg.buffer()),
 		met:  newLiveMetrics(),
@@ -191,14 +162,10 @@ func New(ctx context.Context, cfg Config) (*Pipeline, error) {
 	}
 
 	admCh := make(chan stageMsg, cfg.buffer())
-	downCh := make(chan stageMsg, cfg.buffer())
-	grantCh := make(chan grantMsg)
-	pickCh := make(chan pickMsg)
 	evCh := make(chan evMsg, cfg.buffer())
 
 	go p.admission(p.in, admCh)
-	go p.placement(admCh, downCh, grantCh, pickCh)
-	go p.execution(downCh, grantCh, pickCh, evCh)
+	go p.execution(admCh, evCh)
 	go p.metricsStage(evCh)
 	go func() {
 		// The done barrier: Wait unblocks only once every stage goroutine
@@ -307,4 +274,26 @@ func recvMsg[T any](ctx context.Context, ch <-chan T) (T, bool) {
 	case <-ctx.Done():
 		return zero, false
 	}
+}
+
+// recvBurst receives one message like recvMsg, then appends every message
+// already buffered in ch, up to cap(buf), without blocking again.
+func recvBurst[T any](ctx context.Context, ch <-chan T, buf []T) ([]T, bool) {
+	m, ok := recvMsg(ctx, ch)
+	if !ok {
+		return buf, false
+	}
+	buf = append(buf, m)
+	for len(buf) < cap(buf) {
+		select {
+		case m, ok := <-ch:
+			if !ok {
+				return buf, true
+			}
+			buf = append(buf, m)
+		default:
+			return buf, true
+		}
+	}
+	return buf, true
 }

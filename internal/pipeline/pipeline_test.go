@@ -47,7 +47,7 @@ func equivCases() []struct {
 }
 
 // TestBatchEquivalence is the refactoring's contract: feeding a closed
-// workload through the four-stage pipeline renders byte-identically to the
+// workload through the three-stage pipeline renders byte-identically to the
 // batch engine, with and without preemption triggers firing.
 func TestBatchEquivalence(t *testing.T) {
 	for _, tc := range equivCases() {
@@ -313,7 +313,7 @@ func TestTickRetiresWorkWithoutArrivals(t *testing.T) {
 }
 
 // TestEndFlagPropagation: Close's END sentinel must travel
-// admission→placement→execution→metrics, shutting each stage down in
+// admission→execution→metrics, shutting each stage down in
 // order — every stageDone channel closes without cancellation.
 func TestEndFlagPropagation(t *testing.T) {
 	p, err := New(context.Background(), Config{Cluster: place.Cluster{Nodes: 1}})
@@ -327,7 +327,7 @@ func TestEndFlagPropagation(t *testing.T) {
 	if _, err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"admission", "placement", "execution", "metrics"}
+	names := []string{"admission", "execution", "metrics"}
 	for i, done := range p.stageDone {
 		select {
 		case <-done:

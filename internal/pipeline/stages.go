@@ -1,11 +1,6 @@
 package pipeline
 
-import (
-	"fmt"
-	"time"
-
-	"opsched/internal/place"
-)
+import "time"
 
 // admission is stage 1: it validates each submitted spec (rejections flow
 // downstream as flagReject messages, so the metrics stage counts them),
@@ -78,180 +73,115 @@ func (p *Pipeline) admission(in <-chan stageMsg, out chan<- stageMsg) {
 	}
 }
 
-// placement is stage 2: it owns the placement policy. For each admitted
-// job it forwards the job to execution, waits for execution's grant — the
-// live node views at the job's virtual arrival instant — runs Policy.Pick,
-// and answers with the chosen node. The handshake keeps the engine's state
-// single-threaded (execution owns it) while the decision itself lives
-// here; because the policy is a pure function of (spec, now, views), the
-// pick is byte-identical to the engine's own PlaceAuto path.
-func (p *Pipeline) placement(in <-chan stageMsg, out chan<- stageMsg, grants <-chan grantMsg, picks chan<- pickMsg) {
-	defer close(p.stageDone[stagePlacement])
-	defer close(out)
-	for {
-		m, ok := recvMsg(p.ctx, in)
-		if !ok {
-			return
-		}
-		if p.po != nil {
-			p.po.depthAdmission.Set(float64(len(in)))
-		}
-		switch m.flag {
-		case flagEnd:
-			sendMsg(p.ctx, out, m)
-			return
-		case flagReject, flagTick:
-			if !sendMsg(p.ctx, out, m) {
-				return
-			}
-		case flagJob:
-			if !sendMsg(p.ctx, out, m) {
-				return
-			}
-			g, ok := recvMsg(p.ctx, grants)
-			if !ok {
-				return
-			}
-			// Time the pure policy decision — the handshake waits measure
-			// execution, not this stage.
-			var t0 time.Time
-			if p.po != nil {
-				t0 = time.Now()
-			}
-			node := p.pol.Pick(g.spec, g.nowNs, g.views)
-			if p.po != nil {
-				p.po.placementNs.Observe(float64(time.Since(t0)))
-			}
-			if !sendMsg(p.ctx, picks, pickMsg{node: node}) {
-				return
-			}
-		}
-	}
-}
-
-// execution is stage 3: it owns the engine and the virtual clock. Arrivals
-// interleave with node events under the batch engine's exact tie rule —
-// only events strictly before the arrival are retired first, so a job
-// arriving as a node frees can still join that node's next wave. Ticks
-// advance the clock without an arrival (the live-serving mode); the END
-// flag drains every remaining event, seals the Result, and propagates to
-// metrics ahead of the channel close.
-func (p *Pipeline) execution(in <-chan stageMsg, grants chan<- grantMsg, picks <-chan pickMsg, out chan<- evMsg) {
+// execution is stage 2: it owns the engine and the virtual clock. Each
+// admitted job goes through Engine.Arrive — the batch engine's exact tie
+// rule, then the engine's own placement decision — and the END flag through
+// Engine.Drain, which retires every remaining event before the Result is
+// sealed and the flag propagates to metrics ahead of the channel close.
+// Ticks advance the clock without an arrival (the live-serving mode).
+//
+// Messages cross stage boundaries in bursts: execution takes every message
+// already buffered on its input at once and hands metrics the burst's
+// events together at its end. A goroutine parked on a channel is then
+// woken once per burst rather than once per job — on two CPUs each such
+// wake-up, paid by execution, costs a tenth or more of placing a job on a
+// 10k-node fleet. Nothing is held while execution waits for input, and an
+// event burst never exceeds the channel's depth, so it blocks only on a
+// backlogged metrics stage.
+func (p *Pipeline) execution(in <-chan stageMsg, out chan<- evMsg) {
 	defer close(p.stageDone[stageExecution])
 	defer close(out)
 	eng := p.eng
+	burst := make([]stageMsg, 0, cap(in))
+	held := make([]evMsg, 0, cap(out))
+	flush := func() bool {
+		for _, h := range held {
+			if !sendMsg(p.ctx, out, h) {
+				return false
+			}
+		}
+		held = held[:0]
+		return true
+	}
+	post := func(m evMsg) bool {
+		held = append(held, m)
+		return len(held) < cap(out) || flush()
+	}
 	emit := func(fins []int) bool {
 		for _, ji := range fins {
 			job := eng.Job(ji)
-			if !sendMsg(p.ctx, out, evMsg{kind: evCompleted, job: job, atNs: job.FinishNs}) {
+			if !post(evMsg{kind: evCompleted, job: job, atNs: job.FinishNs}) {
 				return false
 			}
 		}
 		return true
 	}
 	for {
-		m, ok := recvMsg(p.ctx, in)
-		if !ok {
+		var ok bool
+		if burst, ok = recvBurst(p.ctx, in, burst[:0]); !ok {
 			return
 		}
-		if p.po != nil {
-			p.po.depthPlacement.Set(float64(len(in)))
+		for i, m := range burst {
+			if p.po != nil {
+				p.po.depthAdmission.Set(float64(len(burst) - 1 - i + len(in)))
+			}
+			switch m.flag {
+			case flagReject:
+				if !post(evMsg{kind: evRejected}) {
+					return
+				}
+			case flagTick:
+				fins, err := eng.AdvanceTo(m.tickNs)
+				if err != nil {
+					p.fail(err)
+					return
+				}
+				// Refresh the engine's sampled gauges (wave-memo counters,
+				// queue depth) so a live scrape between ticks sees them.
+				eng.ObsSample()
+				if p.po != nil {
+					p.po.ticks.Inc()
+				}
+				if !emit(fins) || !post(evMsg{kind: evTick, atNs: m.tickNs}) {
+					return
+				}
+			case flagJob:
+				var t0 time.Time
+				if p.po != nil {
+					t0 = time.Now()
+				}
+				fins, err := eng.Arrive(m.spec)
+				if err != nil {
+					p.fail(err)
+					return
+				}
+				if !emit(fins) || !post(evMsg{kind: evPlaced, atNs: m.spec.ArrivalNs}) {
+					return
+				}
+				if p.po != nil {
+					p.po.executionNs.Observe(float64(time.Since(t0)))
+				}
+			case flagEnd:
+				fins, err := eng.Drain()
+				if err != nil {
+					p.fail(err)
+					return
+				}
+				if !emit(fins) || !flush() {
+					return
+				}
+				p.res = eng.Finish()
+				sendMsg(p.ctx, out, evMsg{flag: flagEnd})
+				return
+			}
 		}
-		switch m.flag {
-		case flagReject:
-			if !sendMsg(p.ctx, out, evMsg{kind: evRejected}) {
-				return
-			}
-		case flagTick:
-			fins, err := eng.AdvanceTo(m.tickNs)
-			if err != nil {
-				p.fail(err)
-				return
-			}
-			// Refresh the engine's sampled gauges (wave-memo counters,
-			// queue depth) so a live scrape between ticks sees them.
-			eng.ObsSample()
-			if p.po != nil {
-				p.po.ticks.Inc()
-			}
-			if !emit(fins) {
-				return
-			}
-			if !sendMsg(p.ctx, out, evMsg{kind: evTick, atNs: m.tickNs}) {
-				return
-			}
-		case flagJob:
-			var t0 time.Time
-			if p.po != nil {
-				t0 = time.Now()
-			}
-			at := m.spec.ArrivalNs
-			for {
-				evNs, has := eng.NextEventNs()
-				if !has || evNs >= at {
-					break
-				}
-				fins, err := eng.ProcessNextEvent()
-				if err != nil {
-					p.fail(err)
-					return
-				}
-				if !emit(fins) {
-					return
-				}
-			}
-			ji, err := eng.Admit(m.spec)
-			if err != nil {
-				p.fail(err)
-				return
-			}
-			if cap(p.grantBuf) < eng.Nodes() {
-				p.grantBuf = make([]place.NodeView, eng.Nodes())
-			}
-			vs := p.grantBuf[:eng.Nodes()]
-			eng.ViewsInto(ji, at, vs)
-			g := grantMsg{ji: ji, nowNs: at, spec: eng.Spec(ji), views: vs}
-			if !sendMsg(p.ctx, grants, g) {
-				return
-			}
-			pk, ok := recvMsg(p.ctx, picks)
-			if !ok {
-				return
-			}
-			if err := eng.Place(ji, pk.node, at); err != nil {
-				p.fail(err)
-				return
-			}
-			if !sendMsg(p.ctx, out, evMsg{kind: evPlaced, atNs: at}) {
-				return
-			}
-			if p.po != nil {
-				p.po.executionNs.Observe(float64(time.Since(t0)))
-			}
-		case flagEnd:
-			for eng.Completed() < eng.Admitted() {
-				if _, has := eng.NextEventNs(); !has {
-					p.fail(fmt.Errorf("pipeline: stalled with %d of %d jobs done and no runnable wave",
-						eng.Completed(), eng.Admitted()))
-					return
-				}
-				fins, err := eng.ProcessNextEvent()
-				if err != nil {
-					p.fail(err)
-					return
-				}
-				if !emit(fins) {
-					return
-				}
-			}
-			p.res = eng.Finish()
-			sendMsg(p.ctx, out, evMsg{flag: flagEnd})
+		if !flush() {
 			return
 		}
 	}
 }
 
-// metricsStage is stage 4: it folds execution's event stream into the live
+// metricsStage is stage 3: it folds execution's event stream into the live
 // accumulator and publishes periodic snapshots. Publication is driven by
 // completion count, not wall time, so a replayed trace produces the same
 // snapshot sequence every run.

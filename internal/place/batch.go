@@ -1,22 +1,16 @@
 package place
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // PlaceJobs admits the workload onto the cluster under the given options
-// and runs it to completion on one virtual cluster clock. It is now a thin
+// and runs it to completion on one virtual cluster clock. It is a thin
 // batch wrapper over the open Engine: the closed slice is canonicalized,
-// sorted into arrival order, and pumped through the same
-// admit→place→process-event machine the streaming pipeline drives from
-// channels — so a batch run and a pipeline run of the same workload are
-// byte-identical by construction. Arrivals are processed in (arrival time,
-// input index) order; an arrival due at or before the next node event is
-// placed first, so a job arriving as a node frees can still influence (or
-// join) the node's next wave. Execution is fully deterministic, and a
-// preemptive run whose triggers never fire reports byte-identically to a
-// run-to-completion one.
+// sorted into (arrival time, input index) order, fed through Engine.Arrive
+// one job at a time and finished with Engine.Drain — the same two calls the
+// streaming pipeline's execution stage makes, so a batch run and a pipeline
+// run of the same workload are byte-identical by construction. Execution is
+// fully deterministic, and a preemptive run whose triggers never fire
+// reports byte-identically to a run-to-completion one.
 func PlaceJobs(w Workload, c Cluster, opts Options) (*Result, error) {
 	specs, err := w.Canonical()
 	if err != nil {
@@ -36,33 +30,13 @@ func PlaceJobs(w Workload, c Cluster, opts Options) (*Result, error) {
 		return specs[order[a]].ArrivalNs < specs[order[b]].ArrivalNs
 	})
 
-	next := 0 // next arrival, as an index into order
-	for e.Completed() < len(specs) {
-		eventNs, hasEvent := e.NextEventNs()
-
-		// Arrivals strictly before — and exactly at — the next node event
-		// are placed first.
-		if next < len(order) {
-			sp := specs[order[next]]
-			if !hasEvent || sp.ArrivalNs <= eventNs {
-				next++
-				ji, err := e.Admit(sp)
-				if err != nil {
-					return nil, err
-				}
-				if err := e.PlaceAuto(ji, sp.ArrivalNs); err != nil {
-					return nil, err
-				}
-				continue
-			}
-		}
-		if !hasEvent {
-			return nil, fmt.Errorf("place: stalled with %d of %d jobs done and no runnable wave",
-				e.Completed(), len(specs))
-		}
-		if _, err := e.ProcessNextEvent(); err != nil {
+	for _, idx := range order {
+		if _, err := e.Arrive(specs[idx]); err != nil {
 			return nil, err
 		}
+	}
+	if _, err := e.Drain(); err != nil {
+		return nil, err
 	}
 
 	res := e.Finish()

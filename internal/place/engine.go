@@ -153,20 +153,20 @@ type modelInfo struct {
 }
 
 // Engine is the placement event loop in open, incremental form: a machine
-// that admits one job at a time, places it against live node views at its
-// virtual arrival instant, and retires node events (wave launches and
+// that admits one job at a time, places it against the live node state at
+// its virtual arrival instant, and retires node events (wave launches and
 // lockstep round completions) one by one. Nothing about it assumes the
 // workload is closed — jobs may keep arriving forever, as long as arrivals
 // are fed in nondecreasing virtual-time order — which is what lets the same
-// core serve both the batch PlaceJobs wrapper (admit a sorted slice, pump
-// until done) and the streaming admission→placement→execution pipeline
-// (jobs arrive over a channel, the executor owns the pump). An Engine is
-// not safe for concurrent use; exactly one goroutine must drive it.
+// core serve both the batch PlaceJobs wrapper and the streaming pipeline's
+// execution stage: both feed it through Arrive and Drain, which own the
+// arrival/event tie rule. An Engine is not safe for concurrent use; exactly
+// one goroutine must drive it.
 type Engine struct {
 	specs     []JobSpec
 	nodes     []*nodeState
 	placed    []PlacedJob
-	pol       Policy
+	policy    string // a built-in policy name (checkPolicy)
 	arb       multijob.Arbiter
 	rts       []NodeRuntime // per node; nodes with equal hardware share one
 	uniqueRts []NodeRuntime // the deduplicated runtime set
@@ -206,32 +206,32 @@ type Engine struct {
 	queuedWorkNs float64
 
 	// Runtime-indexed hot-path tables: rtIdx maps each node to its
-	// runtime's position in uniqueRts; rtKind/rtCap/rtAlpha cache the
+	// runtime's position in uniqueRts; rtCap/rtAlpha cache the
 	// per-runtime constants so the placement scan never makes an
 	// interface call per node; rtWorkBuf is per-pick scratch holding the
 	// arriving job's predicted work per distinct runtime.
 	rtIdx     []int
-	rtKind    []string
 	rtCap     []int
 	rtAlpha   []float64
 	rtWorkBuf []float64
 
 	// stepWork caches each job's one-step predicted work on its currently
 	// assigned node, so the wave scheduler never re-resolves a runtime
-	// work cache entry on the hot path; Place and checkpointWave keep it
+	// work cache entry on the hot path; place and checkpointWave keep it
 	// current whenever the job's node changes.
 	stepWork []float64
 
 	// Per-round hot-path scratch, reused across events so the steady state
 	// allocates nothing per round. The engine is single-threaded, so plain
-	// fields suffice; anything handed to a caller (waveState.active,
-	// Views results) is still freshly allocated.
+	// fields suffice. finBuf collects the jobs completed since the current
+	// public call began; callers get it as a slice valid until their next
+	// call into the engine.
 	waveJobBuf  []WaveJob
 	tailBuf     []drainTail
 	candBuf     []int
 	admittedBuf map[int]bool
-	viewBuf     []NodeView
 	snapBuf     []preempt.NodeSnapshot
+	finBuf      []int
 
 	// Observability (Options.Obs): tr collects virtual-time trace events,
 	// eo holds the pre-bound metric instruments. Both nil when disabled —
@@ -253,8 +253,7 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	pol, err := NewPolicy(opts.policy())
-	if err != nil {
+	if err := checkPolicy(opts.policy()); err != nil {
 		return nil, err
 	}
 	arb, err := multijob.NewArbiter(opts.arbiter())
@@ -285,7 +284,7 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	runtimes := buildRuntimes(c.nodeDescriptors(), arb, cfg, graphFor, opts.NoWaveMemo)
 
 	e := &Engine{
-		pol: pol, arb: arb, rts: runtimes, ic: c.interconnect(),
+		policy: opts.policy(), arb: arb, rts: runtimes, ic: c.interconnect(),
 		infos: make(map[string]*modelInfo), graphs: graphFor,
 		preemptOn: preemptOn, triggers: triggers,
 	}
@@ -303,7 +302,6 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 		if idx < 0 {
 			idx = len(e.uniqueRts)
 			e.uniqueRts = append(e.uniqueRts, rt)
-			e.rtKind = append(e.rtKind, rt.Kind())
 			e.rtCap = append(e.rtCap, rt.Capacity())
 			e.rtAlpha = append(e.rtAlpha, rt.WaveAlpha())
 		}
@@ -323,20 +321,12 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 func (e *Engine) Admitted() int  { return len(e.specs) }
 func (e *Engine) Completed() int { return e.completed }
 
-// Nodes is the fleet size — the length ViewsInto expects.
-func (e *Engine) Nodes() int { return len(e.nodes) }
-
-// Policy names the engine's placement policy; Arbiter its per-node
-// cross-job policy.
-func (e *Engine) Policy() string  { return e.pol.Name() }
-func (e *Engine) Arbiter() string { return e.arb.Name() }
-
 // Admit registers one job with the engine and returns its job index. The
 // spec must be individually valid (JobSpec.Check) and its arrival must not
 // precede any earlier admission — the engine's clock never runs backwards;
 // a streaming admission stage clamps out-of-order arrivals before calling
-// Admit. Admission alone does not place the job: call Place (or PlaceAuto)
-// when the virtual clock reaches its arrival.
+// Admit. Admission alone does not place the job: call PlaceAuto when the
+// virtual clock reaches its arrival, or use Arrive, which does both.
 func (e *Engine) Admit(j JobSpec) (int, error) {
 	canon, err := nn.Resolve(j.Model)
 	if err != nil {
@@ -378,11 +368,6 @@ func (e *Engine) Admit(j JobSpec) (int, error) {
 	return ji, nil
 }
 
-// Spec returns admitted job ji's canonical spec — model resolved, default
-// name filled. A pipeline placement stage feeds this (not the raw submitted
-// spec) to the policy, so its picks match PlaceAuto byte for byte.
-func (e *Engine) Spec(ji int) JobSpec { return e.specs[ji] }
-
 // NextEventNs is the earliest pending node event on the cluster clock
 // (+Inf, false when no wave can launch or progress without more arrivals).
 func (e *Engine) NextEventNs() (float64, bool) {
@@ -392,11 +377,20 @@ func (e *Engine) NextEventNs() (float64, bool) {
 
 // ProcessNextEvent retires the earliest pending node event — a wave launch
 // or a lockstep round completion — and returns the indices of the jobs that
-// finished their last step during it, in wave order.
+// finished their last step during it, in wave order. The slice is valid
+// until the next call into the engine.
 func (e *Engine) ProcessNextEvent() ([]int, error) {
+	e.finBuf = e.finBuf[:0]
+	err := e.step()
+	return e.finBuf, err
+}
+
+// step retires the earliest pending node event, appending the jobs it
+// completes to finBuf.
+func (e *Engine) step() error {
 	node, t := e.peek()
 	if node < 0 {
-		return nil, fmt.Errorf("place: no pending node event")
+		return fmt.Errorf("place: no pending node event")
 	}
 	heap.Pop(&e.events) // consume the peeked (valid) entry
 	if e.eo != nil {
@@ -405,29 +399,70 @@ func (e *Engine) ProcessNextEvent() ([]int, error) {
 	if e.nodes[node].wave != nil {
 		return e.finishRound(node)
 	}
-	return nil, e.launchWave(node, t)
+	return e.launchWave(node, t)
 }
 
 // AdvanceTo retires every node event at or before t, returning all jobs
-// completed along the way. It never admits or places — the caller owns
-// arrival interleaving.
+// completed along the way (valid until the next call into the engine). It
+// never admits or places; Arrive owns arrival interleaving.
 func (e *Engine) AdvanceTo(t float64) ([]int, error) {
-	var completed []int
+	e.finBuf = e.finBuf[:0]
 	for {
 		node, et := e.peek()
 		if node < 0 || et > t {
-			return completed, nil
+			return e.finBuf, nil
 		}
-		fin, err := e.ProcessNextEvent()
-		if err != nil {
-			return completed, err
+		if err := e.step(); err != nil {
+			return e.finBuf, err
 		}
-		completed = append(completed, fin...)
 	}
 }
 
+// Arrive feeds one arrival to the engine under the tie rule every driver
+// shares: node events strictly before the arrival retire first, so a job
+// arriving exactly as a node frees can still influence (or join) that
+// node's next wave; then the job is admitted (see Admit) and placed by the
+// engine's policy at its arrival instant. It returns the jobs that
+// completed while the clock advanced, in retirement order — a slice valid
+// until the next call into the engine.
+func (e *Engine) Arrive(j JobSpec) ([]int, error) {
+	e.finBuf = e.finBuf[:0]
+	for {
+		node, t := e.peek()
+		if node < 0 || t >= j.ArrivalNs {
+			break
+		}
+		if err := e.step(); err != nil {
+			return e.finBuf, err
+		}
+	}
+	ji, err := e.Admit(j)
+	if err != nil {
+		return e.finBuf, err
+	}
+	return e.finBuf, e.PlaceAuto(ji, j.ArrivalNs)
+}
+
+// Drain retires node events until every admitted job has completed and
+// returns the completions in retirement order (valid until the next call
+// into the engine). Admitted work with no runnable wave left is a stall,
+// reported as an error.
+func (e *Engine) Drain() ([]int, error) {
+	e.finBuf = e.finBuf[:0]
+	for e.completed < len(e.specs) {
+		if node, _ := e.peek(); node < 0 {
+			return e.finBuf, fmt.Errorf("place: stalled with %d of %d jobs done and no runnable wave",
+				e.completed, len(e.specs))
+		}
+		if err := e.step(); err != nil {
+			return e.finBuf, err
+		}
+	}
+	return e.finBuf, nil
+}
+
 // Job snapshots job ji's current outcome: execution-derived step counts and
-// the migration path rendered so far. Valid any time after Place.
+// the migration path rendered so far. Valid any time after placement.
 func (e *Engine) Job(ji int) PlacedJob {
 	p := e.placed[ji]
 	p.StepsDone = e.done[ji]
@@ -449,7 +484,7 @@ func (e *Engine) Finish() *Result {
 		}
 	}
 	out := &Result{
-		Policy: e.pol.Name(), Arbiter: e.arb.Name(), Nodes: len(e.nodes),
+		Policy: e.policy, Arbiter: e.arb.Name(), Nodes: len(e.nodes),
 		Fleet: fleetDescription(e.rts), Jobs: e.placed,
 		Preempt: preempt.SpecName(e.preemptOn, e.triggers), TriggerFirings: e.firings,
 	}
@@ -539,7 +574,7 @@ func (e *Engine) pathSeg(n int) string {
 }
 
 // remainingNs prices job ji's unfinished steps on the node it is currently
-// assigned to, from the per-job step-work cache Place and checkpointWave
+// assigned to, from the per-job step-work cache place and checkpointWave
 // maintain — no runtime cache lookup on the hot path. Inference requests
 // price at their forward-only serving graph (their work key), not the
 // model's training step.
@@ -547,53 +582,9 @@ func (e *Engine) remainingNs(ji int) float64 {
 	return float64(e.steps[ji]-e.done[ji]) * e.stepWork[ji]
 }
 
-// Views snapshots every node for a placement decision on job ji at nowNs:
-// per-node hardware kind and capacity, the queued work priced on that
-// hardware (maintained incrementally, not rescanned), and the arriving
-// job's total predicted solo work on that hardware. The returned slice is
-// the caller's to keep — a pipeline placement stage may carry it across a
-// channel.
-func (e *Engine) Views(ji int, nowNs float64) []NodeView {
-	vs := make([]NodeView, len(e.nodes))
-	e.ViewsInto(ji, nowNs, vs)
-	return vs
-}
-
-// ViewsInto fills vs — which must have length len(nodes) — with the same
-// snapshot Views returns, without allocating: the hot path for callers that
-// reuse a scratch slice (PlaceAuto, the pipeline's pooled grants).
-func (e *Engine) ViewsInto(ji int, nowNs float64, vs []NodeView) {
-	if len(vs) != len(e.nodes) {
-		panic(fmt.Sprintf("place: ViewsInto needs a %d-node slice, got %d", len(e.nodes), len(vs)))
-	}
-	// One work-cache resolution per distinct runtime, not per node; the
-	// fill loop below touches only precomputed tables and node state.
-	work := e.jobWorkPerRuntime(ji)
-	for i, ns := range e.nodes {
-		k := e.rtIdx[i]
-		v := &vs[i]
-		v.Index = i
-		v.Kind = e.rtKind[k]
-		v.Capacity = e.rtCap[k]
-		v.Resident = 0
-		if w := ns.wave; w != nil {
-			v.FreeNs = w.drainNs
-			if v.FreeNs > nowNs {
-				v.Resident = len(w.active)
-			}
-		} else {
-			v.FreeNs = ns.freeNs
-		}
-		v.Queued = len(ns.queue)
-		v.QueuedWorkNs = ns.queuedWorkNs
-		v.JobWorkNs = work[k]
-		v.Alpha = e.rtAlpha[k]
-	}
-}
-
 // jobWorkPerRuntime fills the engine's per-pick scratch with job ji's
-// predicted total solo work per distinct runtime (the NodeView.JobWorkNs
-// every node sharing that runtime reports), resolving each runtime's work
+// predicted total solo work per distinct runtime (the work every node
+// sharing that runtime would price it at), resolving each runtime's work
 // cache exactly once.
 func (e *Engine) jobWorkPerRuntime(ji int) []float64 {
 	model := e.workKeys[ji]
@@ -606,15 +597,8 @@ func (e *Engine) jobWorkPerRuntime(ji int) []float64 {
 }
 
 // PlaceAuto places admitted job ji at its arrival instant using the
-// engine's own policy — the batch wrapper's path. For the built-in
-// policies the node scan and the policy reduction run fused (fusedPick):
-// no NodeView is ever materialized, the per-node quantities are folded
-// straight into the policy's argmin, and the result is byte-identical to Views → Pick by the
-// policies' equivalence property test. A pipeline's placement stage runs
-// the identical policy itself (Views → Policy.Pick → Place), so both paths
-// make byte-identical decisions. In the fallback path the node views are
-// built into an engine-owned scratch slice; policies see them only for the
-// duration of Pick and must not retain them.
+// engine's own policy (fusedPick) and gives the armed preemption triggers a
+// chance to cut a wave.
 func (e *Engine) PlaceAuto(ji int, at float64) error {
 	// Wall-clock scan timing is observability-only: it is read solely when
 	// metrics are attached and never feeds the virtual clock, so it cannot
@@ -623,28 +607,20 @@ func (e *Engine) PlaceAuto(ji int, at float64) error {
 	if e.eo != nil {
 		scanT0 = time.Now()
 	}
-	n, ok := e.fusedPick(ji, at)
-	if !ok {
-		if cap(e.viewBuf) < len(e.nodes) {
-			e.viewBuf = make([]NodeView, len(e.nodes))
-		}
-		vs := e.viewBuf[:len(e.nodes)]
-		e.ViewsInto(ji, at, vs)
-		n = e.pol.Pick(e.specs[ji], at, vs)
-	}
+	n := e.fusedPick(ji, at)
 	if e.eo != nil {
 		e.eo.placeScanNs.Observe(float64(time.Since(scanT0)))
 	}
-	return e.Place(ji, n, at)
+	return e.place(ji, n, at)
 }
 
-// Place stages admitted job ji on the chosen node at its arrival instant
-// and gives the armed preemption triggers a chance to cut a wave.
-func (e *Engine) Place(ji, n int, at float64) error {
+// place stages admitted job ji on node n at its arrival instant and gives
+// the armed preemption triggers a chance to cut a wave.
+func (e *Engine) place(ji, n int, at float64) error {
 	sp := e.specs[ji]
 	if n < 0 || n >= len(e.nodes) {
 		return fmt.Errorf("place: policy %q placed job %s on node %d of a %d-node cluster",
-			e.pol.Name(), sp.Name, n, len(e.nodes))
+			e.policy, sp.Name, n, len(e.nodes))
 	}
 	// An inference request stages its serving graph's payload — next to no
 	// parameters, so effectively just the interconnect latency — not the
@@ -1045,9 +1021,9 @@ func (e *Engine) drainTailNs(w *waveState) float64 {
 
 // finishRound retires the current round at its end: every active job banks
 // one step; jobs out of steps complete, and the wave either ends, is cut
-// into checkpoints, or rolls into its next round. It returns the jobs that
-// completed, in wave order.
-func (e *Engine) finishRound(n int) ([]int, error) {
+// into checkpoints, or rolls into its next round. It appends the jobs that
+// completed to finBuf, in wave order.
+func (e *Engine) finishRound(n int) error {
 	ns := e.nodes[n]
 	w := ns.wave
 	t := w.roundEndNs
@@ -1058,7 +1034,7 @@ func (e *Engine) finishRound(n int) ([]int, error) {
 		e.tr.Complete(obsPidNodes, n, fmt.Sprintf("wave %d", w.ord), "wave",
 			w.roundStartNs, t-w.roundStartNs, obs.A("jobs", len(w.active)))
 	}
-	var remain, finished []int
+	var remain []int
 	for k, ji := range w.active {
 		jr := w.res.Jobs[k]
 		e.done[ji]++
@@ -1076,7 +1052,7 @@ func (e *Engine) finishRound(n int) ([]int, error) {
 			p.DeadlineMet = p.DeadlineNs > 0 && p.FinishNs <= p.DeadlineNs
 			p.SLOMet = p.SLONs > 0 && p.FinishNs <= p.ArrivalNs+p.SLONs
 			e.completed++
-			finished = append(finished, ji)
+			e.finBuf = append(e.finBuf, ji)
 			if e.eo != nil || e.tr != nil {
 				e.obsComplete(ji, p)
 			}
@@ -1095,7 +1071,7 @@ func (e *Engine) finishRound(n int) ([]int, error) {
 				fp.DeadlineMet = fp.DeadlineNs > 0 && fp.FinishNs <= fp.DeadlineNs
 				fp.SLOMet = fp.SLONs > 0 && fp.FinishNs <= fp.ArrivalNs+fp.SLONs
 				e.completed++
-				finished = append(finished, fj)
+				e.finBuf = append(e.finBuf, fj)
 				if e.eo != nil || e.tr != nil {
 					e.obsComplete(fj, fp)
 				}
@@ -1134,15 +1110,15 @@ func (e *Engine) finishRound(n int) ([]int, error) {
 			w.drainNs = w.roundEndNs + e.drainTailNs(w)
 			ns.busyNs += w.res.TotalNs
 			e.push(n)
-			return finished, nil
+			return nil
 		}
 		w.active = remain
 		if e.tr != nil {
 			e.tr.CounterEvent(obsPidNodes, n, e.occName[n], t, obs.A("jobs", len(remain)))
 		}
-		return finished, e.runRound(n, t)
+		return e.runRound(n, t)
 	}
-	return finished, nil
+	return nil
 }
 
 // checkpointWave captures every unfinished job of a cut wave at the step

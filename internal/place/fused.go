@@ -1,13 +1,40 @@
 package place
 
-// Fused placement scan.
+import "fmt"
+
+// Placement policies.
 //
-// For the built-in policies a placement decision is an argmin reduction
-// over the fleet: each node contributes a (class, score) key and ties
-// always break on the lower node index. fusedPick folds the per-node view
-// straight into that reduction — no NodeView is materialized and the
-// arriving job's work is resolved once per distinct runtime — and returns
-// exactly the node Views → Policy.Pick would.
+// A placement decision is an argmin reduction over the fleet: each node
+// contributes a (class, score) key and ties always break on the lower node
+// index, so placements render byte-identical reports at any sweep
+// parallelism. fusedPick folds each node's live state straight into that
+// reduction — no per-node snapshot is materialized and the arriving job's
+// work is resolved once per distinct runtime. policy_test.go keeps the
+// policies' reference form — a materialized per-node snapshot each policy
+// ranks — which the fused scans are tested against.
+
+// The built-in placement policies, spelled as Options.Policy names them.
+const (
+	policyBinPack    = "binpack"
+	policySpread     = "spread"
+	policyModelAware = "model-aware"
+)
+
+// Policies lists the built-in placement policy names Options.Policy
+// accepts.
+func Policies() []string {
+	return []string{policyBinPack, policySpread, policyModelAware}
+}
+
+// checkPolicy rejects a placement policy name that is not a built-in.
+func checkPolicy(name string) error {
+	for _, p := range Policies() {
+		if p == name {
+			return nil
+		}
+	}
+	return fmt.Errorf("place: unknown policy %q (have %v)", name, Policies())
+}
 
 // pickAcc is the running state of a placement reduction: the best
 // preferred-class candidate and the best fallback candidate seen so far,
@@ -20,9 +47,10 @@ type pickAcc struct {
 	fallKey float64
 }
 
-// nodeLoadFree reads node i's committed load and free horizon the way a
-// NodeView reports them: load counts the staged queue plus — only while
-// the in-flight wave drains past nowNs — its resident jobs.
+// nodeLoadFree reads node i's committed load and free horizon at nowNs:
+// load counts the staged queue plus — only while the in-flight wave drains
+// past nowNs — its resident jobs; freeNs is when the node's wave drains
+// (or when it went idle), a value at or before nowNs meaning idle.
 func (e *Engine) nodeLoadFree(i int, nowNs float64) (load int, freeNs float64) {
 	ns := e.nodes[i]
 	load = len(ns.queue)
@@ -36,11 +64,19 @@ func (e *Engine) nodeLoadFree(i int, nowNs float64) (load int, freeNs float64) {
 	return load, ns.freeNs
 }
 
-// scanModelAware folds every node into acc under the model-aware
-// policy: preferred class is the non-full nodes, the key is the arriving
-// job's predicted finish time there (ModelAware.estimate, replicated
-// operation for operation so the fused scan is float-identical to
-// Views → Pick).
+// scanModelAware folds every node into acc under the model-aware policy,
+// which ranks node × hardware by the arriving job's predicted finish time
+// under the engine's gang-wave execution model. The job joins the node's
+// next wave once the in-flight wave drains (or now, if idle) and co-runs
+// with everything committed there, so its finish is its own work priced on
+// that node's hardware (work, per distinct runtime), inflated by the
+// hardware's per-co-runner interference factor — plus, only when the
+// commitment overflows one wave, the queued work draining at capacity-wide
+// throughput ahead of it. The work terms come from perfmodel hill-climb
+// predictions on CPU nodes and the occupancy/stream model on GPU nodes, so
+// a launch-bound LSTM routes to the manycore node it scales best on while a
+// convolution-heavy DCGAN routes to the GPU. Preferred class is the
+// non-full nodes; full nodes are considered only when every node is full.
 func (e *Engine) scanModelAware(nowNs float64, work []float64, acc *pickAcc) {
 	for i := range e.nodes {
 		k := e.rtIdx[i]
@@ -68,9 +104,14 @@ func (e *Engine) scanModelAware(nowNs float64, work []float64, acc *pickAcc) {
 	}
 }
 
-// scanBinPack folds every node into acc under the binpack policy:
-// preferred class is the non-full nodes keyed by negated load (most
-// loaded wins), fallback is every node keyed by load (least loaded wins).
+// scanBinPack folds every node into acc under the binpack policy, which
+// consolidates: each job goes to the most-loaded node that still has spare
+// wave capacity (every co-run job needs one core or one stream, so a node
+// fits while its job count is below its capacity), draining the cluster
+// onto as few nodes as possible, and to the least-loaded node when every
+// node is full. It is hardware-blind: node index order decides ties.
+// Preferred class is the non-full nodes keyed by negated load; fallback is
+// every node keyed by load.
 func (e *Engine) scanBinPack(nowNs float64, acc *pickAcc) {
 	for i := range e.nodes {
 		load, _ := e.nodeLoadFree(i, nowNs)
@@ -87,9 +128,10 @@ func (e *Engine) scanBinPack(nowNs float64, acc *pickAcc) {
 	}
 }
 
-// scanSpread folds every node into acc under the spread policy: no
-// preferred class, fallback is every node keyed by load (least loaded
-// wins, ties on the lower index — exactly leastLoaded).
+// scanSpread folds every node into acc under the spread policy, which
+// balances: every job goes to the node with the fewest committed jobs, ties
+// on the lower index, whatever the jobs are and whatever hardware the nodes
+// carry. There is no preferred class; fallback is every node keyed by load.
 func (e *Engine) scanSpread(nowNs float64, acc *pickAcc) {
 	for i := range e.nodes {
 		load, _ := e.nodeLoadFree(i, nowNs)
@@ -99,24 +141,21 @@ func (e *Engine) scanSpread(nowNs float64, acc *pickAcc) {
 	}
 }
 
-// fusedPick picks job ji's node at nowNs with the scan and the policy
-// reduction fused — no NodeView materialized, one work-cache resolution
-// per distinct runtime. ok is false when the policy is not one of the
-// built-ins; the caller falls back to the materialized Views → Pick path.
-func (e *Engine) fusedPick(ji int, nowNs float64) (node int, ok bool) {
+// fusedPick picks job ji's node at nowNs under the engine's policy, with
+// the scan and the policy reduction fused. It returns -1 only for a policy
+// name checkPolicy would reject, which place's node-range check reports.
+func (e *Engine) fusedPick(ji int, nowNs float64) int {
 	acc := pickAcc{best: -1, fall: -1}
-	switch e.pol.(type) {
-	case ModelAware:
+	switch e.policy {
+	case policyModelAware:
 		e.scanModelAware(nowNs, e.jobWorkPerRuntime(ji), &acc)
-	case BinPack:
+	case policyBinPack:
 		e.scanBinPack(nowNs, &acc)
-	case Spread:
+	case policySpread:
 		e.scanSpread(nowNs, &acc)
-	default:
-		return 0, false
 	}
 	if acc.best >= 0 {
-		return acc.best, true
+		return acc.best
 	}
-	return acc.fall, true
+	return acc.fall
 }

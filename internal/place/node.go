@@ -48,7 +48,7 @@ func (n Node) Validate() error {
 	return nil
 }
 
-// Hardware kinds a Node (and its NodeView) reports.
+// Hardware kinds a Node reports.
 const (
 	KindCPU = "cpu"
 	KindGPU = "gpu"

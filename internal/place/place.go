@@ -407,15 +407,10 @@ type Options struct {
 
 func (o Options) policy() string {
 	if o.Policy == "" {
-		return Spread{}.Name()
+		return policySpread
 	}
 	return o.Policy
 }
-
-// PolicyName is the effective placement policy name after defaulting — the
-// spelling a pipeline placement stage resolves through NewPolicy so its
-// picks match the engine's own.
-func (o Options) PolicyName() string { return o.policy() }
 
 func (o Options) arbiter() string {
 	if o.Arbiter == "" {

@@ -2,6 +2,11 @@ package place
 
 import "fmt"
 
+// The placement policies' reference form: a materialized per-node snapshot
+// (NodeView) ranked by each policy's Pick. The engine never builds it — its
+// fused scans (fused.go) fold node state straight into the reduction — so
+// this form exists as the oracle the fused scans are checked against.
+
 // NodeView is the read-only snapshot of one node a placement policy ranks.
 // Heterogeneous fleets surface per-hardware quantities: the same arriving
 // job carries a different JobWorkNs on a CPU view than on a GPU view, and
@@ -36,11 +41,8 @@ type NodeView struct {
 func (v NodeView) Load() int { return v.Resident + v.Queued }
 
 // Policy picks a node for every arriving job. Implementations must be
-// deterministic — ties always break on the lower node index — so placements
-// render byte-identical reports at any sweep parallelism.
+// deterministic — ties always break on the lower node index.
 type Policy interface {
-	// Name identifies the policy in results and CLI flags.
-	Name() string
 	// Pick returns the node index in [0, len(nodes)) for a job arriving
 	// at nowNs. The nodes slice is ordered by index and carries the job's
 	// predicted work per node hardware (NodeView.JobWorkNs).
@@ -54,9 +56,6 @@ type Policy interface {
 // capacity it falls back to the least-loaded node. It is hardware-blind:
 // node index order decides ties, whatever the hardware.
 type BinPack struct{}
-
-// Name implements Policy.
-func (BinPack) Name() string { return "binpack" }
 
 // Pick implements Policy.
 func (BinPack) Pick(_ JobSpec, _ float64, nodes []NodeView) int {
@@ -80,9 +79,6 @@ func (BinPack) Pick(_ JobSpec, _ float64, nodes []NodeView) int {
 // ignores what the jobs are and what hardware the nodes carry.
 type Spread struct{}
 
-// Name implements Policy.
-func (Spread) Name() string { return "spread" }
-
 // Pick implements Policy.
 func (Spread) Pick(_ JobSpec, _ float64, nodes []NodeView) int {
 	return leastLoaded(nodes)
@@ -102,9 +98,6 @@ func (Spread) Pick(_ JobSpec, _ float64, nodes []NodeView) int {
 // behind a long ResNet-50 wave. Nodes already at wave capacity are
 // considered only when every node is full.
 type ModelAware struct{}
-
-// Name implements Policy.
-func (ModelAware) Name() string { return "model-aware" }
 
 // estimate is the predicted finish time of the arriving job on one node:
 // next-wave start, plus the job's own work on that hardware inflated by
@@ -161,23 +154,44 @@ func leastLoaded(nodes []NodeView) int {
 	return best
 }
 
-// Policies lists the built-in placement policy names in NewPolicy's
-// accepted spelling.
-func Policies() []string {
-	return []string{BinPack{}.Name(), Spread{}.Name(), ModelAware{}.Name()}
+// referencePolicy resolves a built-in policy name to its reference
+// implementation.
+func referencePolicy(name string) Policy {
+	switch name {
+	case policyBinPack:
+		return BinPack{}
+	case policySpread:
+		return Spread{}
+	case policyModelAware:
+		return ModelAware{}
+	}
+	panic(fmt.Sprintf("no reference policy %q", name))
 }
 
-// NewPolicy resolves a policy name ("binpack", "spread", "model-aware") to
-// its implementation.
-func NewPolicy(name string) (Policy, error) {
-	switch name {
-	case "binpack":
-		return BinPack{}, nil
-	case "spread":
-		return Spread{}, nil
-	case "model-aware":
-		return ModelAware{}, nil
-	default:
-		return nil, fmt.Errorf("place: unknown policy %q (have %v)", name, Policies())
+// referenceViews snapshots every node of e for a placement decision on
+// admitted job ji at nowNs: the per-node state fusedPick reads, as the
+// reference policies rank it.
+func referenceViews(e *Engine, ji int, nowNs float64) []NodeView {
+	work := e.jobWorkPerRuntime(ji)
+	vs := make([]NodeView, len(e.nodes))
+	for i, ns := range e.nodes {
+		k := e.rtIdx[i]
+		v := &vs[i]
+		v.Index = i
+		v.Kind = e.uniqueRts[k].Kind()
+		v.Capacity = e.rtCap[k]
+		if w := ns.wave; w != nil {
+			v.FreeNs = w.drainNs
+			if v.FreeNs > nowNs {
+				v.Resident = len(w.active)
+			}
+		} else {
+			v.FreeNs = ns.freeNs
+		}
+		v.Queued = len(ns.queue)
+		v.QueuedWorkNs = ns.queuedWorkNs
+		v.JobWorkNs = work[k]
+		v.Alpha = e.rtAlpha[k]
 	}
+	return vs
 }

@@ -39,7 +39,7 @@ func DefaultClusterWorkloads() []NamedWorkload {
 type ClusterGrid struct {
 	// Workloads to place; empty means DefaultClusterWorkloads.
 	Workloads []NamedWorkload
-	// Policies are placement policy names accepted by place.NewPolicy;
+	// Policies are placement policy names (place.Policies);
 	// empty means all built-in policies.
 	Policies []string
 	// Sizes are CPU node counts; empty means {1, 2, 4}.
@@ -54,10 +54,10 @@ type ClusterGrid struct {
 	Preempts []string
 	// Engines selects the execution paths crossed with every cell:
 	// "batch" (place.PlaceJobs) and/or "pipeline" (the streaming
-	// admission→placement→execution→metrics pipeline, fed the same closed
+	// admission→execution→metrics pipeline, fed the same closed
 	// workload). Empty means {"batch"}. The two engines are byte-identical
 	// on identical inputs — a "batch"×"pipeline" grid is the equivalence
-	// gate CI diffs.
+	// the sweep tests check.
 	Engines []string
 	// Arbiter is the per-node cross-job policy; empty means "fair".
 	Arbiter string

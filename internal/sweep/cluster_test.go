@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"opsched/internal/nn"
@@ -224,6 +225,7 @@ func TestClusterGridEngineAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkQueuePercentiles(t, serial)
 	parallel, err := RunClusterGrid(context.Background(), g, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -251,18 +253,29 @@ func TestClusterGridEngineAxis(t *testing.T) {
 // TestClusterGridMixedServingDeterminism: a mixed training+inference
 // workload — dynamic batching, latency-class admission and the slo-at-risk
 // trigger all active — sweeps across both engines and renders
-// byte-identically at parallelism 1 and 8, with per-class aggregates intact
-// in every cell.
+// byte-identically at parallelism 1 and 8 and between the batch and
+// pipeline engines, with per-class aggregates intact in every cell. The
+// grid is `opsched-bench -cluster 8 -models dcgan -nodes 1 -gpus 1 -steps 3
+// -policy spread -inference 24 -slo 120 -preempt off,slo-at-risk`, whose
+// stream is tight enough that arming slo-at-risk genuinely fires and
+// strictly improves SLO attainment (the simulation is deterministic, so
+// the margin is exact).
 func TestClusterGridMixedServingDeterminism(t *testing.T) {
-	training := place.MustSynthetic(3, 3, []string{nn.LSTM, nn.DCGAN}, 1e6)
-	serving := place.MustSyntheticInference(12, 5, []string{nn.DCGAN}, 0.5e6, 60e6)
+	training, err := place.SyntheticSteps(8, 1, []string{nn.DCGAN}, 2e6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serving, err := place.SyntheticInference(24, 1, []string{nn.DCGAN}, 0.1e6, 120e6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := ClusterGrid{
 		Workloads: []NamedWorkload{{Name: "mixed", Jobs: training.Merge(serving)}},
 		Policies:  []string{"spread"},
 		Sizes:     []int{1},
 		GPUs:      []int{1},
 		Preempts:  []string{"off", "slo-at-risk"},
-		Engines:   []string{"batch", "pipeline"},
+		Engines:   []string{EngineBatch, EnginePipeline},
 	}
 	serial, err := RunClusterGrid(context.Background(), g, 1)
 	if err != nil {
@@ -275,16 +288,51 @@ func TestClusterGridMixedServingDeterminism(t *testing.T) {
 	if len(serial) != 4 || len(parallel) != 4 {
 		t.Fatalf("got %d serial / %d parallel cells, want 4", len(serial), len(parallel))
 	}
+	checkQueuePercentiles(t, serial)
+	firings := 0
+	offBest, armedWorst := 0.0, 1.0
 	for i := range serial {
 		if s, p := serial[i].Result.Render(), parallel[i].Result.Render(); s != p {
 			t.Errorf("mixed cell %d reports differ between serial and parallel sweeps:\n%s\nvs\n%s", i, s, p)
 		}
 		r := serial[i].Result
-		if r.InferenceJobs != 12 || r.TrainingJobs != 3 {
-			t.Errorf("cell %d class split %d/%d, want 12/3", i, r.InferenceJobs, r.TrainingJobs)
+		if r.InferenceJobs != 24 || r.TrainingJobs != 8 {
+			t.Errorf("cell %d class split %d/%d, want 24/8", i, r.InferenceJobs, r.TrainingJobs)
 		}
-		if r.SLOAttainment < 0 || r.SLOAttainment > 1 {
-			t.Errorf("cell %d attainment %v outside [0,1]", i, r.SLOAttainment)
+		if r.SLOMet > r.SLOTotal || r.SLOAttainment < 0 || r.SLOAttainment > 1 {
+			t.Errorf("cell %d meets %d of %d SLOs, attainment %v", i, r.SLOMet, r.SLOTotal, r.SLOAttainment)
+		}
+		switch serial[i].Preempt {
+		case "off":
+			offBest = math.Max(offBest, r.SLOAttainment)
+		case "slo-at-risk":
+			firings += r.TriggerFirings
+			armedWorst = math.Min(armedWorst, r.SLOAttainment)
+		}
+	}
+	// Adjacent cells differ only in engine; their reports must match.
+	for i := 0; i+1 < len(serial); i += 2 {
+		if b, p := serial[i].Result.Render(), serial[i+1].Result.Render(); b != p {
+			t.Errorf("batch and pipeline engines diverge on mixed cell %d (%s):\n%s\nvs\n%s",
+				i, serial[i].Preempt, b, p)
+		}
+	}
+	if firings == 0 {
+		t.Error("slo-at-risk never fired on the mixed stream")
+	}
+	if armedWorst <= offBest {
+		t.Errorf("slo-at-risk attainment %v not strictly above the unarmed %v", armedWorst, offBest)
+	}
+}
+
+// checkQueuePercentiles asserts every cell's queue-delay percentiles are
+// ordered p50 <= p95 <= p99.
+func checkQueuePercentiles(t *testing.T, cells []ClusterCell) {
+	t.Helper()
+	for i, c := range cells {
+		p50, p95, p99 := c.Result.QueuePercentileNs(0.50), c.Result.QueuePercentileNs(0.95), c.Result.QueuePercentileNs(0.99)
+		if p50 > p95 || p95 > p99 {
+			t.Errorf("cell %d queue percentiles p50 %v, p95 %v, p99 %v out of order", i, p50, p95, p99)
 		}
 	}
 }

@@ -439,7 +439,7 @@ const (
 	EnginePipeline = sweep.EnginePipeline
 )
 
-// JobPipeline is a running admission→placement→execution→metrics chain:
+// JobPipeline is a running admission→execution→metrics chain:
 // Submit jobs (and optionally Ticks) from any goroutine, Close to send the
 // END flag through every stage, Wait for the sealed result, Snapshot for
 // live in-flight metrics (see pipeline.Pipeline).
@@ -454,14 +454,14 @@ type PipelineConfig = pipeline.Config
 // p50/p95/p99 queue and JCT percentiles over everything completed so far.
 type StreamSnapshot = pipeline.Snapshot
 
-// NewJobPipeline starts the four pipeline stages over a fresh engine.
+// NewJobPipeline starts the three pipeline stages over a fresh engine.
 func NewJobPipeline(ctx context.Context, cfg PipelineConfig) (*JobPipeline, error) {
 	return pipeline.New(ctx, cfg)
 }
 
 // PlaceJobsStreamed is PlaceJobs routed through the streaming pipeline
 // instead of the batch loop. The two render byte-identically on identical
-// inputs — the equivalence CI gates.
+// inputs — the equivalence go test checks.
 func PlaceJobsStreamed(ctx context.Context, w ClusterWorkload, c Cluster, opts PlaceOptions) (*PlacementResult, error) {
 	return pipeline.RunBatch(ctx, w, c, opts)
 }
