@@ -159,8 +159,8 @@ func BenchmarkPipelineInferenceReplay(b *testing.B) {
 // BenchmarkPipelineFleet is the fleet-size regression guard of the
 // pipeline's placement path: one model-aware stream of one-step LSTM/DCGAN
 // jobs on 10k P100 nodes, placed by place.PlaceJobs (batch) and by RunBatch
-// (pipeline). At this fleet size the O(nodes) placement scan dominates each
-// job, so any placement work the pipeline adds on top of the engine's own
+// (pipeline). At this fleet size any per-node work on a job's path is
+// expensive, so placement work the pipeline adds on top of the engine's own
 // shows up as a per-job gap between the two sub-benchmarks.
 func BenchmarkPipelineFleet(b *testing.B) {
 	if testing.Short() {

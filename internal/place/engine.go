@@ -187,8 +187,8 @@ type Engine struct {
 	started      []bool    // per-job "first wave launched"
 	countedOn    []int     // last node the job was counted as executing on (-1 none)
 	checkpointNs []float64 // per-job pending checkpoint capture time, -1 when none
-	path         [][]string
-	workKeys     []string // per-job pricing key: the model, or InferKey(model, 1)
+	path         [][]int   // per-job migration path as node indices: nil until the first migration
+	workKeys     []string  // per-job pricing key: the model, or InferKey(model, 1)
 
 	// anyInference arms the latency-class admission path the first time an
 	// inference request is admitted; a training-only run never takes it.
@@ -466,9 +466,7 @@ func (e *Engine) Drain() ([]int, error) {
 func (e *Engine) Job(ji int) PlacedJob {
 	p := e.placed[ji]
 	p.StepsDone = e.done[ji]
-	if segs := e.path[ji]; len(segs) > 1 {
-		p.Path = strings.Join(segs, " -> ")
-	}
+	p.Path = e.renderPath(ji)
 	return p
 }
 
@@ -479,9 +477,7 @@ func (e *Engine) Job(ji int) PlacedJob {
 func (e *Engine) Finish() *Result {
 	for ji := range e.placed {
 		e.placed[ji].StepsDone = e.done[ji]
-		if segs := e.path[ji]; len(segs) > 1 {
-			e.placed[ji].Path = strings.Join(segs, " -> ")
-		}
+		e.placed[ji].Path = e.renderPath(ji)
 	}
 	out := &Result{
 		Policy: e.policy, Arbiter: e.arb.Name(), Nodes: len(e.nodes),
@@ -573,6 +569,20 @@ func (e *Engine) pathSeg(n int) string {
 	return fmt.Sprintf("n%0*d/%s", e.idxW, n, e.nodes[n].rt.Kind())
 }
 
+// renderPath renders job ji's migration path, "" for a job that never
+// migrated.
+func (e *Engine) renderPath(ji int) string {
+	hops := e.path[ji]
+	if len(hops) < 2 {
+		return ""
+	}
+	segs := make([]string, len(hops))
+	for i, n := range hops {
+		segs[i] = e.pathSeg(n)
+	}
+	return strings.Join(segs, " -> ")
+}
+
 // remainingNs prices job ji's unfinished steps on the node it is currently
 // assigned to, from the per-job step-work cache place and checkpointWave
 // maintain — no runtime cache lookup on the hot path. Inference requests
@@ -634,7 +644,6 @@ func (e *Engine) place(ji, n int, at float64) error {
 		Class: sp.EffectiveClass(), SLONs: sp.SLONs,
 	}
 	e.readyNs[ji] = at + mi.xferNs
-	e.path[ji] = []string{e.pathSeg(n)}
 	e.stepWork[ji] = ns.rt.SoloWorkNs(e.workKeys[ji])
 	work := e.remainingNs(ji)
 	ns.queue = append(ns.queue, ji)
@@ -1154,7 +1163,10 @@ func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 		p.Preemptions++
 		if tgt != from {
 			p.Migrations++
-			e.path[ji] = append(e.path[ji], e.pathSeg(tgt))
+			if e.path[ji] == nil {
+				e.path[ji] = []int{from}
+			}
+			e.path[ji] = append(e.path[ji], tgt)
 		}
 		if e.eo != nil {
 			e.eo.preemptions.Inc()
@@ -1209,7 +1221,7 @@ func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, graphFor
 		if d.GPU != nil {
 			rt, ok := gpus[d.GPU]
 			if !ok {
-				rt = &gpuRuntime{d: d.GPU, graphFor: graphFor}
+				rt = &gpuRuntime{d: d.GPU, hardware: d.GPU.String(), graphFor: graphFor}
 				if !noMemo {
 					rt.memo = &waveMemo{}
 				}
@@ -1220,7 +1232,7 @@ func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, graphFor
 		}
 		rt, ok := cpus[d.CPU]
 		if !ok {
-			rt = &cpuRuntime{m: d.CPU, arb: arb, cfg: cfg, graphFor: graphFor}
+			rt = &cpuRuntime{m: d.CPU, hardware: d.CPU.String(), arb: arb, cfg: cfg, graphFor: graphFor}
 			if !noMemo {
 				rt.memo = &waveMemo{}
 			}

@@ -1,6 +1,9 @@
 package place
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Placement policies.
 //
@@ -12,6 +15,13 @@ import "fmt"
 // work is resolved once per distinct runtime. policy_test.go keeps the
 // policies' reference form — a materialized per-node snapshot each policy
 // ranks — which the fused scans are tested against.
+//
+// Each scan also knows its policy's floor: a lower bound on the key no node
+// can go below. Because a candidate is replaced only by a strictly smaller
+// key, once the running best reaches the floor no later node can displace
+// it, so the scan returns right there with exactly the node a full scan
+// would pick. A fleet with idle nodes thus stops at the first idle node it
+// reaches; a fleet with none still scans every node.
 
 // The built-in placement policies, spelled as Options.Policy names them.
 const (
@@ -39,7 +49,11 @@ func checkPolicy(name string) error {
 // pickAcc is the running state of a placement reduction: the best
 // preferred-class candidate and the best fallback candidate seen so far,
 // with their comparison keys. Updates use strict key comparison after a
-// first-candidate test, so the lowest index wins ties.
+// first-candidate test, so the lowest index wins ties — which is what makes
+// the floor cutoff exact: a best whose key equals the floor can never be
+// replaced, so a scan may stop the moment its best (preferred-class or,
+// for spread, fallback) key reaches the policy's floor. The key is compared
+// with <=, so a NaN key never stops a scan.
 type pickAcc struct {
 	best    int // preferred-class candidate, -1 none
 	bestKey float64
@@ -77,7 +91,17 @@ func (e *Engine) nodeLoadFree(i int, nowNs float64) (load int, freeNs float64) {
 // a launch-bound LSTM routes to the manycore node it scales best on while a
 // convolution-heavy DCGAN routes to the GPU. Preferred class is the
 // non-full nodes; full nodes are considered only when every node is full.
+//
+// The floor is min over runtimes k of nowNs + work[k]: a node's start is at
+// least nowNs, predicted work, co-runner count and alpha are all
+// non-negative, and float rounding is monotone, so no node's est falls
+// below its runtime's nowNs + work[k] — and an idle, empty node's est is
+// exactly that.
 func (e *Engine) scanModelAware(nowNs float64, work []float64, acc *pickAcc) {
+	floor := math.Inf(1)
+	for _, w := range work {
+		floor = min(floor, nowNs+w)
+	}
 	for i := range e.nodes {
 		k := e.rtIdx[i]
 		capk := e.rtCap[k]
@@ -100,6 +124,9 @@ func (e *Engine) scanModelAware(nowNs float64, work []float64, acc *pickAcc) {
 		}
 		if acc.best < 0 || est < acc.bestKey {
 			acc.best, acc.bestKey = i, est
+			if est <= floor {
+				return
+			}
 		}
 	}
 }
@@ -111,8 +138,14 @@ func (e *Engine) scanModelAware(nowNs float64, work []float64, acc *pickAcc) {
 // onto as few nodes as possible, and to the least-loaded node when every
 // node is full. It is hardware-blind: node index order decides ties.
 // Preferred class is the non-full nodes keyed by negated load; fallback is
-// every node keyed by load.
+// every node keyed by load. The floor is −(max capacity − 1): a non-full
+// node's load is below its capacity, so its key is at least that.
 func (e *Engine) scanBinPack(nowNs float64, acc *pickAcc) {
+	maxCap := 0
+	for _, c := range e.rtCap {
+		maxCap = max(maxCap, c)
+	}
+	floor := -float64(maxCap - 1)
 	for i := range e.nodes {
 		load, _ := e.nodeLoadFree(i, nowNs)
 		lf := float64(load)
@@ -124,6 +157,9 @@ func (e *Engine) scanBinPack(nowNs float64, acc *pickAcc) {
 		}
 		if acc.best < 0 || -lf < acc.bestKey {
 			acc.best, acc.bestKey = i, -lf
+			if -lf <= floor {
+				return
+			}
 		}
 	}
 }
@@ -131,12 +167,16 @@ func (e *Engine) scanBinPack(nowNs float64, acc *pickAcc) {
 // scanSpread folds every node into acc under the spread policy, which
 // balances: every job goes to the node with the fewest committed jobs, ties
 // on the lower index, whatever the jobs are and whatever hardware the nodes
-// carry. There is no preferred class; fallback is every node keyed by load.
+// carry. There is no preferred class; fallback is every node keyed by load,
+// and the floor is an empty node.
 func (e *Engine) scanSpread(nowNs float64, acc *pickAcc) {
 	for i := range e.nodes {
 		load, _ := e.nodeLoadFree(i, nowNs)
 		if lf := float64(load); acc.fall < 0 || lf < acc.fallKey {
 			acc.fall, acc.fallKey = i, lf
+			if load == 0 {
+				return
+			}
 		}
 	}
 }

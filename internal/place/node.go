@@ -146,6 +146,7 @@ func (c *workCache[V]) get(key string, compute func() V) V {
 // before heterogeneous clusters.
 type cpuRuntime struct {
 	m        *hw.Machine
+	hardware string // m.String(), rendered once
 	arb      multijob.Arbiter
 	cfg      core.Config
 	graphFor func(string) *graph.Graph
@@ -166,7 +167,7 @@ const cpuMeshAlpha = 0.22
 const inferenceWeightBoost = 4
 
 func (c *cpuRuntime) Kind() string               { return KindCPU }
-func (c *cpuRuntime) Hardware() string           { return c.m.String() }
+func (c *cpuRuntime) Hardware() string           { return c.hardware }
 func (c *cpuRuntime) Capacity() int              { return c.m.Cores }
 func (c *cpuRuntime) WaveAlpha() float64         { return cpuMeshAlpha }
 func (c *cpuRuntime) MemCapacityBytes() float64  { return 0 }
@@ -225,13 +226,14 @@ func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 // priorities and weights do not apply — streams share the device equally.
 type gpuRuntime struct {
 	d        *gpu.Device
+	hardware string // d.String(), rendered once
 	graphFor func(string) *graph.Graph
 	work     workCache[gpu.GraphWork]
 	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
 }
 
 func (g *gpuRuntime) Kind() string              { return KindGPU }
-func (g *gpuRuntime) Hardware() string          { return g.d.String() }
+func (g *gpuRuntime) Hardware() string          { return g.hardware }
 func (g *gpuRuntime) Capacity() int             { return g.d.StreamCapacity() }
 func (g *gpuRuntime) WaveAlpha() float64        { return g.d.CoRunAlpha() }
 func (g *gpuRuntime) MemCapacityBytes() float64 { return g.d.MemBytes() }
