@@ -226,8 +226,6 @@ func (rt *Runtime) scheduleCoRun(st *exec.State) []exec.Decision {
 	running := len(st.Running)
 
 	var ds []exec.Decision
-	scheduled := make(map[graph.NodeID]bool)
-
 	for _, node := range st.Ready {
 		if idle <= 0 {
 			break
@@ -238,7 +236,6 @@ func (rt *Runtime) scheduleCoRun(st *exec.State) []exec.Decision {
 			continue
 		}
 		ds = append(ds, exec.Decision{Node: node, Threads: cand.Threads, Placement: cand.Placement, Pinned: true})
-		scheduled[node] = true
 		idle -= cand.Placement.CoresUsed(rt.machine, cand.Threads)
 		if cand.TimeNs > maxRemaining {
 			maxRemaining = cand.TimeNs

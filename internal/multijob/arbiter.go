@@ -2,7 +2,6 @@ package multijob
 
 import (
 	"fmt"
-	"sort"
 
 	"opsched/internal/hw"
 )
@@ -100,31 +99,46 @@ func (s SRWF) Budget(j *JobState, js []*JobState, m *hw.Machine) int {
 	return leftoverBudget(j, s.Order(js), m)
 }
 
-// activeJobs filters to unfinished jobs, preserving input (index) order.
-func activeJobs(js []*JobState) []*JobState {
-	out := make([]*JobState, 0, len(js))
+// sortActive orders the unfinished jobs by less, breaking ties on job index
+// for determinism. It insertion-sorts into the engine's Order buffer when
+// the jobs belong to an engine (JobState.order), so a scheduling round
+// does not allocate; the result is then valid until the next Order call
+// on that engine. Between completion events no sort key changes, so a
+// Budget that re-runs Order mid-round rewrites the buffer with the very
+// order the round is iterating.
+func sortActive(js []*JobState, less func(a, b *JobState) bool) []*JobState {
+	var out []*JobState
+	if len(js) > 0 && js[0].order != nil {
+		out = (*js[0].order)[:0]
+	}
 	for _, j := range js {
 		if j.Active() {
 			out = append(out, j)
 		}
 	}
+	for i := 1; i < len(out); i++ {
+		j, k := out[i], i
+		for ; k > 0 && claimsFirst(j, out[k-1], less); k-- {
+			out[k] = out[k-1]
+		}
+		out[k] = j
+	}
+	if len(js) > 0 && js[0].order != nil {
+		*js[0].order = out
+	}
 	return out
 }
 
-// sortActive orders the unfinished jobs by less, breaking ties on job index
-// for determinism.
-func sortActive(js []*JobState, less func(a, b *JobState) bool) []*JobState {
-	out := activeJobs(js)
-	sort.SliceStable(out, func(i, k int) bool {
-		if less(out[i], out[k]) {
-			return true
-		}
-		if less(out[k], out[i]) {
-			return false
-		}
-		return out[i].Index < out[k].Index
-	})
-	return out
+// claimsFirst reports whether job a claims cores before job b: less, then
+// the lower job index.
+func claimsFirst(a, b *JobState, less func(a, b *JobState) bool) bool {
+	if less(a, b) {
+		return true
+	}
+	if less(b, a) {
+		return false
+	}
+	return a.Index < b.Index
 }
 
 // leftoverBudget is the shared strict-ordering budget: job j may hold

@@ -19,7 +19,7 @@ const defaultProfileInterval = 4
 // the embedded Job and the accessor methods but must not mutate anything.
 type JobState struct {
 	Job
-	// Index is the job's position in the CoTrain input (the determinism
+	// Index is the job's position in the CoRun input (the determinism
 	// tie-breaker).
 	Index int
 
@@ -34,6 +34,8 @@ type JobState struct {
 	remainingWork float64
 	finishNs      float64
 	saturated     bool // no more launches until the next completion event
+
+	order *[]*JobState // the engine's Order buffer; nil outside an engine
 }
 
 // Active reports whether the job still has operations to finish.
@@ -79,15 +81,65 @@ type engine struct {
 	global *exec.State // Running is the union across jobs; Graph/Ready unused
 	done   int
 	total  int
+
+	// view is the per-job State scheduleJob hands a scheduler, reset on
+	// every call (a Scheduler interface call would move a fresh one to the
+	// heap); order is the buffer the built-in arbiters' Order writes into
+	// (JobState.order). Both are reused across scheduling rounds.
+	view  exec.State
+	order []*JobState
+}
+
+// SoloNs runs job alone on machine m (nil means hw.NewKNL()) under its own
+// scheduler and returns its makespan: the slowdown baseline CoRun divides
+// by. Runtime schedulers are already profiled, so this is the exact
+// single-job behaviour the facade's TrainStep produces. The value depends
+// only on the job's graph, scheduler and m, so callers that co-run the
+// same job many times may compute it once.
+func SoloNs(job Job, m *hw.Machine) (float64, error) {
+	if m == nil {
+		m = hw.NewKNL()
+	}
+	res, err := exec.Run(job.Graph, job.Sched, exec.Options{Machine: m})
+	if err != nil {
+		return 0, fmt.Errorf("multijob: solo run of job %s: %w", job.Name, err)
+	}
+	return res.StepTimeNs, nil
 }
 
 // CoTrain executes one training step of every job concurrently on one
-// machine under the given cross-job arbiter (nil means FairShare). It first
-// runs each job solo for the slowdown baseline, then co-runs them from a
-// common virtual time zero. Execution is fully deterministic.
+// machine under the given cross-job arbiter (nil means FairShare): it
+// prices every job's solo baseline with SoloNs, then co-runs them through
+// CoRun. Execution is fully deterministic.
 func CoTrain(jobs []Job, arb Arbiter, opts Options) (*Result, error) {
 	if err := validateJobs(jobs); err != nil {
 		return nil, err
+	}
+	if opts.Machine == nil {
+		opts.Machine = hw.NewKNL()
+	}
+	solos := make([]float64, len(jobs))
+	for i, job := range jobs {
+		s, err := SoloNs(job, opts.Machine)
+		if err != nil {
+			return nil, err
+		}
+		solos[i] = s
+	}
+	return CoRun(jobs, solos, arb, opts)
+}
+
+// CoRun co-runs one training step of every job from a common virtual time
+// zero under the given cross-job arbiter (nil means FairShare). solos[i]
+// is job i's solo makespan on opts.Machine (SoloNs), the baseline its
+// slowdown and the fairness index are priced against. Execution is fully
+// deterministic.
+func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, error) {
+	if err := validateJobs(jobs); err != nil {
+		return nil, err
+	}
+	if len(solos) != len(jobs) {
+		return nil, fmt.Errorf("multijob: %d solo baselines for %d jobs", len(solos), len(jobs))
 	}
 	if arb == nil {
 		arb = FairShare{}
@@ -97,21 +149,9 @@ func CoTrain(jobs []Job, arb Arbiter, opts Options) (*Result, error) {
 		m = hw.NewKNL()
 	}
 
-	// Solo baselines: each job alone on the machine under its own
-	// scheduler. Runtime schedulers are already profiled, so this is the
-	// exact single-job behaviour the facade's TrainStep produces.
-	solos := make([]float64, len(jobs))
-	for i, job := range jobs {
-		res, err := exec.Run(job.Graph, job.Sched, exec.Options{Machine: m})
-		if err != nil {
-			return nil, fmt.Errorf("multijob: solo run of job %s: %w", job.Name, err)
-		}
-		solos[i] = res.StepTimeNs
-	}
-
 	e := &engine{m: m, arb: arb, global: &exec.State{Machine: m}}
 	for i, job := range jobs {
-		j := &JobState{Job: job, Index: i, in: job.Graph.InDegrees()}
+		j := &JobState{Job: job, Index: i, in: job.Graph.InDegrees(), order: &e.order}
 		for id, d := range j.in {
 			if d == 0 {
 				j.ready = append(j.ready, graph.NodeID(id))
@@ -229,7 +269,8 @@ func (e *engine) scheduleJob(j *JobState, unbudgeted bool) (int, error) {
 	// The view a per-job runtime gets: its graph, its ready queue, its own
 	// in-flight operations. Cross-job interference is invisible to it —
 	// that is the arbiter's and the machine model's business.
-	view := &exec.State{Machine: e.m, Graph: j.Graph, ClockNs: e.global.ClockNs,
+	view := &e.view
+	*view = exec.State{Machine: e.m, Graph: j.Graph, ClockNs: e.global.ClockNs,
 		Ready: j.ready, Running: j.running}
 	decs := j.Sched.Schedule(view)
 	if len(decs) == 0 {

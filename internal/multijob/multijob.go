@@ -23,7 +23,10 @@
 // interference and SMT stacking between jobs genuinely slow each other
 // down. A job's co-run makespan is therefore never better than its solo
 // makespan, and CoTrain reports the per-job slowdown plus a Jain fairness
-// index over solo-normalized progress.
+// index over solo-normalized progress. CoTrain is SoloNs for every job
+// followed by CoRun; a caller that co-runs the same jobs many times (the
+// cluster engine's CPU nodes) prices each solo baseline once and calls
+// CoRun directly.
 package multijob
 
 import (
@@ -44,7 +47,7 @@ type Job struct {
 	// Graph is the job's per-step dataflow graph.
 	Graph *graph.Graph
 	// Sched is the job's own scheduling policy. Runtime schedulers must be
-	// profiled for Graph before CoTrain (RuntimeJob does this).
+	// profiled for Graph before CoTrain or CoRun (RuntimeJob does this).
 	Sched exec.Scheduler
 	// Weight is the job's fair-share weight; <= 0 means 1.
 	Weight float64

@@ -3,9 +3,11 @@ package multijob
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"opsched/internal/exec"
 	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/op"
@@ -105,6 +107,129 @@ func TestCoTrainSlowdownProperty(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(23))}
 	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// referenceOrder is the arbiter order as a stable library sort: the
+// unfinished jobs by less, ties on job index. The arbiters' insertion sort
+// must reproduce it exactly.
+func referenceOrder(js []*JobState, less func(a, b *JobState) bool) []*JobState {
+	var out []*JobState
+	for _, j := range js {
+		if j.Active() {
+			out = append(out, j)
+		}
+	}
+	sort.SliceStable(out, func(i, k int) bool {
+		if less(out[i], out[k]) {
+			return true
+		}
+		if less(out[k], out[i]) {
+			return false
+		}
+		return out[i].Index < out[k].Index
+	})
+	return out
+}
+
+// randomJobStates builds a mid-run job set whose sort keys collide on
+// purpose: progress, priority and remaining work each come from a handful
+// of values, some jobs are finished, and every job holds a random set of
+// running operations. Shuffled input order makes the index tie-break
+// matter.
+func randomJobStates(rng *rand.Rand, g *graph.Graph) []*JobState {
+	js := make([]*JobState, 1+rng.Intn(10))
+	for i := range js {
+		j := &JobState{Job: Job{Name: fmt.Sprintf("j%d", i), Graph: g, Priority: rng.Intn(3)}, Index: i}
+		if rng.Intn(5) == 0 {
+			j.done = g.Len()
+		}
+		j.totalWork = float64(rng.Intn(3)) * 100
+		j.remainingWork = float64(rng.Intn(3)) * 50
+		if j.remainingWork > j.totalWork {
+			j.remainingWork = j.totalWork
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			pl := hw.Shared
+			if rng.Intn(2) == 0 {
+				pl = hw.Spread
+			}
+			j.running = append(j.running, &exec.Running{Threads: 1 + rng.Intn(20), Placement: pl, HT: rng.Intn(4) == 0})
+		}
+		js[i] = j
+	}
+	rng.Shuffle(len(js), func(a, b int) { js[a], js[b] = js[b], js[a] })
+	return js
+}
+
+// TestArbiterOrderMatchesStableSort: on random job sets with deliberate
+// ties, every built-in arbiter's Order equals the stable-sort reference,
+// both outside an engine and through an engine-owned Order buffer; Budget
+// equals the strict-ordering budget over the reference order; and a
+// Budget call, which re-runs Order into the shared buffer, leaves an
+// earlier Order result exactly as it was — the engine iterates one while
+// calling the other.
+func TestArbiterOrderMatchesStableSort(t *testing.T) {
+	m := hw.NewKNL()
+	g := randomGraph(rand.New(rand.NewSource(1)), "g")
+	less := map[string]func(a, b *JobState) bool{
+		"fair":     func(a, b *JobState) bool { return a.ProgressFraction() < b.ProgressFraction() },
+		"priority": func(a, b *JobState) bool { return a.Priority > b.Priority },
+		"srwf":     func(a, b *JobState) bool { return a.RemainingWorkNs() < b.RemainingWorkNs() },
+	}
+	equal := func(a, b []*JobState) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		js := randomJobStates(rng, g)
+		for _, name := range Arbiters() {
+			arb, err := NewArbiter(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceOrder(js, less[name])
+			for _, j := range js {
+				j.order = nil
+			}
+			if got := arb.Order(js); !equal(got, want) {
+				t.Logf("seed=%d %s: unbuffered order differs from the stable sort", seed, name)
+				return false
+			}
+			var buf []*JobState
+			for _, j := range js {
+				j.order = &buf
+			}
+			got := arb.Order(js)
+			snapshot := append([]*JobState(nil), got...)
+			if !equal(got, want) {
+				t.Logf("seed=%d %s: buffered order differs from the stable sort", seed, name)
+				return false
+			}
+			for _, j := range js {
+				b := arb.Budget(j, js, m)
+				if ref := leftoverBudget(j, want, m); name != "fair" && b != ref {
+					t.Logf("seed=%d %s job %d: budget %d, reference %d", seed, name, j.Index, b, ref)
+					return false
+				}
+			}
+			if !equal(got, snapshot) {
+				t.Logf("seed=%d %s: Budget changed an earlier Order result", seed, name)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(19))}); err != nil {
 		t.Error(err)
 	}
 }

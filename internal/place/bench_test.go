@@ -150,15 +150,10 @@ func BenchmarkPlaceHeteroStream(b *testing.B) {
 	}
 }
 
-// BenchmarkCPUWaveSim prices one wave-memo miss: a fixed mixed KNL gang of
-// two training jobs and two inference requests simulated fresh through the
-// engine's CPU wave path (memo off), with graphs built and hill-climb
-// profiles cached beforehand as they are in a steady replay. Each iteration
-// pays a wave's per-job set-up — runtimes profiled from the cache, their
-// Strategy-3 tables looked up — plus the multi-job co-run itself; the
-// allocs/op gate keeps per-operation-class facts from being re-derived for
-// every job.
-func BenchmarkCPUWaveSim(b *testing.B) {
+// cpuWaveBench is the CPU wave benchmarks' fixture: a fixed mixed KNL gang
+// of two training jobs and two inference requests, and a constructor of
+// fresh memo-free CPU runtimes over graphs built once.
+func cpuWaveBench(b *testing.B) (gang []WaveJob, newRuntime func() NodeRuntime) {
 	arb, err := multijob.NewArbiter("fair")
 	if err != nil {
 		b.Fatal(err)
@@ -172,13 +167,35 @@ func BenchmarkCPUWaveSim(b *testing.B) {
 		graphs[model] = g
 		return g
 	}
-	rt := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, arb, core.AllStrategies(), graphFor, true)[0]
-	gang := []WaveJob{
+	m := hw.NewKNL()
+	newRuntime = func() NodeRuntime {
+		return buildRuntimes([]Node{{CPU: m}}, arb, core.AllStrategies(), graphFor, true)[0]
+	}
+	gang = []WaveJob{
 		{Name: "lstm#0", Model: nn.LSTM, Priority: 1, Weight: 1},
 		{Name: "dcgan#1", Model: nn.DCGAN, Weight: 1},
 		{Name: "lstm@4#2", Model: InferKey(nn.LSTM, 4), Weight: 1, Class: ClassInference},
 		{Name: "dcgan@2#3", Model: InferKey(nn.DCGAN, 2), Weight: 1, Class: ClassInference},
 	}
+	// An untimed wave builds the graphs and fills the hill-climb profile
+	// cache, as a steady replay has.
+	if _, err := newRuntime().RunWave(gang); err != nil {
+		b.Fatal(err)
+	}
+	return gang, newRuntime
+}
+
+// BenchmarkCPUWaveSim prices one steady-state wave-memo miss: the
+// cpuWaveBench gang simulated fresh through the engine's CPU wave path
+// (memo off) on a runtime whose per-model cache is warm, as it is for
+// nearly every miss of a replay. Each iteration pays the multi-job co-run
+// alone: the profiled runtime jobs and their solo makespans come from the
+// cache. The allocs/op gate keeps per-operation-class facts from being
+// re-derived for every job and a co-run's scheduling rounds from
+// allocating their scheduler view and arbiter order.
+func BenchmarkCPUWaveSim(b *testing.B) {
+	gang, newRuntime := cpuWaveBench(b)
+	rt := newRuntime()
 	if _, err := rt.RunWave(gang); err != nil {
 		b.Fatal(err)
 	}
@@ -189,6 +206,27 @@ func BenchmarkCPUWaveSim(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := rt.RunWave(gang)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Jobs) != len(gang) {
+			b.Fatalf("wave priced %d jobs, want %d", len(res.Jobs), len(gang))
+		}
+	}
+}
+
+// BenchmarkCPUWaveSimCold prices the first wave of BenchmarkCPUWaveSim's
+// gang on a fresh runtime every iteration: each job's runtime profiled
+// from the process-wide hill-climb cache and its solo step run, then the
+// co-run. Its distance from BenchmarkCPUWaveSim is the first-wave cost a
+// runtime's per-model cache pays once per model key.
+func BenchmarkCPUWaveSimCold(b *testing.B) {
+	gang, newRuntime := cpuWaveBench(b)
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := newRuntime().RunWave(gang)
 		if err != nil {
 			b.Fatal(err)
 		}

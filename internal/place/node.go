@@ -93,9 +93,11 @@ type WaveResult struct {
 // of a model cost alone here, and what does a wave of resident jobs
 // actually cost. A CPU node answers through the multi-job co-scheduling
 // engine; a GPU node through the occupancy/stream co-run model. Both
-// implementations are deterministic and stateless across waves, so nodes
-// sharing one hardware descriptor share one runtime (and its per-model
-// work cache).
+// implementations are deterministic. Their only state across waves is
+// per-model caches of values a wave would otherwise recompute identically
+// (predicted work, and on a CPU node the profiled runtime job and its solo
+// makespan), so nodes sharing one hardware descriptor share one runtime
+// and its caches.
 type NodeRuntime interface {
 	// Kind is the hardware kind, KindCPU or KindGPU.
 	Kind() string
@@ -140,7 +142,7 @@ func (c *workCache[V]) get(key string, compute func() V) V {
 	return v
 }
 
-// cpuRuntime runs waves through multijob.CoTrain: per-job runtime
+// cpuRuntime runs waves through multijob.CoRun: per-job runtime
 // schedulers under a cross-job arbiter, contention priced over the union
 // of in-flight operations — the identical-node behaviour the engine had
 // before heterogeneous clusters.
@@ -151,7 +153,21 @@ type cpuRuntime struct {
 	cfg      core.Config
 	graphFor func(string) *graph.Graph
 	work     workCache[float64]
-	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
+	models   map[string]cpuModel // by model key, filled by the first wave that needs one
+	memo     *waveMemo           // fleet-wide RunWave cache; nil when disabled
+}
+
+// cpuModel is what every wave of one model key shares on a CPU runtime:
+// the profiled runtime job and its solo makespan. A model key fixes the
+// graph and the runtime fixes the machine and config, so both equal what
+// a fresh multijob.RuntimeJob and multijob.SoloNs would compute — the
+// profiled core.Runtime is read-only, so waves may share it, even two
+// jobs of one wave. The cache is per runtime, not process-wide: the
+// profile store's graph signature omits Op.Window, so it is not a sound
+// key for a solo makespan.
+type cpuModel struct {
+	job    multijob.Job
+	soloNs float64
 }
 
 // cpuMeshAlpha mirrors the exec engine's pinned mesh-interference
@@ -189,35 +205,72 @@ func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 	return c.simulate(jobs)
 }
 
-// simulate prices one wave fresh through the multi-job co-scheduling
-// engine.
+// model returns the cached profiled job and solo makespan of a model key,
+// building them on first use; name labels the job in errors.
+func (c *cpuRuntime) model(name, key string) (cpuModel, error) {
+	if mdl, ok := c.models[key]; ok {
+		return mdl, nil
+	}
+	job, err := multijob.RuntimeJob(name, c.graphFor(key), c.m, c.cfg)
+	if err != nil {
+		return cpuModel{}, fmt.Errorf("place: job %s: %w", name, err)
+	}
+	solo, err := multijob.SoloNs(job, c.m)
+	if err != nil {
+		return cpuModel{}, err
+	}
+	if c.models == nil {
+		c.models = make(map[string]cpuModel, 8)
+	}
+	mdl := cpuModel{job: job, soloNs: solo}
+	c.models[key] = mdl
+	return mdl, nil
+}
+
+// simulate prices one wave's co-run fresh through the multi-job
+// co-scheduling engine; each job's profile and solo baseline come from the
+// runtime's per-model cache.
 func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	mj := make([]multijob.Job, len(jobs))
+	solos := make([]float64, len(jobs))
 	for i, wj := range jobs {
-		job, err := multijob.RuntimeJob(wj.Name, c.graphFor(wj.Model), c.m, c.cfg)
+		mdl, err := c.model(wj.Name, wj.Model)
 		if err != nil {
-			return nil, fmt.Errorf("place: job %s: %w", wj.Name, err)
+			return nil, err
 		}
-		job.Priority = wj.Priority
-		job.Weight = wj.Weight
-		if wj.Class == ClassInference {
-			w := wj.Weight
-			if w <= 0 {
-				w = 1
-			}
-			job.Weight = w * inferenceWeightBoost
-		}
-		mj[i] = job
+		mj[i] = cpuWaveJob(wj, mdl.job)
+		solos[i] = mdl.soloNs
 	}
-	res, err := multijob.CoTrain(mj, c.arb, multijob.Options{Machine: c.m})
+	res, err := multijob.CoRun(mj, solos, c.arb, multijob.Options{Machine: c.m})
 	if err != nil {
 		return nil, err
 	}
-	out := &WaveResult{TotalNs: res.TotalNs, Jobs: make([]WaveJobResult, len(jobs))}
+	return cpuWaveResult(res), nil
+}
+
+// cpuWaveJob labels a profiled runtime job as wave job wj: its name, its
+// priority and its arbiter weight, boosted for an inference slot.
+func cpuWaveJob(wj WaveJob, job multijob.Job) multijob.Job {
+	job.Name = wj.Name
+	job.Priority = wj.Priority
+	job.Weight = wj.Weight
+	if wj.Class == ClassInference {
+		w := wj.Weight
+		if w <= 0 {
+			w = 1
+		}
+		job.Weight = w * inferenceWeightBoost
+	}
+	return job
+}
+
+// cpuWaveResult keeps the per-job times of a co-run.
+func cpuWaveResult(res *multijob.Result) *WaveResult {
+	out := &WaveResult{TotalNs: res.TotalNs, Jobs: make([]WaveJobResult, len(res.Jobs))}
 	for i, jr := range res.Jobs {
 		out.Jobs[i] = WaveJobResult{SoloNs: jr.SoloNs, MakespanNs: jr.MakespanNs, Slowdown: jr.Slowdown}
 	}
-	return out, nil
+	return out
 }
 
 // gpuRuntime runs waves through the gpu occupancy/stream model: each

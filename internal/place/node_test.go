@@ -1,0 +1,119 @@
+package place
+
+import (
+	"fmt"
+	"testing"
+
+	"opsched/internal/core"
+	"opsched/internal/graph"
+	"opsched/internal/hw"
+	"opsched/internal/multijob"
+	"opsched/internal/nn"
+)
+
+// freshCPUWave prices a wave the way the CPU runtime did before it cached
+// per-model state: every job profiled from a freshly built graph, then
+// multijob.CoTrain, which runs each job solo before the co-run.
+func freshCPUWave(t *testing.T, m *hw.Machine, arb multijob.Arbiter, wave []WaveJob) *WaveResult {
+	t.Helper()
+	jobs := make([]multijob.Job, len(wave))
+	for i, wj := range wave {
+		job, err := multijob.RuntimeJob(wj.Name, modelGraph(wj.Model), m, core.AllStrategies())
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = cpuWaveJob(wj, job)
+	}
+	res, err := multijob.CoTrain(jobs, arb, multijob.Options{Machine: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cpuWaveResult(res)
+}
+
+// sameWave reports whether two wave results are bit-identical.
+func sameWave(a, b *WaveResult) bool {
+	if a.TotalNs != b.TotalNs || len(a.Jobs) != len(b.Jobs) {
+		return false
+	}
+	for i := range a.Jobs {
+		if a.Jobs[i] != b.Jobs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCPUModelCacheExact: a CPU runtime whose per-model cache is warm —
+// every profiled job and solo makespan reused from earlier waves — prices
+// a wave bit-identically to CoTrain over freshly built runtime jobs. Every
+// model key the engine prices is covered (the training models and every
+// inference key up to the dynamic-batch cap), each in a gang holding two
+// jobs of that key, so both share one cached runtime, under each of the
+// three arbiters, next to a mixed training/inference gang.
+func TestCPUModelCacheExact(t *testing.T) {
+	var keys []string
+	for _, model := range nn.Names() {
+		keys = append(keys, model)
+		for batch := 1; batch <= maxDynamicBatch; batch++ {
+			keys = append(keys, InferKey(model, batch))
+		}
+	}
+	class := func(key string) string {
+		if _, _, ok := parseInferKey(key); ok {
+			return ClassInference
+		}
+		return ClassTraining
+	}
+	m := hw.NewKNL()
+	for _, name := range multijob.Arbiters() {
+		arb, err := multijob.NewArbiter(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs := make(map[string]*graph.Graph)
+		graphFor := func(model string) *graph.Graph {
+			if g, ok := graphs[model]; ok {
+				return g
+			}
+			g := modelGraph(model)
+			graphs[model] = g
+			return g
+		}
+		rt := buildRuntimes([]Node{{CPU: m}}, arb, core.AllStrategies(), graphFor, true)[0]
+		check := func(wave []WaveJob) {
+			t.Helper()
+			got, err := rt.RunWave(wave)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := freshCPUWave(t, m, arb, wave); !sameWave(got, want) {
+				t.Errorf("%s wave %+v: cached %+v, fresh %+v", name, wave, got, want)
+			}
+		}
+		for _, key := range keys {
+			// Fill the cache with a lone job, then price the duo warm.
+			if _, err := rt.RunWave([]WaveJob{{Name: key, Model: key, Weight: 1, Class: class(key)}}); err != nil {
+				t.Fatal(err)
+			}
+			check([]WaveJob{
+				{Name: fmt.Sprintf("%s#0", key), Model: key, Priority: 1, Weight: 1, Class: class(key)},
+				{Name: fmt.Sprintf("%s#1", key), Model: key, Weight: 2, Class: class(key)},
+			})
+		}
+		for _, key := range []string{nn.LSTM, nn.DCGAN, InferKey(nn.LSTM, 3)} {
+			if _, err := rt.RunWave([]WaveJob{{Name: key, Model: key, Weight: 1, Class: class(key)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(rt.(*cpuRuntime).models); n != len(keys) {
+			t.Errorf("%s: %d cached models, want one per key (%d)", name, n, len(keys))
+		}
+		check([]WaveJob{
+			{Name: "lstm#0", Model: nn.LSTM, Priority: 2, Weight: 1},
+			{Name: "lstm@3#1", Model: InferKey(nn.LSTM, 3), Weight: 1, Class: ClassInference},
+			{Name: "dcgan#2", Model: nn.DCGAN, Priority: 1, Weight: 0.5},
+			{Name: "lstm#3", Model: nn.LSTM, Weight: 1},
+		})
+	}
+}
