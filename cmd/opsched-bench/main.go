@@ -137,7 +137,6 @@ type jsonClusterCell struct {
 	Nodes          int     `json:"nodes"`
 	Gpus           int     `json:"gpus"`
 	Preempt        string  `json:"preempt"`
-	Engine         string  `json:"engine"`
 	Fleet          string  `json:"fleet"`
 	Report         string  `json:"report"`
 	MakespanMs     float64 `json:"makespan_ms"`
@@ -197,7 +196,6 @@ func main() {
 	infGapMs := flag.Float64("inf-gap", 0.1, "mean calm-phase inter-arrival gap of the -inference stream, in ms (burst phases run 10x hotter)")
 	sloMs := flag.Float64("slo", 0, "per-request latency SLO of the -inference stream, in ms (0 = 50 calm gaps)")
 	shareMode := flag.String("share", "", `GPU sharing mode for -cluster fleets: "streams" (default) or "mps"`)
-	engineSpec := flag.String("engine", "batch", `execution engines for -cluster, comma-separated: "batch" (closed-workload engine), "pipeline" (streaming admission→execution→metrics pipeline); both render byte-identically`)
 	metricsOut := flag.String("metrics-out", "", "write the -cluster sweep's metrics registry to this file in Prometheus text format")
 	traceOut := flag.String("trace-out", "", "write the -cluster run's virtual-time scheduler timeline to this file as Chrome trace-event JSON (single-cell grids only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -228,7 +226,7 @@ func main() {
 		inf := inferenceSpec{n: *inferenceN, gapMs: *infGapMs, sloMs: *sloMs}
 		out := obsOut{metricsPath: *metricsOut, tracePath: *traceOut}
 		runCluster(ctx, *clusterN, *policy, *nodesSpec, *gpusSpec, *models, *arbiter,
-			*seed, *gapMs, *steps, *preemptSpec, *triggerSpec, *engineSpec, inf, *shareMode,
+			*seed, *gapMs, *steps, *preemptSpec, *triggerSpec, inf, *shareMode,
 			*parallel, *jsonOut, out)
 		return
 	}
@@ -380,7 +378,7 @@ type obsOut struct {
 // mixed stream sweeps the same grid. Same determinism contract as the
 // other modes — stdout is byte-identical at any -parallel, timings go to
 // stderr or the JSON payload.
-func runCluster(ctx context.Context, n int, policySpec, nodesSpec, gpusSpec, modelsSpec, arbiterSpec string, seed uint64, gapMs float64, steps int, preemptSpec, triggerSpec, engineSpec string, inf inferenceSpec, shareMode string, parallel int, jsonOut bool, out obsOut) {
+func runCluster(ctx context.Context, n int, policySpec, nodesSpec, gpusSpec, modelsSpec, arbiterSpec string, seed uint64, gapMs float64, steps int, preemptSpec, triggerSpec string, inf inferenceSpec, shareMode string, parallel int, jsonOut bool, out obsOut) {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "opsched-bench: %v\n", err)
 		os.Exit(1)
@@ -460,23 +458,12 @@ func runCluster(ctx context.Context, n int, policySpec, nodesSpec, gpusSpec, mod
 		arb = "fair"
 	}
 
-	var engines []string
-	for _, e := range strings.Split(engineSpec, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			engines = append(engines, e)
-		}
-	}
-	if len(engines) == 0 {
-		fail(fmt.Errorf("-engine %q names no engines", engineSpec))
-	}
-
 	grid := opsched.ClusterSweepGrid{
 		Workloads: []opsched.NamedWorkload{{Name: wlName, Jobs: workload}},
 		Policies:  policies,
 		Sizes:     sizes,
 		GPUs:      gpus,
 		Preempts:  preempts,
-		Engines:   engines,
 		Arbiter:   arb,
 	}
 	if s := strings.TrimSpace(shareMode); s != "" && s != opsched.SharingStreams {
@@ -500,7 +487,7 @@ func runCluster(ctx context.Context, n int, policySpec, nodesSpec, gpusSpec, mod
 		}
 		if out.tracePath != "" {
 			if cells := grid.Cells(); len(cells) != 1 {
-				fail(fmt.Errorf("-trace-out needs a single-cell grid, got %d cells; pin -policy, -nodes, -gpus, -preempt and -engine to one value each", len(cells)))
+				fail(fmt.Errorf("-trace-out needs a single-cell grid, got %d cells; pin -policy, -nodes, -gpus and -preempt to one value each", len(cells)))
 			}
 			grid.Obs.Tracer = opsched.NewSchedTracer()
 		}
@@ -550,7 +537,7 @@ func emitClusterCells(cells []opsched.ClusterSweepCell, total time.Duration, par
 		for _, c := range cells {
 			jc := jsonClusterCell{
 				Workload: c.Workload, Policy: c.Policy, Nodes: c.Nodes,
-				Gpus: c.GPUs, Preempt: c.Result.Preempt, Engine: engineName(c.Engine),
+				Gpus: c.GPUs, Preempt: c.Result.Preempt,
 				Fleet:          c.Result.Fleet,
 				Report:         c.Result.Render(),
 				MakespanMs:     c.Result.MakespanNs / 1e6,
@@ -614,11 +601,6 @@ func emitClusterCells(cells []opsched.ClusterSweepCell, total time.Duration, par
 		if c.Preempt != "" && c.Preempt != "off" {
 			label = fmt.Sprintf("%s / p=%s", label, c.Preempt)
 		}
-		// The default batch engine keeps the historical label; only a
-		// pipeline cell announces its engine.
-		if e := engineName(c.Engine); e != "batch" {
-			label = fmt.Sprintf("%s / e=%s", label, e)
-		}
 		fmt.Printf("=== %s ===\n%s\n", label, c.Result.Render())
 		fmt.Fprintf(os.Stderr, "opsched-bench: %-35s %.2fs\n", label, c.Elapsed.Seconds())
 	}
@@ -677,14 +659,6 @@ func writeProfile(name, path string) {
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "opsched-bench: %s profile: %v\n", name, err)
 	}
-}
-
-// engineName spells a cell's engine, defaulting the historical empty value.
-func engineName(e string) string {
-	if e == "" {
-		return "batch"
-	}
-	return e
 }
 
 func emitJobCells(cells []opsched.JobSweepCell, total time.Duration, parallel int, jsonOut bool) {

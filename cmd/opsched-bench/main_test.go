@@ -37,12 +37,3 @@ func TestParseArbiters(t *testing.T) {
 		t.Fatalf("got %v", some)
 	}
 }
-
-func TestEngineName(t *testing.T) {
-	if engineName("") != "batch" {
-		t.Fatal(`empty engine should spell "batch"`)
-	}
-	if engineName("pipeline") != "pipeline" {
-		t.Fatal("named engine must pass through")
-	}
-}

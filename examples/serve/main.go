@@ -3,9 +3,8 @@
 // admission→execution→metrics pipeline — no job slice is ever
 // materialized — while the metrics stage publishes live queue/JCT
 // percentile snapshots between completions. When the trace ends, the END
-// flag drains every stage in order and the sealed placement report is
-// byte-identical to the batch engine fed the same jobs: the simulator and
-// the service share one engine, so there is nothing to keep in sync.
+// flag drains every stage in order and the metrics stage seals the
+// placement report.
 //
 // The run is deterministic: replay never ticks the virtual clock from
 // wall time, snapshots fire on completion counts, and unknown trace
@@ -52,30 +51,5 @@ func main() {
 	st := src.Stats()
 	fmt.Printf("trace: %d rows -> %d jobs (%d out-of-order, %d unknown models mapped)\n\n",
 		st.Rows, st.Jobs, st.OutOfOrder, st.MappedModels)
-	fmt.Println(res.Render())
-
-	// The equivalence the pipeline is built around: the same jobs through
-	// the closed batch loop and through the streaming pipeline's batch
-	// wrapper render the identical report, byte for byte. (The replay
-	// above differs in exactly one way: live admission clamps j3's
-	// out-of-order arrival forward, where a closed workload is sorted up
-	// front.)
-	src2, err := opsched.NewTraceReader(bytes.NewReader(trace), traceOpts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	jobs, err := src2.ReadAll()
-	if err != nil {
-		log.Fatal(err)
-	}
-	batch, err := opsched.PlaceJobs(jobs, cfg.Cluster, cfg.Options)
-	if err != nil {
-		log.Fatal(err)
-	}
-	streamed, err := opsched.PlaceJobsStreamed(context.Background(), jobs, cfg.Cluster, cfg.Options)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("batch and pipeline engines render identically: %v\n",
-		batch.Render() == streamed.Render())
+	fmt.Print(res.Render())
 }

@@ -15,9 +15,10 @@ import (
 // RunBatch feeds a closed workload through the streaming pipeline and
 // waits for the drain: the same canonicalization, the same arrival order,
 // the same engine, the same policy — so its Result (and Render) is
-// byte-identical to place.PlaceJobs on identical inputs. That equivalence
-// is CI-gated; it is what certifies the pipeline as a refactoring of the
-// batch engine rather than a second scheduler.
+// byte-identical to place.PlaceJobs on identical inputs. The sweep
+// package's golden matrix checks that equivalence in go test; it is what
+// certifies the pipeline as a refactoring of the batch engine rather than
+// a second scheduler.
 func RunBatch(ctx context.Context, w place.Workload, c place.Cluster, opts place.Options) (*place.Result, error) {
 	specs, err := w.Canonical()
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"opsched/internal/hw"
 	"opsched/internal/nn"
 	"opsched/internal/obs"
-	"opsched/internal/pipeline"
 	"opsched/internal/place"
 )
 
@@ -52,13 +51,6 @@ type ClusterGrid struct {
 	// crossed with every cell; empty means {"off"} — run-to-completion
 	// only, the grid the engine always swept.
 	Preempts []string
-	// Engines selects the execution paths crossed with every cell:
-	// "batch" (place.PlaceJobs) and/or "pipeline" (the streaming
-	// admission→execution→metrics pipeline, fed the same closed
-	// workload). Empty means {"batch"}. The two engines are byte-identical
-	// on identical inputs — a "batch"×"pipeline" grid is the equivalence
-	// the sweep tests check.
-	Engines []string
 	// Arbiter is the per-node cross-job policy; empty means "fair".
 	Arbiter string
 	// Machine is the CPU-node hardware model; nil means hw.NewKNL().
@@ -113,30 +105,15 @@ func (g ClusterGrid) preempts() []string {
 	return g.Preempts
 }
 
-func (g ClusterGrid) engines() []string {
-	if len(g.Engines) == 0 {
-		return []string{EngineBatch}
-	}
-	return g.Engines
-}
-
-// Engine names accepted by ClusterGrid.Engines.
-const (
-	EngineBatch    = "batch"
-	EnginePipeline = "pipeline"
-)
-
 // ClusterCell is the outcome of one cluster-placement grid point.
 type ClusterCell struct {
-	// Workload, Policy, Nodes (CPU count), GPUs, Preempt and Engine name
-	// the grid point; Preempt is "off" for run-to-completion cells and
-	// Engine is "batch" or "pipeline".
+	// Workload, Policy, Nodes (CPU count), GPUs and Preempt name the grid
+	// point; Preempt is "off" for run-to-completion cells.
 	Workload string
 	Policy   string
 	Nodes    int
 	GPUs     int
 	Preempt  string
-	Engine   string
 	// Result is the full placement outcome (nil until evaluated). Its
 	// rendered report is deterministic: a parallel sweep produces
 	// byte-identical reports to a serial one.
@@ -162,18 +139,16 @@ func (g ClusterGrid) points() []clusterPoint {
 			for _, size := range g.sizes() {
 				for _, gcount := range g.gpus() {
 					for _, pre := range g.preempts() {
-						for _, eng := range g.engines() {
-							pts = append(pts, clusterPoint{
-								cell: ClusterCell{Workload: wl.Name, Policy: pol,
-									Nodes: size, GPUs: gcount, Preempt: pre, Engine: eng},
-								jobs: wl.Jobs,
-								c: place.Cluster{Nodes: size, Machine: g.Machine,
-									GPUs: gcount, GPU: g.GPU, Interconnect: g.Interconnect},
-								opts: place.Options{Policy: pol, Arbiter: g.Arbiter,
-									Config: g.Config, Preempt: preemptOpt(pre),
-									Obs: g.Obs},
-							})
-						}
+						pts = append(pts, clusterPoint{
+							cell: ClusterCell{Workload: wl.Name, Policy: pol,
+								Nodes: size, GPUs: gcount, Preempt: pre},
+							jobs: wl.Jobs,
+							c: place.Cluster{Nodes: size, Machine: g.Machine,
+								GPUs: gcount, GPU: g.GPU, Interconnect: g.Interconnect},
+							opts: place.Options{Policy: pol, Arbiter: g.Arbiter,
+								Config: g.Config, Preempt: preemptOpt(pre),
+								Obs: g.Obs},
+						})
 					}
 				}
 			}
@@ -191,7 +166,7 @@ func preemptOpt(pre string) string {
 }
 
 // Cells enumerates the grid points in deterministic workload-major,
-// policy-minor, size-GPU-count-preempt-then-engine-innermost order — the
+// policy-minor, size-then-GPU-count-then-preempt-innermost order — the
 // order RunClusterGrid's results use.
 func (g ClusterGrid) Cells() []ClusterCell {
 	pts := g.points()
@@ -208,22 +183,13 @@ func (g ClusterGrid) Cells() []ClusterCell {
 // perfmodel cache, so every cell of one workload profiles each model once.
 // Results are indexed exactly like ClusterGrid.Cells.
 func RunClusterGrid(ctx context.Context, g ClusterGrid, parallelism int) ([]ClusterCell, error) {
-	return Map(ctx, parallelism, g.points(), func(ctx context.Context, _ int, pt clusterPoint) (ClusterCell, error) {
+	return Map(ctx, parallelism, g.points(), func(_ context.Context, _ int, pt clusterPoint) (ClusterCell, error) {
 		start := time.Now()
 		cell := pt.cell
-		var res *place.Result
-		var err error
-		switch cell.Engine {
-		case "", EngineBatch:
-			res, err = place.PlaceJobs(pt.jobs, pt.c, pt.opts)
-		case EnginePipeline:
-			res, err = pipeline.RunBatch(ctx, pt.jobs, pt.c, pt.opts)
-		default:
-			err = fmt.Errorf("unknown engine %q (have %s, %s)", cell.Engine, EngineBatch, EnginePipeline)
-		}
+		res, err := place.PlaceJobs(pt.jobs, pt.c, pt.opts)
 		if err != nil {
-			return ClusterCell{}, fmt.Errorf("sweep: cell %s/%s/n=%d/g=%d/p=%s/e=%s: %w",
-				cell.Workload, cell.Policy, cell.Nodes, cell.GPUs, cell.Preempt, cell.Engine, err)
+			return ClusterCell{}, fmt.Errorf("sweep: cell %s/%s/n=%d/g=%d/p=%s: %w",
+				cell.Workload, cell.Policy, cell.Nodes, cell.GPUs, cell.Preempt, err)
 		}
 		cell.Result = res
 		cell.Elapsed = time.Since(start)

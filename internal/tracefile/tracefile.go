@@ -252,7 +252,9 @@ func (t *Reader) rowErr(format string, args ...interface{}) error {
 	return fmt.Errorf("tracefile: row %d: %s", t.row, fmt.Sprintf(format, args...))
 }
 
-// decode turns one record into a spec.
+// decode turns one record into a spec. A row admission would reject is a
+// row error, and only an accepted row moves the epoch and the
+// out-of-order watermark, so a skipped row leaves no trace in later ones.
 func (t *Reader) decode(rec []string) (place.JobSpec, error) {
 	var j place.JobSpec
 
@@ -271,21 +273,14 @@ func (t *Reader) decode(rec []string) (place.JobSpec, error) {
 	if err != nil {
 		return j, t.rowErr("submission time %q: %v", sub, err)
 	}
+	epochNs := t.epochNs
 	if !t.epochSet {
-		t.epochSet = true
-		t.epochNs = subNs
+		epochNs = subNs
 	}
-	j.ArrivalNs = (subNs - t.epochNs) / t.opts.compress()
-	if j.ArrivalNs < t.lastNs {
-		t.stats.OutOfOrder++
-	} else {
-		t.lastNs = j.ArrivalNs
-	}
-	if j.ArrivalNs < 0 {
-		// A pre-epoch row (out-of-order against the very first): clamp to
-		// the trace start; the pipeline's admission clock would anyway.
-		j.ArrivalNs = 0
-	}
+	arrivalNs := (subNs - epochNs) / t.opts.compress()
+	// A pre-epoch row (out-of-order against the very first) clamps to the
+	// trace start; the pipeline's admission clock would anyway.
+	j.ArrivalNs = math.Max(arrivalNs, 0)
 
 	if s := field(rec, t.priority); s != "" {
 		v, err := strconv.Atoi(s)
@@ -316,10 +311,20 @@ func (t *Reader) decode(rec []string) (place.JobSpec, error) {
 		if err != nil {
 			return j, t.rowErr("deadline %q: %v", s, err)
 		}
-		d := (v - t.epochNs) / t.opts.compress()
+		d := (v - epochNs) / t.opts.compress()
 		if d > j.ArrivalNs { // a deadline at or before arrival is meaningless: drop it
 			j.DeadlineNs = d
 		}
+	}
+	if err := j.Check(t.row - 1); err != nil {
+		return j, t.rowErr("%v", err)
+	}
+
+	t.epochSet, t.epochNs = true, epochNs
+	if arrivalNs < t.lastNs {
+		t.stats.OutOfOrder++
+	} else {
+		t.lastNs = arrivalNs
 	}
 	return j, nil
 }
@@ -329,10 +334,13 @@ func (t *Reader) decode(rec []string) (place.JobSpec, error) {
 // TimeUnit, timestamp cells anchor on the Unix epoch.
 func (t *Reader) parseSubmitNs(s string) (float64, error) {
 	if v, err := strconv.ParseFloat(s, 64); err == nil {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		// Checked after scaling: a finite cell like 1e300 seconds
+		// overflows to +Inf nanoseconds.
+		ns := v * t.opts.unitNs()
+		if math.IsNaN(ns) || math.IsInf(ns, 0) {
 			return 0, fmt.Errorf("non-finite value")
 		}
-		return v * t.opts.unitNs(), nil
+		return ns, nil
 	}
 	for _, layout := range timestampLayouts {
 		if ts, err := time.Parse(layout, s); err == nil {
@@ -353,7 +361,7 @@ func (t *Reader) mapModel(name string) string {
 	if err != nil {
 		h := fnv.New32a()
 		io.WriteString(h, strings.ToLower(strings.TrimSpace(name)))
-		m = t.palette[int(h.Sum32())%len(t.palette)]
+		m = t.palette[h.Sum32()%uint32(len(t.palette))]
 		t.stats.MappedModels++
 	}
 	t.modelMemo[name] = m

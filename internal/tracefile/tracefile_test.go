@@ -1,8 +1,11 @@
 package tracefile
 
 import (
+	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -249,7 +252,9 @@ func TestTimeUnitAndCompress(t *testing.T) {
 
 // TestUnknownModelMappingIsStable: the same unknown name maps to the same
 // palette model in every reader — replays are reproducible — and distinct
-// mappings are counted once per name.
+// mappings are counted once per name. Both names hash to 2^31 or more, the
+// range that indexed the palette negatively on 32-bit builds
+// (GOARCH=386 go test ./internal/tracefile).
 func TestUnknownModelMappingIsStable(t *testing.T) {
 	trace := "model,submit\nbert-xxl,0\nbert-xxl,1\nswin-v2,2\n"
 	first, err := NewReader(strings.NewReader(trace), Options{})
@@ -278,6 +283,84 @@ func TestUnknownModelMappingIsStable(t *testing.T) {
 	}
 	if got := first.Stats().MappedModels; got != 2 {
 		t.Errorf("mapped-model count %d, want 2 distinct names", got)
+	}
+	palette := nn.Names()
+	sort.Strings(palette)
+	for _, tc := range []struct {
+		name string
+		got  string
+	}{{"bert-xxl", w1[0].Model}, {"swin-v2", w1[2].Model}} {
+		h := fnv.New32a()
+		io.WriteString(h, tc.name)
+		if h.Sum32() < 1<<31 {
+			t.Fatalf("%s hashes to %d; pick a name at or above 2^31", tc.name, h.Sum32())
+		}
+		if want := palette[h.Sum32()%uint32(len(palette))]; tc.got != want {
+			t.Errorf("%s mapped to %q, want %q", tc.name, tc.got, want)
+		}
+	}
+}
+
+// TestRowsAdmissionWouldReject: a row whose submission or deadline
+// overflows to ±Inf once scaled to nanoseconds, or that admission would
+// reject (a NaN or negative weight), is a row error, and SkipMalformed
+// skips it without letting it anchor the epoch or the out-of-order count.
+func TestRowsAdmissionWouldReject(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		trace    string
+		badRow   int       // first rejected row in a strict read
+		arrivals []float64 // surviving arrivals under SkipMalformed
+	}{
+		{"overflowing epoch", "model,submit\nlstm,1e300\ndcgan,5\nlstm,7\n", 1, []float64{0, 2e9}},
+		{"overflowing later row", "model,submit\nlstm,0\nlstm,1e300\ndcgan,3\n", 2, []float64{0, 3e9}},
+		{"negative overflow", "model,submit\nlstm,-1e300\nlstm,4\n", 1, []float64{0}},
+		{"overflowing deadline", "model,submit,deadline\nlstm,0,1e300\nlstm,1,9\n", 1, []float64{0}},
+		{"NaN weight", "model,submit,weight\nlstm,2,NaN\nlstm,3,1\n", 1, []float64{0}},
+		{"negative weight", "model,submit,weight\nlstm,0,1\nlstm,1,-1\nlstm,2,0.5\n", 2, []float64{0, 2e9}},
+		{"infinite weight", "model,submit,weight\nlstm,0,Inf\n", 1, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewReader(strings.NewReader(tc.trace), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for row := 1; ; row++ {
+				_, err := r.Next()
+				if row < tc.badRow && err != nil {
+					t.Fatalf("row %d: %v", row, err)
+				}
+				if row == tc.badRow {
+					if want := fmt.Sprintf("row %d:", row); err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("strict read of row %d: got %v, want an error naming %q", row, err, want)
+					}
+					break
+				}
+			}
+
+			r, err = NewReader(strings.NewReader(tc.trace), Options{SkipMalformed: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := r.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(w) != len(tc.arrivals) {
+				t.Fatalf("kept %d jobs %+v, want arrivals %v", len(w), w, tc.arrivals)
+			}
+			for i, j := range w {
+				if j.ArrivalNs != tc.arrivals[i] {
+					t.Errorf("job %d arrival %v, want %v", i, j.ArrivalNs, tc.arrivals[i])
+				}
+				if err := j.Check(i); err != nil {
+					t.Errorf("kept job %d fails admission: %v", i, err)
+				}
+			}
+			if s := r.Stats(); s.Skipped != 1 || s.OutOfOrder != 0 {
+				t.Errorf("stats %+v, want one skip and no out-of-order rows", s)
+			}
+		})
 	}
 }
 

@@ -432,13 +432,6 @@ func RunClusterSweep(ctx context.Context, g ClusterSweepGrid, parallelism int) (
 	return sweep.RunClusterGrid(ctx, g, parallelism)
 }
 
-// Engine names accepted by ClusterSweepGrid.Engines: the closed batch
-// engine and the streaming pipeline, byte-identical on identical inputs.
-const (
-	EngineBatch    = sweep.EngineBatch
-	EnginePipeline = sweep.EnginePipeline
-)
-
 // JobPipeline is a running admission→execution→metrics chain:
 // Submit jobs (and optionally Ticks) from any goroutine, Close to send the
 // END flag through every stage, Wait for the sealed result, Snapshot for
@@ -457,13 +450,6 @@ type StreamSnapshot = pipeline.Snapshot
 // NewJobPipeline starts the three pipeline stages over a fresh engine.
 func NewJobPipeline(ctx context.Context, cfg PipelineConfig) (*JobPipeline, error) {
 	return pipeline.New(ctx, cfg)
-}
-
-// PlaceJobsStreamed is PlaceJobs routed through the streaming pipeline
-// instead of the batch loop. The two render byte-identically on identical
-// inputs — the equivalence go test checks.
-func PlaceJobsStreamed(ctx context.Context, w ClusterWorkload, c Cluster, opts PlaceOptions) (*PlacementResult, error) {
-	return pipeline.RunBatch(ctx, w, c, opts)
 }
 
 // JobSource streams job specs into a replay; Next returns io.EOF at the
