@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -14,7 +15,8 @@ import (
 
 // Runtime is the concurrency-control and operation-scheduling runtime. It
 // implements exec.Scheduler; construct with New, run the profiling steps
-// with Profile, then hand it to exec.Run.
+// with Profile, then hand it to exec.Run. A profiled Runtime is read-only,
+// so several executions may share it.
 type Runtime struct {
 	cfg     Config
 	machine *hw.Machine
@@ -23,39 +25,64 @@ type Runtime struct {
 	byKind map[op.Kind]*perfmodel.Profile
 	graph  *graph.Graph
 
-	// cands holds each operation class's prepared Strategy-3 candidate
-	// list (top-k thread counts with instance-predicted times, conflict
-	// rule pre-applied). Profiles are frozen after Profile, so the list
-	// never changes — the paper's overhead note: "some decisions based on
-	// Strategy 3 to co-run operations can be reused without repeatedly
-	// running Strategy 3". Fit and throughput checks remain per
-	// scheduling event.
-	cands map[string][]perfmodel.Config
+	// plan holds what the strategies read about each node of graph,
+	// indexed by NodeID. Profiles are frozen after Profile, so every
+	// per-operation fact — thread choice, candidate list, predicted
+	// times — is derived once instead of at every scheduling event: the
+	// paper's overhead note, "some decisions based on Strategy 3 to co-run
+	// operations can be reused without repeatedly running Strategy 3".
+	// Fit and throughput checks remain per scheduling event.
+	plan []nodePlan
+}
+
+// nodePlan is one node's scheduling facts, derived from the frozen
+// profile store by buildTables.
+type nodePlan struct {
+	// tunable reports whether the runtime may change the operation's
+	// intra-op parallelism.
+	tunable bool
+	// cands is the node's class's prepared Strategy-3 candidate list (top-k
+	// thread counts with instance-predicted times, conflict rule
+	// pre-applied), shared by every instance of the class; nil when
+	// Strategy 3 cannot use it.
+	cands []perfmodel.Config
+	// base is the baseline configuration with its predicted time.
+	base perfmodel.Config
+	// chosen is the Strategy-1/2 configuration (chosenConfig).
+	chosen perfmodel.Config
+	// serialNs is the predicted time on one thread: Strategy 4's size rank.
+	serialNs float64
+	// htThreads is the width the node runs at as a hyper-threading guest,
+	// and guestNs its predicted time there on the second hardware thread.
+	htThreads int
+	guestNs   float64
 }
 
 // tables is the read-only state a runtime derives from its frozen profile
-// store: the Strategy-2 per-kind profiles and the Strategy-3 candidate
-// lists. It is built once per (store, tablesKey) and shared by every
-// runtime profiled on an equal (machine, graph, interval) triple.
+// store: the Strategy-2 per-kind profiles and the per-node plans. It is
+// built once per (store, tablesKey) and shared by every runtime profiled
+// on an equal (machine, graph, interval) triple; an equal graph signature
+// means equal operations at every NodeID, so the plans fit every such
+// graph.
 type tables struct {
 	byKind map[op.Kind]*perfmodel.Profile
-	cands  map[string][]perfmodel.Config
+	plan   []nodePlan
 }
 
 // tablesKey holds the configuration fields the tables depend on.
 type tablesKey struct {
+	strategy1      bool
 	strategy2      bool
-	candidates     bool
 	retuneAll      bool
+	candidates     bool
 	topK           int
 	maxThreadDelta int
 }
 
 func (rt *Runtime) tablesKey() tablesKey {
-	k := tablesKey{strategy2: rt.cfg.Strategy2}
+	k := tablesKey{strategy1: rt.cfg.Strategy1, strategy2: rt.cfg.Strategy2, retuneAll: rt.cfg.RetuneAll}
 	if rt.cfg.Strategy3 && (rt.cfg.Strategy1 || rt.cfg.Strategy2) {
 		k.candidates = true
-		k.retuneAll = rt.cfg.RetuneAll
 		k.topK = rt.cfg.candidates()
 		k.maxThreadDelta = rt.cfg.maxThreadDelta()
 	}
@@ -83,7 +110,8 @@ func (rt *Runtime) Store() *perfmodel.Store { return rt.store }
 // process-wide perfmodel cache, so repeated runs over the same (machine,
 // graph) pair — the experiment sweep's common case — skip the search, and
 // share the tables derived from the store; the runtime only ever reads
-// them after this point.
+// them after this point. The runtime then schedules g, or a graph with
+// g's signature, only.
 func (rt *Runtime) Profile(g *graph.Graph) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -91,31 +119,63 @@ func (rt *Runtime) Profile(g *graph.Graph) error {
 	rt.graph = g
 	rt.store = perfmodel.CachedProfileGraph(rt.machine, g, rt.cfg.interval())
 	t := rt.store.Derive(rt.tablesKey(), func() any { return rt.buildTables(g) }).(*tables)
-	rt.byKind, rt.cands = t.byKind, t.cands
+	rt.byKind, rt.plan = t.byKind, t.plan
 	return nil
 }
 
 // buildTables derives the tables for rt's store and configuration: the
-// per-kind largest-instance profiles and, when Strategy 3 can run, the
-// candidate list of every tunable operation class in g (untunable ones
-// only ever run at the baseline width).
+// per-kind largest-instance profiles and every node's plan. Candidate
+// lists are prepared once per tunable operation class, and only when
+// Strategy 3 can run (untunable operations only ever run at the baseline
+// width).
 func (rt *Runtime) buildTables(g *graph.Graph) *tables {
 	rt.byKind = perfmodel.LargestInstanceProfiles(g, rt.store)
-	t := &tables{byKind: rt.byKind}
-	if !rt.tablesKey().candidates {
-		return t
-	}
-	t.cands = make(map[string][]perfmodel.Config)
+	t := &tables{byKind: rt.byKind, plan: make([]nodePlan, g.Len())}
+	withCands := rt.tablesKey().candidates
+	cands := make(map[string][]perfmodel.Config)
 	for _, n := range g.Nodes() {
-		if !rt.tunable(n.Op) {
-			continue
-		}
-		sig := n.Op.Signature()
-		if _, ok := t.cands[sig]; !ok {
-			t.cands[sig] = rt.prepareCandidates(n.Op)
+		o := n.Op
+		p := &t.plan[n.ID]
+		p.tunable = rt.tunable(o)
+		p.base = rt.baseline()
+		p.base.TimeNs = rt.predictTime(o, p.base.Threads, p.base.Placement)
+		p.chosen = rt.chosenConfig(o)
+		p.serialNs = rt.predictTime(o, 1, hw.Spread)
+		p.htThreads = min(p.chosen.Threads, rt.machine.Cores)
+		p.guestNs = rt.predictTime(o, p.htThreads, p.chosen.Placement) / rt.machine.HT2Eff
+		if withCands && p.tunable {
+			sig := o.Signature()
+			c, ok := cands[sig]
+			if !ok {
+				c = rt.prepareCandidates(o)
+				cands[sig] = c
+			}
+			p.cands = c
 		}
 	}
 	return t
+}
+
+// planFor returns the node plans for scheduling g. It panics unless g is
+// the graph the runtime was profiled on or one with its signature: the
+// plans are indexed by NodeID, so any other graph would read another
+// graph's facts or index out of range.
+func (rt *Runtime) planFor(g *graph.Graph) []nodePlan {
+	if g != rt.graph {
+		if rt.graph == nil {
+			panic("core: " + rt.Name() + " scheduled before Profile")
+		}
+		if g.Signature() != rt.graph.Signature() {
+			panic(fmt.Sprintf("core: %s was profiled on graph %s but asked to schedule graph %s",
+				rt.Name(), describe(rt.graph), describe(g)))
+		}
+	}
+	return rt.plan
+}
+
+// describe names a graph in planFor's panic message.
+func describe(g *graph.Graph) string {
+	return fmt.Sprintf("%q (%d ops, signature %s)", g.Name, g.Len(), g.Signature())
 }
 
 // Name implements exec.Scheduler. Every simulated job renders it, so it
@@ -188,30 +248,33 @@ func (rt *Runtime) predictTime(o *op.Op, threads int, pl hw.Placement) float64 {
 	return math.Inf(1)
 }
 
-// Schedule implements exec.Scheduler.
-func (rt *Runtime) Schedule(st *exec.State) []exec.Decision {
+// Schedule implements exec.Scheduler. It reads only the per-node plans
+// and st, and allocates nothing once dst has room.
+func (rt *Runtime) Schedule(st *exec.State, dst []exec.Decision) []exec.Decision {
+	plan := rt.planFor(st.Graph)
 	if len(st.Ready) == 0 {
-		return nil
+		return dst
 	}
 	if !rt.cfg.Strategy3 {
-		return rt.scheduleSerial(st)
+		return rt.scheduleSerial(st, plan, dst)
 	}
-	ds := rt.scheduleCoRun(st)
+	n0 := len(dst)
+	dst = rt.scheduleCoRun(st, plan, dst)
 	if rt.cfg.Strategy4 {
-		ds = append(ds, rt.scheduleHyperThreading(st, ds)...)
+		dst = rt.scheduleHyperThreading(st, plan, dst, n0)
 	}
-	return ds
+	return dst
 }
 
 // scheduleSerial is the inter-op-1 policy of Strategies 1-2: one operation
 // at a time, each at its tuned thread count.
-func (rt *Runtime) scheduleSerial(st *exec.State) []exec.Decision {
+func (rt *Runtime) scheduleSerial(st *exec.State, plan []nodePlan, dst []exec.Decision) []exec.Decision {
 	if len(st.Running) > 0 {
-		return nil
+		return dst
 	}
 	node := st.Ready[0]
-	cfg := rt.chosenConfig(st.Graph.Node(node).Op)
-	return []exec.Decision{{Node: node, Threads: cfg.Threads, Placement: cfg.Placement, Pinned: true}}
+	cfg := plan[node].chosen
+	return append(dst, exec.Decision{Node: node, Threads: cfg.Threads, Placement: cfg.Placement, Pinned: true})
 }
 
 // scheduleCoRun implements Strategy 3. Whenever cores idle, every ready
@@ -220,22 +283,21 @@ func (rt *Runtime) scheduleSerial(st *exec.State) []exec.Decision {
 // the fewest threads wins, releasing cores for more co-runners. If nothing
 // fits and the machine is empty, the most time-consuming ready operation
 // runs at its tuned width.
-func (rt *Runtime) scheduleCoRun(st *exec.State) []exec.Decision {
+func (rt *Runtime) scheduleCoRun(st *exec.State, plan []nodePlan, dst []exec.Decision) []exec.Decision {
 	idle := st.IdleCores()
 	maxRemaining := st.MaxRemainingNs()
 	running := len(st.Running)
 
-	var ds []exec.Decision
+	n0 := len(dst)
 	for _, node := range st.Ready {
 		if idle <= 0 {
 			break
 		}
-		o := st.Graph.Node(node).Op
-		cand, ok := rt.corunCandidate(o, idle, maxRemaining, running+len(ds) > 0)
+		cand, ok := rt.corunCandidate(&plan[node], idle, maxRemaining, running+len(dst)-n0 > 0)
 		if !ok {
 			continue
 		}
-		ds = append(ds, exec.Decision{Node: node, Threads: cand.Threads, Placement: cand.Placement, Pinned: true})
+		dst = append(dst, exec.Decision{Node: node, Threads: cand.Threads, Placement: cand.Placement, Pinned: true})
 		idle -= cand.Placement.CoresUsed(rt.machine, cand.Threads)
 		if cand.TimeNs > maxRemaining {
 			maxRemaining = cand.TimeNs
@@ -244,45 +306,39 @@ func (rt *Runtime) scheduleCoRun(st *exec.State) []exec.Decision {
 
 	// Nothing fits and nothing is running: fall back to the most
 	// time-consuming ready operation so the machine never idles.
-	if len(ds) == 0 && running == 0 {
+	if len(dst) == n0 && running == 0 {
 		bestNode := st.Ready[0]
 		bestTime := -1.0
 		for _, node := range st.Ready {
-			cfg := rt.chosenConfig(st.Graph.Node(node).Op)
-			if cfg.TimeNs > bestTime {
-				bestTime = cfg.TimeNs
+			if t := plan[node].chosen.TimeNs; t > bestTime {
+				bestTime = t
 				bestNode = node
 			}
 		}
-		cfg := rt.chosenConfig(st.Graph.Node(bestNode).Op)
-		ds = append(ds, exec.Decision{Node: bestNode, Threads: cfg.Threads, Placement: cfg.Placement, Pinned: true})
+		cfg := plan[bestNode].chosen
+		dst = append(dst, exec.Decision{Node: bestNode, Threads: cfg.Threads, Placement: cfg.Placement, Pinned: true})
 	}
-	return ds
+	return dst
 }
 
 // corunCandidate picks, for one ready operation, the Strategy-3 candidate
 // that fits the idle cores without hurting throughput. constrained marks
 // whether the throughput bound applies (it does not when the machine is
 // empty).
-func (rt *Runtime) corunCandidate(o *op.Op, idle int, maxRemaining float64, constrained bool) (perfmodel.Config, bool) {
-	if !rt.tunable(o) || (!rt.cfg.Strategy1 && !rt.cfg.Strategy2) {
+func (rt *Runtime) corunCandidate(p *nodePlan, idle int, maxRemaining float64, constrained bool) (perfmodel.Config, bool) {
+	if !p.tunable || (!rt.cfg.Strategy1 && !rt.cfg.Strategy2) {
 		// Untunable operations can only run at the baseline width.
-		base := rt.baseline()
+		base := p.base
 		if base.Placement.CoresUsed(rt.machine, base.Threads) > idle {
 			return perfmodel.Config{}, false
 		}
-		base.TimeNs = rt.predictTime(o, base.Threads, base.Placement)
 		if constrained && base.TimeNs > maxRemaining {
 			return perfmodel.Config{}, false
 		}
 		return base, true
 	}
 
-	cands, ok := rt.candidates(o)
-	if !ok {
-		return perfmodel.Config{}, false
-	}
-	for _, c := range cands {
+	for _, c := range p.cands {
 		if c.Placement.CoresUsed(rt.machine, c.Threads) > idle {
 			continue
 		}
@@ -292,13 +348,6 @@ func (rt *Runtime) corunCandidate(o *op.Op, idle int, maxRemaining float64, cons
 		return c, true
 	}
 	return perfmodel.Config{}, false
-}
-
-// candidates returns the prepared Strategy-3 candidate list of an
-// operation's class.
-func (rt *Runtime) candidates(o *op.Op) ([]perfmodel.Config, bool) {
-	cands := rt.cands[o.Signature()]
-	return cands, len(cands) > 0
 }
 
 // prepareCandidates builds the Strategy-3 candidate list of one operation
@@ -337,11 +386,12 @@ func (rt *Runtime) prepareCandidates(o *op.Op) []perfmodel.Config {
 	return cands
 }
 
-// scheduleHyperThreading implements Strategy 4: when a running (or just
-// scheduled) operation occupies every physical core, the smallest ready
-// operations — by serial execution time — co-run on the second hardware
-// thread of those cores.
-func (rt *Runtime) scheduleHyperThreading(st *exec.State, pending []exec.Decision) []exec.Decision {
+// scheduleHyperThreading implements Strategy 4: when a running operation
+// occupies every physical core, the smallest ready operations — by serial
+// execution time — co-run on the second hardware thread of those cores.
+// dst[n0:] holds the decisions this event already made; those nodes are
+// taken.
+func (rt *Runtime) scheduleHyperThreading(st *exec.State, plan []nodePlan, dst []exec.Decision, n0 int) []exec.Decision {
 	// A host is "full width" when it occupies (nearly) every physical
 	// core — Strategy 2 often tunes scalable operations to 60-66 threads
 	// rather than exactly 68, and those leave no room for Strategy 3
@@ -357,7 +407,7 @@ func (rt *Runtime) scheduleHyperThreading(st *exec.State, pending []exec.Decisio
 		}
 	}
 	if hostRemaining <= 0 {
-		return nil
+		return dst
 	}
 
 	guests := 0
@@ -368,62 +418,57 @@ func (rt *Runtime) scheduleHyperThreading(st *exec.State, pending []exec.Decisio
 	}
 	budget := rt.cfg.maxHTGuests() - guests
 	if budget <= 0 {
-		return nil
+		return dst
 	}
 
-	taken := make(map[graph.NodeID]bool, len(pending))
-	for _, d := range pending {
-		taken[d.Node] = true
-	}
-
-	// Rank ready operations by serial execution time, shortest first.
+	// The budget smallest eligible ready operations by serial execution
+	// time (ties to the lower node), kept sorted by insertion. A guest
+	// runs on the second hardware thread at roughly half throughput; it
+	// must be genuinely small next to the host's remaining time or it
+	// would stretch the critical path instead of filling idle cycles (the
+	// paper picks the *smallest* ready operations for exactly this reason
+	// — gradient-chain convolutions must never ride hyper-threads).
 	type small struct {
 		node   graph.NodeID
 		serial float64
 	}
-	var pool []small
+	var buf [4]small
+	picks := buf[:0]
 	for _, node := range st.Ready {
-		if taken[node] {
+		p := &plan[node]
+		if !p.tunable || p.guestNs > 0.15*hostRemaining || pending(dst[n0:], node) {
 			continue
 		}
-		o := st.Graph.Node(node).Op
-		if !rt.tunable(o) {
+		s := small{node, p.serialNs}
+		i := len(picks)
+		for i > 0 && (s.serial < picks[i-1].serial || s.serial == picks[i-1].serial && s.node < picks[i-1].node) {
+			i--
+		}
+		if i >= budget {
 			continue
 		}
-		pool = append(pool, small{node, rt.predictTime(o, 1, hw.Spread)})
+		if len(picks) < budget {
+			picks = append(picks, small{})
+		}
+		copy(picks[i+1:], picks[i:len(picks)-1])
+		picks[i] = s
 	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].serial != pool[j].serial {
-			return pool[i].serial < pool[j].serial
-		}
-		return pool[i].node < pool[j].node
-	})
 
-	var ds []exec.Decision
-	for _, s := range pool {
-		if budget <= 0 {
-			break
-		}
-		o := st.Graph.Node(s.node).Op
-		cfg := rt.chosenConfig(o)
-		threads := cfg.Threads
-		if threads > rt.machine.Cores {
-			threads = rt.machine.Cores
-		}
-		// A guest runs on the second hardware thread at roughly half
-		// throughput; it must be genuinely small next to the host's
-		// remaining time or it would stretch the critical path instead of
-		// filling idle cycles (the paper picks the *smallest* ready
-		// operations for exactly this reason — gradient-chain
-		// convolutions must never ride hyper-threads).
-		guestTime := rt.predictTime(o, threads, cfg.Placement) / rt.machine.HT2Eff
-		if guestTime > 0.15*hostRemaining {
-			continue
-		}
-		ds = append(ds, exec.Decision{Node: s.node, Threads: threads, Placement: cfg.Placement, HT: true, Pinned: true})
-		budget--
+	for _, s := range picks {
+		p := &plan[s.node]
+		dst = append(dst, exec.Decision{Node: s.node, Threads: p.htThreads, Placement: p.chosen.Placement, HT: true, Pinned: true})
 	}
-	return ds
+	return dst
+}
+
+// pending reports whether ds already launches node.
+func pending(ds []exec.Decision, node graph.NodeID) bool {
+	for _, d := range ds {
+		if d.Node == node {
+			return true
+		}
+	}
+	return false
 }
 
 func abs(a int) int {

@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"opsched/internal/graph"
+	"opsched/internal/hw"
 	"opsched/internal/nn"
 	"opsched/internal/perfmodel"
 )
 
 // TestSharedTablesMatchFresh: runtimes profiled on one (machine, graph,
 // interval) share their derived tables, and under every configuration the
-// shared candidate lists and per-kind profiles equal the ones the runtime
-// would derive for itself. A configuration field missing from the tables
-// key would hand a later runtime an earlier one's lists.
+// shared node plans and per-kind profiles equal the ones the runtime would
+// derive for itself. A configuration field missing from the tables key
+// would hand a later runtime an earlier one's plans.
 func TestSharedTablesMatchFresh(t *testing.T) {
 	perfmodel.ResetCache()
 	defer perfmodel.ResetCache()
@@ -33,27 +34,83 @@ func TestSharedTablesMatchFresh(t *testing.T) {
 		if want := perfmodel.LargestInstanceProfiles(g, rt.store); !reflect.DeepEqual(rt.byKind, want) {
 			t.Errorf("%s: shared per-kind profiles differ from a fresh derivation", rt.Name())
 		}
-		if !rt.tablesKey().candidates {
-			if rt.cands != nil {
-				t.Errorf("%s: candidate lists built though Strategy 3 cannot run", rt.Name())
-			}
-			continue
-		}
-		for _, n := range g.Nodes() {
-			if !rt.tunable(n.Op) {
-				continue
-			}
-			got, _ := rt.candidates(n.Op)
-			if want := rt.prepareCandidates(n.Op); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %s candidates %v, fresh %v", rt.Name(), n.Op.Signature(), got, want)
-			}
-		}
+		checkPlan(t, rt, g)
 		again := New(m, cfg)
 		if err := again.Profile(nn.MustBuild(nn.LSTM).Graph); err != nil {
 			t.Fatal(err)
 		}
-		if reflect.ValueOf(again.cands).Pointer() != reflect.ValueOf(rt.cands).Pointer() {
-			t.Errorf("%s: a second runtime on an equal graph rebuilt the candidate lists", rt.Name())
+		if &again.plan[0] != &rt.plan[0] {
+			t.Errorf("%s: a second runtime on an equal graph rebuilt the node plans", rt.Name())
+		}
+	}
+}
+
+// TestPlanMatchesPerOpDerivation: on four training graphs and an inference
+// graph, under every Strategy 1-4 and RetuneAll combination, each node's
+// plan equals the per-operation derivation the scheduling strategies made
+// at every event before the plans existed.
+func TestPlanMatchesPerOpDerivation(t *testing.T) {
+	m := knl()
+	graphs := []*graph.Graph{
+		nn.MustBuild(nn.ResNet50).Graph, nn.MustBuild(nn.DCGAN).Graph,
+		nn.MustBuild(nn.InceptionV3).Graph, nn.MustBuild(nn.LSTM).Graph,
+		nn.MustBuildInference(nn.ResNet50, 4).Graph,
+	}
+	for _, g := range graphs {
+		for _, cfg := range strategyConfigs() {
+			rt := New(m, cfg)
+			if err := rt.Profile(g); err != nil {
+				t.Fatal(err)
+			}
+			checkPlan(t, rt, g)
+		}
+	}
+}
+
+// strategyConfigs returns every combination of Strategies 1-4 and
+// RetuneAll.
+func strategyConfigs() []Config {
+	var cfgs []Config
+	for bits := 0; bits < 32; bits++ {
+		cfgs = append(cfgs, Config{
+			Strategy1: bits&1 != 0, Strategy2: bits&2 != 0,
+			Strategy3: bits&4 != 0, Strategy4: bits&8 != 0,
+			RetuneAll: bits&16 != 0,
+		})
+	}
+	return cfgs
+}
+
+// checkPlan asserts that every node plan of rt, profiled on g, equals a
+// fresh per-operation derivation.
+func checkPlan(t *testing.T, rt *Runtime, g *graph.Graph) {
+	t.Helper()
+	if len(rt.plan) != g.Len() {
+		t.Fatalf("%s on %s: %d node plans for %d nodes", rt.Name(), g.Name, len(rt.plan), g.Len())
+	}
+	for _, n := range g.Nodes() {
+		o := n.Op
+		base := rt.baseline()
+		base.TimeNs = rt.predictTime(o, base.Threads, base.Placement)
+		chosen := rt.chosenConfig(o)
+		ht := chosen.Threads
+		if ht > rt.machine.Cores {
+			ht = rt.machine.Cores
+		}
+		want := nodePlan{
+			tunable:   rt.tunable(o),
+			base:      base,
+			chosen:    chosen,
+			serialNs:  rt.predictTime(o, 1, hw.Spread),
+			htThreads: ht,
+			guestNs:   rt.predictTime(o, ht, chosen.Placement) / rt.machine.HT2Eff,
+		}
+		if rt.tablesKey().candidates && want.tunable {
+			want.cands = rt.prepareCandidates(o)
+		}
+		if got := rt.plan[n.ID]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s on %s: node %d (%s) plan %+v, per-op derivation %+v",
+				rt.Name(), g.Name, n.ID, o.Signature(), got, want)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func Run(g *graph.Graph, sched Scheduler, opts Options) (*Result, error) {
 	}
 
 	in := g.InDegrees()
-	var ready []graph.NodeID
+	ready := make([]graph.NodeID, 0, g.Len())
 	for id, d := range in {
 		if d == 0 {
 			ready = append(ready, graph.NodeID(id))
@@ -64,16 +64,17 @@ func Run(g *graph.Graph, sched Scheduler, opts Options) (*Result, error) {
 	}
 
 	st := &State{Machine: m, Graph: g, Ready: ready}
-	res := &Result{Scheduler: sched.Name()}
+	res := &Result{Scheduler: sched.Name(), Records: make([]OpRecord, 0, g.Len())}
 	if opts.Trace {
 		res.Trace = &trace.Trace{}
 	}
 
 	done := 0
+	var decs []Decision // reused by every Schedule call
 	for done < g.Len() {
 		// Ask the scheduler for launches until it has nothing to add.
 		for {
-			decs := sched.Schedule(st)
+			decs = sched.Schedule(st, decs[:0])
 			if len(decs) == 0 {
 				break
 			}
@@ -143,9 +144,11 @@ func launch(st *State, d Decision, res *Result) error {
 
 // Start launches one decision: the node leaves st.Ready, its solo duration
 // and bandwidth demand are priced on st.Machine, and the resulting Running —
-// tagged with the decision's Job — joins st.Running. Start does not
-// re-validate the decision beyond readiness; callers wanting the full sanity
-// checks run Decision.Validate first, as exec.Run does.
+// tagged with the decision's Job — joins st.Running. The Running comes from
+// a slab st owns and may be one AdvanceToNextCompletion retired before its
+// latest call. Start does not re-validate the decision beyond readiness;
+// callers wanting the full sanity checks run Decision.Validate first, as
+// exec.Run does.
 func Start(st *State, d Decision) (*Running, error) {
 	idx := -1
 	for i, id := range st.Ready {
@@ -164,7 +167,8 @@ func Start(st *State, d Decision) (*Running, error) {
 		return nil, fmt.Errorf("exec: node %d: %w", d.Node, err)
 	}
 	solo := st.Machine.OpTime(cost, d.Threads, d.Placement, hw.Solo())
-	r := &Running{
+	r := st.newRunning()
+	*r = Running{
 		Node: d.Node, Job: d.Job, Threads: d.Threads, Placement: d.Placement,
 		HT: d.HT, Pinned: d.Pinned, StartNs: st.ClockNs,
 		cost: cost, remaining: 1, nominal: solo,
@@ -178,14 +182,23 @@ func Start(st *State, d Decision) (*Running, error) {
 
 // AdvanceToNextCompletion moves st.ClockNs forward to the earliest
 // completion among st.Running, progresses every running operation by the
-// elapsed virtual time, removes the completed operations from st.Running and
-// returns them in running-set order. It returns nil when nothing is running.
+// elapsed virtual time, removes the completed operations from st.Running
+// (compacting it in place) and returns them in running-set order. It
+// returns nil when nothing is running.
+//
+// The returned slice is a buffer st owns: it and the Running values in it
+// stay valid only until the next AdvanceToNextCompletion on st, after which
+// Start recycles those Running values. Callers copy what they keep.
 //
 // Remaining times below half a nanosecond count as done: every modeled
 // operation takes microseconds, and once the clock is large, sub-ulp
 // remainders would otherwise never drain (clock+r == clock in float64). The
 // nearest op is forced complete so callers always make progress.
 func AdvanceToNextCompletion(st *State) []*Running {
+	// The previous call's completions are out of the caller's hands now.
+	st.free = append(st.free, st.completed...)
+	st.completed = st.completed[:0]
+
 	next := math.Inf(1)
 	var nearest *Running
 	for _, r := range st.Running {
@@ -204,18 +217,17 @@ func AdvanceToNextCompletion(st *State) []*Running {
 	st.ClockNs = next
 
 	const completionEpsNs = 0.5
-	var still []*Running
-	var completed []*Running
+	still := st.Running[:0]
 	for _, r := range st.Running {
 		r.remaining -= elapsed / r.nominal
 		if r != nearest && r.remaining*r.nominal > completionEpsNs {
 			still = append(still, r)
 			continue
 		}
-		completed = append(completed, r)
+		st.completed = append(st.completed, r)
 	}
 	st.Running = still
-	return completed
+	return st.completed
 }
 
 // RecomputeRates refreshes every running operation's nominal duration for
@@ -244,12 +256,8 @@ func RecomputeRates(st *State) {
 	// non-HT op that can cover its threads. Guests run at full SMT cost
 	// (they share busy cores); hosts only lose a mild slice per guest —
 	// Strategy 4 deliberately picks small, short operations as guests.
-	guests := make(map[*Running]int) // host -> guest count
-	depth := make(map[*Running]int)
-	scale := make(map[*Running]float64)
 	for _, r := range st.Running {
-		depth[r] = 1
-		scale[r] = 1
+		r.guests, r.depth, r.scale = 0, 1, 1
 	}
 	for _, r := range st.Running {
 		if !r.HT {
@@ -266,19 +274,17 @@ func RecomputeRates(st *State) {
 			}
 		}
 		if host != nil {
-			guests[host]++
-			depth[r] = 2
+			host.guests++
+			r.depth = 2
 		}
 		// A guest whose host already finished is promoted: its cores are
 		// free now, so it runs at full speed.
 	}
 	const hostGuestEff = 0.99
-	for h, n := range guests {
-		s := 1.0
-		for i := 0; i < n && i < m.HTPerCore-1; i++ {
-			s *= hostGuestEff
+	for _, h := range st.Running {
+		for i := 0; i < h.guests && i < m.HTPerCore-1; i++ {
+			h.scale *= hostGuestEff
 		}
-		scale[h] = s
 	}
 
 	// Thread stacking: when the co-running operations' threads exceed the
@@ -290,8 +296,8 @@ func RecomputeRates(st *State) {
 		overlapped = true
 		d := (totalThreads + m.Cores - 1) / m.Cores
 		for _, r := range st.Running {
-			if d > depth[r] {
-				depth[r] = d
+			if d > r.depth {
+				r.depth = d
 			}
 		}
 	}
@@ -323,7 +329,7 @@ func RecomputeRates(st *State) {
 				if r.Pinned {
 					alpha = meshAlphaPinned
 				}
-				scale[r] *= 1 / (1 + alpha*float64(extra))
+				r.scale *= 1 / (1 + alpha*float64(extra))
 			}
 		}
 	}
@@ -331,8 +337,8 @@ func RecomputeRates(st *State) {
 	for _, r := range st.Running {
 		r.nominal = m.OpTime(r.cost, r.Threads, r.Placement, hw.RunContext{
 			BWShare:      share,
-			SMTDepth:     depth[r],
-			ComputeScale: scale[r],
+			SMTDepth:     r.depth,
+			ComputeScale: r.scale,
 		})
 	}
 }

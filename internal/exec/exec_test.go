@@ -185,17 +185,17 @@ func TestRunErrors(t *testing.T) {
 
 type stallSched struct{}
 
-func (stallSched) Name() string               { return "stall" }
-func (stallSched) Schedule(*State) []Decision { return nil }
+func (stallSched) Name() string                                 { return "stall" }
+func (stallSched) Schedule(_ *State, dst []Decision) []Decision { return dst }
 
 type badSched struct{}
 
 func (badSched) Name() string { return "bad" }
-func (badSched) Schedule(st *State) []Decision {
+func (badSched) Schedule(st *State, dst []Decision) []Decision {
 	if len(st.Ready) == 0 {
-		return nil
+		return dst
 	}
-	return []Decision{{Node: st.Ready[0], Threads: 0, Placement: hw.Spread}}
+	return append(dst, Decision{Node: st.Ready[0], Threads: 0, Placement: hw.Spread})
 }
 
 // TestFullModelUnderBaseline executes a whole ResNet-50 step under the

@@ -47,15 +47,11 @@ func (f *FIFO) Name() string {
 
 // Schedule implements Scheduler: fill free inter-op slots with ready
 // operations in FIFO order.
-func (f *FIFO) Schedule(st *State) []Decision {
+func (f *FIFO) Schedule(st *State, dst []Decision) []Decision {
 	slots := f.InterOp - len(st.Running)
-	if slots <= 0 || len(st.Ready) == 0 {
-		return nil
-	}
-	var ds []Decision
 	for i := 0; i < len(st.Ready) && slots > 0; i++ {
-		ds = append(ds, Decision{Node: st.Ready[i], Threads: f.IntraOp, Placement: f.Place, Pinned: f.Pinned})
+		dst = append(dst, Decision{Node: st.Ready[i], Threads: f.IntraOp, Placement: f.Place, Pinned: f.Pinned})
 		slots--
 	}
-	return ds
+	return dst
 }

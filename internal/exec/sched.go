@@ -57,6 +57,12 @@ type Running struct {
 	remaining float64 // fraction of the op still to execute, in (0,1]
 	nominal   float64 // duration under the current context, ns
 	demand    float64 // solo memory-bandwidth demand, bytes/ns
+
+	// RecomputeRates scratch: hyper-threading guests riding this op, its
+	// SMT stacking depth and its compute-throughput scale.
+	guests int
+	depth  int
+	scale  float64
 }
 
 // RemainingNs estimates how long the operation still needs under the
@@ -77,6 +83,30 @@ type State struct {
 	Ready []graph.NodeID
 	// Running lists operations in flight.
 	Running []*Running
+
+	// completed is the buffer AdvanceToNextCompletion returns, reused on
+	// every call; free holds the Running values it returned last time,
+	// which Start recycles; slab is the unused tail of the chunk Start
+	// carves new Running values from.
+	completed []*Running
+	free      []*Running
+	slab      []Running
+}
+
+// newRunning returns a Running to fill: one AdvanceToNextCompletion has
+// retired, or the next slot of the state's slab.
+func (s *State) newRunning() *Running {
+	if n := len(s.free); n > 0 {
+		r := s.free[n-1]
+		s.free = s.free[:n-1]
+		return r
+	}
+	if len(s.slab) == 0 {
+		s.slab = make([]Running, 16)
+	}
+	r := &s.slab[0]
+	s.slab = s.slab[1:]
+	return r
 }
 
 // IdleCores returns the number of physical cores not occupied by non-HT
@@ -108,15 +138,19 @@ func (s *State) MaxRemainingNs() float64 {
 }
 
 // Scheduler decides which ready operations to launch. It is called at the
-// start of execution and after every operation completion; it may return no
+// start of execution and after every operation completion; it may add no
 // decisions to leave cores idle until the next event.
 type Scheduler interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Schedule returns launch decisions for the current state. Returned
-	// decisions are applied in order; invalid decisions (not-ready nodes,
+	// Schedule appends launch decisions for the current state to dst and
+	// returns the extended slice, as strconv.AppendInt does: it must leave
+	// dst[:len(dst)] unchanged, and the caller owns the result, so an
+	// engine passes the same buffer back (truncated to zero length) on
+	// every call and schedules without allocating. The appended decisions
+	// are applied in order; invalid decisions (not-ready nodes,
 	// non-positive thread counts) abort execution with an error.
-	Schedule(st *State) []Decision
+	Schedule(st *State, dst []Decision) []Decision
 }
 
 // Validate sanity-checks a decision against the current state.

@@ -78,15 +78,17 @@ type engine struct {
 	m      *hw.Machine
 	arb    Arbiter
 	js     []*JobState
-	global *exec.State // Running is the union across jobs; Graph/Ready unused
+	global *exec.State // Running is the union across jobs; Graph/Ready are the launching job's
 	done   int
 	total  int
 
 	// view is the per-job State scheduleJob hands a scheduler, reset on
 	// every call (a Scheduler interface call would move a fresh one to the
-	// heap); order is the buffer the built-in arbiters' Order writes into
-	// (JobState.order). Both are reused across scheduling rounds.
+	// heap); decs is the buffer schedulers append their decisions to;
+	// order is the buffer the built-in arbiters' Order writes into
+	// (JobState.order). All three are reused across scheduling rounds.
 	view  exec.State
+	decs  []exec.Decision
 	order []*JobState
 }
 
@@ -149,9 +151,11 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 		m = hw.NewKNL()
 	}
 
-	e := &engine{m: m, arb: arb, global: &exec.State{Machine: m}}
+	e := &engine{m: m, arb: arb, global: &exec.State{Machine: m}, js: make([]*JobState, 0, len(jobs))}
 	for i, job := range jobs {
-		j := &JobState{Job: job, Index: i, in: job.Graph.InDegrees(), order: &e.order}
+		n := job.Graph.Len()
+		j := &JobState{Job: job, Index: i, in: job.Graph.InDegrees(), order: &e.order,
+			ready: make([]graph.NodeID, 0, n), records: make([]exec.OpRecord, 0, n)}
 		for id, d := range j.in {
 			if d == 0 {
 				j.ready = append(j.ready, graph.NodeID(id))
@@ -163,7 +167,7 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 		}
 		j.totalWork = j.remainingWork
 		e.js = append(e.js, j)
-		e.total += job.Graph.Len()
+		e.total += n
 	}
 
 	for e.done < e.total {
@@ -180,7 +184,8 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 		}
 	}
 
-	res := &Result{Arbiter: arb.Name(), Machine: m.String(), TotalNs: e.global.ClockNs}
+	res := &Result{Arbiter: arb.Name(), Machine: m.String(), TotalNs: e.global.ClockNs,
+		Jobs: make([]JobResult, 0, len(e.js))}
 	progress := make([]float64, 0, len(e.js))
 	for i, j := range e.js {
 		jr := JobResult{
@@ -272,7 +277,8 @@ func (e *engine) scheduleJob(j *JobState, unbudgeted bool) (int, error) {
 	view := &e.view
 	*view = exec.State{Machine: e.m, Graph: j.Graph, ClockNs: e.global.ClockNs,
 		Ready: j.ready, Running: j.running}
-	decs := j.Sched.Schedule(view)
+	decs := j.Sched.Schedule(view, e.decs[:0])
+	e.decs = decs
 	if len(decs) == 0 {
 		j.saturated = true
 		return 0, nil
@@ -299,16 +305,14 @@ func (e *engine) scheduleJob(j *JobState, unbudgeted bool) (int, error) {
 			j.saturated = true
 			break
 		}
-		// Launch into the union; the job's own view tracks the same
-		// Running entry so both states advance together.
-		st := &exec.State{Machine: e.m, Graph: j.Graph, ClockNs: e.global.ClockNs,
-			Ready: view.Ready, Running: e.global.Running}
-		r, err := exec.Start(st, d)
+		// Launch into the union, which owns every Running; the job's own
+		// view tracks the same entry so both states advance together.
+		e.global.Graph, e.global.Ready = j.Graph, view.Ready
+		r, err := exec.Start(e.global, d)
 		if err != nil {
 			return launched, fmt.Errorf("multijob: job %s: %w", j.Name, err)
 		}
-		e.global.Running = st.Running
-		view.Ready = st.Ready
+		view.Ready = e.global.Ready
 		j.running = append(j.running, r)
 		view.Running = j.running
 		launched++
