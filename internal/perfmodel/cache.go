@@ -104,10 +104,27 @@ func CachedProfileGraph(m *hw.Machine, g *graph.Graph, interval int) *Store {
 // CacheStats reports the process-wide cache's hits and misses.
 func CacheStats() (hits, misses int) { return defaultCache.Stats() }
 
-// ResetCache clears the process-wide cache, with the tables derived from
-// its stores and the operation-class intern table (tests and benchmarks
-// that must measure cold profiling).
+// processDerived backs Derive: read-only values derived once per process.
+var processDerived derivedTable
+
+// Derive is the process-wide sibling of Store.Derive: it returns the value
+// build computes for key, running build at most once per key until
+// ResetCache; concurrent callers for one key wait for the same result. It
+// holds per-model values every engine in the process would otherwise
+// rebuild identically — model graphs, profiled runtime jobs with their solo
+// makespans, predicted work — so key must fix the value exactly (for
+// example a model key plus the hardware and configuration it is priced
+// on), must be comparable, and the value must be read-only once built.
+// Callers on a hot path keep their own front map: a key is boxed and
+// hashed under one process-wide mutex.
+func Derive(key any, build func() any) any { return processDerived.derive(key, build) }
+
+// ResetCache clears every process-wide cache: the hill-climb profile
+// stores with the tables derived from them, the values Derive holds, and
+// the operation-class intern table (tests and benchmarks that must measure
+// a cold start).
 func ResetCache() {
 	defaultCache.Reset()
+	processDerived.reset()
 	op.ResetClasses()
 }

@@ -146,3 +146,47 @@ func TestDeriveOncePerStore(t *testing.T) {
 		t.Errorf("after ResetCache: Derive = %v, want a fresh build (3)", v)
 	}
 }
+
+// TestDeriveOncePerProcess: the process-wide Derive runs build once per
+// key however many goroutines ask at once, keeps keys apart, and
+// ResetCache drops every entry.
+func TestDeriveOncePerProcess(t *testing.T) {
+	type key struct{ n int }
+	ResetCache()
+	defer ResetCache()
+	var mu sync.Mutex
+	builds := make(map[key]int)
+	build := func(k key) func() any {
+		return func() any {
+			mu.Lock()
+			defer mu.Unlock()
+			builds[k]++
+			return builds[k]*100 + k.n
+		}
+	}
+	const goroutines, keys = 8, 3
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < keys; n++ {
+				if v := Derive(key{n}, build(key{n})); v != 100+n {
+					t.Errorf("Derive(%d) = %v, want %d", n, v, 100+n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for n := 0; n < keys; n++ {
+		if builds[key{n}] != 1 {
+			t.Errorf("key %d built %d times, want once", n, builds[key{n}])
+		}
+	}
+	ResetCache()
+	for n := 0; n < keys; n++ {
+		if v := Derive(key{n}, build(key{n})); v != 200+n {
+			t.Errorf("after ResetCache: Derive(%d) = %v, want a fresh build (%d)", n, v, 200+n)
+		}
+	}
+}

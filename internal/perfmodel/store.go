@@ -14,14 +14,42 @@ import (
 // every scheduling decision afterwards.
 type Store struct {
 	profiles map[string]*Profile
+	derived  derivedTable
+}
 
-	derivedMu sync.Mutex
-	derived   map[any]*derivedEntry
+// derivedTable maps comparable keys to values built at most once per key:
+// concurrent callers for one key wait for the same result.
+type derivedTable struct {
+	mu      sync.Mutex
+	entries map[any]*derivedEntry
 }
 
 type derivedEntry struct {
 	once sync.Once
 	val  any
+}
+
+func (t *derivedTable) derive(key any, build func() any) any {
+	t.mu.Lock()
+	e, ok := t.entries[key]
+	if !ok {
+		if t.entries == nil {
+			t.entries = make(map[any]*derivedEntry)
+		}
+		e = &derivedEntry{}
+		t.entries[key] = e
+	}
+	t.mu.Unlock()
+	e.once.Do(func() { e.val = build() })
+	return e.val
+}
+
+// reset drops every entry; callers already waiting on one still get its
+// value.
+func (t *derivedTable) reset() {
+	t.mu.Lock()
+	t.entries = nil
+	t.mu.Unlock()
 }
 
 // Derive returns the value build computes for key, running build at most
@@ -30,20 +58,7 @@ type derivedEntry struct {
 // on the store, so they are shared wherever the store is and dropped with
 // it (ResetCache). key must be comparable and build must not modify the
 // store.
-func (s *Store) Derive(key any, build func() any) any {
-	s.derivedMu.Lock()
-	e, ok := s.derived[key]
-	if !ok {
-		if s.derived == nil {
-			s.derived = make(map[any]*derivedEntry)
-		}
-		e = &derivedEntry{}
-		s.derived[key] = e
-	}
-	s.derivedMu.Unlock()
-	e.once.Do(func() { e.val = build() })
-	return e.val
-}
+func (s *Store) Derive(key any, build func() any) any { return s.derived.derive(key, build) }
 
 // NewStore returns an empty profile store.
 func NewStore() *Store { return &Store{profiles: make(map[string]*Profile)} }

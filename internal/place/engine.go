@@ -16,6 +16,7 @@ import (
 	"opsched/internal/multijob"
 	"opsched/internal/nn"
 	"opsched/internal/obs"
+	"opsched/internal/perfmodel"
 	"opsched/internal/preempt"
 )
 
@@ -143,11 +144,9 @@ func (h *waveHeap) Pop() interface{} {
 }
 
 // modelInfo caches the hardware-independent per-model quantities: the
-// built graph, the parameter payload, and its staging transfer over the
-// interconnect. Per-hardware work predictions live in each NodeRuntime's
-// own cache.
+// parameter payload and its staging transfer over the interconnect.
+// Per-hardware work predictions live in each NodeRuntime's own cache.
 type modelInfo struct {
-	graph      *graph.Graph
 	paramBytes float64
 	xferNs     float64
 }
@@ -172,7 +171,6 @@ type Engine struct {
 	uniqueRts []NodeRuntime // the deduplicated runtime set
 	ic        *cluster.Interconnect
 	infos     map[string]*modelInfo
-	graphs    func(string) *graph.Graph
 
 	// Preemption machinery: nil triggers with preemptOn false is the
 	// run-to-completion engine.
@@ -264,28 +262,15 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
-	cfg := opts.config()
-
-	// graphFor builds each model key's graph once per engine; the runtimes
-	// share it for work prediction and wave simulation.
-	graphs := make(map[string]*graph.Graph)
-	graphFor := func(model string) *graph.Graph {
-		if g, ok := graphs[model]; ok {
-			return g
-		}
-		g := modelGraph(model)
-		graphs[model] = g
-		return g
-	}
 
 	// One runtime per distinct hardware descriptor: nodes sharing a
 	// machine or device share its per-model work cache — and its
 	// fleet-wide wave memo.
-	runtimes := buildRuntimes(c.nodeDescriptors(), arb, cfg, graphFor, opts.NoWaveMemo)
+	runtimes := buildRuntimes(c.nodeDescriptors(), arb, opts.config(), opts.NoWaveMemo)
 
 	e := &Engine{
 		policy: opts.policy(), arb: arb, rts: runtimes, ic: c.interconnect(),
-		infos: make(map[string]*modelInfo), graphs: graphFor,
+		infos:     make(map[string]*modelInfo),
 		preemptOn: preemptOn, triggers: triggers,
 	}
 	e.nodes = make([]*nodeState, len(runtimes))
@@ -500,14 +485,13 @@ func (e *Engine) Finish() *Result {
 	return out
 }
 
-// info caches per-model graph, parameter payload and staging transfer.
+// info caches per-model parameter payload and staging transfer.
 func (e *Engine) info(model string) *modelInfo {
 	if mi, ok := e.infos[model]; ok {
 		return mi
 	}
-	g := e.graphs(model)
-	pb := cluster.ParamBytes(g)
-	mi := &modelInfo{graph: g, paramBytes: pb, xferNs: e.ic.TransferNs(pb)}
+	pb := cluster.ParamBytes(modelGraph(model))
+	mi := &modelInfo{paramBytes: pb, xferNs: e.ic.TransferNs(pb)}
 	e.infos[model] = mi
 	return mi
 }
@@ -1200,10 +1184,20 @@ func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 	}
 }
 
-// modelGraph builds the graph a work key prices: the training step for a
-// model name, the forward-only serving graph at its dynamic batch size for
-// an inference key.
+// graphKey keys a work key's graph in the process-wide derived table.
+type graphKey string
+
+// modelGraph returns the graph a work key prices, built once per process
+// (perfmodel.Derive): buildModelGraph is a pure function of the key, and
+// every consumer only reads the graph.
 func modelGraph(key string) *graph.Graph {
+	return perfmodel.Derive(graphKey(key), func() any { return buildModelGraph(key) }).(*graph.Graph)
+}
+
+// buildModelGraph builds the graph a work key prices: the training step
+// for a model name, the forward-only serving graph at its dynamic batch
+// size for an inference key.
+func buildModelGraph(key string) *graph.Graph {
 	if base, batch, ok := parseInferKey(key); ok {
 		return nn.MustBuildInference(base, batch).Graph
 	}
@@ -1213,7 +1207,7 @@ func modelGraph(key string) *graph.Graph {
 // buildRuntimes resolves every node descriptor to its NodeRuntime, sharing
 // one runtime — its per-model work cache and its wave memo — across nodes
 // with the same hardware descriptor.
-func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, graphFor func(string) *graph.Graph, noMemo bool) []NodeRuntime {
+func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, noMemo bool) []NodeRuntime {
 	cpus := make(map[*hw.Machine]*cpuRuntime)
 	gpus := make(map[*gpu.Device]*gpuRuntime)
 	rts := make([]NodeRuntime, len(descs))
@@ -1221,7 +1215,7 @@ func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, graphFor
 		if d.GPU != nil {
 			rt, ok := gpus[d.GPU]
 			if !ok {
-				rt = &gpuRuntime{d: d.GPU, hardware: d.GPU.String(), graphFor: graphFor}
+				rt = &gpuRuntime{d: d.GPU, hardware: d.GPU.String()}
 				if !noMemo {
 					rt.memo = &waveMemo{}
 				}
@@ -1232,7 +1226,7 @@ func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, graphFor
 		}
 		rt, ok := cpus[d.CPU]
 		if !ok {
-			rt = &cpuRuntime{m: d.CPU, hardware: d.CPU.String(), arb: arb, cfg: cfg, graphFor: graphFor}
+			rt = &cpuRuntime{m: d.CPU, hardware: d.CPU.String(), arb: arb, cfg: cfg}
 			if !noMemo {
 				rt.memo = &waveMemo{}
 			}

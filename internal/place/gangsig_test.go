@@ -9,7 +9,6 @@ import (
 
 	"opsched/internal/core"
 	"opsched/internal/gpu"
-	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/multijob"
 	"opsched/internal/nn"
@@ -122,17 +121,8 @@ func memoTestRuntimes(t *testing.T, noMemo bool) (cpu, gpuRt NodeRuntime) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := make(map[string]*graph.Graph)
-	graphFor := func(model string) *graph.Graph {
-		if g, ok := graphs[model]; ok {
-			return g
-		}
-		g := modelGraph(model)
-		graphs[model] = g
-		return g
-	}
 	rts := buildRuntimes([]Node{{CPU: hw.NewKNL()}, {GPU: gpu.NewP100()}},
-		arb, core.AllStrategies(), graphFor, noMemo)
+		arb, core.AllStrategies(), noMemo)
 	return rts[0], rts[1]
 }
 

@@ -5,9 +5,9 @@ import (
 
 	"opsched/internal/core"
 	"opsched/internal/gpu"
-	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/multijob"
+	"opsched/internal/perfmodel"
 )
 
 // Node describes one cluster node's hardware: exactly one of CPU (a
@@ -94,10 +94,11 @@ type WaveResult struct {
 // actually cost. A CPU node answers through the multi-job co-scheduling
 // engine; a GPU node through the occupancy/stream co-run model. Both
 // implementations are deterministic. Their only state across waves is
-// per-model caches of values a wave would otherwise recompute identically
-// (predicted work, and on a CPU node the profiled runtime job and its solo
-// makespan), so nodes sharing one hardware descriptor share one runtime
-// and its caches.
+// per-model front maps over values a wave would otherwise recompute
+// identically (predicted work, and on a CPU node the profiled runtime job
+// and its solo makespan). Those values are built once per process
+// (perfmodel.Derive) and shared by every runtime on equal hardware; nodes
+// sharing one hardware descriptor share one runtime and its front maps.
 type NodeRuntime interface {
 	// Kind is the hardware kind, KindCPU or KindGPU.
 	Kind() string
@@ -124,9 +125,10 @@ type NodeRuntime interface {
 	RunWave(jobs []WaveJob) (*WaveResult, error)
 }
 
-// workCache memoizes a per-model prediction by model key. The model-key
-// universe is tiny — the four workloads plus a handful of dynamic-batch
-// inference keys.
+// workCache is a runtime's front map over per-model values by model key,
+// so a pick or a wave never boxes a hardware key under the process-wide
+// table's mutex. The model-key universe is tiny — the four workloads plus
+// a handful of dynamic-batch inference keys.
 type workCache[V any] map[string]V
 
 // get returns the cached value for key, computing it on first use.
@@ -151,23 +153,52 @@ type cpuRuntime struct {
 	hardware string // m.String(), rendered once
 	arb      multijob.Arbiter
 	cfg      core.Config
-	graphFor func(string) *graph.Graph
 	work     workCache[float64]
-	models   map[string]cpuModel // by model key, filled by the first wave that needs one
-	memo     *waveMemo           // fleet-wide RunWave cache; nil when disabled
+	models   workCache[cpuModel]
+	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
 }
 
-// cpuModel is what every wave of one model key shares on a CPU runtime:
-// the profiled runtime job and its solo makespan. A model key fixes the
-// graph and the runtime fixes the machine and config, so both equal what
-// a fresh multijob.RuntimeJob and multijob.SoloNs would compute — the
-// profiled core.Runtime is read-only, so waves may share it, even two
-// jobs of one wave. The cache is per runtime, not process-wide: the
-// profile store's graph signature omits Op.Window, so it is not a sound
-// key for a solo makespan.
+// cpuModel is what every wave of one model key shares on one machine and
+// runtime configuration: the runtime job profiled under the model key and
+// its solo makespan, or the error preparing them failed with (the caller
+// labels it with its own job's name). It is keyed process-wide by
+// cpuModelKey, not by graph signature: buildModelGraph is a pure function
+// of the model key, so the key fixes the graph exactly — Op.Window
+// included, which the signature omits — and with the machine and config
+// fixes what a fresh multijob.RuntimeJob and multijob.SoloNs compute. The
+// profiled core.Runtime is read-only, so engines and waves may share it,
+// even two jobs of one wave.
 type cpuModel struct {
 	job    multijob.Job
 	soloNs float64
+	err    error
+}
+
+// cpuModelKey keys a cpuModel in the process-wide derived table.
+type cpuModelKey struct {
+	m     hw.Machine
+	cfg   core.Config
+	model string
+}
+
+// prepare profiles the key's runtime job and runs its solo step on the
+// key's own copy of the machine, so a shared value never aliases a
+// caller's machine.
+func (k cpuModelKey) prepare() cpuModel {
+	job, err := multijob.RuntimeJob(k.model, modelGraph(k.model), &k.m, k.cfg)
+	if err != nil {
+		return cpuModel{err: err}
+	}
+	solo, err := multijob.SoloNs(job, &k.m)
+	return cpuModel{job: job, soloNs: solo, err: err}
+}
+
+// cpuWorkKey keys a model's predicted solo work on a CPU machine in the
+// process-wide derived table.
+type cpuWorkKey struct {
+	m        hw.Machine
+	interval int
+	model    string
 }
 
 // cpuMeshAlpha mirrors the exec engine's pinned mesh-interference
@@ -191,7 +222,10 @@ func (c *cpuRuntime) JobMemBytes(string) float64 { return 0 }
 
 func (c *cpuRuntime) SoloWorkNs(model string) float64 {
 	return c.work.get(model, func() float64 {
-		return multijob.PredictedSoloWorkNs(c.m, c.graphFor(model), c.cfg.Interval)
+		k := cpuWorkKey{*c.m, c.cfg.Interval, model}
+		return perfmodel.Derive(k, func() any {
+			return multijob.PredictedSoloWorkNs(&k.m, modelGraph(model), k.interval)
+		}).(float64)
 	})
 }
 
@@ -205,38 +239,25 @@ func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 	return c.simulate(jobs)
 }
 
-// model returns the cached profiled job and solo makespan of a model key,
-// building them on first use; name labels the job in errors.
-func (c *cpuRuntime) model(name, key string) (cpuModel, error) {
-	if mdl, ok := c.models[key]; ok {
-		return mdl, nil
-	}
-	job, err := multijob.RuntimeJob(name, c.graphFor(key), c.m, c.cfg)
-	if err != nil {
-		return cpuModel{}, fmt.Errorf("place: job %s: %w", name, err)
-	}
-	solo, err := multijob.SoloNs(job, c.m)
-	if err != nil {
-		return cpuModel{}, err
-	}
-	if c.models == nil {
-		c.models = make(map[string]cpuModel, 8)
-	}
-	mdl := cpuModel{job: job, soloNs: solo}
-	c.models[key] = mdl
-	return mdl, nil
+// model returns the shared profiled job and solo makespan of a model key
+// on this runtime's machine and config.
+func (c *cpuRuntime) model(key string) cpuModel {
+	return c.models.get(key, func() cpuModel {
+		k := cpuModelKey{*c.m, c.cfg, key}
+		return perfmodel.Derive(k, func() any { return k.prepare() }).(cpuModel)
+	})
 }
 
 // simulate prices one wave's co-run fresh through the multi-job
 // co-scheduling engine; each job's profile and solo baseline come from the
-// runtime's per-model cache.
+// shared per-model values.
 func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	mj := make([]multijob.Job, len(jobs))
 	solos := make([]float64, len(jobs))
 	for i, wj := range jobs {
-		mdl, err := c.model(wj.Name, wj.Model)
-		if err != nil {
-			return nil, err
+		mdl := c.model(wj.Model)
+		if mdl.err != nil {
+			return nil, fmt.Errorf("place: job %s: %w", wj.Name, mdl.err)
 		}
 		mj[i] = cpuWaveJob(wj, mdl.job)
 		solos[i] = mdl.soloNs
@@ -280,9 +301,15 @@ func cpuWaveResult(res *multijob.Result) *WaveResult {
 type gpuRuntime struct {
 	d        *gpu.Device
 	hardware string // d.String(), rendered once
-	graphFor func(string) *graph.Graph
 	work     workCache[gpu.GraphWork]
 	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
+}
+
+// gpuWorkKey keys a model's predicted graph work on a GPU device in the
+// process-wide derived table.
+type gpuWorkKey struct {
+	d     gpu.Device
+	model string
 }
 
 func (g *gpuRuntime) Kind() string              { return KindGPU }
@@ -297,7 +324,8 @@ func (g *gpuRuntime) JobMemBytes(model string) float64 { return g.graphWork(mode
 
 func (g *gpuRuntime) graphWork(model string) gpu.GraphWork {
 	return g.work.get(model, func() gpu.GraphWork {
-		return g.d.PredictGraphWork(g.graphFor(model))
+		k := gpuWorkKey{*g.d, model}
+		return perfmodel.Derive(k, func() any { return k.d.PredictGraphWork(modelGraph(model)) }).(gpu.GraphWork)
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"opsched/internal/core"
-	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/multijob"
 	"opsched/internal/nn"
@@ -18,7 +17,7 @@ func freshCPUWave(t *testing.T, m *hw.Machine, arb multijob.Arbiter, wave []Wave
 	t.Helper()
 	jobs := make([]multijob.Job, len(wave))
 	for i, wj := range wave {
-		job, err := multijob.RuntimeJob(wj.Name, modelGraph(wj.Model), m, core.AllStrategies())
+		job, err := multijob.RuntimeJob(wj.Name, buildModelGraph(wj.Model), m, core.AllStrategies())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,13 +51,7 @@ func sameWave(a, b *WaveResult) bool {
 // jobs of that key, so both share one cached runtime, under each of the
 // three arbiters, next to a mixed training/inference gang.
 func TestCPUModelCacheExact(t *testing.T) {
-	var keys []string
-	for _, model := range nn.Names() {
-		keys = append(keys, model)
-		for batch := 1; batch <= maxDynamicBatch; batch++ {
-			keys = append(keys, InferKey(model, batch))
-		}
-	}
+	keys := allModelKeys()
 	class := func(key string) string {
 		if _, _, ok := parseInferKey(key); ok {
 			return ClassInference
@@ -71,16 +64,7 @@ func TestCPUModelCacheExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		graphs := make(map[string]*graph.Graph)
-		graphFor := func(model string) *graph.Graph {
-			if g, ok := graphs[model]; ok {
-				return g
-			}
-			g := modelGraph(model)
-			graphs[model] = g
-			return g
-		}
-		rt := buildRuntimes([]Node{{CPU: m}}, arb, core.AllStrategies(), graphFor, true)[0]
+		rt := buildRuntimes([]Node{{CPU: m}}, arb, core.AllStrategies(), true)[0]
 		check := func(wave []WaveJob) {
 			t.Helper()
 			got, err := rt.RunWave(wave)
