@@ -142,13 +142,14 @@ func launch(st *State, d Decision, res *Result) error {
 	return nil
 }
 
-// Start launches one decision: the node leaves st.Ready, its solo duration
-// and bandwidth demand are priced on st.Machine, and the resulting Running —
-// tagged with the decision's Job — joins st.Running. The Running comes from
-// a slab st owns and may be one AdvanceToNextCompletion retired before its
-// latest call. Start does not re-validate the decision beyond readiness;
-// callers wanting the full sanity checks run Decision.Validate first, as
-// exec.Run does.
+// Start launches one decision: the node leaves st.Ready, it is priced once
+// on st.Machine (the context-free hw.OpPrice that every RecomputeRates only
+// rescales, its solo duration and its bandwidth demand), and the resulting
+// Running — tagged with the decision's Job — joins st.Running. The Running
+// comes from a slab st owns and may be one AdvanceToNextCompletion retired
+// before its latest call. Start does not re-validate the decision beyond
+// readiness; callers wanting the full sanity checks run Decision.Validate
+// first, as exec.Run does.
 func Start(st *State, d Decision) (*Running, error) {
 	idx := -1
 	for i, id := range st.Ready {
@@ -166,15 +167,16 @@ func Start(st *State, d Decision) (*Running, error) {
 	if err := cost.Validate(); err != nil {
 		return nil, fmt.Errorf("exec: node %d: %w", d.Node, err)
 	}
-	solo := st.Machine.OpTime(cost, d.Threads, d.Placement, hw.Solo())
+	price := st.Machine.Price(cost, d.Threads, d.Placement)
+	solo := price.Time(st.Machine, hw.Solo())
 	r := st.newRunning()
 	*r = Running{
 		Node: d.Node, Job: d.Job, Threads: d.Threads, Placement: d.Placement,
 		HT: d.HT, Pinned: d.Pinned, StartNs: st.ClockNs,
-		cost: cost, remaining: 1, nominal: solo,
+		price: price, remaining: 1, nominal: solo,
 	}
 	if solo > 0 {
-		r.demand = st.Machine.MemTraffic(cost, d.Threads, d.Placement) / solo
+		r.demand = price.Traffic() / solo
 	}
 	st.Running = append(st.Running, r)
 	return r, nil
@@ -335,7 +337,7 @@ func RecomputeRates(st *State) {
 	}
 
 	for _, r := range st.Running {
-		r.nominal = m.OpTime(r.cost, r.Threads, r.Placement, hw.RunContext{
+		r.nominal = r.price.Time(m, hw.RunContext{
 			BWShare:      share,
 			SMTDepth:     r.depth,
 			ComputeScale: r.scale,

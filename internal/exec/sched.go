@@ -53,10 +53,10 @@ type Running struct {
 	Pinned    bool
 	StartNs   float64
 
-	cost      hw.OpCost
-	remaining float64 // fraction of the op still to execute, in (0,1]
-	nominal   float64 // duration under the current context, ns
-	demand    float64 // solo memory-bandwidth demand, bytes/ns
+	price     hw.OpPrice // context-free terms; RecomputeRates rescales them
+	remaining float64    // fraction of the op still to execute, in (0,1]
+	nominal   float64    // duration under the current context, ns
+	demand    float64    // solo memory-bandwidth demand, bytes/ns
 
 	// RecomputeRates scratch: hyper-threading guests riding this op, its
 	// SMT stacking depth and its compute-throughput scale.

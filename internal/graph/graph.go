@@ -46,7 +46,8 @@ type Graph struct {
 	Name  string
 	nodes []*Node
 
-	sig atomic.Pointer[string] // memoized Signature; Add clears it
+	sig   atomic.Pointer[string] // memoized Signature; Add clears it
+	valid atomic.Bool            // a Validate succeeded; Add clears it
 }
 
 // New returns an empty graph.
@@ -68,6 +69,7 @@ func (g *Graph) Add(o *op.Op, name string, deps ...NodeID) NodeID {
 	n := &Node{ID: id, Name: name, Op: o, deps: append([]NodeID(nil), deps...)}
 	g.nodes = append(g.nodes, n)
 	g.sig.Store(nil)
+	g.valid.Store(false)
 	for _, d := range deps {
 		p := g.nodes[d]
 		p.outs = append(p.outs, id)
@@ -114,8 +116,15 @@ func (g *Graph) Signature() string {
 
 // Validate checks structural invariants: every node has a valid operation
 // and in-range dependencies. (Acyclicity holds by construction; Validate
-// re-verifies it for graphs assembled by other means.)
+// re-verifies it for graphs assembled by other means.) A success is
+// remembered until the next Add, so validating a graph again — every
+// co-run does — costs nothing; like Signature and Op.Cost, this relies on
+// operations not being mutated after Add. Validate is safe for concurrent
+// use.
 func (g *Graph) Validate() error {
+	if g.valid.Load() {
+		return nil
+	}
 	if g.Len() == 0 {
 		return errors.New("graph: empty graph")
 	}
@@ -135,6 +144,7 @@ func (g *Graph) Validate() error {
 	if _, err := g.TopoOrder(); err != nil {
 		return err
 	}
+	g.valid.Store(true)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -232,5 +233,48 @@ func TestSignatureMemo(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { g.Signature() }); n != 0 {
 		t.Errorf("Signature after first use: %v allocs, want 0", n)
+	}
+}
+
+// TestValidateMemoClearedByAdd: a graph that validated and then gains a
+// node with an unknown-kind operation fails Validate again, and the
+// failure is not remembered as a success.
+func TestValidateMemoClearedByAdd(t *testing.T) {
+	g := chainGraph(4)
+	for i := 0; i < 2; i++ {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("Validate() #%d = %v, want nil", i, err)
+		}
+	}
+	g.Add(&op.Op{Kind: "Bogus", Input: op.Dims{8, 8}}, "bogus", 3)
+	for i := 0; i < 2; i++ {
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "bogus") {
+			t.Fatalf("Validate() #%d after adding an unknown-kind op = %v, want the bogus node's error", i, err)
+		}
+	}
+}
+
+// TestValidateConcurrent: many goroutines validating one graph at once,
+// from cold, agree and race with nothing (run under -race).
+func TestValidateConcurrent(t *testing.T) {
+	g := chainGraph(64)
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < 10; k++ {
+				if err := g.Validate(); err != nil {
+					errs[i] = err
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: Validate() = %v", i, err)
+		}
 	}
 }

@@ -163,8 +163,11 @@ func (m *Machine) memTraffic(c OpCost, p int, pl Placement) float64 {
 	return bytes * m.missFraction(c, p, pl)
 }
 
-// OpTime returns the execution time, in nanoseconds, of an operation with
-// cost c run with p threads under placement pl in context ctx.
+// OpPrice is the context-free part of an operation's execution time: the
+// terms of the model that depend only on the cost, the thread count and
+// the placement, computed once by Machine.Price. The execution engine
+// prices each launched operation once and, whenever its co-runners
+// change, only rescales the price for the new context with Time.
 //
 // The model is
 //
@@ -175,37 +178,73 @@ func (m *Machine) memTraffic(c OpCost, p int, pl Placement) float64 {
 // operation's bandwidth share. The serial + A/p + s·p skeleton produces the
 // convex curves with interior optima of the paper's Figure 1; the memory
 // and cache terms produce the input-size and placement sensitivity of its
-// Table II.
-func (m *Machine) OpTime(c OpCost, p int, pl Placement, ctx RunContext) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	ctx = ctx.normalize()
+// Table II. Every term but the SMT efficiency, the compute scale and the
+// bandwidth share is context-free and lives in the price.
+type OpPrice struct {
+	p        int     // useful thread count; <= 0 prices +Inf
+	serial   float64 // SerialFrac·WorkNs
+	parallel float64 // (1−SerialFrac)·WorkNs
+	peff     float64 // p·eff(p), the synchronization-decayed thread count
+	spawn    float64 // SpawnNs·p
+	traffic  float64 // post-cache main-memory traffic, bytes
+	bw       float64 // Bandwidth(streams); 0 when the op moves no bytes
+}
+
+// Price returns the context-free terms of an operation with cost c run
+// with p threads under placement pl on m. The thread count is subject to
+// the kernel library's useful-threads cap (GrainNs).
+func (m *Machine) Price(c OpCost, p int, pl Placement) OpPrice {
 	p = m.usefulThreads(c, p)
-
-	// SMT sharing and soft interference slow every compute term: the
-	// serial section and the fork-join barriers run on the same shared
-	// cores as the parallel body.
-	scale := m.smtEff(p, ctx.SMTDepth) * ctx.ComputeScale
-
-	serial := c.SerialFrac * c.WorkNs / scale
-
+	pr := OpPrice{p: p, traffic: m.memTraffic(c, p, pl)}
+	if p <= 0 {
+		return pr
+	}
+	pr.serial = c.SerialFrac * c.WorkNs
+	pr.parallel = (1 - c.SerialFrac) * c.WorkNs
 	eff := 1 / (1 + m.SyncAlpha*math.Log(float64(p)))
-	parallel := (1 - c.SerialFrac) * c.WorkNs / (float64(p) * eff * scale)
-
-	var memory float64
+	pr.peff = float64(p) * eff
+	pr.spawn = c.SpawnNs * float64(p)
 	if c.Bytes > 0 {
 		streams := p
 		if streams > m.LogicalCPUs() {
 			streams = m.LogicalCPUs()
 		}
-		bw := m.Bandwidth(streams) * ctx.BWShare
-		if bw > 0 {
-			memory = m.memTraffic(c, p, pl) / bw
-		}
+		pr.bw = m.Bandwidth(streams)
 	}
+	return pr
+}
 
-	return serial + parallel + memory + c.SpawnNs*float64(p)/scale
+// Traffic reports the priced operation's post-cache main-memory traffic in
+// bytes; it equals MemTraffic for the same cost, threads and placement.
+func (pr OpPrice) Traffic() float64 { return pr.traffic }
+
+// Time returns the execution time, in nanoseconds, of the priced operation
+// in context ctx on m, the machine that priced it: it rescales the price's
+// compute terms by the SMT efficiency and the compute scale, and its memory
+// traffic by the bandwidth share. A price for p <= 0 threads takes +Inf.
+func (pr OpPrice) Time(m *Machine, ctx RunContext) float64 {
+	if pr.p <= 0 {
+		return math.Inf(1)
+	}
+	ctx = ctx.normalize()
+
+	// SMT sharing and soft interference slow every compute term: the
+	// serial section and the fork-join barriers run on the same shared
+	// cores as the parallel body.
+	scale := m.smtEff(pr.p, ctx.SMTDepth) * ctx.ComputeScale
+
+	var memory float64
+	if bw := pr.bw * ctx.BWShare; bw > 0 {
+		memory = pr.traffic / bw
+	}
+	return pr.serial/scale + pr.parallel/(pr.peff*scale) + memory + pr.spawn/scale
+}
+
+// OpTime returns the execution time, in nanoseconds, of an operation with
+// cost c run with p threads under placement pl in context ctx (see OpPrice
+// for the model).
+func (m *Machine) OpTime(c OpCost, p int, pl Placement, ctx RunContext) float64 {
+	return m.Price(c, p, pl).Time(m, ctx)
 }
 
 // usefulThreads caps the thread count at the kernel library's internal

@@ -29,7 +29,7 @@ type JobState struct {
 	done    int
 	records []exec.OpRecord
 
-	workNs        []float64 // predicted solo work per node, by NodeID
+	workNs        []float64 // predicted solo work per node, by NodeID; shared, read-only
 	totalWork     float64
 	remainingWork float64
 	finishNs      float64
@@ -365,24 +365,34 @@ func PredictedSoloWorkNs(m *hw.Machine, g *graph.Graph, interval int) float64 {
 	return total
 }
 
+// workKey keys the predicted-work vector on a profile store. The store is
+// keyed by (machine, graph signature, interval) and the vector depends on
+// nothing else — operations are interned by class — so one vector per
+// store serves every graph with that signature, as core's per-node plan
+// tables do.
+type workKey struct{}
+
 // predictedWork prices every node of g at its perfmodel-tuned
 // configuration's predicted time (the machine-model baseline width when the
 // profile lacks the class), indexed by NodeID. This is the work metric the
 // SRWF arbiter ranks jobs by. The interval must match the job's own
 // profiling interval (<= 0 means the default) or the cache entry is missed
-// and the rankings come from a differently-tuned profile.
+// and the rankings come from a differently-tuned profile. The vector is
+// derived once per profile store and shared: callers must not modify it.
 func predictedWork(m *hw.Machine, g *graph.Graph, interval int) []float64 {
 	if interval <= 0 {
 		interval = defaultProfileInterval
 	}
 	store := perfmodel.CachedProfileGraph(m, g, interval)
-	work := make([]float64, g.Len())
-	for _, n := range g.Nodes() {
-		if pr, ok := store.Get(n.Op.Signature()); ok && pr.Best.TimeNs > 0 {
-			work[n.ID] = pr.Best.TimeNs
-			continue
+	return store.Derive(workKey{}, func() any {
+		work := make([]float64, g.Len())
+		for _, n := range g.Nodes() {
+			if pr, ok := store.Get(n.Op.Signature()); ok && pr.Best.TimeNs > 0 {
+				work[n.ID] = pr.Best.TimeNs
+				continue
+			}
+			work[n.ID] = m.OpTime(n.Op.Cost(), m.Cores, hw.Shared, hw.Solo())
 		}
-		work[n.ID] = m.OpTime(n.Op.Cost(), m.Cores, hw.Shared, hw.Solo())
-	}
-	return work
+		return work
+	}).([]float64)
 }
