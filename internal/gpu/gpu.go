@@ -99,37 +99,41 @@ func NewP100() *Device {
 	}
 }
 
-// Validate reports whether the device description is usable. The graph-work
-// fields (Streams, FlopsNs, KernelLaunchNs, FlopsHalf) may be zero —
-// accessors substitute the P100 defaults — but never negative.
+// Validate reports whether the device description is usable. PeakTPB and
+// the graph-work fields (Streams, FlopsNs, KernelLaunchNs, FlopsHalf) may be
+// zero — accessors substitute the P100 defaults — but never negative or
+// NaN.
 func (d *Device) Validate() error {
 	switch {
 	case d.SMs <= 0:
 		return errors.New("gpu: SMs must be positive")
 	case d.MaxThreadsPerSM <= 0:
 		return errors.New("gpu: MaxThreadsPerSM must be positive")
-	case d.BWBytesNs <= 0:
+	// The float checks are written so that NaN fails them too.
+	case !(d.BWBytesNs > 0):
 		return errors.New("gpu: BWBytesNs must be positive")
-	case d.LatencyFloor <= 0 || d.LatencyFloor > 1:
+	case !(d.PeakTPB >= 0):
+		return errors.New("gpu: PeakTPB must be non-negative")
+	case !(d.LatencyFloor > 0 && d.LatencyFloor <= 1):
 		return errors.New("gpu: LatencyFloor must be in (0,1]")
-	case d.TPBSensitivity < 0:
+	case !(d.TPBSensitivity >= 0):
 		// Negative sensitivity flips the occupancy curve: tpbEff's
 		// 1/(1+s·dev²) divides by ≤ 0 far from the peak and Time goes
 		// negative or infinite.
 		return errors.New("gpu: TPBSensitivity must be non-negative")
-	case d.WaveOverhead < 0:
+	case !(d.WaveOverhead >= 0):
 		// Negative overhead makes blocksEff's 1/(1+o·(waves-1)) divide by
 		// ≤ 0 at high block counts.
 		return errors.New("gpu: WaveOverhead must be non-negative")
 	case d.Streams < 0:
 		return errors.New("gpu: Streams must be non-negative")
-	case d.FlopsNs < 0:
+	case !(d.FlopsNs >= 0):
 		return errors.New("gpu: FlopsNs must be non-negative")
-	case d.KernelLaunchNs < 0:
+	case !(d.KernelLaunchNs >= 0):
 		return errors.New("gpu: KernelLaunchNs must be non-negative")
-	case d.FlopsHalf < 0:
+	case !(d.FlopsHalf >= 0):
 		return errors.New("gpu: FlopsHalf must be non-negative")
-	case d.HBMBytes < 0:
+	case !(d.HBMBytes >= 0):
 		return errors.New("gpu: HBMBytes must be non-negative")
 	}
 	switch d.Sharing {

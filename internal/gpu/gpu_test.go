@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,32 @@ func TestValidateRejects(t *testing.T) {
 		d.Sharing = mode
 		if err := d.Validate(); err != nil {
 			t.Errorf("sharing mode %q rejected: %v", mode, err)
+		}
+	}
+}
+
+// TestValidateRejectsNaN: a NaN in any float field fails Validate instead
+// of surfacing later, mid-wave, as a NaN kernel time.
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Device)
+	}{
+		{"BWBytesNs", func(d *Device) { d.BWBytesNs = nan }},
+		{"PeakTPB", func(d *Device) { d.PeakTPB = nan }},
+		{"TPBSensitivity", func(d *Device) { d.TPBSensitivity = nan }},
+		{"LatencyFloor", func(d *Device) { d.LatencyFloor = nan }},
+		{"WaveOverhead", func(d *Device) { d.WaveOverhead = nan }},
+		{"FlopsNs", func(d *Device) { d.FlopsNs = nan }},
+		{"KernelLaunchNs", func(d *Device) { d.KernelLaunchNs = nan }},
+		{"FlopsHalf", func(d *Device) { d.FlopsHalf = nan }},
+		{"HBMBytes", func(d *Device) { d.HBMBytes = nan }},
+	} {
+		d := NewP100()
+		tc.mutate(d)
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("NaN %s: Validate() = %v, want an error naming the field", tc.name, err)
 		}
 	}
 }

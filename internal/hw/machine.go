@@ -81,21 +81,22 @@ func (m *Machine) Validate() error {
 		return fmt.Errorf("hw: CoresPerTile %d must divide Cores %d", m.CoresPerTile, m.Cores)
 	case m.HTPerCore <= 0:
 		return errors.New("hw: HTPerCore must be positive")
-	case m.L2PerTileBytes <= 0:
+	// The float checks are written so that NaN fails them too.
+	case !(m.L2PerTileBytes > 0):
 		return errors.New("hw: L2PerTileBytes must be positive")
-	case m.BWMaxBytesNs <= 0:
+	case !(m.BWMaxBytesNs > 0):
 		return errors.New("hw: BWMaxBytesNs must be positive")
-	case m.BWHalf <= 0:
+	case !(m.BWHalf > 0):
 		return errors.New("hw: BWHalf must be positive")
-	case m.SyncAlpha < 0:
+	case !(m.SyncAlpha >= 0):
 		return errors.New("hw: SyncAlpha must be non-negative")
-	case m.HT2Eff <= 0 || m.HT2Eff > 1:
+	case !(m.HT2Eff > 0 && m.HT2Eff <= 1):
 		return errors.New("hw: HT2Eff must be in (0,1]")
-	case m.HT4Eff <= 0 || m.HT4Eff > m.HT2Eff:
+	case !(m.HT4Eff > 0 && m.HT4Eff <= m.HT2Eff):
 		return errors.New("hw: HT4Eff must be in (0,HT2Eff]")
-	case m.OversubMul < 0:
+	case !(m.OversubMul >= 0):
 		return errors.New("hw: OversubMul must be non-negative")
-	case m.GrainNs < 0:
+	case !(m.GrainNs >= 0):
 		return errors.New("hw: GrainNs must be non-negative")
 	}
 	return nil

@@ -1,6 +1,10 @@
 package hw
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestNewKNLValid(t *testing.T) {
 	m := NewKNL()
@@ -119,5 +123,30 @@ func TestPlacementString(t *testing.T) {
 func TestMachineString(t *testing.T) {
 	if s, want := NewKNL().String(), "machine{68 cores, 34 tiles, 4 HT/core, 380 GB/s}"; s != want {
 		t.Errorf("String() = %q, want %q", s, want)
+	}
+}
+
+// TestValidateRejectsNaN: a NaN in any float field fails Validate instead
+// of pricing every op at a finite, meaningless time.
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Machine)
+	}{
+		{"L2PerTileBytes", func(m *Machine) { m.L2PerTileBytes = nan }},
+		{"BWMaxBytesNs", func(m *Machine) { m.BWMaxBytesNs = nan }},
+		{"BWHalf", func(m *Machine) { m.BWHalf = nan }},
+		{"SyncAlpha", func(m *Machine) { m.SyncAlpha = nan }},
+		{"HT2Eff", func(m *Machine) { m.HT2Eff = nan }},
+		{"HT4Eff", func(m *Machine) { m.HT4Eff = nan }},
+		{"OversubMul", func(m *Machine) { m.OversubMul = nan }},
+		{"GrainNs", func(m *Machine) { m.GrainNs = nan }},
+	} {
+		m := NewKNL()
+		tc.mutate(m)
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("NaN %s: Validate() = %v, want an error naming the field", tc.name, err)
+		}
 	}
 }

@@ -209,9 +209,6 @@ func (b *builder) activation(in T, kind, gradKind op.Kind, label string) T {
 
 func (b *builder) relu(in T, label string) T { return b.activation(in, op.Relu, op.ReluGrad, label) }
 func (b *builder) tanh(in T, label string) T { return b.activation(in, op.Tanh, op.TanhGrad, label) }
-func (b *builder) sigmoid(in T, label string) T {
-	return b.activation(in, op.Sigmoid, op.SigmoidGrad, label)
-}
 
 // pool emits a pooling operation with its gradient.
 func (b *builder) pool(in T, kind op.Kind, window int, label string) T {

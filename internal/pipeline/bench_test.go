@@ -65,7 +65,7 @@ func BenchmarkPipelineBatch(b *testing.B) {
 	c := benchCluster()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunBatch(context.Background(), w, c, place.Options{}); err != nil {
+		if _, err := replayWorkload(context.Background(), w, c, place.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,10 +158,11 @@ func BenchmarkPipelineInferenceReplay(b *testing.B) {
 
 // BenchmarkPipelineFleet is the fleet-size regression guard of the
 // pipeline's placement path: one model-aware stream of one-step LSTM/DCGAN
-// jobs on 10k P100 nodes, placed by place.PlaceJobs (batch) and by RunBatch
-// (pipeline). At this fleet size any per-node work on a job's path is
-// expensive, so placement work the pipeline adds on top of the engine's own
-// shows up as a per-job gap between the two sub-benchmarks.
+// jobs on 10k P100 nodes, placed by place.PlaceJobs (batch) and replayed
+// through the pipeline (pipeline). At this fleet size any per-node work on
+// a job's path is expensive, so placement work the pipeline adds on top of
+// the engine's own shows up as a per-job gap between the two
+// sub-benchmarks.
 func BenchmarkPipelineFleet(b *testing.B) {
 	if testing.Short() {
 		b.Skip("10k-node fleet; run without -short")
@@ -174,7 +175,7 @@ func BenchmarkPipelineFleet(b *testing.B) {
 		run  func() (*place.Result, error)
 	}{
 		{"batch", func() (*place.Result, error) { return place.PlaceJobs(w, c, opts) }},
-		{"pipeline", func() (*place.Result, error) { return RunBatch(context.Background(), w, c, opts) }},
+		{"pipeline", func() (*place.Result, error) { return replayWorkload(context.Background(), w, c, opts) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

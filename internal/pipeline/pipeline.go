@@ -16,10 +16,10 @@
 // goroutine.
 //
 // Execution drives the same open place.Engine the batch API wraps, through
-// the same Arrive and Drain calls, so feeding a closed workload through the
-// pipeline (RunBatch) renders byte-identically to place.PlaceJobs — the
-// equivalence go test checks, which lets the simulator and the service
-// share one engine. On top of the open stream, Replay drives a trace Source
+// the same Arrive and Drain calls, so replaying a closed, arrival-sorted
+// workload through the pipeline renders byte-identically to
+// place.PlaceJobs — the equivalence go test checks, which lets the
+// simulator and the service share one engine. Replay drives a trace Source
 // (for example a streaming tracefile.Reader) through the pipeline at native
 // or time-compressed arrival rates without ever materializing the full job
 // slice.
@@ -231,7 +231,7 @@ func (p *Pipeline) Close() {
 
 // Wait blocks until the pipeline has fully drained (or failed) and returns
 // the sealed result: per-job outcomes in admission order. Callers that
-// submitted out of input order — the batch wrapper — reorder afterwards.
+// submitted out of input order reorder afterwards.
 func (p *Pipeline) Wait() (*place.Result, error) {
 	<-p.done
 	p.cancel()

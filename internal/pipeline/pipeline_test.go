@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"io"
 	"math"
 	"runtime"
@@ -38,6 +39,8 @@ func equivCases() []struct {
 	}{
 		{"spread-cpu", syn, place.Cluster{Nodes: 4}, place.Options{}},
 		{"binpack-hetero", syn, place.Cluster{Nodes: 2, GPUs: 2}, place.Options{Policy: "binpack"}},
+		{"binpack-lstm-resnet", place.MustSynthetic(24, 13, []string{"lstm", "resnet-50"}, 2e6),
+			place.Cluster{Nodes: 2, GPUs: 1}, place.Options{Policy: "binpack"}},
 		{"model-aware-gpu", syn, place.Cluster{GPUs: 3}, place.Options{Policy: "model-aware"}},
 		{"steps-preempt-none", steps, place.Cluster{Nodes: 2, GPUs: 1}, place.Options{Preempt: "none"}},
 		{"steps-preempt-all", steps, place.Cluster{Nodes: 2, GPUs: 1}, place.Options{Policy: "binpack", Preempt: "all"}},
@@ -46,7 +49,23 @@ func equivCases() []struct {
 	}
 }
 
-// TestBatchEquivalence is the refactoring's contract: feeding a closed
+// replayWorkload replays a closed workload through the pipeline the way a
+// caller holding a job slice does: canonicalized, so default labels match
+// place.PlaceJobs's, and streamed unpaced in slice order. The workload must
+// be arrival-sorted, as every generator's output is; stream order is then
+// input order, and the Result lists jobs the way PlaceJobs does.
+func replayWorkload(ctx context.Context, w place.Workload, c place.Cluster, o place.Options) (*place.Result, error) {
+	specs, err := w.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	if !sort.SliceIsSorted(specs, func(a, b int) bool { return specs[a].ArrivalNs < specs[b].ArrivalNs }) {
+		return nil, errors.New("replayWorkload: workload is not arrival-sorted")
+	}
+	return Replay(ctx, Config{Cluster: c, Options: o}, &sliceSource{specs: specs}, 0)
+}
+
+// TestBatchEquivalence is the refactoring's contract: replaying a closed
 // workload through the three-stage pipeline renders byte-identically to the
 // batch engine, with and without preemption triggers firing.
 func TestBatchEquivalence(t *testing.T) {
@@ -58,7 +77,7 @@ func TestBatchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunBatch(context.Background(), tc.w, tc.c, tc.o)
+			got, err := replayWorkload(context.Background(), tc.w, tc.c, tc.o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +94,7 @@ func TestBatchEquivalence(t *testing.T) {
 func TestBatchEquivalencePreemptionScenario(t *testing.T) {
 	cs := equivCases()
 	tc := cs[len(cs)-1]
-	res, err := RunBatch(context.Background(), tc.w, tc.c, tc.o)
+	res, err := replayWorkload(context.Background(), tc.w, tc.c, tc.o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +103,17 @@ func TestBatchEquivalencePreemptionScenario(t *testing.T) {
 	}
 }
 
-// TestRunBatchDeterministic: identical inputs, identical bytes, across
-// repeated runs of the concurrent pipeline.
+// TestRunBatchDeterministic: a closed batch replayed through the
+// concurrent pipeline renders identical bytes on every run.
 func TestRunBatchDeterministic(t *testing.T) {
 	w := place.MustSynthetic(30, 3, nil, 2e6)
 	c := place.Cluster{Nodes: 3, GPUs: 1}
-	first, err := RunBatch(context.Background(), w, c, place.Options{Policy: "binpack"})
+	first, err := replayWorkload(context.Background(), w, c, place.Options{Policy: "binpack"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		again, err := RunBatch(context.Background(), w, c, place.Options{Policy: "binpack"})
+		again, err := replayWorkload(context.Background(), w, c, place.Options{Policy: "binpack"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,23 +123,19 @@ func TestRunBatchDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunBatchErrors: the wrapper surfaces the batch API's exact
-// validation failures.
+// TestRunBatchErrors: Replay surfaces the batch API's cluster and option
+// validation failures before it reads the source.
 func TestRunBatchErrors(t *testing.T) {
 	ctx := context.Background()
-	if _, err := RunBatch(ctx, nil, place.Cluster{Nodes: 1}, place.Options{}); err == nil {
-		t.Error("empty workload accepted")
-	}
-	w := place.Workload{{Model: "lstm", ArrivalNs: -1}}
-	if _, err := RunBatch(ctx, w, place.Cluster{Nodes: 1}, place.Options{}); err == nil {
-		t.Error("negative arrival accepted")
-	}
-	ok := place.Workload{{Model: "lstm"}}
-	if _, err := RunBatch(ctx, ok, place.Cluster{}, place.Options{}); err == nil {
+	src := &sliceSource{specs: []place.JobSpec{{Model: "lstm"}}}
+	if _, err := Replay(ctx, Config{Cluster: place.Cluster{}}, src, 0); err == nil {
 		t.Error("empty cluster accepted")
 	}
-	if _, err := RunBatch(ctx, ok, place.Cluster{Nodes: 1}, place.Options{Policy: "nope"}); err == nil {
+	if _, err := Replay(ctx, Config{Cluster: place.Cluster{Nodes: 1}, Options: place.Options{Policy: "nope"}}, src, 0); err == nil {
 		t.Error("unknown policy accepted")
+	}
+	if src.i != 0 {
+		t.Errorf("a rejected configuration read %d specs from the source", src.i)
 	}
 }
 
@@ -424,44 +439,6 @@ func (s *sliceSource) Next() (place.JobSpec, error) {
 	j := s.specs[s.i]
 	s.i++
 	return j, nil
-}
-
-// TestReplayMatchesBatch: replaying a sorted stream (at unlimited speed)
-// renders byte-identically to the batch engine on the same workload.
-func TestReplayMatchesBatch(t *testing.T) {
-	w := place.MustSynthetic(24, 13, []string{"lstm", "resnet-50"}, 2e6)
-	c := place.Cluster{Nodes: 2, GPUs: 1}
-	want, err := place.PlaceJobs(w, c, place.Options{Policy: "binpack"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := append(place.Workload(nil), w...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].ArrivalNs < sorted[b].ArrivalNs })
-	canon, err := sorted.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replay streams the already-canonical sorted specs; only the report's
-	// job order differs from the batch contract (stream vs input order).
-	res, err := Replay(context.Background(),
-		Config{Cluster: c, Options: place.Options{Policy: "binpack"}},
-		&sliceSource{specs: canon}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perm := make([]place.PlacedJob, len(res.Jobs))
-	idx := make([]int, len(w))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return w[idx[a]].ArrivalNs < w[idx[b]].ArrivalNs })
-	for k, inputIdx := range idx {
-		perm[inputIdx] = res.Jobs[k]
-	}
-	res.Jobs = perm
-	if g, wnt := res.Render(), want.Render(); g != wnt {
-		t.Errorf("replay diverges from batch engine:\n--- batch ---\n%s\n--- replay ---\n%s", wnt, g)
-	}
 }
 
 // TestReplayPacing: a finite speed spreads submissions over wall time

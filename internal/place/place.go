@@ -2,7 +2,7 @@
 // workload of training jobs — each with an arrival time, a model, a
 // priority and an optional deadline — onto a heterogeneous cluster of
 // per-node hardware descriptors (manycore hw.Machine nodes and gpu.Device
-// nodes, freely mixed) connected by a cluster.Interconnect, and reports
+// nodes, freely mixed) connected by an Interconnect, and reports
 // per-job completion time, queueing delay and slowdown versus running
 // alone on the hardware it landed on, plus cluster-wide makespan,
 // utilization and fairness.
@@ -20,7 +20,7 @@
 //     schedulers under a cross-job arbiter, contention priced over the
 //     union of in-flight operations — while a GPU node co-runs one job
 //     per stream through the gpu occupancy/stream model;
-//   - the cluster.Interconnect prices the parameter transfer that stages a
+//   - the Interconnect prices the parameter transfer that stages a
 //     job on its node before it may start;
 //   - the whole simulation advances on one virtual cluster clock.
 //
@@ -42,9 +42,9 @@ import (
 	"strconv"
 	"strings"
 
-	"opsched/internal/cluster"
 	"opsched/internal/core"
 	"opsched/internal/gpu"
+	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/nn"
 	"opsched/internal/obs"
@@ -147,16 +147,30 @@ func (j JobSpec) label(i int) string {
 	return fmt.Sprintf("%s#%d", j.Model, i)
 }
 
-// Check rejects specs no placement engine could admit: negative or NaN
-// arrival times, unknown models, deadlines that precede the job's arrival,
-// and negative step counts. The index i labels the job in errors (its
-// position in a workload slice, or its admission sequence in a stream).
+// maxTimeNs caps arrival times and deadlines at 2^60 ns, about 36.5 years
+// of cluster clock. Past it float64 stops resolving the shortest solo step
+// the engine prices, 509,111 ns (DCGAN batch-1 inference on the default
+// KNL node): the spacing of float64 values at the ceiling is 256 ns, 5.0e-4
+// of that step, and it doubles with every further power of two. Far enough
+// out a job's finish rounds to its arrival, and it reports a JCT and a
+// slowdown of 0.
+const maxTimeNs = 1 << 60
+
+// Check rejects specs no placement engine could admit: negative, NaN or
+// too-large arrival times, unknown models, deadlines that precede the
+// job's arrival, and negative step counts. The index i labels the job in
+// errors (its position in a workload slice, or its admission sequence in a
+// stream).
 func (j JobSpec) Check(i int) error {
 	if math.IsNaN(j.ArrivalNs) || math.IsInf(j.ArrivalNs, 0) {
 		return fmt.Errorf("place: job %d (%s) has non-finite arrival time %v", i, j.label(i), j.ArrivalNs)
 	}
 	if j.ArrivalNs < 0 {
 		return fmt.Errorf("place: job %d (%s) has negative arrival time %v", i, j.label(i), j.ArrivalNs)
+	}
+	if j.ArrivalNs > maxTimeNs {
+		return fmt.Errorf("place: job %d (%s) has arrival time %v past the %v ns ceiling",
+			i, j.label(i), j.ArrivalNs, float64(maxTimeNs))
 	}
 	if _, err := nn.Resolve(j.Model); err != nil {
 		return fmt.Errorf("place: job %d (%s): %w", i, j.label(i), err)
@@ -166,6 +180,10 @@ func (j JobSpec) Check(i int) error {
 	}
 	if j.DeadlineNs < 0 {
 		return fmt.Errorf("place: job %d (%s) has negative deadline %v", i, j.label(i), j.DeadlineNs)
+	}
+	if j.DeadlineNs > maxTimeNs {
+		return fmt.Errorf("place: job %d (%s) has deadline %v past the %v ns ceiling",
+			i, j.label(i), j.DeadlineNs, float64(maxTimeNs))
 	}
 	if j.DeadlineNs > 0 && j.DeadlineNs < j.ArrivalNs {
 		return fmt.Errorf("place: job %d (%s) has deadline %v before arrival %v",
@@ -223,9 +241,9 @@ func (w Workload) Validate() error {
 
 // Canonical validates the workload and returns a copy with every spec in
 // the engine's canonical form: resolved model spellings and default names
-// filled from the job's input index — the normalization both the batch
-// wrapper and the streaming pipeline's batch feeder apply before admission,
-// so their default job labels agree.
+// filled from the job's input index — the normalization the batch wrapper
+// applies before admission, and a replay of the same slice through the
+// streaming pipeline must apply too, so their default job labels agree.
 func (w Workload) Canonical() (Workload, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -279,8 +297,46 @@ type Cluster struct {
 	// NodeList is the explicit heterogeneous fleet, in node-index order;
 	// when non-empty it overrides Nodes/Machine/GPUs/GPU.
 	NodeList []Node
-	// Interconnect joins the nodes; nil means cluster.NewAries().
-	Interconnect *cluster.Interconnect
+	// Interconnect joins the nodes; nil means NewAries().
+	Interconnect *Interconnect
+}
+
+// Interconnect models the fabric between nodes (e.g. the Aries network of
+// Cori, where the paper's KNL machines live).
+type Interconnect struct {
+	// BWBytesNs is the per-node injection bandwidth in bytes/ns.
+	BWBytesNs float64
+	// LatencyNs is the per-message latency.
+	LatencyNs float64
+}
+
+// NewAries returns a Cray-Aries-like interconnect (~10 GB/s per node,
+// ~1.5 µs latency).
+func NewAries() *Interconnect {
+	return &Interconnect{BWBytesNs: 10, LatencyNs: 1500}
+}
+
+// TransferNs estimates a one-way point-to-point transfer of payload bytes
+// between two nodes — the cost of staging a job's parameters on the node
+// it is placed on. Non-positive payloads still pay the message latency.
+func (ic *Interconnect) TransferNs(payloadBytes float64) float64 {
+	if payloadBytes <= 0 {
+		return ic.LatencyNs
+	}
+	return ic.LatencyNs + payloadBytes/ic.BWBytesNs
+}
+
+// paramBytes sums the parameter-tensor sizes receiving optimizer updates:
+// the payload shipped to a node before the job can start there.
+func paramBytes(g *graph.Graph) float64 {
+	total := 0.0
+	for _, node := range g.Nodes() {
+		switch node.Op.Kind {
+		case "ApplyAdam", "ApplyGradientDescent":
+			total += node.Op.Input.Bytes()
+		}
+	}
+	return total
 }
 
 // Validate rejects cluster descriptions with no nodes, an inconsistent
@@ -308,11 +364,12 @@ func (c Cluster) Validate() error {
 		}
 	}
 	if ic := c.Interconnect; ic != nil {
-		if ic.BWBytesNs <= 0 {
+		// Written so that NaN fails the checks too.
+		if !(ic.BWBytesNs > 0) {
 			return fmt.Errorf("place: interconnect bandwidth must be positive, got %v", ic.BWBytesNs)
 		}
-		if ic.LatencyNs < 0 {
-			return fmt.Errorf("place: interconnect latency must be non-negative, got %v", ic.LatencyNs)
+		if !(ic.LatencyNs >= 0) || math.IsInf(ic.LatencyNs, 1) {
+			return fmt.Errorf("place: interconnect latency must be finite and non-negative, got %v", ic.LatencyNs)
 		}
 	}
 	return nil
@@ -342,9 +399,9 @@ func (c Cluster) nodeDescriptors() []Node {
 	return nodes
 }
 
-func (c Cluster) interconnect() *cluster.Interconnect {
+func (c Cluster) interconnect() *Interconnect {
 	if c.Interconnect == nil {
-		return cluster.NewAries()
+		return NewAries()
 	}
 	return c.Interconnect
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"opsched/internal/cluster"
 	"opsched/internal/core"
 	"opsched/internal/gpu"
 	"opsched/internal/hw"
@@ -56,10 +55,10 @@ func TestValidationErrors(t *testing.T) {
 			Cluster{NodeList: []Node{{CPU: hw.NewKNL(), GPU: gpu.NewP100()}}},
 			Options{}, "both"},
 		{"bad interconnect bandwidth", good,
-			Cluster{Nodes: 1, Interconnect: &cluster.Interconnect{BWBytesNs: 0, LatencyNs: 1}},
+			Cluster{Nodes: 1, Interconnect: &Interconnect{BWBytesNs: 0, LatencyNs: 1}},
 			Options{}, "bandwidth"},
 		{"negative interconnect latency", good,
-			Cluster{Nodes: 1, Interconnect: &cluster.Interconnect{BWBytesNs: 1, LatencyNs: -1}},
+			Cluster{Nodes: 1, Interconnect: &Interconnect{BWBytesNs: 1, LatencyNs: -1}},
 			Options{}, "latency"},
 		{"unknown policy", good, Cluster{Nodes: 1}, Options{Policy: "random"}, "unknown policy"},
 		{"unknown arbiter", good, Cluster{Nodes: 1}, Options{Arbiter: "nope"}, "unknown arbiter"},
@@ -376,7 +375,7 @@ func TestSingleNodeDegeneratesToCoTrain(t *testing.T) {
 func TestExplicitOptionsAndInterconnect(t *testing.T) {
 	w := lstmStream(2)
 	cfg := core.Strategies12()
-	slow := &cluster.Interconnect{BWBytesNs: 0.5, LatencyNs: 3000}
+	slow := &Interconnect{BWBytesNs: 0.5, LatencyNs: 3000}
 	res, err := PlaceJobs(w, Cluster{Nodes: 1, Interconnect: slow},
 		Options{Policy: "binpack", Arbiter: "srwf", Config: &cfg})
 	if err != nil {
@@ -392,6 +391,103 @@ func TestExplicitOptionsAndInterconnect(t *testing.T) {
 	if res.Jobs[0].TransferNs <= fast.Jobs[0].TransferNs {
 		t.Errorf("slow fabric stages in %v, not above the default's %v",
 			res.Jobs[0].TransferNs, fast.Jobs[0].TransferNs)
+	}
+}
+
+// TestClusterValidateRejectsNaN: an interconnect with a NaN bandwidth or a
+// NaN or infinite latency fails Validate, so PlaceJobs names the fabric
+// instead of stalling with no job done.
+func TestClusterValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		ic   Interconnect
+		want string
+	}{
+		{"NaN bandwidth", Interconnect{BWBytesNs: nan, LatencyNs: 1500}, "bandwidth"},
+		{"NaN latency", Interconnect{BWBytesNs: 10, LatencyNs: nan}, "latency"},
+		{"infinite latency", Interconnect{BWBytesNs: 10, LatencyNs: math.Inf(1)}, "latency"},
+	} {
+		ic := tc.ic
+		c := Cluster{Nodes: 2, Interconnect: &ic}
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming the %s", tc.name, err, tc.want)
+		}
+		if _, err := PlaceJobs(lstmStream(6), c, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: PlaceJobs error %v, want one naming the %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestTimeCeiling: arrivals and deadlines past maxTimeNs fail Check and
+// PlaceJobs. The ceiling keeps the float64 spacing below 1e-3 of the
+// shortest solo step the engine prices, so that job reports the same
+// slowdown, to that precision, arriving at the ceiling as at time 0.
+func TestTimeCeiling(t *testing.T) {
+	past := math.Nextafter(maxTimeNs, math.Inf(1))
+	for _, j := range []JobSpec{
+		{Model: "lstm", ArrivalNs: 1e25},
+		{Model: "lstm", ArrivalNs: past},
+		{Model: "lstm", DeadlineNs: 1e25},
+		{Model: "lstm", DeadlineNs: past},
+	} {
+		if err := j.Check(1); err == nil || !strings.Contains(err.Error(), "ceiling") {
+			t.Errorf("Check(%+v) = %v, want a ceiling error", j, err)
+		}
+		if _, err := PlaceJobs(Workload{{Model: "lstm"}, j}, Cluster{Nodes: 1}, Options{}); err == nil {
+			t.Errorf("PlaceJobs accepted %+v", j)
+		}
+	}
+	if err := (JobSpec{Model: "lstm", ArrivalNs: maxTimeNs, DeadlineNs: maxTimeNs}).Check(0); err != nil {
+		t.Errorf("a spec at the ceiling was rejected: %v", err)
+	}
+
+	var shortest JobSpec
+	var shortestC Cluster
+	var at0 PlacedJob
+	for _, model := range nn.Names() {
+		for _, c := range []Cluster{{Nodes: 1}, {GPUs: 1}} {
+			for _, class := range Classes() {
+				j := JobSpec{Model: model, Class: class}
+				res, err := PlaceJobs(Workload{j}, c, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if at0.SoloNs == 0 || res.Jobs[0].SoloNs < at0.SoloNs {
+					shortest, shortestC, at0 = j, c, res.Jobs[0]
+				}
+			}
+		}
+	}
+	if spacing := past - maxTimeNs; !(spacing < 1e-3*at0.SoloNs) {
+		t.Fatalf("float64 spacing %v ns at the ceiling is not below 1e-3 of the shortest solo step %v ns",
+			spacing, at0.SoloNs)
+	}
+	shortest.ArrivalNs = maxTimeNs
+	res, err := PlaceJobs(Workload{shortest}, shortestC, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Jobs[0].Slowdown, at0.Slowdown; !(got >= 1) || math.Abs(got-want) > 1e-3*want {
+		t.Errorf("%s arriving at the ceiling: slowdown %v, want %v within 1e-3", shortest.Model, got, want)
+	}
+}
+
+// TestParamBytes: every workload ships a positive parameter payload, and
+// staging it costs more than the bare message latency.
+func TestParamBytes(t *testing.T) {
+	ic := NewAries()
+	for _, name := range nn.Names() {
+		b := paramBytes(nn.MustBuild(name).Graph)
+		if b <= 0 {
+			t.Errorf("%s: paramBytes = %v, want positive", name, b)
+		}
+		if tr := ic.TransferNs(b); tr <= ic.LatencyNs {
+			t.Errorf("%s: staging transfer %v not above latency", name, tr)
+		}
+	}
+	if ic.TransferNs(0) != ic.LatencyNs {
+		t.Error("zero payload should cost exactly the message latency")
 	}
 }
 

@@ -256,3 +256,21 @@ func TestHeteroDeterminismProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTransferNsProperties: under seeded random payloads the staging cost
+// is at least the message latency and monotone in the payload.
+func TestTransferNsProperties(t *testing.T) {
+	ic := NewAries()
+	transfer := func(p1, p2 uint32) bool {
+		lo, hi := float64(p1), float64(p2)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		a, b := ic.TransferNs(lo), ic.TransferNs(hi)
+		return a >= ic.LatencyNs && a <= b
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(42))}
+	if err := quick.Check(transfer, cfg); err != nil {
+		t.Error(err)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"opsched/internal/cluster"
 	"opsched/internal/core"
 	"opsched/internal/gpu"
 	"opsched/internal/hw"
@@ -57,8 +56,8 @@ type ClusterGrid struct {
 	Machine *hw.Machine
 	// GPU is the GPU-node device model; nil means gpu.NewP100().
 	GPU *gpu.Device
-	// Interconnect joins the nodes; nil means cluster.NewAries().
-	Interconnect *cluster.Interconnect
+	// Interconnect joins the nodes; nil means place.NewAries().
+	Interconnect *place.Interconnect
 	// Config is the per-job runtime configuration; nil means the full
 	// strategy set (AllStrategies).
 	Config *core.Config

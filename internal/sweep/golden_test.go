@@ -2,10 +2,13 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +24,7 @@ import (
 // byte. The rows are the paper's experiments (one golden each), the
 // multijob grid under every arbiter, and the cluster grids opsched-bench
 // documents. Each cluster row runs over engine {place.PlaceJobs,
-// pipeline.RunBatch} × obs {nil, metrics+tracer} × wave memo {on, off},
+// pipeline.Replay} × obs {nil, metrics+tracer} × wave memo {on, off},
 // and every cell must equal the row's single golden, so a divergence
 // between paths and a drift from the last accepted output fail alike.
 //
@@ -247,7 +250,7 @@ func benchWorkload(t *testing.T, n int, models []string, gapMs float64, steps in
 
 // matrixAxis is one execution path a cluster row runs over.
 type matrixAxis struct {
-	pipeline bool // pipeline.RunBatch instead of place.PlaceJobs
+	pipeline bool // pipeline.Replay instead of place.PlaceJobs
 	obs      bool // attach a metrics registry and a tracer
 	noMemo   bool // Options.NoWaveMemo
 }
@@ -268,7 +271,7 @@ func (ax matrixAxis) String() string {
 	onOff := map[bool]string{false: "off", true: "on"}
 	engine := "PlaceJobs"
 	if ax.pipeline {
-		engine = "RunBatch"
+		engine = "Replay"
 	}
 	return fmt.Sprintf("engine=%s obs=%s memo=%s", engine, onOff[ax.obs], onOff[!ax.noMemo])
 }
@@ -293,13 +296,40 @@ func (ax matrixAxis) run(ctx context.Context, g ClusterGrid, par int) ([]Cluster
 		var err error
 		cell := pt.cell
 		if ax.pipeline {
-			cell.Result, err = pipeline.RunBatch(ctx, pt.jobs, pt.c, opts)
+			cell.Result, err = replayJobs(ctx, pt.jobs, pt.c, opts)
 		} else {
 			cell.Result, err = place.PlaceJobs(pt.jobs, pt.c, opts)
 		}
 		return cell, err
 	})
 	return cells, reg, err
+}
+
+// replayJobs streams a grid point's jobs through pipeline.Replay, unpaced
+// and canonicalized the way place.PlaceJobs canonicalizes them. Every grid
+// workload is arrival-sorted, so stream order is input order and the
+// Result lists jobs the way PlaceJobs does.
+func replayJobs(ctx context.Context, w place.Workload, c place.Cluster, opts place.Options) (*place.Result, error) {
+	specs, err := w.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	if !sort.SliceIsSorted(specs, func(a, b int) bool { return specs[a].ArrivalNs < specs[b].ArrivalNs }) {
+		return nil, errors.New("replayJobs: workload is not arrival-sorted")
+	}
+	return pipeline.Replay(ctx, pipeline.Config{Cluster: c, Options: opts}, &sliceSource{specs: specs}, 0)
+}
+
+// sliceSource is a pipeline.Source over a fixed spec slice.
+type sliceSource struct{ specs []place.JobSpec }
+
+func (s *sliceSource) Next() (place.JobSpec, error) {
+	if len(s.specs) == 0 {
+		return place.JobSpec{}, io.EOF
+	}
+	j := s.specs[0]
+	s.specs = s.specs[1:]
+	return j, nil
 }
 
 // checkClusterCells asserts what holds for every placed job: queueing and

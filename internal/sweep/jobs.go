@@ -39,6 +39,12 @@ func DefaultJobMixes() []JobMix {
 	}
 }
 
+// NamedMachine pairs a hardware model with a label for cell attribution.
+type NamedMachine struct {
+	Name    string
+	Machine *hw.Machine
+}
+
 // JobGrid is a job-mix × arbiter-policy × machine sweep specification.
 type JobGrid struct {
 	// Mixes to co-schedule; empty means DefaultJobMixes.

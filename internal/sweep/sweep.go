@@ -1,6 +1,6 @@
 // Package sweep is the experiment sweep engine: it fans independent work
-// items — whole named experiments, or policy × model × machine grid cells —
-// across a bounded pool of goroutines. Each worker is goroutine-confined
+// items — whole named experiments, job-mix cells or cluster-placement
+// cells — across a bounded pool of goroutines. Each worker is goroutine-confined
 // (every item builds its own graphs, schedulers and runtimes; the hardware
 // model is read-only; hill-climb profiles are shared through the
 // mutex-guarded perfmodel cache), results are collected by item index so

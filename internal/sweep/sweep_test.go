@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"opsched/internal/core"
 	"opsched/internal/hw"
-	"opsched/internal/nn"
 )
 
 func TestParallelismClamp(t *testing.T) {
@@ -128,105 +126,5 @@ func TestExperimentsUnknownName(t *testing.T) {
 	_, err := Experiments(context.Background(), nil, []string{"nope"}, 2)
 	if err == nil {
 		t.Fatal("Experiments(nope) succeeded")
-	}
-}
-
-func TestRunGridDeterministicAndOrdered(t *testing.T) {
-	g := Grid{
-		Policies: []Policy{
-			FIFOPolicy("recommendation", 1, 0),
-			RuntimePolicy("ours", core.AllStrategies()),
-		},
-		Models: []string{nn.DCGAN, nn.LSTM},
-	}
-	want := g.Cells()
-	if len(want) != 4 {
-		t.Fatalf("Cells = %d, want 4", len(want))
-	}
-
-	serial, err := RunGrid(context.Background(), g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunGrid(context.Background(), g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		for _, got := range []Cell{serial[i], parallel[i]} {
-			if got.Machine != want[i].Machine || got.Model != want[i].Model || got.Policy != want[i].Policy {
-				t.Fatalf("cell %d = %s/%s/%s, want %s/%s/%s",
-					i, got.Machine, got.Model, got.Policy, want[i].Machine, want[i].Model, want[i].Policy)
-			}
-		}
-		if serial[i].StepTimeNs != parallel[i].StepTimeNs {
-			t.Errorf("cell %d (%s/%s): serial %.3f != parallel %.3f",
-				i, want[i].Model, want[i].Policy, serial[i].StepTimeNs, parallel[i].StepTimeNs)
-		}
-		if serial[i].StepTimeNs <= 0 {
-			t.Errorf("cell %d: non-positive step time", i)
-		}
-	}
-	// The paper's runtime beats the recommendation on every workload.
-	for i := 0; i < len(serial); i += 2 {
-		rec, ours := serial[i], serial[i+1]
-		if ours.StepTimeNs >= rec.StepTimeNs {
-			t.Errorf("%s: ours (%.1fms) not faster than recommendation (%.1fms)",
-				ours.Model, ours.StepTimeNs/1e6, rec.StepTimeNs/1e6)
-		}
-	}
-}
-
-func TestRunGridUnknownModel(t *testing.T) {
-	_, err := RunGrid(context.Background(), Grid{Models: []string{"VGG"}}, 2)
-	if err == nil {
-		t.Fatal("RunGrid(unknown model) succeeded")
-	}
-}
-
-// TestRunGridDuplicatePolicyNames: cells are bound to policy structs, not
-// resolved through a name map, so same-named policies keep their own
-// configurations.
-func TestRunGridDuplicatePolicyNames(t *testing.T) {
-	g := Grid{
-		Policies: []Policy{
-			FIFOPolicy("fifo", 1, 0),   // recommendation: 1/68
-			FIFOPolicy("fifo", 1, 136), // oversubscribed: 1/136
-		},
-		Models: []string{nn.DCGAN},
-	}
-	cells, err := RunGrid(context.Background(), g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("cells = %d, want 2", len(cells))
-	}
-	if cells[0].StepTimeNs == cells[1].StepTimeNs {
-		t.Errorf("duplicate-named policies produced identical step times (%.3f); the second config was likely used for both", cells[0].StepTimeNs)
-	}
-	if cells[1].StepTimeNs <= cells[0].StepTimeNs {
-		t.Errorf("oversubscribed 1/136 (%.1fms) not slower than recommendation (%.1fms)",
-			cells[1].StepTimeNs/1e6, cells[0].StepTimeNs/1e6)
-	}
-}
-
-// TestGridAccessorOverrides: every Grid accessor honours an explicit
-// value instead of its default.
-func TestGridAccessorOverrides(t *testing.T) {
-	m := hw.NewKNL()
-	g := Grid{
-		Policies: []Policy{FIFOPolicy("fifo", 1, 4)},
-		Models:   []string{nn.LSTM},
-		Machines: []NamedMachine{{Name: "m", Machine: m}},
-	}
-	if got := g.policies(); len(got) != 1 || got[0].Name != "fifo" {
-		t.Errorf("policies() = %v", got)
-	}
-	if got := g.models(); len(got) != 1 || got[0] != nn.LSTM {
-		t.Errorf("models() = %v", got)
-	}
-	if got := g.machines(); len(got) != 1 || got[0].Name != "m" {
-		t.Errorf("machines() = %v", got)
 	}
 }

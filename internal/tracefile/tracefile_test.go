@@ -319,6 +319,8 @@ func TestRowsAdmissionWouldReject(t *testing.T) {
 		{"NaN weight", "model,submit,weight\nlstm,2,NaN\nlstm,3,1\n", 1, []float64{0}},
 		{"negative weight", "model,submit,weight\nlstm,0,1\nlstm,1,-1\nlstm,2,0.5\n", 2, []float64{0, 2e9}},
 		{"infinite weight", "model,submit,weight\nlstm,0,Inf\n", 1, nil},
+		{"arrival past the time ceiling", "model,submit\nlstm,0\nlstm,1e17\ndcgan,3\n", 2, []float64{0, 3e9}},
+		{"deadline past the time ceiling", "model,submit,deadline\nlstm,0,1e17\nlstm,1,9\n", 1, []float64{0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := NewReader(strings.NewReader(tc.trace), Options{})

@@ -140,15 +140,6 @@ func RunExperiment(name string, m *Machine) (string, error) {
 // rendered report, and the wall-clock time its worker spent on it.
 type ExperimentReport = sweep.ExperimentReport
 
-// SweepPolicy is one scheduling configuration a grid sweep evaluates.
-type SweepPolicy = sweep.Policy
-
-// SweepGrid is a policy × model × machine sweep specification.
-type SweepGrid = sweep.Grid
-
-// SweepCell is the outcome of one grid point.
-type SweepCell = sweep.Cell
-
 // NamedMachine pairs a hardware model with a label for sweep attribution.
 type NamedMachine = sweep.NamedMachine
 
@@ -158,23 +149,6 @@ type NamedMachine = sweep.NamedMachine
 // regardless of completion order.
 func RunExperiments(ctx context.Context, names []string, m *Machine, parallelism int) ([]ExperimentReport, error) {
 	return sweep.Experiments(ctx, m, names, parallelism)
-}
-
-// RunSweep evaluates a policy × model × machine grid across up to
-// parallelism worker goroutines, returning cells in the grid's deterministic
-// enumeration order (see SweepGrid.Cells).
-func RunSweep(ctx context.Context, g SweepGrid, parallelism int) ([]SweepCell, error) {
-	return sweep.RunGrid(ctx, g, parallelism)
-}
-
-// RuntimeSweepPolicy is a SweepPolicy running this package's runtime.
-func RuntimeSweepPolicy(name string, cfg Config) SweepPolicy {
-	return sweep.RuntimePolicy(name, cfg)
-}
-
-// FIFOSweepPolicy is a SweepPolicy running the TensorFlow-style baseline.
-func FIFOSweepPolicy(name string, interOp, intraOp int) SweepPolicy {
-	return sweep.FIFOPolicy(name, interOp, intraOp)
 }
 
 // ProfileCacheStats reports the process-wide hill-climb profile cache's

@@ -408,15 +408,8 @@ func TestFacadeStreamingPipeline(t *testing.T) {
 	}
 }
 
-// TestFacadeSweepHelpers pins the thin sweep-policy constructors and the
-// profile-cache stats accessor.
+// TestFacadeSweepHelpers pins the profile-cache stats accessor.
 func TestFacadeSweepHelpers(t *testing.T) {
-	if p := RuntimeSweepPolicy("ours", AllStrategies()); p.Name != "ours" {
-		t.Fatalf("RuntimeSweepPolicy name %q", p.Name)
-	}
-	if p := FIFOSweepPolicy("fifo", 2, 34); p.Name != "fifo" {
-		t.Fatalf("FIFOSweepPolicy name %q", p.Name)
-	}
 	hits, misses := ProfileCacheStats()
 	if hits < 0 || misses < 0 {
 		t.Fatalf("cache stats went negative: %d/%d", hits, misses)
