@@ -236,31 +236,53 @@ func (m *liveMetrics) noteNow(atNs float64) {
 	m.mu.Unlock()
 }
 
+// completion is the part of a finished job's outcome the live metrics
+// fold — all that execution hands the metrics stage per completion, in
+// place of the whole place.PlacedJob.
+type completion struct {
+	queueNs, jctNs, finishNs  float64
+	preemptions, migrations   int
+	inference, hasSLO, sloMet bool
+}
+
+// completionOf extracts the folded fields from a job's outcome.
+func completionOf(j *place.PlacedJob) completion {
+	return completion{
+		queueNs: j.QueueNs, jctNs: j.JCTNs(), finishNs: j.FinishNs,
+		preemptions: j.Preemptions, migrations: j.Migrations,
+		inference: j.Class == place.ClassInference, hasSLO: j.SLONs > 0, sloMet: j.SLOMet,
+	}
+}
+
 // noteCompleted folds one finished job in and returns the completion count.
 func (m *liveMetrics) noteCompleted(j place.PlacedJob) int {
+	return m.noteCompletion(completionOf(&j))
+}
+
+// noteCompletion is noteCompleted over the compact completion record.
+func (m *liveMetrics) noteCompletion(c completion) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.completed++
-	jct := j.JCTNs()
-	m.queue.add(j.QueueNs)
-	m.jct.add(jct)
-	m.queueSum += j.QueueNs
-	m.jctSum += jct
-	if j.Class == place.ClassInference {
+	m.queue.add(c.queueNs)
+	m.jct.add(c.jctNs)
+	m.queueSum += c.queueNs
+	m.jctSum += c.jctNs
+	if c.inference {
 		m.inferDone++
-		m.inferJCT.add(jct)
-		if j.SLONs > 0 {
+		m.inferJCT.add(c.jctNs)
+		if c.hasSLO {
 			m.inferSLOTotal++
-			if j.SLOMet {
+			if c.sloMet {
 				m.inferSLOMet++
 			}
 		}
 	}
-	if j.FinishNs > m.nowNs {
-		m.nowNs = j.FinishNs
+	if c.finishNs > m.nowNs {
+		m.nowNs = c.finishNs
 	}
-	m.preemptions += j.Preemptions
-	m.migrations += j.Migrations
+	m.preemptions += c.preemptions
+	m.migrations += c.migrations
 	return m.completed
 }
 

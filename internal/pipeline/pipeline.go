@@ -67,8 +67,8 @@ const (
 type evMsg struct {
 	flag stageFlag
 	kind evKind
-	job  place.PlacedJob
-	atNs float64
+	atNs float64    // placement or tick time (evPlaced, evTick)
+	done completion // the finished job's folded fields (evCompleted)
 }
 
 // Config assembles a pipeline: the cluster and placement options the

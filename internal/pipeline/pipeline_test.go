@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"opsched/internal/nn"
 	"opsched/internal/place"
 )
 
@@ -464,5 +466,70 @@ func TestReplayPacing(t *testing.T) {
 	}
 	if len(res.Jobs) != 2 || res.Jobs[1].ArrivalNs != 50e6 {
 		t.Errorf("pacing altered virtual time: %+v", res.Jobs)
+	}
+}
+
+// TestReplaySegmentEdges replays workloads whose last job sits just
+// before, on and just after a boundary of the engine's job table (64 and
+// 192 records): multi-step, preemptive, mixed training and inference. The
+// replay renders byte-identically to place.PlaceJobs, and every job the
+// pipeline's engine holds equals the sealed Result's copy of it.
+func TestReplaySegmentEdges(t *testing.T) {
+	c := place.Cluster{Nodes: 2, GPUs: 2}
+	o := place.Options{Policy: "model-aware", Preempt: "all"}
+	for _, n := range []int{63, 64, 65, 191, 192, 193} {
+		n := n
+		t.Run(fmt.Sprintf("jobs=%d", n), func(t *testing.T) {
+			t.Parallel()
+			train, err := place.SyntheticSteps(n-n/3, 5, nn.Names(), 50e6, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := train.Merge(place.MustSyntheticInference(n/3, 5, nn.Names(), 100e6, 50e6))
+			want, err := place.PlaceJobs(w, c, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := replayWorkload(context.Background(), w, c, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Render() != want.Render() {
+				t.Fatalf("replay render differs from PlaceJobs:\n%s\nwant:\n%s", got.Render(), want.Render())
+			}
+
+			specs, err := w.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := New(context.Background(), Config{Cluster: c, Options: o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range specs {
+				if err := p.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Close()
+			res, err := p.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Jobs) != n {
+				t.Fatalf("%d jobs, want %d", len(res.Jobs), n)
+			}
+			for ji := range res.Jobs {
+				if job := p.eng.Job(ji); job != res.Jobs[ji] || job != got.Jobs[ji] {
+					t.Fatalf("job %d: Engine.Job %+v, Result %+v, Replay %+v", ji, job, res.Jobs[ji], got.Jobs[ji])
+				}
+			}
+			before := p.eng.Job(n - 1)
+			res.Jobs[n-1].Preemptions += 7
+			res.Jobs[n-1].Path = "n99/gpu"
+			if after := p.eng.Job(n - 1); after != before {
+				t.Fatalf("mutating Result.Jobs changed Engine.Job: %+v, want %+v", after, before)
+			}
+		})
 	}
 }

@@ -110,7 +110,7 @@ func (p *Pipeline) execution(in <-chan stageMsg, out chan<- evMsg) {
 	emit := func(fins []int) bool {
 		for _, ji := range fins {
 			job := eng.Job(ji)
-			if !post(evMsg{kind: evCompleted, job: job, atNs: job.FinishNs}) {
+			if !post(evMsg{kind: evCompleted, done: completionOf(&job)}) {
 				return false
 			}
 		}
@@ -208,7 +208,7 @@ func (p *Pipeline) metricsStage(in <-chan evMsg) {
 		case evTick:
 			p.met.noteNow(m.atNs)
 		case evCompleted:
-			n := p.met.noteCompleted(m.job)
+			n := p.met.noteCompletion(m.done)
 			if p.po != nil {
 				p.po.completed.Inc()
 			}

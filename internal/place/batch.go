@@ -39,14 +39,8 @@ func PlaceJobs(w Workload, c Cluster, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	res := e.Finish()
-	// The engine reports jobs in admission (arrival) order; the batch API
-	// contract is workload input order. Every aggregate in finalize is
-	// order-symmetric, so permuting after Finish is safe.
-	jobs := make([]PlacedJob, len(res.Jobs))
-	for k, inputIdx := range order {
-		jobs[inputIdx] = res.Jobs[k]
-	}
-	res.Jobs = jobs
-	return res, nil
+	// The engine admits jobs in arrival order; the batch API contract is
+	// workload input order, so the k-th admitted job's outcome lands at
+	// Jobs[order[k]].
+	return e.finish(order), nil
 }

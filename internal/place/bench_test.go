@@ -71,6 +71,40 @@ func BenchmarkPlaceHuge(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineAdmit times admission alone: Admit over 100k named,
+// canonical-model one-step jobs into a fresh engine, with nothing placed
+// or executed. It is the admission layer's own cost, which each job's
+// record write and the job table's segment allocations make up; B/job is
+// what one admitted job costs in heap bytes.
+func BenchmarkEngineAdmit(b *testing.B) {
+	const jobs = 100_000
+	specs := admitSpecs(jobs)
+	var ms runtime.MemStats
+	var bytes uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := NewEngine(Cluster{Nodes: 4}, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		b.StartTimer()
+		for _, sp := range specs {
+			if _, err := e.Admit(sp); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		bytes += ms.TotalAlloc - before
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(bytes)/float64(jobs)/float64(b.N), "B/job")
+}
+
 // BenchmarkPlaceLargeStreamObs is BenchmarkPlaceLargeStream's 1000×8 case
 // with the full observability layer attached — metrics registry and
 // tracer both live. Its distance from the obs-off numbers is the recorded

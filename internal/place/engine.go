@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -142,6 +143,51 @@ func (h *waveHeap) Pop() interface{} {
 	return e
 }
 
+// jobRec is one admitted job's engine state: its canonical spec, the
+// outcome the run fills in, and the per-job bookkeeping the event loop
+// keeps. A record is written once at admission into the engine's job table
+// and never moves afterwards.
+type jobRec struct {
+	spec JobSpec
+	out  PlacedJob // the outcome so far; Job fills StepsDone and Path
+
+	steps        int     // total step count
+	done         int     // steps retired
+	readyNs      float64 // current staging-complete time
+	started      bool    // first wave launched
+	countedOn    int     // last node the job was counted as executing on (-1 none)
+	checkpointNs float64 // pending checkpoint capture time, -1 when none
+	path         []int   // migration path as node indices: nil until the first migration
+	workKey      string  // pricing key: the model, or InferKey(model, 1)
+
+	// stepWork caches the job's one-step predicted work on its currently
+	// assigned node, so the wave scheduler never re-resolves a runtime
+	// work cache entry on the hot path; place and checkpointWave keep it
+	// current whenever the job's node changes.
+	stepWork float64
+
+	// flowID carries a preempted job's pending migration-flow id until its
+	// relaunch binds the arrow; maintained only while the tracer is on.
+	flowID int64
+}
+
+// jobSegBase is the length of the job table's first segment; segment k
+// holds jobSegBase<<k records. An engine of n jobs thus allocates about
+// log2(n/jobSegBase) segments, holds fewer than 2n+jobSegBase records,
+// and never copies a record to grow.
+const (
+	jobSegShift = 6
+	jobSegBase  = 1 << jobSegShift
+)
+
+// jobSlot maps job index ji to its job-table segment and the offset
+// inside it.
+func jobSlot(ji int) (seg, off int) {
+	x := uint(ji) + jobSegBase
+	seg = bits.Len(x) - jobSegShift - 1
+	return seg, int(x - jobSegBase<<seg)
+}
+
 // modelInfo caches the hardware-independent per-model quantities: the
 // parameter payload and its staging transfer over the interconnect.
 // Per-hardware work predictions live in each NodeRuntime's own cache.
@@ -158,12 +204,18 @@ type modelInfo struct {
 // are fed in nondecreasing virtual-time order — which is what lets the same
 // core serve both the batch PlaceJobs wrapper and the streaming pipeline's
 // execution stage: both feed it through Arrive and Drain, which own the
-// arrival/event tie rule. An Engine is not safe for concurrent use; exactly
-// one goroutine must drive it.
+// arrival/event tie rule. Each admitted job is one jobRec, written once at
+// admission into a table of doubling segments and never moved, so
+// admission costs one record write and, now and then, one segment
+// allocation. An Engine is not safe for concurrent use; exactly one
+// goroutine must drive it.
 type Engine struct {
-	specs     []JobSpec
+	// The job table: one jobRec per admitted job in admission order, in
+	// segments jobSlot addresses (see job). n counts the admitted jobs.
+	jobSegs [bits.UintSize - jobSegShift][]jobRec
+	n       int
+
 	nodes     []*nodeState
-	placed    []PlacedJob
 	policy    string // a built-in policy name (checkPolicy)
 	arb       multijob.Arbiter
 	rts       []NodeRuntime // per node; nodes with equal hardware share one
@@ -177,15 +229,6 @@ type Engine struct {
 	triggers  []preempt.Trigger
 	migrator  preempt.Migrator
 	firings   int
-
-	steps        []int     // per-job total step count
-	done         []int     // per-job steps retired
-	readyNs      []float64 // per-job current staging-complete time
-	started      []bool    // per-job "first wave launched"
-	countedOn    []int     // last node the job was counted as executing on (-1 none)
-	checkpointNs []float64 // per-job pending checkpoint capture time, -1 when none
-	path         [][]int   // per-job migration path as node indices: nil until the first migration
-	workKeys     []string  // per-job pricing key: the model, or InferKey(model, 1)
 
 	// anyInference arms the latency-class admission path the first time an
 	// inference request is admitted; a training-only run never takes it.
@@ -212,12 +255,6 @@ type Engine struct {
 	rtAlpha   []float64
 	rtWorkBuf []float64
 
-	// stepWork caches each job's one-step predicted work on its currently
-	// assigned node, so the wave scheduler never re-resolves a runtime
-	// work cache entry on the hot path; place and checkpointWave keep it
-	// current whenever the job's node changes.
-	stepWork []float64
-
 	// Per-round hot-path scratch, reused across events so the steady state
 	// allocates nothing per round. The engine is single-threaded, so plain
 	// fields suffice. finBuf collects the jobs completed since the current
@@ -233,13 +270,10 @@ type Engine struct {
 	// Observability (Options.Obs): tr collects virtual-time trace events,
 	// eo holds the pre-bound metric instruments. Both nil when disabled —
 	// every emission site guards on that, so the disabled engine pays one
-	// nil check and zero allocations. flowID carries each preempted job's
-	// pending migration-flow id until its relaunch binds the arrow;
-	// occName caches the per-node occupancy counter-track names. Both are
-	// maintained only while tr != nil.
+	// nil check and zero allocations. occName caches the per-node
+	// occupancy counter-track names, maintained only while tr != nil.
 	tr      *obs.Tracer
 	eo      *engineObs
-	flowID  []int64
 	occName []string
 }
 
@@ -302,7 +336,7 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 
 // Admitted is the number of jobs admitted so far; Completed the number that
 // have retired every step.
-func (e *Engine) Admitted() int  { return len(e.specs) }
+func (e *Engine) Admitted() int  { return e.n }
 func (e *Engine) Completed() int { return e.completed }
 
 // Admit registers one job with the engine and returns its job index. The
@@ -318,36 +352,31 @@ func (e *Engine) Admit(j JobSpec) (int, error) {
 	}
 	if j.ArrivalNs < e.arrivalNs {
 		return -1, fmt.Errorf("place: job %s arrives at %v, before the admission clock %v",
-			j.label(len(e.specs)), j.ArrivalNs, e.arrivalNs)
+			j.label(e.n), j.ArrivalNs, e.arrivalNs)
 	}
 	e.arrivalNs = j.ArrivalNs
+	ji := e.n
 	j.Model = canon
-	j.Name = j.label(len(e.specs))
-	ji := len(e.specs)
-	e.specs = append(e.specs, j)
-	e.placed = append(e.placed, PlacedJob{})
-	e.steps = append(e.steps, j.steps())
-	e.done = append(e.done, 0)
-	e.readyNs = append(e.readyNs, 0)
-	e.started = append(e.started, false)
-	e.countedOn = append(e.countedOn, -1)
-	e.checkpointNs = append(e.checkpointNs, -1)
-	e.path = append(e.path, nil)
-	e.stepWork = append(e.stepWork, 0)
+	j.Name = j.label(ji)
 	key := canon
 	if j.Inference() {
 		key = InferKey(canon, 1)
 		e.anyInference = true
 	}
-	e.workKeys = append(e.workKeys, key)
+	seg, off := jobSlot(ji)
+	if off == 0 {
+		e.jobSegs[seg] = make([]jobRec, jobSegBase<<seg)
+	}
+	r := &e.jobSegs[seg][off]
+	*r = jobRec{spec: j, steps: j.steps(), countedOn: -1, checkpointNs: -1, workKey: key}
+	e.n++
 	if e.eo != nil {
 		e.eo.admitted.Inc()
 	}
 	if e.tr != nil {
-		e.flowID = append(e.flowID, 0)
 		e.tr.AsyncBegin(obsPidJobs, int64(ji), j.Name, "job", j.ArrivalNs,
 			obs.A("model", j.Model), obs.A("class", j.EffectiveClass()),
-			obs.A("steps", e.steps[ji]))
+			obs.A("steps", r.steps))
 	}
 	return ji, nil
 }
@@ -433,10 +462,10 @@ func (e *Engine) Arrive(j JobSpec) ([]int, error) {
 // reported as an error.
 func (e *Engine) Drain() ([]int, error) {
 	e.finBuf = e.finBuf[:0]
-	for e.completed < len(e.specs) {
+	for e.completed < e.n {
 		if node, _ := e.peek(); node < 0 {
 			return e.finBuf, fmt.Errorf("place: stalled with %d of %d jobs done and no runnable wave",
-				e.completed, len(e.specs))
+				e.completed, e.n)
 		}
 		if err := e.step(); err != nil {
 			return e.finBuf, err
@@ -445,27 +474,50 @@ func (e *Engine) Drain() ([]int, error) {
 	return e.finBuf, nil
 }
 
+// job returns admitted job ji's record.
+func (e *Engine) job(ji int) *jobRec {
+	seg, off := jobSlot(ji)
+	return &e.jobSegs[seg][off]
+}
+
 // Job snapshots job ji's current outcome: execution-derived step counts and
 // the migration path rendered so far. Valid any time after placement.
 func (e *Engine) Job(ji int) PlacedJob {
-	p := e.placed[ji]
-	p.StepsDone = e.done[ji]
-	p.Path = e.renderPath(ji)
+	if ji < 0 || ji >= e.n {
+		panic(fmt.Sprintf("place: job %d of %d admitted", ji, e.n))
+	}
+	r := e.job(ji)
+	p := r.out
+	p.StepsDone = r.done
+	p.Path = e.renderPath(r.path)
 	return p
 }
 
 // Finish seals the run and builds the Result: per-job outcomes in admission
-// order plus per-node usage and the aggregate metrics. Call it once, after
+// order plus per-node usage and the aggregate metrics. Result.Jobs is a
+// fresh slice that shares nothing with the engine. Call it once, after
 // every admitted job has completed (a caller that stalls earlier should
 // surface its own error — Finish reports whatever retired).
 func (e *Engine) Finish() *Result {
-	for ji := range e.placed {
-		e.placed[ji].StepsDone = e.done[ji]
-		e.placed[ji].Path = e.renderPath(ji)
+	return e.finish(nil)
+}
+
+// finish is Finish with job ji's outcome written to Jobs[pos[ji]] instead
+// of Jobs[ji] when pos is non-nil (a permutation of the admitted jobs), so
+// a caller wanting another order gathers each outcome once. The aggregates
+// still fold the jobs in admission order.
+func (e *Engine) finish(pos []int) *Result {
+	jobs := make([]PlacedJob, e.n)
+	for ji := range jobs {
+		at := ji
+		if pos != nil {
+			at = pos[ji]
+		}
+		jobs[at] = e.Job(ji)
 	}
 	out := &Result{
 		Policy: e.policy, Arbiter: e.arb.Name(), Nodes: len(e.nodes),
-		Fleet: fleetDescription(e.rts), Jobs: e.placed,
+		Fleet: fleetDescription(e.rts), Jobs: jobs,
 		Preempt: preempt.SpecName(e.preemptOn, e.triggers), TriggerFirings: e.firings,
 	}
 	for i, ns := range e.nodes {
@@ -474,7 +526,7 @@ func (e *Engine) Finish() *Result {
 			Jobs: ns.jobs, Waves: ns.waves, BusyNs: ns.busyNs,
 		})
 	}
-	out.finalize()
+	out.finalize(pos)
 	if e.eo != nil {
 		// Seal the sampled instruments and attach the registry's final
 		// exposition to the Result — a diagnostic rider, never rendered.
@@ -552,10 +604,9 @@ func (e *Engine) pathSeg(n int) string {
 	return fmt.Sprintf("n%0*d/%s", e.idxW, n, e.nodes[n].rt.Kind())
 }
 
-// renderPath renders job ji's migration path, "" for a job that never
+// renderPath renders a job's migration path, "" for a job that never
 // migrated.
-func (e *Engine) renderPath(ji int) string {
-	hops := e.path[ji]
+func (e *Engine) renderPath(hops []int) string {
 	if len(hops) < 2 {
 		return ""
 	}
@@ -566,13 +617,13 @@ func (e *Engine) renderPath(ji int) string {
 	return strings.Join(segs, " -> ")
 }
 
-// remainingNs prices job ji's unfinished steps on the node it is currently
+// remainingNs prices the job's unfinished steps on the node it is currently
 // assigned to, from the per-job step-work cache place and checkpointWave
 // maintain — no runtime cache lookup on the hot path. Inference requests
 // price at their forward-only serving graph (their work key), not the
 // model's training step.
-func (e *Engine) remainingNs(ji int) float64 {
-	return float64(e.steps[ji]-e.done[ji]) * e.stepWork[ji]
+func (r *jobRec) remainingNs() float64 {
+	return float64(r.steps-r.done) * r.stepWork
 }
 
 // jobWorkPerRuntime fills the engine's per-pick scratch with job ji's
@@ -580,8 +631,9 @@ func (e *Engine) remainingNs(ji int) float64 {
 // sharing that runtime would price it at), resolving each runtime's work
 // cache exactly once.
 func (e *Engine) jobWorkPerRuntime(ji int) []float64 {
-	model := e.workKeys[ji]
-	steps := float64(e.steps[ji])
+	r := e.job(ji)
+	model := r.workKey
+	steps := float64(r.steps)
 	work := e.rtWorkBuf
 	for k, rt := range e.uniqueRts {
 		work[k] = steps * rt.SoloWorkNs(model)
@@ -610,7 +662,8 @@ func (e *Engine) PlaceAuto(ji int, at float64) error {
 // place stages admitted job ji on node n at its arrival instant and gives
 // the armed preemption triggers a chance to cut a wave.
 func (e *Engine) place(ji, n int, at float64) error {
-	sp := e.specs[ji]
+	r := e.job(ji)
+	sp := &r.spec
 	if n < 0 || n >= len(e.nodes) {
 		return fmt.Errorf("place: policy %q placed job %s on node %d of a %d-node cluster",
 			e.policy, sp.Name, n, len(e.nodes))
@@ -618,22 +671,22 @@ func (e *Engine) place(ji, n int, at float64) error {
 	// An inference request stages its serving graph's payload — next to no
 	// parameters, so effectively just the interconnect latency — not the
 	// training model's optimizer state.
-	mi := e.info(e.workKeys[ji])
+	mi := e.info(r.workKey)
 	ns := e.nodes[n]
-	e.placed[ji] = PlacedJob{
+	r.out = PlacedJob{
 		Name: sp.Name, Model: sp.Model, Node: n, Kind: ns.rt.Kind(),
 		ArrivalNs: at, TransferNs: mi.xferNs, ReadyNs: at + mi.xferNs,
-		DeadlineNs: sp.DeadlineNs, Steps: e.steps[ji],
+		DeadlineNs: sp.DeadlineNs, Steps: r.steps,
 		Class: sp.EffectiveClass(), SLONs: sp.SLONs,
 	}
-	e.readyNs[ji] = at + mi.xferNs
-	e.stepWork[ji] = ns.rt.SoloWorkNs(e.workKeys[ji])
-	work := e.remainingNs(ji)
+	r.readyNs = at + mi.xferNs
+	r.stepWork = ns.rt.SoloWorkNs(r.workKey)
+	work := r.remainingNs()
 	ns.queue = append(ns.queue, ji)
 	ns.queuedWorkNs += work
 	e.queueDelta(1, work)
-	if e.readyNs[ji] < ns.minReadyNs {
-		ns.minReadyNs = e.readyNs[ji]
+	if r.readyNs < ns.minReadyNs {
+		ns.minReadyNs = r.readyNs
 	}
 	if e.tr != nil {
 		e.tr.AsyncInstant(obsPidJobs, int64(ji), "place", "job", at,
@@ -651,12 +704,13 @@ func (e *Engine) fireTriggers(ji, node int, at float64) {
 	if !e.preemptOn || len(e.triggers) == 0 {
 		return
 	}
-	sp := e.specs[ji]
+	r := e.job(ji)
+	sp := &r.spec
 	arr := preempt.Arrival{
 		Name: sp.Name, Model: sp.Model, Priority: sp.Priority,
 		DeadlineNs: sp.DeadlineNs, Node: node,
-		WorkNs:  e.remainingNs(ji),
-		ReadyNs: e.readyNs[ji],
+		WorkNs:  r.remainingNs(),
+		ReadyNs: r.readyNs,
 	}
 	if sp.Inference() && sp.SLONs > 0 {
 		arr.SLODeadlineNs = at + sp.SLONs
@@ -706,11 +760,11 @@ func (e *Engine) snapshot() []preempt.NodeSnapshot {
 			s.RoundEndNs = w.roundEndNs
 			s.DrainNs = w.drainNs
 			for _, ji := range w.active {
-				sp := e.specs[ji]
+				r := e.job(ji)
 				s.Resident = append(s.Resident, preempt.ResidentJob{
-					Name: sp.Name, Priority: sp.Priority, DeadlineNs: sp.DeadlineNs,
-					StepsDone: e.done[ji], Steps: e.steps[ji],
-					RemainingNs: e.remainingNs(ji),
+					Name: r.spec.Name, Priority: r.spec.Priority, DeadlineNs: r.spec.DeadlineNs,
+					StepsDone: r.done, Steps: r.steps,
+					RemainingNs: r.remainingNs(),
 				})
 			}
 		}
@@ -743,7 +797,7 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 	memCap := ns.rt.MemCapacityBytes()
 	cands := e.candBuf[:0]
 	for _, ji := range ns.queue {
-		if e.readyNs[ji] <= startNs {
+		if e.job(ji).readyNs <= startNs {
 			cands = append(cands, ji)
 		}
 	}
@@ -754,7 +808,7 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 		// ordered by SLO deadline (requests without one last); ties and
 		// the training suffix keep placement order (stable).
 		sort.SliceStable(cands, func(a, b int) bool {
-			sa, sb := e.specs[cands[a]], e.specs[cands[b]]
+			sa, sb := &e.job(cands[a]).spec, &e.job(cands[b]).spec
 			ia, ib := sa.Inference(), sb.Inference()
 			if ia != ib {
 				return ia
@@ -771,7 +825,7 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 			}
 			return da < db
 		})
-		for trainStart < len(cands) && e.specs[cands[trainStart]].Inference() {
+		for trainStart < len(cands) && e.job(cands[trainStart]).spec.Inference() {
 			trainStart++
 		}
 	}
@@ -783,11 +837,11 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 		// keep placement order (stable).
 		tc := cands[trainStart:]
 		sort.SliceStable(tc, func(a, b int) bool {
-			pa, pb := e.specs[tc[a]].Priority, e.specs[tc[b]].Priority
-			if pa != pb {
-				return pa > pb
+			ra, rb := e.job(tc[a]), e.job(tc[b])
+			if ra.spec.Priority != rb.spec.Priority {
+				return ra.spec.Priority > rb.spec.Priority
 			}
-			return e.remainingNs(tc[a]) < e.remainingNs(tc[b])
+			return ra.remainingNs() < rb.remainingNs()
 		})
 	}
 	// admit escapes into waveState.active, so it alone is freshly
@@ -808,7 +862,8 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 		if admitted[ji] {
 			continue
 		}
-		sp := e.specs[ji]
+		r := e.job(ji)
+		sp := &r.spec
 		var group []int
 		if sp.Inference() {
 			// Fold later same-model requests into this slot's dynamic
@@ -822,14 +877,14 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 				if admitted[fj] {
 					continue
 				}
-				if fsp := e.specs[fj]; !fsp.Inference() || fsp.Model != sp.Model {
+				if fsp := &e.job(fj).spec; !fsp.Inference() || fsp.Model != sp.Model {
 					continue
 				}
 				group = append(group, fj)
 			}
 		}
 		if memCap > 0 {
-			key := e.workKeys[ji]
+			key := r.workKey
 			if len(group) > 0 {
 				key = InferKey(sp.Model, 1+len(group))
 			}
@@ -875,9 +930,10 @@ func (e *Engine) admitWave(n int, startNs float64) ([]int, map[int][]int) {
 	ns.queue = rest
 	ns.queuedWorkNs, ns.minReadyNs = 0, math.Inf(1)
 	for _, ji := range rest {
-		ns.queuedWorkNs += e.remainingNs(ji)
-		if e.readyNs[ji] < ns.minReadyNs {
-			ns.minReadyNs = e.readyNs[ji]
+		r := e.job(ji)
+		ns.queuedWorkNs += r.remainingNs()
+		if r.readyNs < ns.minReadyNs {
+			ns.minReadyNs = r.readyNs
 		}
 	}
 	e.queueDelta(len(rest)-prevQueued, ns.queuedWorkNs-prevWorkNs)
@@ -904,34 +960,35 @@ func (e *Engine) launchWave(n int, startNs float64) error {
 		// A job counts toward a node's executed jobs once per node it
 		// runs on: a checkpoint resuming where it was preempted is not a
 		// new job, a migrated one genuinely executed on both nodes.
-		if e.countedOn[ji] != n {
-			e.countedOn[ji] = n
+		r := e.job(ji)
+		if r.countedOn != n {
+			r.countedOn = n
 			ns.jobs++
 		}
-		p := &e.placed[ji]
+		p := &r.out
 		p.Wave = w.ord
 		p.Batched = batched
-		if !e.started[ji] {
-			e.started[ji] = true
+		if !r.started {
+			r.started = true
 			p.StartNs = startNs
 			p.QueueNs = startNs - p.ArrivalNs
 		}
-		if e.checkpointNs[ji] >= 0 {
-			p.DisruptionNs += startNs - e.checkpointNs[ji]
-			e.checkpointNs[ji] = -1
-			if e.tr != nil && e.flowID[ji] != 0 {
+		if r.checkpointNs >= 0 {
+			p.DisruptionNs += startNs - r.checkpointNs
+			r.checkpointNs = -1
+			if e.tr != nil && r.flowID != 0 {
 				// Bind the migration arrow started at the preemption to
 				// this relaunch, and mark the resume on the job's span.
-				e.tr.FlowEnd(obsPidNodes, n, e.flowID[ji], "migrate", "preempt", startNs)
+				e.tr.FlowEnd(obsPidNodes, n, r.flowID, "migrate", "preempt", startNs)
 				e.tr.AsyncInstant(obsPidJobs, int64(ji), "resume", "job", startNs,
 					obs.A("node", n))
-				e.flowID[ji] = 0
+				r.flowID = 0
 			}
 		}
 	}
 	for _, ji := range admit {
 		size := 0
-		if e.specs[ji].Inference() {
+		if e.job(ji).spec.Inference() {
 			size = 1 + len(batch[ji])
 		}
 		launch(ji, size)
@@ -952,7 +1009,7 @@ func (e *Engine) runRound(n int, startNs float64) error {
 	w := ns.wave
 	jobs := e.waveJobBuf[:0]
 	for _, ji := range w.active {
-		sp := e.specs[ji]
+		sp := &e.job(ji).spec
 		wj := WaveJob{Name: sp.Name, Model: sp.Model, Priority: sp.Priority, Weight: sp.Weight}
 		if sp.Inference() {
 			// An inference slot runs one batch-sized forward step: its
@@ -991,7 +1048,8 @@ func (e *Engine) runRound(n int, startNs float64) error {
 func (e *Engine) drainTailNs(w *waveState) float64 {
 	tails := e.tailBuf[:0]
 	for k, ji := range w.active {
-		tails = append(tails, drainTail{rem: e.steps[ji] - e.done[ji] - 1, span: w.res.Jobs[k].MakespanNs})
+		r := e.job(ji)
+		tails = append(tails, drainTail{rem: r.steps - r.done - 1, span: w.res.Jobs[k].MakespanNs})
 	}
 	e.tailBuf = tails
 	sort.Slice(tails, func(a, b int) bool { return tails[a].rem > tails[b].rem })
@@ -1033,10 +1091,11 @@ func (e *Engine) finishRound(n int) error {
 	var remain []int
 	for k, ji := range w.active {
 		jr := w.res.Jobs[k]
-		e.done[ji]++
-		p := &e.placed[ji]
+		r := e.job(ji)
+		r.done++
+		p := &r.out
 		p.SoloNs += jr.SoloNs
-		if e.done[ji] >= e.steps[ji] {
+		if r.done >= r.steps {
 			// The job's last step: it leaves the wave at its own step's
 			// finish inside the round, not the round's end.
 			p.CoRunNs += jr.MakespanNs
@@ -1055,8 +1114,9 @@ func (e *Engine) finishRound(n int) error {
 			// A dynamic batch's followers rode this slot's forward step:
 			// they finish with their leader, sharing its wave outcome.
 			for _, fj := range w.batch[ji] {
-				e.done[fj]++
-				fp := &e.placed[fj]
+				fr := e.job(fj)
+				fr.done++
+				fp := &fr.out
 				fp.SoloNs += jr.SoloNs
 				fp.CoRunNs += jr.MakespanNs
 				fp.FinishNs = w.roundStartNs + jr.MakespanNs
@@ -1124,11 +1184,12 @@ func (e *Engine) finishRound(n int) error {
 // node is not the one it was preempted from.
 func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 	for _, ji := range remain {
-		sp := e.specs[ji]
+		r := e.job(ji)
+		sp := &r.spec
 		mi := e.info(sp.Model)
 		cp := preempt.Checkpoint{
 			Job: ji, Name: sp.Name, Model: sp.Model, Node: from,
-			StepsDone: e.done[ji], Steps: e.steps[ji],
+			StepsDone: r.done, Steps: r.steps,
 			StateBytes: mi.paramBytes, TakenNs: t,
 		}
 		targets := make([]preempt.Target, len(e.nodes))
@@ -1146,14 +1207,14 @@ func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 			}
 		}
 		tgt := e.migrator.Pick(t, targets)
-		p := &e.placed[ji]
+		p := &r.out
 		p.Preemptions++
 		if tgt != from {
 			p.Migrations++
-			if e.path[ji] == nil {
-				e.path[ji] = []int{from}
+			if r.path == nil {
+				r.path = []int{from}
 			}
-			e.path[ji] = append(e.path[ji], tgt)
+			r.path = append(r.path, tgt)
 		}
 		if e.eo != nil {
 			e.eo.preemptions.Inc()
@@ -1165,23 +1226,23 @@ func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 			// One flow arrow per preemption: started here on the node the
 			// job left, bound at its relaunch (launchWave ends it).
 			id := e.tr.NextID()
-			e.flowID[ji] = id
+			r.flowID = id
 			e.tr.AsyncInstant(obsPidJobs, int64(ji), "preempt", "job", t,
 				obs.A("from", from), obs.A("to", tgt),
-				obs.A("steps_done", e.done[ji]))
+				obs.A("steps_done", r.done))
 			e.tr.FlowStart(obsPidNodes, from, id, "migrate", "preempt", t)
 		}
 		tn := e.nodes[tgt]
 		p.Node = tgt
 		p.Kind = tn.rt.Kind()
-		e.stepWork[ji] = tn.rt.SoloWorkNs(sp.Model)
-		e.readyNs[ji] = t + targets[tgt].TransferNs
-		e.checkpointNs[ji] = t
+		r.stepWork = tn.rt.SoloWorkNs(sp.Model)
+		r.readyNs = t + targets[tgt].TransferNs
+		r.checkpointNs = t
 		tn.queue = append(tn.queue, ji)
 		tn.queuedWorkNs += targets[tgt].WorkNs
 		e.queueDelta(1, targets[tgt].WorkNs)
-		if e.readyNs[ji] < tn.minReadyNs {
-			tn.minReadyNs = e.readyNs[ji]
+		if r.readyNs < tn.minReadyNs {
+			tn.minReadyNs = r.readyNs
 		}
 		e.push(tgt)
 	}

@@ -3,6 +3,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -251,5 +252,134 @@ func TestArriveDrainContract(t *testing.T) {
 	}
 	if _, err := e.Drain(); err == nil || !strings.Contains(err.Error(), "stalled with 1 of 2 jobs done") {
 		t.Errorf("Drain of an admitted but unplaced job = %v, want a stall", err)
+	}
+}
+
+// TestJobSlot pins the job table's index mapping: segment k holds
+// jobSegBase<<k records, so each segment starts where the previous ones'
+// lengths sum to.
+func TestJobSlot(t *testing.T) {
+	for _, tc := range []struct{ ji, seg, off int }{
+		{0, 0, 0},
+		{63, 0, 63},
+		{64, 1, 0},
+		{191, 1, 127},
+		{192, 2, 0},
+		{1 << 20, 14, 64},
+	} {
+		if seg, off := jobSlot(tc.ji); seg != tc.seg || off != tc.off {
+			t.Errorf("jobSlot(%d) = (%d, %d), want (%d, %d)", tc.ji, seg, off, tc.seg, tc.off)
+		}
+	}
+}
+
+// segmentEdgeWorkload is a multi-step, mixed training and inference
+// workload of exactly n jobs, arrival-sorted. On two CPU and two GPU nodes
+// under every preemption trigger, its runs of 191 jobs and more migrate
+// jobs past the job table's first segment.
+func segmentEdgeWorkload(tb testing.TB, n int) Workload {
+	tb.Helper()
+	train, err := SyntheticSteps(n-n/3, 5, nn.Names(), 50e6, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return train.Merge(MustSyntheticInference(n/3, 5, nn.Names(), 100e6, 50e6))
+}
+
+// TestJobTableSegmentEdges runs workloads whose last job sits just before,
+// on and just after a job-table segment edge. Every job's live outcome must
+// equal what Finish and PlaceJobs report, the migration and checkpoint
+// state of jobs past the first segment must survive, and Result.Jobs must
+// share nothing with the engine.
+func TestJobTableSegmentEdges(t *testing.T) {
+	c := Cluster{Nodes: 2, GPUs: 2}
+	opts := Options{Policy: "model-aware", Preempt: "all"}
+	for _, n := range []int{63, 64, 65, 191, 192, 193} {
+		n := n
+		t.Run(fmt.Sprintf("jobs=%d", n), func(t *testing.T) {
+			t.Parallel()
+			w := segmentEdgeWorkload(t, n)
+			e := driveBatch(t, w, c, opts)
+			res := e.Finish()
+			want, err := PlaceJobs(w, c, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Render(), want.Render(); got != want {
+				t.Fatalf("engine render differs from PlaceJobs:\n%s\nwant:\n%s", got, want)
+			}
+			if len(res.Jobs) != n {
+				t.Fatalf("%d jobs, want %d", len(res.Jobs), n)
+			}
+			var migrated, resumed int
+			for ji := range res.Jobs {
+				if got := e.Job(ji); got != res.Jobs[ji] || got != want.Jobs[ji] {
+					t.Fatalf("job %d: Engine.Job %+v, Finish %+v, PlaceJobs %+v",
+						ji, got, res.Jobs[ji], want.Jobs[ji])
+				}
+				if p := res.Jobs[ji]; ji >= jobSegBase && p.Path != "" {
+					migrated++
+				}
+				if p := res.Jobs[ji]; ji >= jobSegBase && p.DisruptionNs > 0 {
+					resumed++
+				}
+			}
+			if n > 2*jobSegBase && (migrated == 0 || resumed == 0) {
+				t.Fatalf("past the first segment %d jobs migrated and %d resumed from a checkpoint, want both > 0",
+					migrated, resumed)
+			}
+			before := e.Job(n - 1)
+			res.Jobs[n-1].Name = "mutated"
+			res.Jobs[n-1].Preemptions += 7
+			res.Jobs[n-1].Path = "n99/gpu"
+			if after := e.Job(n - 1); after != before {
+				t.Fatalf("mutating Result.Jobs changed Engine.Job: %+v, want %+v", after, before)
+			}
+		})
+	}
+}
+
+// admitSpecs are n named, canonical-model one-step training specs 10 ms
+// apart: the specs Admit takes without allocating anything but its job
+// table.
+func admitSpecs(n int) []JobSpec {
+	specs := make([]JobSpec, n)
+	models := []string{nn.LSTM, nn.DCGAN}
+	for i := range specs {
+		m := models[i%len(models)]
+		specs[i] = JobSpec{Name: fmt.Sprintf("%s#%d", m, i), Model: m, ArrivalNs: float64(i) * 10e6}
+	}
+	return specs
+}
+
+// TestAdmitAllocations is admission's allocation contract: with
+// observability off, admitting n named, canonical-model specs allocates
+// only the job table's segments — at most 1+⌈log2(n/jobSegBase)⌉ objects.
+func TestAdmitAllocations(t *testing.T) {
+	const n = 10_000
+	specs := admitSpecs(n)
+	e, err := NewEngine(Cluster{Nodes: 4}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{nn.LSTM, nn.DCGAN} {
+		if _, err := nn.Resolve(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, sp := range specs {
+		if _, err := e.Admit(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	limit := 1 + int(math.Ceil(math.Log2(float64(n)/jobSegBase)))
+	if got := after.Mallocs - before.Mallocs; got > uint64(limit) {
+		t.Fatalf("admitting %d jobs made %d allocations, want at most %d", n, got, limit)
+	}
+	if e.Admitted() != n {
+		t.Fatalf("admitted %d, want %d", e.Admitted(), n)
 	}
 }

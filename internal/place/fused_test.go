@@ -50,7 +50,7 @@ func TestFusedPickMatchesPick(t *testing.T) {
 					t.Fatalf("%s %s advance %d: %v", fl.name, policy, i, err)
 				}
 				views := referenceViews(e, ji, sp.ArrivalNs)
-				want := ref.Pick(e.specs[ji], sp.ArrivalNs, views)
+				want := ref.Pick(e.job(ji).spec, sp.ArrivalNs, views)
 				got := e.fusedPick(ji, sp.ArrivalNs)
 				if got != want {
 					t.Fatalf("%s %s job %d at %v: fusedPick=%d, Views→Pick=%d", fl.name, policy, i, sp.ArrivalNs, got, want)
@@ -162,7 +162,7 @@ func TestFusedPickFloorEdges(t *testing.T) {
 					views[i].JobWorkNs = work[e.rtIdx[i]]
 				}
 			}
-			if want := referencePolicy(tc.policy).Pick(e.specs[ji], now, views); want != tc.want {
+			if want := referencePolicy(tc.policy).Pick(e.job(ji).spec, now, views); want != tc.want {
 				t.Fatalf("reference picked node %d, case expects %d", want, tc.want)
 			}
 			acc := pickAcc{best: -1, fall: -1}

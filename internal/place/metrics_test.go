@@ -75,7 +75,7 @@ func TestRenderPreemptColumns(t *testing.T) {
 		CoRunSlowdown: 1, Slowdown: 1,
 	})
 	r.NodeStats = append(r.NodeStats, NodeStats{Node: 0, Kind: KindCPU}, NodeStats{Node: 1, Kind: KindCPU})
-	r.finalize()
+	r.finalize(nil)
 	if r.Preemptions != 2 || r.Migrations != 1 || r.DisruptionNs != 5e5 {
 		t.Fatalf("finalize aggregated %d/%d/%v", r.Preemptions, r.Migrations, r.DisruptionNs)
 	}

@@ -648,8 +648,10 @@ func jainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-// finalize fills the aggregate metrics from the per-job outcomes.
-func (r *Result) finalize() {
+// finalize fills the aggregate metrics from the per-job outcomes, folding
+// them in admission order: Jobs[pos[k]] is the k-th admitted job, or
+// Jobs[k] when pos is nil.
+func (r *Result) finalize(pos []int) {
 	var jctSum, queueSum float64
 	rates := make([]float64, 0, len(r.Jobs))
 	// Pure-training replays are the throughput-critical shape: give the
@@ -657,7 +659,11 @@ func (r *Result) finalize() {
 	// never regrows it, and let the inference side allocate lazily.
 	trainJCT := make([]float64, 0, len(r.Jobs))
 	var inferJCT []float64
-	for _, p := range r.Jobs {
+	for k := range r.Jobs {
+		p := &r.Jobs[k]
+		if pos != nil {
+			p = &r.Jobs[pos[k]]
+		}
 		jct := p.JCTNs()
 		jctSum += jct
 		queueSum += p.QueueNs
