@@ -1,8 +1,9 @@
 // Command opsched-serve runs the placement engine as a long-lived
-// scheduling service: a streaming admission→execution→metrics pipeline
-// fed by a CSV job trace (a file or stdin) and/or ad-hoc HTTP
-// submissions, publishing live queue/JCT percentiles while jobs are in
-// flight and sealing the full placement report on graceful drain.
+// scheduling service: a streaming pipeline (one goroutine that checks,
+// places and measures every job) fed by a CSV job trace (a file or stdin)
+// and/or ad-hoc HTTP submissions, publishing live queue/JCT percentiles
+// while jobs are in flight and sealing the full placement report on
+// graceful drain.
 //
 // Usage:
 //
@@ -37,8 +38,8 @@
 //	GET  /metrics   the scheduler's metrics registry in Prometheus text
 //	                exposition format: engine counters (admissions, waves,
 //	                preemptions, SLO attainment, wave-memo hit rate, queue
-//	                depth), pipeline stage latencies and backpressure
-//	                gauges, and the serve process's own gauges
+//	                depth), the pipeline's per-job latency and input
+//	                backpressure gauge, and the serve process's own gauges
 //	GET  /healthz   liveness: 200 "ok" while serving, "draining" once the
 //	                stream is closing
 //	GET  /buildinfo build metadata as JSON (Go version, module version,
@@ -116,7 +117,7 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 	arbiter := fs.String("arbiter", "", "per-node cross-job arbiter (default fair)")
 	preempt := fs.String("preempt", "", `preemption trigger spec ("all", "priority+deadline", ...; empty = off)`)
 	snapEvery := fs.Int("snap-every", 10, "print a live snapshot to stderr every N completions (0 disables)")
-	buffer := fs.Int("buffer", 0, "inter-stage channel depth (0 = default)")
+	buffer := fs.Int("buffer", 0, "pipeline input channel depth: submissions queued before a submitter blocks (0 = default 64)")
 	tick := fs.Duration("tick", 500*time.Millisecond, "virtual-clock tick interval in -http mode (retires work between submissions)")
 	logLevel := fs.String("log-level", "info", "log floor: debug, info, warn or error")
 	if err := fs.Parse(args); err != nil {

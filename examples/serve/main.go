@@ -1,10 +1,9 @@
 // Serve: the placement engine as a streaming service. A CSV job trace
-// (the Philly/Helios shape) streams row by row through the
-// admission→execution→metrics pipeline — no job slice is ever
-// materialized — while the metrics stage publishes live queue/JCT
-// percentile snapshots between completions. When the trace ends, the END
-// flag drains every stage in order and the metrics stage seals the
-// placement report.
+// (the Philly/Helios shape) streams row by row through the pipeline — no
+// job slice is ever materialized — whose one goroutine checks, clamps and
+// places each job and publishes live queue/JCT percentile snapshots
+// between completions. When the trace ends, the END flag drains every
+// in-flight job and seals the placement report.
 //
 // The run is deterministic: replay never ticks the virtual clock from
 // wall time, snapshots fire on completion counts, and unknown trace

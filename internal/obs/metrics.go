@@ -1,7 +1,7 @@
-// Package obs is the scheduler's observability layer: a lock-sharded
-// metrics registry (counters, gauges, histograms — Prometheus
-// text-format exposition) and a virtual-time tracer (Chrome trace-event
-// JSON, Perfetto-loadable). It is deliberately generic — obs knows
+// Package obs is the scheduler's observability layer: a metrics registry
+// (counters, gauges, histograms — Prometheus text-format exposition) and
+// a virtual-time tracer (Chrome trace-event JSON, Perfetto-loadable). It
+// is deliberately generic — obs knows
 // nothing about placement engines or pipelines; those layers own their
 // instrument names and emission points — and deliberately passive: an
 // instrument only ever records, so attaching an Observer can never
@@ -19,7 +19,6 @@ package obs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -46,20 +45,11 @@ func (t metricType) String() string {
 	}
 }
 
-// regShards is the registry's registration-shard count. Registration
-// (name → family) is the only mutex-guarded path; updates on bound
-// instruments are lock-free atomics. Sixteen shards keep concurrent
-// bind-time traffic (a pipeline stage and the serve loop registering at
-// startup) off one mutex without measurable footprint.
-const regShards = 16
-
-// Registry holds metric families sharded by name hash. The zero value is
-// not usable; call NewRegistry.
+// Registry holds metric families by name. Registration (name → family)
+// is the only mutex-guarded path and runs once per instrument, when a
+// layer binds its instruments; updates on bound instruments are lock-free
+// atomics. The zero value is not usable; call NewRegistry.
 type Registry struct {
-	shards [regShards]regShard
-}
-
-type regShard struct {
 	mu   sync.RWMutex
 	fams map[string]*family
 }
@@ -87,18 +77,7 @@ type child struct {
 
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		r.shards[i].fams = make(map[string]*family)
-	}
-	return r
-}
-
-// shardFor picks the registration shard for a family name.
-func (r *Registry) shardFor(name string) *regShard {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return &r.shards[h.Sum32()%regShards]
+	return &Registry{fams: make(map[string]*family)}
 }
 
 // register resolves (or creates) the family for name, enforcing that
@@ -108,10 +87,9 @@ func (r *Registry) register(name, help string, typ metricType, labels []string, 
 	if name == "" {
 		panic("obs: metric name must be non-empty")
 	}
-	s := r.shardFor(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.fams[name]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.fams[name]; ok {
 		if f.typ != typ {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", name, typ, f.typ))
 		}
@@ -131,7 +109,7 @@ func (r *Registry) register(name, help string, typ metricType, labels []string, 
 		bounds:    append([]float64(nil), bounds...),
 		children:  make(map[string]*child),
 	}
-	s.fams[name] = f
+	r.fams[name] = f
 	return f
 }
 
@@ -333,15 +311,12 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // exposition order, stable so scrapes and dumps are deterministic given
 // deterministic instrument values.
 func (r *Registry) families() []*family {
-	var fams []*family
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, f := range s.fams {
-			fams = append(fams, f)
-		}
-		s.mu.RUnlock()
+	r.mu.RLock()
+	fams := make([]*family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
 	}
+	r.mu.RUnlock()
 	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
 	return fams
 }

@@ -58,8 +58,9 @@ func BenchmarkBatchEngine(b *testing.B) {
 }
 
 // BenchmarkPipelineBatch drives the identical workload through the
-// three-stage streaming pipeline; the delta over BenchmarkBatchEngine is
-// the channel hand-off cost of stage separation.
+// streaming pipeline; the delta over BenchmarkBatchEngine is what the
+// pipeline adds: the Submit channel hop, the per-job check and clamp, and
+// the live-metrics fold.
 func BenchmarkPipelineBatch(b *testing.B) {
 	w := benchWorkload(b, 64)
 	c := benchCluster()

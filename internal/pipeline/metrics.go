@@ -7,19 +7,20 @@ import (
 	"sync"
 
 	"opsched/internal/place"
+	"opsched/internal/stats"
 )
 
-// Snapshot is one live reading of the metrics stage: what the scheduler
+// Snapshot is one live reading of a pipeline's metrics: what the scheduler
 // can report while jobs are still in flight. Percentiles are nearest-rank
-// over everything completed so far, the same formula Result.
-// QueuePercentileNs applies to a sealed run.
+// (stats.NearestRank) over everything completed so far, the rule
+// Result.QueuePercentileNs applies to a sealed run.
 type Snapshot struct {
-	// VirtualNowNs is the latest virtual time the metrics stage has seen —
-	// the newest completion or tick.
+	// VirtualNowNs is the latest virtual time the pipeline has reported —
+	// the newest placement, completion or tick.
 	VirtualNowNs float64
-	// Submitted counts every job offered to admission; Rejected the ones
-	// validation refused; ClampedArrivals the out-of-order arrivals pulled
-	// forward to the admission clock.
+	// Submitted counts every job the pipeline has taken off its input;
+	// Rejected the ones JobSpec.Check refused; ClampedArrivals the
+	// out-of-order arrivals pulled forward to the admission clock.
 	Submitted       int
 	Rejected        int
 	ClampedArrivals int
@@ -148,7 +149,7 @@ func (d *latencyDist) quantile3(a, b, c float64) (float64, float64, float64) {
 	if d.hist == nil {
 		s := append([]float64(nil), d.exact...)
 		sort.Float64s(s)
-		return nearestRank(s, a), nearestRank(s, b), nearestRank(s, c)
+		return stats.NearestRank(s, a), stats.NearestRank(s, b), stats.NearestRank(s, c)
 	}
 	return d.histRank(a), d.histRank(b), d.histRank(c)
 }
@@ -171,9 +172,9 @@ func (d *latencyDist) histRank(p float64) float64 {
 	return histRepr(histBucketCount - 1)
 }
 
-// liveMetrics is the mutex-guarded accumulator behind Snapshot: admission
-// writes submission/rejection/clamp counts, the metrics stage folds in
-// placements and completions, and any goroutine may read a Snapshot.
+// liveMetrics is the mutex-guarded accumulator behind Snapshot: the
+// pipeline's goroutine folds in every rejection, placement, tick and
+// completion, and any goroutine may read a Snapshot.
 type liveMetrics struct {
 	mu        sync.Mutex
 	submitted int
@@ -199,29 +200,22 @@ type liveMetrics struct {
 	migrations  int
 }
 
-func newLiveMetrics() *liveMetrics { return &liveMetrics{} }
-
-func (m *liveMetrics) noteSubmitted() {
-	m.mu.Lock()
-	m.submitted++
-	m.mu.Unlock()
-}
-
+// noteRejected counts one submission JobSpec.Check refused.
 func (m *liveMetrics) noteRejected() {
 	m.mu.Lock()
+	m.submitted++
 	m.rejected++
 	m.mu.Unlock()
 }
 
-func (m *liveMetrics) noteClamped() {
+// notePlaced counts one submission placed at atNs, clamped or not.
+func (m *liveMetrics) notePlaced(atNs float64, clamped bool) {
 	m.mu.Lock()
-	m.clamped++
-	m.mu.Unlock()
-}
-
-func (m *liveMetrics) notePlaced(atNs float64) {
-	m.mu.Lock()
+	m.submitted++
 	m.placed++
+	if clamped {
+		m.clamped++
+	}
 	if atNs > m.nowNs {
 		m.nowNs = atNs
 	}
@@ -236,53 +230,31 @@ func (m *liveMetrics) noteNow(atNs float64) {
 	m.mu.Unlock()
 }
 
-// completion is the part of a finished job's outcome the live metrics
-// fold — all that execution hands the metrics stage per completion, in
-// place of the whole place.PlacedJob.
-type completion struct {
-	queueNs, jctNs, finishNs  float64
-	preemptions, migrations   int
-	inference, hasSLO, sloMet bool
-}
-
-// completionOf extracts the folded fields from a job's outcome.
-func completionOf(j *place.PlacedJob) completion {
-	return completion{
-		queueNs: j.QueueNs, jctNs: j.JCTNs(), finishNs: j.FinishNs,
-		preemptions: j.Preemptions, migrations: j.Migrations,
-		inference: j.Class == place.ClassInference, hasSLO: j.SLONs > 0, sloMet: j.SLOMet,
-	}
-}
-
 // noteCompleted folds one finished job in and returns the completion count.
 func (m *liveMetrics) noteCompleted(j place.PlacedJob) int {
-	return m.noteCompletion(completionOf(&j))
-}
-
-// noteCompletion is noteCompleted over the compact completion record.
-func (m *liveMetrics) noteCompletion(c completion) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	jct := j.JCTNs()
 	m.completed++
-	m.queue.add(c.queueNs)
-	m.jct.add(c.jctNs)
-	m.queueSum += c.queueNs
-	m.jctSum += c.jctNs
-	if c.inference {
+	m.queue.add(j.QueueNs)
+	m.jct.add(jct)
+	m.queueSum += j.QueueNs
+	m.jctSum += jct
+	if j.Class == place.ClassInference {
 		m.inferDone++
-		m.inferJCT.add(c.jctNs)
-		if c.hasSLO {
+		m.inferJCT.add(jct)
+		if j.SLONs > 0 {
 			m.inferSLOTotal++
-			if c.sloMet {
+			if j.SLOMet {
 				m.inferSLOMet++
 			}
 		}
 	}
-	if c.finishNs > m.nowNs {
-		m.nowNs = c.finishNs
+	if j.FinishNs > m.nowNs {
+		m.nowNs = j.FinishNs
 	}
-	m.preemptions += c.preemptions
-	m.migrations += c.migrations
+	m.preemptions += j.Preemptions
+	m.migrations += j.Migrations
 	return m.completed
 }
 
@@ -311,24 +283,4 @@ func (m *liveMetrics) Snapshot() Snapshot {
 		s.InferP50Ns, _, s.InferP99Ns = m.inferJCT.quantile3(0.50, 0.50, 0.99)
 	}
 	return s
-}
-
-// nearestRank is the nearest-rank quantile over a sorted sample — the same
-// rule Result.QueuePercentileNs uses, so a live p99 at drain equals the
-// sealed report's p99.
-func nearestRank(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	k := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(sorted) {
-		k = len(sorted) - 1
-	}
-	return sorted[k]
 }

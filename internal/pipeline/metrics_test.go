@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"opsched/internal/place"
+	"opsched/internal/stats"
 )
 
 func TestSnapshotString(t *testing.T) {
@@ -34,7 +35,7 @@ func TestSnapshotString(t *testing.T) {
 // accumulator folds into the fixed-bucket histogram and stops retaining
 // samples — O(1) memory per completion, the long-lived-service guarantee.
 func TestLiveMetricsMemoryPinned(t *testing.T) {
-	m := newLiveMetrics()
+	m := &liveMetrics{}
 	n := 4 * exactSampleCap
 	for i := 0; i < n; i++ {
 		m.noteCompleted(place.PlacedJob{
@@ -71,7 +72,7 @@ func TestLiveMetricsMemoryPinned(t *testing.T) {
 // drained pipeline's live snapshot equal to the sealed report and the
 // byte-identity gates green.
 func TestLiveMetricsExactRegime(t *testing.T) {
-	m := newLiveMetrics()
+	m := &liveMetrics{}
 	queues := []float64{9e6, 1e6, 7e6, 3e6, 5e6, 0, 2e6, 8e6, 6e6, 4e6}
 	for i, q := range queues {
 		m.noteCompleted(place.PlacedJob{
@@ -84,10 +85,10 @@ func TestLiveMetricsExactRegime(t *testing.T) {
 	s := m.Snapshot()
 	sorted := append([]float64(nil), queues...)
 	sort.Float64s(sorted)
-	if want := nearestRank(sorted, 0.50); s.QueueP50Ns != want {
+	if want := stats.NearestRank(sorted, 0.50); s.QueueP50Ns != want {
 		t.Errorf("exact-regime p50 %.0f, want %.0f", s.QueueP50Ns, want)
 	}
-	if want := nearestRank(sorted, 0.99); s.QueueP99Ns != want {
+	if want := stats.NearestRank(sorted, 0.99); s.QueueP99Ns != want {
 		t.Errorf("exact-regime p99 %.0f, want %.0f", s.QueueP99Ns, want)
 	}
 	// Zero-latency samples (queue 0) survive both regimes as zero.
@@ -96,33 +97,12 @@ func TestLiveMetricsExactRegime(t *testing.T) {
 	}
 }
 
-func TestNearestRank(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {-1, 1}, {0.10, 1}, {0.50, 5}, {0.95, 10}, {0.99, 10}, {1, 10}, {2, 10},
-	}
-	for _, tc := range cases {
-		if got := nearestRank(sorted, tc.p); got != tc.want {
-			t.Errorf("nearestRank(p=%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if got := nearestRank(nil, 0.5); got != 0 {
-		t.Errorf("empty sample: got %v, want 0", got)
-	}
-	if got := nearestRank([]float64{7}, 0.99); got != 7 {
-		t.Errorf("single sample: got %v, want 7", got)
-	}
-}
-
 // TestLiveMetricsPerClass: inference completions fold into the per-class
 // snapshot fields — counts, SLO accounting, p50/p99 and the attainment
 // helper — while training completions leave them untouched, and the
 // String() serving clause appears only once inference jobs exist.
 func TestLiveMetricsPerClass(t *testing.T) {
-	m := newLiveMetrics()
+	m := &liveMetrics{}
 	m.noteCompleted(place.PlacedJob{ArrivalNs: 0, StartNs: 1e6, FinishNs: 5e6, QueueNs: 1e6})
 	s := m.Snapshot()
 	if s.InferCompleted != 0 || s.InferSLOTotal != 0 {

@@ -1,21 +1,22 @@
-// Package pipeline restructures the cluster placement engine into an open,
-// channel-fed stream of three stages — admission (validation, sequence
-// tagging, arrival clamping), execution (placement decisions, lockstep
-// rounds and preemption triggers, owning the engine and its virtual clock),
-// and metrics (incremental queue/JCT percentiles published while jobs are
-// still in flight) — the staged-pipeline idiom of Octopus's block pipeline
-// (graph_builder → scheduler → executor with an END-flag shutdown) applied
-// to the trace-driven serving shape of the multi-tenant DNN scheduling
-// literature. Each placement decision is one call made inline where
-// execution dispatches the job, not a hand-off to another stage.
+// Package pipeline runs the cluster placement engine as an open,
+// channel-fed stream: the trace-driven serving shape of the multi-tenant
+// DNN scheduling literature. One goroutine owns the engine and its virtual
+// clock and takes submissions and ticks off one input channel, in order.
+// For each job it checks the spec (a failure is counted as a rejection,
+// not fatal), tags its submission sequence, clamps a late arrival forward
+// to the admission clock, places it through the engine's Arrive call, and
+// folds every completion into incremental queue/JCT percentiles that stay
+// readable while jobs are still in flight. Every scheduling decision is
+// made inline, in the one loop that owns the dataflow state, with no
+// hand-off between goroutines.
 //
-// Every stage is one goroutine joined to its neighbours by a channel; an
-// explicit END flag travels the whole chain ahead of each channel close, so
-// shutdown is ordered and every in-flight job drains before the result is
-// sealed. Context cancellation unwinds all three stages without leaking a
-// goroutine.
+// Shutdown is ordered, after Octopus's block pipeline: Close closes the
+// input channel, which acts as the END flag. It is queued behind every
+// submission already sent, and on reaching it the loop drains the engine
+// so every in-flight job retires before the result is sealed. Context
+// cancellation stops the loop without leaking a goroutine.
 //
-// Execution drives the same open place.Engine the batch API wraps, through
+// The loop drives the same open place.Engine the batch API wraps, through
 // the same Arrive and Drain calls, so replaying a closed, arrival-sorted
 // workload through the pipeline renders byte-identically to
 // place.PlaceJobs — the equivalence go test checks, which lets the
@@ -29,63 +30,35 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"opsched/internal/place"
 )
 
-// stageFlag tags every inter-stage message; flagEnd is the END sentinel
-// that precedes each stage's channel close during an ordered shutdown.
-type stageFlag int
-
-const (
-	flagJob stageFlag = iota
-	flagReject
-	flagTick
-	flagEnd
-)
-
-// stageMsg is the message type of the admission→execution channel.
-type stageMsg struct {
-	flag   stageFlag
-	seq    int           // submission sequence (flagJob)
-	spec   place.JobSpec // canonicalized spec (flagJob)
-	err    error         // rejection cause (flagReject)
-	tickNs float64       // virtual-time horizon (flagTick)
+// msg is one input-channel message: a submitted job, or a tick.
+type msg struct {
+	spec   place.JobSpec
+	tick   bool
+	tickNs float64
 }
 
-// evKind tags execution→metrics events.
-type evKind int
-
-const (
-	evPlaced evKind = iota
-	evCompleted
-	evRejected
-	evTick
-)
-
-// evMsg is the execution→metrics channel's message type.
-type evMsg struct {
-	flag stageFlag
-	kind evKind
-	atNs float64    // placement or tick time (evPlaced, evTick)
-	done completion // the finished job's folded fields (evCompleted)
-}
-
-// Config assembles a pipeline: the cluster and placement options the
-// execution stage builds its engine from, plus streaming knobs.
+// Config assembles a pipeline: the cluster and placement options its
+// engine is built from, plus streaming knobs.
 type Config struct {
 	// Cluster and Options are place.PlaceJobs' parameters, verbatim.
 	Cluster place.Cluster
 	Options place.Options
-	// Buffer is each inter-stage channel's depth, and so the largest burst
-	// of messages execution takes or hands on at once; <= 0 means 64.
+	// Buffer is the input channel's depth: how many submissions and ticks
+	// may queue before Submit blocks; <= 0 means 64. A deep buffer lets a
+	// submitter run ahead of the loop instead of parking on every send.
 	Buffer int
-	// SnapshotEvery asks the metrics stage to publish a live Snapshot to
+	// SnapshotEvery asks the pipeline to publish a live Snapshot to
 	// OnSnapshot after every N-th job completion (0 disables). Driven by
 	// completions, not wall time, so replay snapshots are deterministic.
 	SnapshotEvery int
-	// OnSnapshot receives live snapshots; it is invoked from the metrics
-	// stage goroutine and must not block indefinitely.
+	// OnSnapshot receives live snapshots. It runs on the goroutine that
+	// owns the engine, so it stalls placement while it runs, and it must
+	// not call Submit, Tick or Wait on the same pipeline.
 	OnSnapshot func(Snapshot)
 }
 
@@ -96,10 +69,10 @@ func (c Config) buffer() int {
 	return c.Buffer
 }
 
-// Pipeline is one running admission→execution→metrics chain.
-// Submit jobs (and optionally Ticks) from any goroutine, Close to send the
-// END flag, Wait for the sealed result; Snapshot reads live metrics at any
-// point in between.
+// Pipeline is one running stream over a placement engine. Submit jobs
+// (and optionally Ticks) from any goroutine, Close to send the END flag,
+// Wait for the sealed result; Snapshot reads live metrics at any point in
+// between.
 type Pipeline struct {
 	cfg Config
 	eng *place.Engine
@@ -107,37 +80,27 @@ type Pipeline struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	in       chan stageMsg
+	in       chan msg
 	inMu     sync.RWMutex
 	inClosed bool
 
 	met *liveMetrics
 	// po holds the pre-bound pipeline instruments when Config.Options.Obs
-	// carries a metrics registry; nil disables them (stages pay one nil
+	// carries a metrics registry; nil disables them (the loop pays one nil
 	// check per message). Engine-level instruments attach inside
 	// place.NewEngine from the same Observer.
 	po *pipeObs
 
+	// res and err are written by the loop before done closes.
 	res  *place.Result
 	err  error
-	once sync.Once
-
-	done      chan struct{}
-	stageDone [numStages]chan struct{}
+	done chan struct{}
 }
 
-// Stage indices of the done-channel barrier, in pipeline order.
-const (
-	stageAdmission = iota
-	stageExecution
-	stageMetrics
-	numStages
-)
-
-// New assembles the three stages over a fresh engine and starts them. The
-// pipeline runs until Close drains it or ctx is cancelled; every
+// New builds a fresh engine and starts the pipeline's goroutine over it.
+// The pipeline runs until Close drains it or ctx is cancelled; every
 // constructor error (invalid cluster, unknown policy/arbiter/trigger)
-// surfaces here, before any goroutine starts.
+// surfaces here, before the goroutine starts.
 func New(ctx context.Context, cfg Config) (*Pipeline, error) {
 	eng, err := place.NewEngine(cfg.Cluster, cfg.Options)
 	if err != nil {
@@ -150,60 +113,39 @@ func New(ctx context.Context, cfg Config) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg: cfg, eng: eng,
 		ctx: cctx, cancel: cancel,
-		in:   make(chan stageMsg, cfg.buffer()),
-		met:  newLiveMetrics(),
+		in:   make(chan msg, cfg.buffer()),
+		met:  &liveMetrics{},
 		done: make(chan struct{}),
 	}
 	if reg := cfg.Options.Obs.MetricsOrNil(); reg != nil {
 		p.po = newPipeObs(reg)
 	}
-	for i := range p.stageDone {
-		p.stageDone[i] = make(chan struct{})
-	}
-
-	admCh := make(chan stageMsg, cfg.buffer())
-	evCh := make(chan evMsg, cfg.buffer())
-
-	go p.admission(p.in, admCh)
-	go p.execution(admCh, evCh)
-	go p.metricsStage(evCh)
-	go func() {
-		// The done barrier: Wait unblocks only once every stage goroutine
-		// has exited — the leak-freedom the lifecycle tests assert on.
-		for i := range p.stageDone {
-			<-p.stageDone[i]
-		}
-		close(p.done)
-	}()
+	go p.run()
 	return p, nil
 }
 
-// fail records the pipeline's first error and unwinds every stage.
-func (p *Pipeline) fail(err error) {
-	if err == nil {
-		return
-	}
-	p.once.Do(func() { p.err = err })
-	p.cancel()
-}
-
-// Submit feeds one job into the admission stage. It blocks while the
-// pipeline's buffers are full and fails once the pipeline is closed or
-// cancelled. Validation happens in the admission stage: an invalid spec is
-// rejected (counted in Snapshot), not returned here.
+// Submit queues one job. It blocks while the input channel is full and
+// fails once the pipeline is closed or cancelled. The spec is checked when
+// the pipeline takes it off the channel: an invalid spec is rejected
+// (counted in Snapshot), not returned here.
 func (p *Pipeline) Submit(j place.JobSpec) error {
-	return p.feed(stageMsg{flag: flagJob, spec: j})
+	return p.feed(msg{spec: j})
 }
 
-// Tick advances the execution stage's virtual clock to nowNs even if no
-// further job has arrived, retiring every due wave round — what lets a
-// live server report completions between submissions. Batch and replay
-// feeders never tick, keeping their runs deterministic.
+// Tick advances the engine's virtual clock to nowNs even if no further job
+// has arrived, retiring every due wave round — what lets a live server
+// report completions between submissions. nowNs must be a finite time in
+// [0, place.MaxTimeNs]; any other value is refused, since the admission
+// clock it raises would push every later arrival past it. Batch and
+// replay feeders never tick, keeping their runs deterministic.
 func (p *Pipeline) Tick(nowNs float64) error {
-	return p.feed(stageMsg{flag: flagTick, tickNs: nowNs})
+	if !(nowNs >= 0 && nowNs <= place.MaxTimeNs) {
+		return fmt.Errorf("pipeline: tick %v outside [0, %v] ns", nowNs, float64(place.MaxTimeNs))
+	}
+	return p.feed(msg{tick: true, tickNs: nowNs})
 }
 
-func (p *Pipeline) feed(m stageMsg) error {
+func (p *Pipeline) feed(m msg) error {
 	p.inMu.RLock()
 	defer p.inMu.RUnlock()
 	if p.inClosed {
@@ -217,9 +159,9 @@ func (p *Pipeline) feed(m stageMsg) error {
 	}
 }
 
-// Close declares the end of the stream: the END flag enters the admission
-// stage and propagates through every stage ahead of its channel close.
-// Safe to call more than once.
+// Close declares the end of the stream: closing the input channel is the
+// END flag, handled after every submission already queued. Safe to call
+// more than once.
 func (p *Pipeline) Close() {
 	p.inMu.Lock()
 	defer p.inMu.Unlock()
@@ -251,49 +193,102 @@ func (p *Pipeline) Snapshot() Snapshot {
 	return p.met.Snapshot()
 }
 
-// send delivers m unless the pipeline is cancelled first.
-func sendMsg[T any](ctx context.Context, ch chan<- T, m T) bool {
-	select {
-	case ch <- m:
-		return true
-	case <-ctx.Done():
+// run is the pipeline's one goroutine. It handles each input message in
+// order until the END flag seals the result or the context is cancelled.
+//
+// A job is checked, tagged with its submission sequence and clamped
+// forward to the admission clock (the high-water mark of arrivals and
+// ticks): the engine's virtual time never runs backwards, so a
+// late-reported trace row is treated as arriving "now". Engine.Arrive then
+// applies the batch engine's exact tie rule and places the job. A tick
+// advances the clock without an arrival (the live-serving mode). The END
+// flag goes through Engine.Drain, which retires every remaining event
+// before the Result is sealed.
+func (p *Pipeline) run() {
+	defer close(p.done)
+	seq := 0
+	clockNs := 0.0
+	for {
+		var m msg
+		var ok bool
+		select {
+		case m, ok = <-p.in:
+		case <-p.ctx.Done():
+			return
+		}
+		if !ok {
+			if p.retire(p.eng.Drain()) {
+				p.res = p.eng.Finish()
+			}
+			return
+		}
+		if p.po != nil {
+			p.po.depthSubmit.Set(float64(len(p.in)))
+		}
+		if m.tick {
+			clockNs = max(clockNs, m.tickNs)
+			if !p.retire(p.eng.AdvanceTo(m.tickNs)) {
+				return
+			}
+			// Refresh the engine's sampled gauges (wave-memo counters,
+			// queue depth) so a live scrape between ticks sees them.
+			p.eng.ObsSample()
+			p.met.noteNow(m.tickNs)
+			if p.po != nil {
+				p.po.ticks.Inc()
+			}
+			continue
+		}
+		var t0 time.Time
+		if p.po != nil {
+			t0 = time.Now()
+			p.po.submitted.Inc()
+		}
+		j, i := m.spec, seq
+		seq++
+		if err := j.Check(i); err != nil {
+			p.met.noteRejected()
+			if p.po != nil {
+				p.po.rejected.Inc()
+			}
+			continue
+		}
+		clamped := j.ArrivalNs < clockNs
+		if clamped {
+			j.ArrivalNs = clockNs
+			if p.po != nil {
+				p.po.clamped.Inc()
+			}
+		}
+		clockNs = j.ArrivalNs
+		if !p.retire(p.eng.Arrive(j)) {
+			return
+		}
+		p.met.notePlaced(j.ArrivalNs, clamped)
+		if p.po != nil {
+			p.po.executionNs.Observe(float64(time.Since(t0)))
+		}
+	}
+}
+
+// retire folds the jobs an engine call completed into the live metrics,
+// publishing a snapshot on every SnapshotEvery-th completion, or records
+// the call's error and unwinds the pipeline. It reports whether the call
+// succeeded.
+func (p *Pipeline) retire(fins []int, err error) bool {
+	if err != nil {
+		p.err = err
+		p.cancel()
 		return false
 	}
-}
-
-// recv receives unless the pipeline is cancelled first; ok is false on
-// cancellation or channel close.
-func recvMsg[T any](ctx context.Context, ch <-chan T) (T, bool) {
-	var zero T
-	select {
-	case m, ok := <-ch:
-		if !ok {
-			return zero, false
+	for _, ji := range fins {
+		n := p.met.noteCompleted(p.eng.Job(ji))
+		if p.po != nil {
+			p.po.completed.Inc()
 		}
-		return m, true
-	case <-ctx.Done():
-		return zero, false
-	}
-}
-
-// recvBurst receives one message like recvMsg, then appends every message
-// already buffered in ch, up to cap(buf), without blocking again.
-func recvBurst[T any](ctx context.Context, ch <-chan T, buf []T) ([]T, bool) {
-	m, ok := recvMsg(ctx, ch)
-	if !ok {
-		return buf, false
-	}
-	buf = append(buf, m)
-	for len(buf) < cap(buf) {
-		select {
-		case m, ok := <-ch:
-			if !ok {
-				return buf, true
-			}
-			buf = append(buf, m)
-		default:
-			return buf, true
+		if every := p.cfg.SnapshotEvery; every > 0 && n%every == 0 && p.cfg.OnSnapshot != nil {
+			p.cfg.OnSnapshot(p.met.Snapshot())
 		}
 	}
-	return buf, true
+	return true
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,8 +68,8 @@ func replayWorkload(ctx context.Context, w place.Workload, c place.Cluster, o pl
 	return Replay(ctx, Config{Cluster: c, Options: o}, &sliceSource{specs: specs}, 0)
 }
 
-// TestBatchEquivalence is the refactoring's contract: replaying a closed
-// workload through the three-stage pipeline renders byte-identically to the
+// TestBatchEquivalence is the pipeline's contract: replaying a closed
+// workload through it renders byte-identically to the
 // batch engine, with and without preemption triggers firing.
 func TestBatchEquivalence(t *testing.T) {
 	for _, tc := range equivCases() {
@@ -211,46 +212,133 @@ func TestInvalidSpecRejectedNotFatal(t *testing.T) {
 	}
 }
 
-// TestSnapshotMatchesSealedResult: at drain, the live percentiles equal
-// the sealed Result's nearest-rank percentiles — one metric definition,
-// batch or streaming.
+// TestSnapshotMatchesSealedResult: at drain, the live snapshot equals the
+// sealed Result — one metric definition, batch or streaming — on every
+// equivalence workload and on a preemptive training+inference mix. Counts
+// and nearest-rank percentiles match exactly; the means are summed in
+// completion order live and admission order sealed, so they match up to
+// float summation order.
 func TestSnapshotMatchesSealedResult(t *testing.T) {
-	w := place.MustSynthetic(30, 9, []string{"lstm", "inception-v3"}, 2e6)
-	sort.SliceStable(w, func(a, b int) bool { return w[a].ArrivalNs < w[b].ArrivalNs })
-	p, err := New(context.Background(), Config{Cluster: place.Cluster{Nodes: 2, GPUs: 1}})
+	type run struct {
+		name string
+		w    place.Workload
+		c    place.Cluster
+		o    place.Options
+	}
+	var runs []run
+	for _, tc := range equivCases() {
+		runs = append(runs, run{tc.name, tc.w, tc.c, tc.o})
+	}
+	train, err := place.SyntheticSteps(40, 3, nn.Names(), 50e6, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range w {
-		if err := p.Submit(j); err != nil {
+	mix := train.Merge(place.MustSyntheticInference(30, 3, nn.Names(), 60e6, 50e6))
+	runs = append(runs, run{"train-infer-mix", mix, place.Cluster{Nodes: 2, GPUs: 2},
+		place.Options{Policy: "model-aware", Preempt: "all"}})
+	for _, tc := range runs {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			specs, err := tc.w.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := New(context.Background(), Config{Cluster: tc.c, Options: tc.o})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range specs {
+				if err := p.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Close()
+			res, err := p.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := p.Snapshot()
+			for _, c := range []struct {
+				what       string
+				live, want float64
+			}{
+				{"completed", float64(s.Completed), float64(len(res.Jobs))},
+				{"in flight", float64(s.InFlight), 0},
+				{"preemptions", float64(s.Preemptions), float64(res.Preemptions)},
+				{"migrations", float64(s.Migrations), float64(res.Migrations)},
+				{"inference completed", float64(s.InferCompleted), float64(res.InferenceJobs)},
+				{"SLO met", float64(s.InferSLOMet), float64(res.SLOMet)},
+				{"SLO total", float64(s.InferSLOTotal), float64(res.SLOTotal)},
+				{"inference p50", s.InferP50Ns, res.InferP50JCTNs},
+				{"inference p99", s.InferP99Ns, res.InferP99JCTNs},
+				{"queue p50", s.QueueP50Ns, res.QueuePercentileNs(0.50)},
+				{"queue p95", s.QueueP95Ns, res.QueuePercentileNs(0.95)},
+				{"queue p99", s.QueueP99Ns, res.QueuePercentileNs(0.99)},
+			} {
+				if c.live != c.want {
+					t.Errorf("live %s = %v, sealed result says %v", c.what, c.live, c.want)
+				}
+			}
+			closeEnough := func(a, b float64) bool {
+				return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+			}
+			if !closeEnough(s.MeanJCTNs, res.MeanJCTNs) || !closeEnough(s.MeanQueueNs, res.MeanQueueNs) {
+				t.Errorf("live means (jct %v, queue %v) != sealed (%v, %v)",
+					s.MeanJCTNs, s.MeanQueueNs, res.MeanJCTNs, res.MeanQueueNs)
+			}
+			if tc.name == "train-infer-mix" && (res.InferenceJobs == 0 || res.SLOTotal == 0 || res.Preemptions == 0) {
+				t.Errorf("mix exercises too little: %d inference jobs, %d with an SLO, %d preemptions",
+					res.InferenceJobs, res.SLOTotal, res.Preemptions)
+			}
+		})
+	}
+}
+
+// TestTickRejectsInvalidTimes: Tick refuses NaN, ±Inf, negative times and
+// times past place.MaxTimeNs, and a refused tick leaves the stream as it
+// was: a valid job submitted after it reports exactly as it does with no
+// tick. Accepted, a +Inf tick clamped the next arrival to +Inf and stalled
+// the drain, 1e300 clamped it past the ceiling, and NaN retired every
+// pending event at once.
+func TestTickRejectsInvalidTimes(t *testing.T) {
+	run := func(tick func(*Pipeline) error) (string, error) {
+		t.Helper()
+		p, err := New(context.Background(), Config{Cluster: place.Cluster{Nodes: 1}})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := p.Submit(place.JobSpec{Name: "a", Model: "lstm"}); err != nil {
+			t.Fatal(err)
+		}
+		tickErr := tick(p)
+		if err := p.Submit(place.JobSpec{Name: "b", Model: "dcgan", ArrivalNs: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		res, err := p.Wait()
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		return res.Render(), tickErr
 	}
-	p.Close()
-	res, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := p.Snapshot()
-	if s.Completed != len(w) || s.InFlight != 0 {
-		t.Fatalf("drained snapshot: completed=%d inflight=%d, want %d/0", s.Completed, s.InFlight, len(w))
-	}
-	for _, q := range []struct {
-		p    float64
-		live float64
-	}{{0.50, s.QueueP50Ns}, {0.95, s.QueueP95Ns}, {0.99, s.QueueP99Ns}} {
-		if want := res.QueuePercentileNs(q.p); q.live != want {
-			t.Errorf("live queue p%v = %v, sealed result says %v", q.p*100, q.live, want)
+	want, _ := run(func(*Pipeline) error { return nil })
+	for _, bad := range []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300,
+		math.Nextafter(place.MaxTimeNs, math.Inf(1)),
+	} {
+		got, err := run(func(p *Pipeline) error { return p.Tick(bad) })
+		if err == nil {
+			t.Errorf("Tick(%v) accepted", bad)
+		}
+		if got != want {
+			t.Errorf("after a refused Tick(%v) the report changed:\n%s\nwant:\n%s", bad, got, want)
 		}
 	}
-	// Means are summed in completion order live and admission order sealed;
-	// identical up to float summation order.
-	closeEnough := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
-	if !closeEnough(s.MeanJCTNs, res.MeanJCTNs) || !closeEnough(s.MeanQueueNs, res.MeanQueueNs) {
-		t.Errorf("live means (jct %v, queue %v) != sealed (%v, %v)",
-			s.MeanJCTNs, s.MeanQueueNs, res.MeanJCTNs, res.MeanQueueNs)
+	for _, ok := range []float64{0, place.MaxTimeNs} {
+		if _, err := run(func(p *Pipeline) error { return p.Tick(ok) }); err != nil {
+			t.Errorf("Tick(%v) refused: %v", ok, err)
+		}
 	}
 }
 
@@ -329,9 +417,9 @@ func TestTickRetiresWorkWithoutArrivals(t *testing.T) {
 	}
 }
 
-// TestEndFlagPropagation: Close's END sentinel must travel
-// admission→execution→metrics, shutting each stage down in
-// order — every stageDone channel closes without cancellation.
+// TestEndFlagPropagation: Close's END flag, queued behind the submission,
+// drains the engine and stops the pipeline's goroutine without
+// cancellation.
 func TestEndFlagPropagation(t *testing.T) {
 	p, err := New(context.Background(), Config{Cluster: place.Cluster{Nodes: 1}})
 	if err != nil {
@@ -344,13 +432,10 @@ func TestEndFlagPropagation(t *testing.T) {
 	if _, err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"admission", "execution", "metrics"}
-	for i, done := range p.stageDone {
-		select {
-		case <-done:
-		default:
-			t.Errorf("stage %s still running after Wait", names[i])
-		}
+	select {
+	case <-p.done:
+	default:
+		t.Error("pipeline goroutine still running after Wait")
 	}
 	if p.ctx.Err() == nil {
 		t.Error("Wait should release the pipeline context")
@@ -363,10 +448,10 @@ func TestEndFlagPropagation(t *testing.T) {
 }
 
 // TestCancelMidStreamUnwindsAllStages: cancelling the context mid-stream
-// stops every stage — including a feeder blocked on a full buffer — with
-// no goroutine left behind. The pipeline is wedged deterministically: a
-// snapshot callback blocks until cancellation, so backpressure fills every
-// single-slot buffer back to the feeder before the context is cut.
+// stops the pipeline's goroutine and a feeder blocked on a full buffer,
+// with no goroutine left behind. The pipeline is wedged deterministically:
+// a snapshot callback blocks until cancellation, so the single-slot input
+// fills and blocks the feeder before the context is cut.
 func TestCancelMidStreamUnwindsAllStages(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -399,7 +484,7 @@ func TestCancelMidStreamUnwindsAllStages(t *testing.T) {
 		fed <- nil
 	}()
 	select {
-	case <-blocked: // first completion reached metrics; the chain is wedging
+	case <-blocked: // the first completion's snapshot holds the loop
 	case <-time.After(10 * time.Second):
 		t.Fatal("pipeline never reached the blocking snapshot")
 	}
@@ -411,21 +496,12 @@ func TestCancelMidStreamUnwindsAllStages(t *testing.T) {
 	if err := <-fed; err == nil {
 		t.Error("feeder drained the whole flood despite cancellation")
 	}
-	for i, done := range p.stageDone {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("stage %d never exited after cancel", i)
-		}
+	select {
+	case <-p.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("pipeline goroutine never exited after cancel")
 	}
-	// Leak barrier: the goroutine count settles back to where it started.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Errorf("goroutines leaked: %d before, %d after cancel+drain", before, got)
-	}
+	settleGoroutines(t, before, "after cancel")
 }
 
 // sliceSource replays a fixed spec slice through the Source interface.
@@ -532,4 +608,132 @@ func TestReplaySegmentEdges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// settleGoroutines waits up to five seconds for the goroutine count to fall
+// back to want, and fails the test if it does not.
+func settleGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Errorf("goroutines leaked %s: %d before, %d after", when, want, got)
+	}
+}
+
+// TestConcurrentSubmitSoak: four submitters stream 250 uniquely named
+// jobs each while one goroutine ticks and another reads Snapshot. Every
+// job completes exactly once, the drained Snapshot agrees with the sealed
+// Result, and the goroutine count returns to where it started, after
+// Wait and again after a cancel mid-stream. Run it under -race. The
+// submitters race each other, so their arrivals clamp forward to whichever
+// ran ahead; one node per job keeps such a pile-up from turning into one
+// huge co-run wave.
+func TestConcurrentSubmitSoak(t *testing.T) {
+	const submitters, perSubmitter = 4, 250
+	before := runtime.NumGoroutine()
+	// stream runs the soak; when cancel is set, the first submitter calls
+	// it halfway through its jobs.
+	stream := func(ctx context.Context, cancel context.CancelFunc) (*Pipeline, *place.Result, error) {
+		p, err := New(ctx, Config{Cluster: place.Cluster{Nodes: submitters * perSubmitter}, Buffer: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var feeders sync.WaitGroup
+		for s := 0; s < submitters; s++ {
+			feeders.Add(1)
+			go func(s int) {
+				defer feeders.Done()
+				models := []string{"lstm", "dcgan"}
+				for k := 0; k < perSubmitter; k++ {
+					j := place.JobSpec{
+						Name: fmt.Sprintf("s%d-%d", s, k), Model: models[(s+k)%2],
+						ArrivalNs: float64(k) * 10e6,
+					}
+					if p.Submit(j) != nil {
+						return
+					}
+					if s == 0 && k == perSubmitter/2 && cancel != nil {
+						cancel()
+					}
+				}
+			}(s)
+		}
+		stop := make(chan struct{})
+		var aux sync.WaitGroup
+		aux.Add(2)
+		go func() { // ticker
+			defer aux.Done()
+			for i := 0; i < perSubmitter; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if p.Tick(float64(i)*10e6) != nil {
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+		go func() { // reader
+			defer aux.Done()
+			prev := Snapshot{}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := p.Snapshot()
+				if s.Completed < prev.Completed || s.Submitted < prev.Submitted ||
+					s.Completed+s.InFlight+s.Rejected != s.Submitted {
+					t.Errorf("inconsistent live snapshot %+v after %+v", s, prev)
+					return
+				}
+				prev = s
+				runtime.Gosched()
+			}
+		}()
+		feeders.Wait()
+		p.Close()
+		res, err := p.Wait()
+		close(stop)
+		aux.Wait()
+		return p, res, err
+	}
+
+	p, res, err := stream(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]int, submitters*perSubmitter)
+	for _, j := range res.Jobs {
+		seen[j.Name]++
+		if j.StepsDone != j.Steps || !(j.FinishNs > j.ArrivalNs) {
+			t.Errorf("job %s did not complete: %+v", j.Name, j)
+		}
+	}
+	if len(res.Jobs) != submitters*perSubmitter || len(seen) != len(res.Jobs) {
+		t.Errorf("%d jobs sealed under %d names, want %d of each", len(res.Jobs), len(seen), submitters*perSubmitter)
+	}
+	for name, n := range seen {
+		if n != 1 {
+			t.Errorf("job %s sealed %d times", name, n)
+		}
+	}
+	s := p.Snapshot()
+	if s.Submitted != len(res.Jobs) || s.Completed != len(res.Jobs) || s.Rejected != 0 || s.InFlight != 0 ||
+		s.Preemptions != res.Preemptions || s.QueueP99Ns != res.QueuePercentileNs(0.99) ||
+		s.QueueP50Ns != res.QueuePercentileNs(0.50) {
+		t.Errorf("drained snapshot %+v disagrees with the sealed result (%d jobs, queue p50 %v p99 %v)",
+			s, len(res.Jobs), res.QueuePercentileNs(0.50), res.QueuePercentileNs(0.99))
+	}
+	settleGoroutines(t, before, "after Wait")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	stream(ctx, cancel)
+	settleGoroutines(t, before, "after a cancel mid-stream")
 }

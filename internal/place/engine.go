@@ -342,9 +342,10 @@ func (e *Engine) Completed() int { return e.completed }
 // Admit registers one job with the engine and returns its job index. The
 // spec must be individually valid (JobSpec.Check) and its arrival must not
 // precede any earlier admission — the engine's clock never runs backwards;
-// a streaming admission stage clamps out-of-order arrivals before calling
-// Admit. Admission alone does not place the job: call PlaceAuto when the
-// virtual clock reaches its arrival, or use Arrive, which does both.
+// a streaming caller (pipeline.Pipeline) clamps out-of-order arrivals
+// before calling Admit. Admission alone does not place the job: call
+// PlaceAuto when the virtual clock reaches its arrival, or use Arrive,
+// which does both.
 func (e *Engine) Admit(j JobSpec) (int, error) {
 	canon, err := nn.Resolve(j.Model)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // the fuzz budget on a handful of huge jobs.
 func FuzzJobSpecCheck(f *testing.F) {
 	f.Add("lstm", "", 1e25, 0.0, 0.0, 0.0, 0, uint8(1))
-	f.Add("lstm", "", float64(maxTimeNs), float64(maxTimeNs), 1.0, 0.0, 0, uint8(1))
+	f.Add("lstm", "", float64(MaxTimeNs), float64(MaxTimeNs), 1.0, 0.0, 0, uint8(1))
 	f.Add("dcgan", ClassInference, 0.0, 0.0, 0.0, 50e6, 0, uint8(1))
 	f.Add("resnet", ClassTraining, 1e6, 5e8, 2.0, 0.0, 3, uint8(4))
 	f.Add("inception", ClassInference, 0.0, 0.0, 0.0, 0.0, 0, uint8(2))

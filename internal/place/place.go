@@ -48,6 +48,7 @@ import (
 	"opsched/internal/hw"
 	"opsched/internal/nn"
 	"opsched/internal/obs"
+	"opsched/internal/stats"
 )
 
 // JobSpec is one job in the workload stream entering the cluster.
@@ -147,14 +148,14 @@ func (j JobSpec) label(i int) string {
 	return fmt.Sprintf("%s#%d", j.Model, i)
 }
 
-// maxTimeNs caps arrival times and deadlines at 2^60 ns, about 36.5 years
-// of cluster clock. Past it float64 stops resolving the shortest solo step
+// MaxTimeNs caps arrival times, deadlines and pipeline ticks at 2^60 ns,
+// about 36.5 years of cluster clock. Past it float64 stops resolving the shortest solo step
 // the engine prices, 509,111 ns (DCGAN batch-1 inference on the default
 // KNL node): the spacing of float64 values at the ceiling is 256 ns, 5.0e-4
 // of that step, and it doubles with every further power of two. Far enough
 // out a job's finish rounds to its arrival, and it reports a JCT and a
 // slowdown of 0.
-const maxTimeNs = 1 << 60
+const MaxTimeNs = 1 << 60
 
 // Check rejects specs no placement engine could admit: negative, NaN or
 // too-large arrival times, unknown models, deadlines that precede the
@@ -168,9 +169,9 @@ func (j JobSpec) Check(i int) error {
 	if j.ArrivalNs < 0 {
 		return fmt.Errorf("place: job %d (%s) has negative arrival time %v", i, j.label(i), j.ArrivalNs)
 	}
-	if j.ArrivalNs > maxTimeNs {
+	if j.ArrivalNs > MaxTimeNs {
 		return fmt.Errorf("place: job %d (%s) has arrival time %v past the %v ns ceiling",
-			i, j.label(i), j.ArrivalNs, float64(maxTimeNs))
+			i, j.label(i), j.ArrivalNs, float64(MaxTimeNs))
 	}
 	if _, err := nn.Resolve(j.Model); err != nil {
 		return fmt.Errorf("place: job %d (%s): %w", i, j.label(i), err)
@@ -181,9 +182,9 @@ func (j JobSpec) Check(i int) error {
 	if j.DeadlineNs < 0 {
 		return fmt.Errorf("place: job %d (%s) has negative deadline %v", i, j.label(i), j.DeadlineNs)
 	}
-	if j.DeadlineNs > maxTimeNs {
+	if j.DeadlineNs > MaxTimeNs {
 		return fmt.Errorf("place: job %d (%s) has deadline %v past the %v ns ceiling",
-			i, j.label(i), j.DeadlineNs, float64(maxTimeNs))
+			i, j.label(i), j.DeadlineNs, float64(MaxTimeNs))
 	}
 	if j.DeadlineNs > 0 && j.DeadlineNs < j.ArrivalNs {
 		return fmt.Errorf("place: job %d (%s) has deadline %v before arrival %v",
@@ -711,10 +712,10 @@ func (r *Result) finalize(pos []int) {
 	}
 	sort.Float64s(trainJCT)
 	sort.Float64s(inferJCT)
-	r.TrainP50JCTNs = nearestRankNs(trainJCT, 0.50)
-	r.TrainP99JCTNs = nearestRankNs(trainJCT, 0.99)
-	r.InferP50JCTNs = nearestRankNs(inferJCT, 0.50)
-	r.InferP99JCTNs = nearestRankNs(inferJCT, 0.99)
+	r.TrainP50JCTNs = stats.NearestRank(trainJCT, 0.50)
+	r.TrainP99JCTNs = stats.NearestRank(trainJCT, 0.99)
+	r.InferP50JCTNs = stats.NearestRank(inferJCT, 0.50)
+	r.InferP99JCTNs = stats.NearestRank(inferJCT, 0.99)
 	r.FairnessIndex = jainIndex(rates)
 	for i := range r.NodeStats {
 		if r.MakespanNs > 0 {
@@ -723,49 +724,16 @@ func (r *Result) finalize(pos []int) {
 	}
 }
 
-// nearestRankNs is the nearest-rank quantile over a sorted sample, 0 when
-// the sample is empty — the rule QueuePercentileNs applies, factored out
-// for the per-class JCT percentiles.
-func nearestRankNs(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	k := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(sorted) {
-		k = len(sorted) - 1
-	}
-	return sorted[k]
-}
-
 // QueuePercentileNs returns the p-quantile (p in [0,1], nearest-rank) of
 // the per-job queueing delays — the tail-latency metric the preemption
 // experiments report alongside deadline-hit rate.
 func (r *Result) QueuePercentileNs(p float64) float64 {
-	if len(r.Jobs) == 0 {
-		return 0
-	}
 	qs := make([]float64, len(r.Jobs))
 	for i, j := range r.Jobs {
 		qs[i] = j.QueueNs
 	}
 	sort.Float64s(qs)
-	if p <= 0 {
-		return qs[0]
-	}
-	k := int(math.Ceil(p*float64(len(qs)))) - 1
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(qs) {
-		k = len(qs) - 1
-	}
-	return qs[k]
+	return stats.NearestRank(qs, p)
 }
 
 // Render formats the result as a deterministic report table: byte-identical

@@ -419,12 +419,12 @@ func TestClusterValidateRejectsNaN(t *testing.T) {
 	}
 }
 
-// TestTimeCeiling: arrivals and deadlines past maxTimeNs fail Check and
+// TestTimeCeiling: arrivals and deadlines past MaxTimeNs fail Check and
 // PlaceJobs. The ceiling keeps the float64 spacing below 1e-3 of the
 // shortest solo step the engine prices, so that job reports the same
 // slowdown, to that precision, arriving at the ceiling as at time 0.
 func TestTimeCeiling(t *testing.T) {
-	past := math.Nextafter(maxTimeNs, math.Inf(1))
+	past := math.Nextafter(MaxTimeNs, math.Inf(1))
 	for _, j := range []JobSpec{
 		{Model: "lstm", ArrivalNs: 1e25},
 		{Model: "lstm", ArrivalNs: past},
@@ -438,7 +438,7 @@ func TestTimeCeiling(t *testing.T) {
 			t.Errorf("PlaceJobs accepted %+v", j)
 		}
 	}
-	if err := (JobSpec{Model: "lstm", ArrivalNs: maxTimeNs, DeadlineNs: maxTimeNs}).Check(0); err != nil {
+	if err := (JobSpec{Model: "lstm", ArrivalNs: MaxTimeNs, DeadlineNs: MaxTimeNs}).Check(0); err != nil {
 		t.Errorf("a spec at the ceiling was rejected: %v", err)
 	}
 
@@ -459,11 +459,11 @@ func TestTimeCeiling(t *testing.T) {
 			}
 		}
 	}
-	if spacing := past - maxTimeNs; !(spacing < 1e-3*at0.SoloNs) {
+	if spacing := past - MaxTimeNs; !(spacing < 1e-3*at0.SoloNs) {
 		t.Fatalf("float64 spacing %v ns at the ceiling is not below 1e-3 of the shortest solo step %v ns",
 			spacing, at0.SoloNs)
 	}
-	shortest.ArrivalNs = maxTimeNs
+	shortest.ArrivalNs = MaxTimeNs
 	res, err := PlaceJobs(Workload{shortest}, shortestC, Options{})
 	if err != nil {
 		t.Fatal(err)

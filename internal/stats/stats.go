@@ -124,3 +124,22 @@ func GeoMean(xs []float64) float64 {
 	}
 	return math.Pow(prod, 1/float64(len(xs)))
 }
+
+// NearestRank returns the nearest-rank p-quantile of an ascending sample:
+// the ⌈p·n⌉-th smallest value, clamped to the sample, and 0 when the
+// sample is empty. It is the one percentile rule of the repo, shared by
+// the sealed placement report and the pipeline's live metrics, so a live
+// percentile at drain equals the sealed one.
+func NearestRank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	k := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if k < 0 {
+		k = 0
+	}
+	if k >= len(sorted) {
+		k = len(sorted) - 1
+	}
+	return sorted[k]
+}

@@ -67,3 +67,24 @@ func TestAMGMInequality(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestNearestRank(t *testing.T) {
+	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		p    float64
+		want float64
+	}{
+		{0, 1}, {-1, 1}, {0.10, 1}, {0.50, 5}, {0.95, 10}, {0.99, 10}, {1, 10}, {2, 10},
+	}
+	for _, tc := range cases {
+		if got := NearestRank(sorted, tc.p); got != tc.want {
+			t.Errorf("NearestRank(p=%v) = %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	if got := NearestRank(nil, 0.5); got != 0 {
+		t.Errorf("empty sample: got %v, want 0", got)
+	}
+	if got := NearestRank([]float64{7}, 0.99); got != 7 {
+		t.Errorf("single sample: got %v, want 7", got)
+	}
+}

@@ -77,8 +77,8 @@ func (o Options) defaultSteps() int {
 }
 
 // Stats summarize a read so far: how many rows became jobs, how many were
-// skipped as malformed, how many arrived out of order (the pipeline's
-// admission stage clamps those), and how many model names had to be
+// skipped as malformed, how many arrived out of order (the pipeline
+// clamps those on submission), and how many model names had to be
 // hashed onto the palette.
 type Stats struct {
 	Rows         int

@@ -205,7 +205,7 @@ func TestRowNumberAfterCSVLevelSkip(t *testing.T) {
 }
 
 // TestOutOfOrderAndZeroDuration: regressions are counted (not reordered —
-// that is the pipeline admission stage's job), pre-epoch rows clamp to the
+// the pipeline clamps them on submission), pre-epoch rows clamp to the
 // trace start, and zero/absent step counts take the default.
 func TestOutOfOrderAndZeroDuration(t *testing.T) {
 	trace := "model,submit,steps\n" +

@@ -406,22 +406,22 @@ func RunClusterSweep(ctx context.Context, g ClusterSweepGrid, parallelism int) (
 	return sweep.RunClusterGrid(ctx, g, parallelism)
 }
 
-// JobPipeline is a running admission→execution→metrics chain:
-// Submit jobs (and optionally Ticks) from any goroutine, Close to send the
-// END flag through every stage, Wait for the sealed result, Snapshot for
-// live in-flight metrics (see pipeline.Pipeline).
+// JobPipeline is a running stream over a placement engine, owned by one
+// goroutine: Submit jobs (and optionally Ticks) from any goroutine, Close
+// to send the END flag behind every queued submission, Wait for the sealed
+// result, Snapshot for live in-flight metrics (see pipeline.Pipeline).
 type JobPipeline = pipeline.Pipeline
 
 // PipelineConfig assembles a JobPipeline: the cluster and placement
-// options its execution stage builds an engine from, plus streaming knobs
-// (channel depth, live-snapshot cadence).
+// options its engine is built from, plus streaming knobs (input channel
+// depth, live-snapshot cadence and callback).
 type PipelineConfig = pipeline.Config
 
 // StreamSnapshot is a live metrics snapshot — counts, means, and
 // p50/p95/p99 queue and JCT percentiles over everything completed so far.
 type StreamSnapshot = pipeline.Snapshot
 
-// NewJobPipeline starts the three pipeline stages over a fresh engine.
+// NewJobPipeline starts a pipeline's goroutine over a fresh engine.
 func NewJobPipeline(ctx context.Context, cfg PipelineConfig) (*JobPipeline, error) {
 	return pipeline.New(ctx, cfg)
 }
@@ -446,7 +446,7 @@ func ReplayTrace(ctx context.Context, cfg PipelineConfig, src JobSource, speed f
 // off.
 type Observer = obs.Observer
 
-// MetricsRegistry is a lock-sharded registry of counters, gauges and
+// MetricsRegistry is a registry of counters, gauges and
 // histograms; WritePrometheus/PrometheusText render it in Prometheus text
 // exposition format with deterministically sorted families and labels.
 type MetricsRegistry = obs.Registry
