@@ -213,7 +213,7 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 				cancel()
 				return
 			}
-			if err := srv.feedTrace(ctx, r, *speed); err != nil {
+			if err := srv.feedTrace(r, *speed); err != nil {
 				slog.Error("trace replay failed", "err", err)
 				cancel()
 				return
@@ -317,50 +317,19 @@ func (s *server) mux() *http.ServeMux {
 	return mux
 }
 
-// feedTrace submits the trace rows, pacing arrival gaps by speed (0 or
-// +Inf: unpaced). Mirrors pipeline.Replay but leaves the stream open so an
-// HTTP feeder can keep submitting after the trace ends.
-func (s *server) feedTrace(ctx context.Context, src *opsched.TraceReader, speed float64) error {
-	// Match pipeline.Replay's pacing rule exactly: 0 and +Inf both mean
-	// unpaced, so the two replay paths report comparable jobs/s.
-	pace := speed > 0 && !math.IsInf(speed, 1)
-	if pace {
+// feedTrace submits the trace rows through JobPipeline.Feed, pacing
+// arrival gaps by speed (0 or +Inf: unpaced), and leaves the stream open
+// so an HTTP feeder can keep submitting after the trace ends.
+func (s *server) feedTrace(src *opsched.TraceReader, speed float64) error {
+	if speed > 0 && !math.IsInf(speed, 1) {
 		slog.Info("trace replay paced", "speed", speed)
 	} else {
 		slog.Info("trace replay unpaced (virtual time only)")
 	}
-	var epoch float64
-	first := true
-	start := time.Now()
-	for {
-		j, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if first {
-			first = false
-			epoch = j.ArrivalNs
-		}
-		if pace {
-			due := time.Duration((j.ArrivalNs - epoch) / speed)
-			if wait := due - time.Since(start); wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-		}
-		if err := s.p.Submit(j); err != nil {
-			if s.draining.Load() {
-				return nil // drained out from under the trace: not an error
-			}
-			return err
-		}
+	if err := s.p.Feed(src, speed); err != nil && !s.draining.Load() {
+		return err
 	}
+	return nil // a drain that closed the stream under the trace is not an error
 }
 
 // submitReq is the POST /jobs body.

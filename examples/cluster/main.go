@@ -55,7 +55,7 @@ func main() {
 	// hardware — watch the hw column split LSTM onto cpu and DCGAN onto
 	// gpu.
 	fmt.Println("the same stream on 2 KNL + 2 P100 nodes (model-aware):")
-	hetero, err := opsched.PlaceJobs(workload, opsched.HeterogeneousCluster(2, 2),
+	hetero, err := opsched.PlaceJobs(workload, opsched.Cluster{Nodes: 2, GPUs: 2},
 		opsched.PlaceOptions{Policy: "model-aware"})
 	if err != nil {
 		log.Fatal(err)

@@ -45,14 +45,16 @@ func workload() opsched.ClusterWorkload {
 
 func main() {
 	w := workload()
-	fleet := opsched.HeterogeneousCluster(2, 2)
+	fleet := opsched.Cluster{Nodes: 2, GPUs: 2}
 	opts := opsched.PlaceOptions{Policy: "spread", Arbiter: "fair"}
 
 	rtc, err := opsched.PlaceJobs(w, fleet, opts)
 	if err != nil {
 		panic(err)
 	}
-	pre, err := opsched.RunPreemptiveCluster(w, fleet, opts, "slo-at-risk")
+	armed := opts
+	armed.Preempt = "slo-at-risk"
+	pre, err := opsched.PlaceJobs(w, fleet, armed)
 	if err != nil {
 		panic(err)
 	}

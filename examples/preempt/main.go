@@ -39,14 +39,16 @@ func workload() opsched.ClusterWorkload {
 
 func main() {
 	w := workload()
-	fleet := opsched.HeterogeneousCluster(2, 2)
+	fleet := opsched.Cluster{Nodes: 2, GPUs: 2}
 	opts := opsched.PlaceOptions{Policy: "model-aware", Arbiter: "priority"}
 
 	rtc, err := opsched.PlaceJobs(w, fleet, opts)
 	if err != nil {
 		panic(err)
 	}
-	pre, err := opsched.RunPreemptiveCluster(w, fleet, opts, "priority+deadline")
+	armed := opts
+	armed.Preempt = "priority+deadline"
+	pre, err := opsched.PlaceJobs(w, fleet, armed)
 	if err != nil {
 		panic(err)
 	}

@@ -18,11 +18,39 @@
 //	     smallest ready operations on the second hardware thread
 //	     (hyper-threading).
 //
+// The strategies' empirical constants are the paper's and are not
+// settable: the hill-climbing step x is ProfileInterval (4); Strategy 3
+// considers each operation's best candidates (3) thread counts; the
+// Strategy-2/3 conflict rule keeps the Strategy-2 choice when a co-run
+// candidate is more than maxThreadDelta (2) threads from it; Strategy 4
+// runs at most maxHTGuests (2) hyper-threaded guests at once; and only
+// MKL-DNN operations are re-tuned (Eigen operations pay a >10%
+// re-parallelization overhead, so the rest keep the recommended
+// full-width configuration).
+//
 // The runtime plugs into the exec engine as a Scheduler; disabling
 // strategies reproduces the ablation of the paper's Figure 3.
 package core
 
-// Config selects the active strategies and their empirical constants.
+// ProfileInterval is the hill-climbing step x every runtime profiles
+// with: the paper's accuracy/overhead sweet spot (94-95% prediction
+// accuracy). Anything that ranks jobs by their profiled work must price
+// it at this interval to read the profiles the jobs run with.
+const ProfileInterval = 4
+
+const (
+	// candidates is the number of thread-count candidates Strategy 3
+	// considers per operation.
+	candidates = 3
+	// maxThreadDelta is the Strategy-2/3 conflict bound: a co-run
+	// candidate further than this many threads from the Strategy-2
+	// choice is replaced by the Strategy-2 choice.
+	maxThreadDelta = 2
+	// maxHTGuests caps concurrently hyper-threaded small operations.
+	maxHTGuests = 2
+)
+
+// Config selects the active strategies.
 type Config struct {
 	// Strategy1 enables per-class optimal intra-op parallelism.
 	Strategy1 bool
@@ -33,54 +61,6 @@ type Config struct {
 	Strategy3 bool
 	// Strategy4 enables hyper-threading co-run of small operations.
 	Strategy4 bool
-
-	// Interval is the hill-climbing step x; zero means 4 (the paper's
-	// accuracy/overhead sweet spot, 94-95% prediction accuracy).
-	Interval int
-	// Candidates is the number of thread-count candidates Strategy 3
-	// considers per operation; zero means the paper's empirical 3.
-	Candidates int
-	// MaxThreadDelta is the Strategy-2/3 conflict bound: if the co-run
-	// candidate differs from the Strategy-2 choice by more than this many
-	// threads, the Strategy-2 choice wins. Zero means the paper's
-	// empirical 2.
-	MaxThreadDelta int
-	// MaxHTGuests caps concurrently hyper-threaded small operations;
-	// zero means 3.
-	MaxHTGuests int
-	// RetuneAll lifts the MKL-only restriction: the paper can only change
-	// intra-op parallelism for MKL-DNN operations (Eigen operations pay a
-	// >10% re-parallelization overhead), so by default non-MKL operations
-	// keep the recommended full-width configuration.
-	RetuneAll bool
-}
-
-func (c Config) interval() int {
-	if c.Interval <= 0 {
-		return 4
-	}
-	return c.Interval
-}
-
-func (c Config) candidates() int {
-	if c.Candidates <= 0 {
-		return 3
-	}
-	return c.Candidates
-}
-
-func (c Config) maxThreadDelta() int {
-	if c.MaxThreadDelta <= 0 {
-		return 2
-	}
-	return c.MaxThreadDelta
-}
-
-func (c Config) maxHTGuests() int {
-	if c.MaxHTGuests <= 0 {
-		return 2
-	}
-	return c.MaxHTGuests
 }
 
 // Strategies12 is the Figure-3a configuration: concurrency control only.

@@ -41,7 +41,7 @@ type nodePlan struct {
 	// tunable reports whether the runtime may change the operation's
 	// intra-op parallelism.
 	tunable bool
-	// cands is the node's class's prepared Strategy-3 candidate list (top-k
+	// cands is the node's class's prepared Strategy-3 candidate list (top-3
 	// thread counts with instance-predicted times, conflict rule
 	// pre-applied), shared by every instance of the class; nil when
 	// Strategy 3 cannot use it.
@@ -71,22 +71,17 @@ type tables struct {
 
 // tablesKey holds the configuration fields the tables depend on.
 type tablesKey struct {
-	strategy1      bool
-	strategy2      bool
-	retuneAll      bool
-	candidates     bool
-	topK           int
-	maxThreadDelta int
+	strategy1  bool
+	strategy2  bool
+	candidates bool
 }
 
 func (rt *Runtime) tablesKey() tablesKey {
-	k := tablesKey{strategy1: rt.cfg.Strategy1, strategy2: rt.cfg.Strategy2, retuneAll: rt.cfg.RetuneAll}
-	if rt.cfg.Strategy3 && (rt.cfg.Strategy1 || rt.cfg.Strategy2) {
-		k.candidates = true
-		k.topK = rt.cfg.candidates()
-		k.maxThreadDelta = rt.cfg.maxThreadDelta()
+	return tablesKey{
+		strategy1:  rt.cfg.Strategy1,
+		strategy2:  rt.cfg.Strategy2,
+		candidates: rt.cfg.Strategy3 && (rt.cfg.Strategy1 || rt.cfg.Strategy2),
 	}
-	return k
 }
 
 // New returns a runtime for machine m (nil means hw.NewKNL()).
@@ -117,7 +112,7 @@ func (rt *Runtime) Profile(g *graph.Graph) error {
 		return err
 	}
 	rt.graph = g
-	rt.store = perfmodel.CachedProfileGraph(rt.machine, g, rt.cfg.interval())
+	rt.store = perfmodel.CachedProfileGraph(rt.machine, g, ProfileInterval)
 	t := rt.store.Derive(rt.tablesKey(), func() any { return rt.buildTables(g) }).(*tables)
 	rt.byKind, rt.plan = t.byKind, t.plan
 	return nil
@@ -185,13 +180,13 @@ func (rt *Runtime) Name() string {
 		",s2=" + strconv.FormatBool(rt.cfg.Strategy2) +
 		",s3=" + strconv.FormatBool(rt.cfg.Strategy3) +
 		",s4=" + strconv.FormatBool(rt.cfg.Strategy4) +
-		",x=" + strconv.Itoa(rt.cfg.interval()) + ")"
+		",x=" + strconv.Itoa(ProfileInterval) + ")"
 }
 
 // tunable reports whether the runtime may change the operation's intra-op
 // parallelism (the paper is restricted to MKL-DNN kernels).
 func (rt *Runtime) tunable(o *op.Op) bool {
-	return rt.cfg.RetuneAll || o.Kind.IsMKL()
+	return o.Kind.IsMKL()
 }
 
 // baseline is the recommended full-width configuration used for untunable
@@ -351,7 +346,7 @@ func (rt *Runtime) corunCandidate(p *nodePlan, idle int, maxRemaining float64, c
 }
 
 // prepareCandidates builds the Strategy-3 candidate list of one operation
-// class: the governing profile's top-k thread counts with this instance's
+// class: the governing profile's top-3 thread counts with this instance's
 // predicted times, conflict rule applied, fewest threads first.
 func (rt *Runtime) prepareCandidates(o *op.Op) []perfmodel.Config {
 	inst, ok := rt.store.Get(o.Signature())
@@ -366,7 +361,7 @@ func (rt *Runtime) prepareCandidates(o *op.Op) []perfmodel.Config {
 	if !ok {
 		gov = inst
 	}
-	cands := gov.TopConfigs(rt.machine, rt.cfg.candidates())
+	cands := gov.TopConfigs(rt.machine, candidates)
 	for i := range cands {
 		cands[i].TimeNs = inst.Predict(cands[i].Threads, cands[i].Placement)
 	}
@@ -376,12 +371,12 @@ func (rt *Runtime) prepareCandidates(o *op.Op) []perfmodel.Config {
 	if rt.cfg.Strategy2 {
 		s2 := rt.chosenConfig(o)
 		for i := range cands {
-			if abs(cands[i].Threads-s2.Threads) > rt.cfg.maxThreadDelta() {
+			if abs(cands[i].Threads-s2.Threads) > maxThreadDelta {
 				cands[i] = s2
 			}
 		}
 	}
-	// Deterministic order: fewest threads first among the top-k.
+	// Deterministic order: fewest threads first among the top-3.
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Threads < cands[j].Threads })
 	return cands
 }
@@ -416,7 +411,7 @@ func (rt *Runtime) scheduleHyperThreading(st *exec.State, plan []nodePlan, dst [
 			guests++
 		}
 	}
-	budget := rt.cfg.maxHTGuests() - guests
+	budget := maxHTGuests - guests
 	if budget <= 0 {
 		return dst
 	}

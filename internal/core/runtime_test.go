@@ -279,13 +279,12 @@ func TestProfileErrors(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults: zero values resolve to the paper's empirical
-// constants.
+// TestConfigDefaults: the runtime's constants are the paper's empirical
+// ones.
 func TestConfigDefaults(t *testing.T) {
-	var c Config
-	if c.interval() != 4 || c.candidates() != 3 || c.maxThreadDelta() != 2 || c.maxHTGuests() != 2 {
-		t.Errorf("defaults wrong: x=%d k=%d delta=%d guests=%d",
-			c.interval(), c.candidates(), c.maxThreadDelta(), c.maxHTGuests())
+	if ProfileInterval != 4 || candidates != 3 || maxThreadDelta != 2 || maxHTGuests != 2 {
+		t.Errorf("constants wrong: x=%d k=%d delta=%d guests=%d",
+			ProfileInterval, candidates, maxThreadDelta, maxHTGuests)
 	}
 	if !strings.Contains(New(nil, AllStrategies()).Name(), "s4=true") {
 		t.Error("Name should describe active strategies")
@@ -347,7 +346,7 @@ func TestRuntimeMachineAccessor(t *testing.T) {
 	if got, want := rt.Name(), "opsched(s1=true,s2=true,s3=true,s4=true,x=4)"; got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
 	}
-	if got, want := New(m, Config{Strategy1: true, Interval: 8}).Name(), "opsched(s1=true,s2=false,s3=false,s4=false,x=8)"; got != want {
+	if got, want := New(m, Config{Strategy1: true}).Name(), "opsched(s1=true,s2=false,s3=false,s4=false,x=4)"; got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
 	}
 }

@@ -36,7 +36,7 @@ func (c *appendChecker) Schedule(st *exec.State, dst []exec.Decision) []exec.Dec
 }
 
 // TestScheduleAppendContract walks a real ResNet-50 step under exec.FIFO
-// and under the runtime in every Strategy 1-4 and RetuneAll combination,
+// and under the runtime in every Strategy 1-4 combination,
 // checking the append contract at every scheduling event.
 func TestScheduleAppendContract(t *testing.T) {
 	m := knl()
@@ -80,11 +80,9 @@ func (c *allocChecker) Schedule(st *exec.State, dst []exec.Decision) []exec.Deci
 // with a reused buffer allocates nothing.
 func TestScheduleAllocationFree(t *testing.T) {
 	m := knl()
-	retune := AllStrategies()
-	retune.RetuneAll = true
 	for _, name := range []string{nn.ResNet50, nn.InceptionV3} {
 		g := nn.MustBuild(name).Graph
-		for _, cfg := range []Config{{}, Strategies12(), Strategies123(), AllStrategies(), retune} {
+		for _, cfg := range []Config{{}, Strategies12(), Strategies123(), AllStrategies()} {
 			rt := New(m, cfg)
 			if err := rt.Profile(g); err != nil {
 				t.Fatal(err)

@@ -21,12 +21,8 @@ func TestSharedTablesMatchFresh(t *testing.T) {
 	defer perfmodel.ResetCache()
 	m := knl()
 	g := nn.MustBuild(nn.LSTM).Graph
-	retune := AllStrategies()
-	retune.RetuneAll = true
-	wide := Strategies123()
-	wide.Candidates, wide.MaxThreadDelta = 5, 6
 	s3only := Config{Strategy1: true, Strategy3: true}
-	for _, cfg := range []Config{Strategies12(), AllStrategies(), retune, wide, s3only, {}} {
+	for _, cfg := range []Config{Strategies12(), Strategies123(), AllStrategies(), s3only, {}} {
 		rt := New(m, cfg)
 		if err := rt.Profile(g); err != nil {
 			t.Fatal(err)
@@ -46,7 +42,7 @@ func TestSharedTablesMatchFresh(t *testing.T) {
 }
 
 // TestPlanMatchesPerOpDerivation: on four training graphs and an inference
-// graph, under every Strategy 1-4 and RetuneAll combination, each node's
+// graph, under every Strategy 1-4 combination, each node's
 // plan equals the per-operation derivation the scheduling strategies made
 // at every event before the plans existed.
 func TestPlanMatchesPerOpDerivation(t *testing.T) {
@@ -67,15 +63,13 @@ func TestPlanMatchesPerOpDerivation(t *testing.T) {
 	}
 }
 
-// strategyConfigs returns every combination of Strategies 1-4 and
-// RetuneAll.
+// strategyConfigs returns every combination of Strategies 1-4.
 func strategyConfigs() []Config {
 	var cfgs []Config
-	for bits := 0; bits < 32; bits++ {
+	for bits := 0; bits < 16; bits++ {
 		cfgs = append(cfgs, Config{
 			Strategy1: bits&1 != 0, Strategy2: bits&2 != 0,
 			Strategy3: bits&4 != 0, Strategy4: bits&8 != 0,
-			RetuneAll: bits&16 != 0,
 		})
 	}
 	return cfgs

@@ -3,17 +3,12 @@ package multijob
 import (
 	"fmt"
 
+	"opsched/internal/core"
 	"opsched/internal/exec"
 	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/perfmodel"
 )
-
-// defaultProfileInterval is the hill-climbing interval used to price
-// remaining work when a Job does not specify one — the same default as
-// core.Config, so the process-wide perfmodel cache is shared with the
-// runtime's own profiling.
-const defaultProfileInterval = 4
 
 // JobState is the arbiter's view of one job mid-run. Arbiters may inspect
 // the embedded Job and the accessor methods but must not mutate anything.
@@ -161,7 +156,7 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 				j.ready = append(j.ready, graph.NodeID(id))
 			}
 		}
-		j.workNs = predictedWork(m, j.Graph, job.ProfileInterval)
+		j.workNs = predictedWork(m, j.Graph)
 		for _, w := range j.workNs {
 			j.remainingWork += w
 		}
@@ -352,14 +347,14 @@ func (e *engine) harvest(r *exec.Running) {
 }
 
 // PredictedSoloWorkNs prices graph g's total predicted solo execution time
-// on m at the given hill-climb interval (<= 0 means the default): the sum,
-// over every operation, of the perfmodel-tuned configuration's predicted
-// time. It is the work metric cluster placement policies rank nodes by;
-// profiles come from the process-wide perfmodel cache, so placement shares
-// them with the jobs' own runtimes and with the SRWF arbiter.
-func PredictedSoloWorkNs(m *hw.Machine, g *graph.Graph, interval int) float64 {
+// on m: the sum, over every operation, of the perfmodel-tuned
+// configuration's predicted time. It is the work metric cluster placement
+// policies rank nodes by; profiles come from the process-wide perfmodel
+// cache, so placement shares them with the jobs' own runtimes and with the
+// SRWF arbiter.
+func PredictedSoloWorkNs(m *hw.Machine, g *graph.Graph) float64 {
 	total := 0.0
-	for _, w := range predictedWork(m, g, interval) {
+	for _, w := range predictedWork(m, g) {
 		total += w
 	}
 	return total
@@ -375,15 +370,12 @@ type workKey struct{}
 // predictedWork prices every node of g at its perfmodel-tuned
 // configuration's predicted time (the machine-model baseline width when the
 // profile lacks the class), indexed by NodeID. This is the work metric the
-// SRWF arbiter ranks jobs by. The interval must match the job's own
-// profiling interval (<= 0 means the default) or the cache entry is missed
-// and the rankings come from a differently-tuned profile. The vector is
-// derived once per profile store and shared: callers must not modify it.
-func predictedWork(m *hw.Machine, g *graph.Graph, interval int) []float64 {
-	if interval <= 0 {
-		interval = defaultProfileInterval
-	}
-	store := perfmodel.CachedProfileGraph(m, g, interval)
+// SRWF arbiter ranks jobs by. It reads the store profiled at
+// core.ProfileInterval, the one every runtime job profiles with, so the
+// rankings come from the profiles the jobs run with. The vector is derived
+// once per profile store and shared: callers must not modify it.
+func predictedWork(m *hw.Machine, g *graph.Graph) []float64 {
+	store := perfmodel.CachedProfileGraph(m, g, core.ProfileInterval)
 	return store.Derive(workKey{}, func() any {
 		work := make([]float64, g.Len())
 		for _, n := range g.Nodes() {

@@ -54,11 +54,6 @@ type Job struct {
 	// Priority is the job's strict-priority rank; higher preempts lower in
 	// the priority arbiter's claim order.
 	Priority int
-	// ProfileInterval is the hill-climbing interval used to price the
-	// job's remaining work for the arbiters; <= 0 means the runtime's
-	// default (4). RuntimeJob sets it from the config so the process-wide
-	// perfmodel cache entry is shared with the job's own profiling.
-	ProfileInterval int
 }
 
 // RuntimeJob builds a Job running the paper's runtime under cfg on machine
@@ -69,7 +64,7 @@ func RuntimeJob(name string, g *graph.Graph, m *hw.Machine, cfg core.Config) (Jo
 	if err := rt.Profile(g); err != nil {
 		return Job{}, fmt.Errorf("multijob: job %s: %w", name, err)
 	}
-	return Job{Name: name, Graph: g, Sched: rt, ProfileInterval: cfg.Interval}, nil
+	return Job{Name: name, Graph: g, Sched: rt}, nil
 }
 
 // FIFOJob builds a Job running the TensorFlow-style FIFO baseline.

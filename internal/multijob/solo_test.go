@@ -14,11 +14,11 @@ import (
 func TestPredictedSoloWorkNs(t *testing.T) {
 	m := hw.NewKNL()
 	g := nn.MustBuild(nn.DCGAN).Graph
-	w := PredictedSoloWorkNs(m, g, 0)
+	w := PredictedSoloWorkNs(m, g)
 	if w <= 0 {
 		t.Fatalf("predicted solo work %v, want > 0", w)
 	}
-	if again := PredictedSoloWorkNs(m, g, 0); again != w {
+	if again := PredictedSoloWorkNs(m, g); again != w {
 		t.Fatalf("estimate not deterministic: %v vs %v", again, w)
 	}
 }

@@ -29,7 +29,7 @@ func modelGraphs() map[string]*graph.Graph {
 
 // freshWork prices every node of g from an uncached hill-climb store.
 func freshWork(m *hw.Machine, g *graph.Graph) []float64 {
-	store := perfmodel.ProfileGraph(m, g, defaultProfileInterval)
+	store := perfmodel.ProfileGraph(m, g, core.ProfileInterval)
 	work := make([]float64, g.Len())
 	for _, n := range g.Nodes() {
 		if pr, ok := store.Get(n.Op.Signature()); ok && pr.Best.TimeNs > 0 {
@@ -48,7 +48,7 @@ func freshWork(m *hw.Machine, g *graph.Graph) []float64 {
 func TestPredictedWorkShared(t *testing.T) {
 	m := hw.NewKNL()
 	for key, g := range modelGraphs() {
-		got, want := predictedWork(m, g, 0), freshWork(m, g)
+		got, want := predictedWork(m, g), freshWork(m, g)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d entries, want %d", key, len(got), len(want))
 		}
@@ -57,13 +57,13 @@ func TestPredictedWorkShared(t *testing.T) {
 				t.Fatalf("%s node %d: shared work %v, fresh %v", key, i, got[i], want[i])
 			}
 		}
-		if again := predictedWork(m, g, defaultProfileInterval); &again[0] != &got[0] {
+		if again := predictedWork(m, g); &again[0] != &got[0] {
 			t.Errorf("%s: second call derived a new vector", key)
 		}
 	}
 
 	jobs := runtimeJobs(t, m, nn.LSTM, nn.DCGAN, nn.LSTM)
-	shared := predictedWork(m, jobs[0].Graph, 0)
+	shared := predictedWork(m, jobs[0].Graph)
 	before := append([]float64(nil), shared...)
 	if _, err := CoTrain(jobs, SRWF{}, Options{Machine: m}); err != nil {
 		t.Fatal(err)
@@ -75,8 +75,36 @@ func TestPredictedWorkShared(t *testing.T) {
 	}
 
 	perfmodel.ResetCache()
-	if after := predictedWork(m, jobs[0].Graph, 0); &after[0] == &shared[0] {
+	if after := predictedWork(m, jobs[0].Graph); &after[0] == &shared[0] {
 		t.Error("after ResetCache predictedWork returned the old vector")
+	}
+}
+
+// TestRuntimeJobProfilesAreRankedProfiles: the arbiters rank a runtime
+// job by the profiles the job itself runs with. For each training model
+// and an inference graph on KNL, the vector predictedWork returns is the
+// one derived on the job's own profile store (pointer-equal), not on a
+// store profiled at another interval.
+func TestRuntimeJobProfilesAreRankedProfiles(t *testing.T) {
+	m := hw.NewKNL()
+	var graphs []*graph.Graph
+	for _, name := range nn.Names() {
+		graphs = append(graphs, nn.MustBuild(name).Graph)
+	}
+	graphs = append(graphs, nn.MustBuildInference(nn.ResNet50, 4).Graph)
+	for _, g := range graphs {
+		job, err := RuntimeJob(g.Name, g, m, core.AllStrategies())
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := predictedWork(m, g)
+		own := job.Sched.(*core.Runtime).Store().Derive(workKey{}, func() any {
+			t.Fatalf("%s: the job's profile store holds no predicted-work vector", g.Name)
+			return nil
+		}).([]float64)
+		if &own[0] != &work[0] {
+			t.Errorf("%s: predictedWork read a store other than the job's own", g.Name)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"opsched/internal/place"
@@ -142,14 +142,19 @@ func histRepr(i int) float64 {
 	return math.Pow(10, (float64(i-1)+0.5)/histBucketsPerDecade)
 }
 
+// clone returns a copy of d that shares no memory with it.
+func (d *latencyDist) clone() latencyDist {
+	return latencyDist{n: d.n, exact: slices.Clone(d.exact), hist: slices.Clone(d.hist)}
+}
+
 // quantile3 returns the three requested nearest-rank quantiles: exact in
 // the sample regime, bucket-resolution (documented bound above) after the
-// histogram fold.
+// histogram fold. It sorts d's exact samples in place, so callers rank a
+// clone.
 func (d *latencyDist) quantile3(a, b, c float64) (float64, float64, float64) {
 	if d.hist == nil {
-		s := append([]float64(nil), d.exact...)
-		sort.Float64s(s)
-		return stats.NearestRank(s, a), stats.NearestRank(s, b), stats.NearestRank(s, c)
+		slices.Sort(d.exact)
+		return stats.NearestRank(d.exact, a), stats.NearestRank(d.exact, b), stats.NearestRank(d.exact, c)
 	}
 	return d.histRank(a), d.histRank(b), d.histRank(c)
 }
@@ -258,13 +263,15 @@ func (m *liveMetrics) noteCompleted(j place.PlacedJob) int {
 	return m.completed
 }
 
-// Snapshot computes the current reading. In the exact regime it sorts
-// copies of the latency samples, so the cost is O(n log n) in completions —
-// fine at snapshot cadence; past the histogram fold it is O(1); the hot
-// per-completion path stays O(1) amortized either way.
+// Snapshot computes the current reading. It holds the lock only to copy
+// the counters and the latency samples (or histogram counts), and sorts
+// and ranks the copies after releasing it, so a client polling Snapshot
+// never holds up the placements and completions that take the lock. In
+// the exact regime ranking is O(n log n) in completions; past the
+// histogram fold it is O(1); the hot per-completion path stays O(1)
+// amortized either way.
 func (m *liveMetrics) Snapshot() Snapshot {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	s := Snapshot{
 		VirtualNowNs: m.nowNs,
 		Submitted:    m.submitted, Rejected: m.rejected, ClampedArrivals: m.clamped,
@@ -275,12 +282,19 @@ func (m *liveMetrics) Snapshot() Snapshot {
 		s.MeanQueueNs = m.queueSum / n
 		s.MeanJCTNs = m.jctSum / n
 	}
-	s.QueueP50Ns, s.QueueP95Ns, s.QueueP99Ns = m.queue.quantile3(0.50, 0.95, 0.99)
-	s.JCTP50Ns, s.JCTP95Ns, s.JCTP99Ns = m.jct.quantile3(0.50, 0.95, 0.99)
+	queue, jct := m.queue.clone(), m.jct.clone()
+	var infer latencyDist
 	if m.inferDone > 0 {
 		s.InferCompleted = m.inferDone
 		s.InferSLOMet, s.InferSLOTotal = m.inferSLOMet, m.inferSLOTotal
-		s.InferP50Ns, _, s.InferP99Ns = m.inferJCT.quantile3(0.50, 0.50, 0.99)
+		infer = m.inferJCT.clone()
+	}
+	m.mu.Unlock()
+
+	s.QueueP50Ns, s.QueueP95Ns, s.QueueP99Ns = queue.quantile3(0.50, 0.95, 0.99)
+	s.JCTP50Ns, s.JCTP95Ns, s.JCTP99Ns = jct.quantile3(0.50, 0.95, 0.99)
+	if s.InferCompleted > 0 {
+		s.InferP50Ns, _, s.InferP99Ns = infer.quantile3(0.50, 0.50, 0.99)
 	}
 	return s
 }

@@ -129,7 +129,7 @@ func New(ctx context.Context, cfg Config) (*Pipeline, error) {
 // the pipeline takes it off the channel: an invalid spec is rejected
 // (counted in Snapshot), not returned here.
 func (p *Pipeline) Submit(j place.JobSpec) error {
-	return p.feed(msg{spec: j})
+	return p.send(msg{spec: j})
 }
 
 // Tick advances the engine's virtual clock to nowNs even if no further job
@@ -142,10 +142,10 @@ func (p *Pipeline) Tick(nowNs float64) error {
 	if !(nowNs >= 0 && nowNs <= place.MaxTimeNs) {
 		return fmt.Errorf("pipeline: tick %v outside [0, %v] ns", nowNs, float64(place.MaxTimeNs))
 	}
-	return p.feed(msg{tick: true, tickNs: nowNs})
+	return p.send(msg{tick: true, tickNs: nowNs})
 }
 
-func (p *Pipeline) feed(m msg) error {
+func (p *Pipeline) send(m msg) error {
 	p.inMu.RLock()
 	defer p.inMu.RUnlock()
 	if p.inClosed {

@@ -519,6 +519,54 @@ func (s *sliceSource) Next() (place.JobSpec, error) {
 	return j, nil
 }
 
+// failingSource yields its specs, then fails with err.
+type failingSource struct {
+	sliceSource
+	err error
+}
+
+func (s *failingSource) Next() (place.JobSpec, error) {
+	if s.i >= len(s.specs) {
+		return place.JobSpec{}, s.err
+	}
+	return s.sliceSource.Next()
+}
+
+// TestFeedLeavesStreamOpen: Feed returns at the end of its source without
+// sending the END flag, so another feeder may keep submitting and the
+// sealed result holds both feeders' jobs; after Close, Feed fails instead
+// of submitting. A source error aborts Replay with that error.
+func TestFeedLeavesStreamOpen(t *testing.T) {
+	cfg := Config{Cluster: place.Cluster{Nodes: 1}}
+	one := []place.JobSpec{{Model: "lstm", ArrivalNs: 0}}
+	p, err := New(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Feed(&sliceSource{specs: one}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Submit(place.JobSpec{Model: "dcgan", ArrivalNs: 1e6}); err != nil {
+		t.Fatalf("submit after Feed: %v", err)
+	}
+	p.Close()
+	if err := p.Feed(&sliceSource{specs: one}, 0); err == nil {
+		t.Error("Feed after Close reported no error")
+	}
+	res, err := p.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Jobs) != 2 || res.Jobs[1].Model != nn.DCGAN {
+		t.Errorf("sealed %d jobs %+v, want the fed lstm and the submitted dcgan", len(res.Jobs), res.Jobs)
+	}
+
+	bad := errors.New("bad row")
+	if _, err := Replay(context.Background(), cfg, &failingSource{sliceSource{specs: one}, bad}, 0); !errors.Is(err, bad) {
+		t.Errorf("Replay over a failing source returned %v, want %v", err, bad)
+	}
+}
+
 // TestReplayPacing: a finite speed spreads submissions over wall time
 // without changing the virtual-time result.
 func TestReplayPacing(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"opsched/internal/core"
 	"opsched/internal/hw"
 	"opsched/internal/multijob"
 	"opsched/internal/nn"
@@ -188,7 +187,7 @@ func cpuWaveBench(b *testing.B) (gang []WaveJob, newRuntime func() NodeRuntime) 
 	}
 	m := hw.NewKNL()
 	newRuntime = func() NodeRuntime {
-		return buildRuntimes([]Node{{CPU: m}}, arb, core.AllStrategies(), true)[0]
+		return buildRuntimes([]Node{{CPU: m}}, arb, true)[0]
 	}
 	gang = []WaveJob{
 		{Name: "lstm#0", Model: nn.LSTM, Priority: 1, Weight: 1},
@@ -264,7 +263,7 @@ func BenchmarkCPUWaveSimCold(b *testing.B) {
 // key, now that every later engine reads these values from the
 // process-wide table.
 func BenchmarkModelPrepareCold(b *testing.B) {
-	k := cpuModelKey{*hw.NewKNL(), core.AllStrategies(), nn.LSTM}
+	k := cpuModelKey{*hw.NewKNL(), nn.LSTM}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"opsched/internal/core"
 	"opsched/internal/gpu"
 	"opsched/internal/graph"
 	"opsched/internal/hw"
@@ -299,7 +298,7 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	// One runtime per distinct hardware descriptor: nodes sharing a
 	// machine or device share its per-model work cache — and its
 	// fleet-wide wave memo.
-	runtimes := buildRuntimes(c.nodeDescriptors(), arb, opts.config(), opts.NoWaveMemo)
+	runtimes := buildRuntimes(c.nodeDescriptors(), arb, opts.NoWaveMemo)
 
 	e := &Engine{
 		policy: opts.policy(), arb: arb, rts: runtimes, ic: c.interconnect(),
@@ -1074,6 +1073,29 @@ func (e *Engine) drainTailNs(w *waveState) float64 {
 	return total
 }
 
+// completeLastStep banks job ji's last step, run in the round that began
+// at roundStartNs with slot outcome jr, and completes the job: it leaves
+// the wave at its own step's finish inside the round, not the round's end.
+func (e *Engine) completeLastStep(ji int, jr WaveJobResult, roundStartNs float64) {
+	r := e.job(ji)
+	r.done++
+	p := &r.out
+	p.SoloNs += jr.SoloNs
+	p.CoRunNs += jr.MakespanNs
+	p.FinishNs = roundStartNs + jr.MakespanNs
+	if p.SoloNs > 0 {
+		p.CoRunSlowdown = p.CoRunNs / p.SoloNs
+		p.Slowdown = p.JCTNs() / p.SoloNs
+	}
+	p.DeadlineMet = p.DeadlineNs > 0 && p.FinishNs <= p.DeadlineNs
+	p.SLOMet = p.SLONs > 0 && p.FinishNs <= p.ArrivalNs+p.SLONs
+	e.completed++
+	e.finBuf = append(e.finBuf, ji)
+	if e.eo != nil || e.tr != nil {
+		e.obsComplete(ji, p)
+	}
+}
+
 // finishRound retires the current round at its end: every active job banks
 // one step; jobs out of steps complete, and the wave either ends, is cut
 // into checkpoints, or rolls into its next round. It appends the jobs that
@@ -1093,49 +1115,19 @@ func (e *Engine) finishRound(n int) error {
 	for k, ji := range w.active {
 		jr := w.res.Jobs[k]
 		r := e.job(ji)
-		r.done++
-		p := &r.out
-		p.SoloNs += jr.SoloNs
-		if r.done >= r.steps {
-			// The job's last step: it leaves the wave at its own step's
-			// finish inside the round, not the round's end.
-			p.CoRunNs += jr.MakespanNs
-			p.FinishNs = w.roundStartNs + jr.MakespanNs
-			if p.SoloNs > 0 {
-				p.CoRunSlowdown = p.CoRunNs / p.SoloNs
-				p.Slowdown = p.JCTNs() / p.SoloNs
-			}
-			p.DeadlineMet = p.DeadlineNs > 0 && p.FinishNs <= p.DeadlineNs
-			p.SLOMet = p.SLONs > 0 && p.FinishNs <= p.ArrivalNs+p.SLONs
-			e.completed++
-			e.finBuf = append(e.finBuf, ji)
-			if e.eo != nil || e.tr != nil {
-				e.obsComplete(ji, p)
-			}
-			// A dynamic batch's followers rode this slot's forward step:
-			// they finish with their leader, sharing its wave outcome.
+		if r.done+1 >= r.steps {
+			// The job's last step. A dynamic batch's followers rode this
+			// slot's forward step: they finish with their leader, sharing
+			// its wave outcome.
+			e.completeLastStep(ji, jr, w.roundStartNs)
 			for _, fj := range w.batch[ji] {
-				fr := e.job(fj)
-				fr.done++
-				fp := &fr.out
-				fp.SoloNs += jr.SoloNs
-				fp.CoRunNs += jr.MakespanNs
-				fp.FinishNs = w.roundStartNs + jr.MakespanNs
-				if fp.SoloNs > 0 {
-					fp.CoRunSlowdown = fp.CoRunNs / fp.SoloNs
-					fp.Slowdown = fp.JCTNs() / fp.SoloNs
-				}
-				fp.DeadlineMet = fp.DeadlineNs > 0 && fp.FinishNs <= fp.DeadlineNs
-				fp.SLOMet = fp.SLONs > 0 && fp.FinishNs <= fp.ArrivalNs+fp.SLONs
-				e.completed++
-				e.finBuf = append(e.finBuf, fj)
-				if e.eo != nil || e.tr != nil {
-					e.obsComplete(fj, fp)
-				}
+				e.completeLastStep(fj, jr, w.roundStartNs)
 			}
 		} else {
 			// Lockstep: the job waits out the round before its next step.
-			p.CoRunNs += w.res.TotalNs
+			r.done++
+			r.out.SoloNs += jr.SoloNs
+			r.out.CoRunNs += w.res.TotalNs
 			remain = append(remain, ji)
 		}
 	}
@@ -1272,7 +1264,7 @@ func buildModelGraph(key string) *graph.Graph {
 // buildRuntimes resolves every node descriptor to its NodeRuntime, sharing
 // one runtime — its per-model work cache and its wave memo — across nodes
 // with the same hardware descriptor.
-func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, noMemo bool) []NodeRuntime {
+func buildRuntimes(descs []Node, arb multijob.Arbiter, noMemo bool) []NodeRuntime {
 	cpus := make(map[*hw.Machine]*cpuRuntime)
 	gpus := make(map[*gpu.Device]*gpuRuntime)
 	rts := make([]NodeRuntime, len(descs))
@@ -1291,7 +1283,7 @@ func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, noMemo b
 		}
 		rt, ok := cpus[d.CPU]
 		if !ok {
-			rt = &cpuRuntime{m: d.CPU, hardware: d.CPU.String(), arb: arb, cfg: cfg}
+			rt = &cpuRuntime{m: d.CPU, hardware: d.CPU.String(), arb: arb}
 			if !noMemo {
 				rt.memo = &waveMemo{}
 			}

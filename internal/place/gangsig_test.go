@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"opsched/internal/core"
 	"opsched/internal/gpu"
 	"opsched/internal/hw"
 	"opsched/internal/multijob"
@@ -122,7 +121,7 @@ func memoTestRuntimes(t *testing.T, noMemo bool) (cpu, gpuRt NodeRuntime) {
 		t.Fatal(err)
 	}
 	rts := buildRuntimes([]Node{{CPU: hw.NewKNL()}, {GPU: gpu.NewP100()}},
-		arb, core.AllStrategies(), noMemo)
+		arb, noMemo)
 	return rts[0], rts[1]
 }
 

@@ -152,32 +152,31 @@ type cpuRuntime struct {
 	m        *hw.Machine
 	hardware string // m.String(), rendered once
 	arb      multijob.Arbiter
-	cfg      core.Config
 	work     workCache[float64]
 	models   workCache[cpuModel]
 	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
 }
 
-// cpuModel is what every wave of one model key shares on one machine and
-// runtime configuration: the runtime job profiled under the model key and
-// its solo makespan, or the error preparing them failed with (the caller
-// labels it with its own job's name). It is keyed process-wide by
-// cpuModelKey, not by graph signature: buildModelGraph is a pure function
-// of the model key, so the key fixes the graph exactly — Op.Window
-// included, which the signature omits — and with the machine and config
-// fixes what a fresh multijob.RuntimeJob and multijob.SoloNs compute. The
-// profiled core.Runtime is read-only, so engines and waves may share it,
-// even two jobs of one wave.
+// cpuModel is what every wave of one model key shares on one machine: the
+// runtime job profiled under the model key and its solo makespan, or the
+// error preparing them failed with (the caller labels it with its own
+// job's name). It is keyed process-wide by cpuModelKey, not by graph
+// signature: buildModelGraph is a pure function of the model key, so the
+// key fixes the graph exactly — Op.Window included, which the signature
+// omits — and with the machine fixes what a fresh multijob.RuntimeJob and
+// multijob.SoloNs compute. The profiled core.Runtime is read-only, so
+// engines and waves may share it, even two jobs of one wave.
 type cpuModel struct {
 	job    multijob.Job
 	soloNs float64
 	err    error
 }
 
-// cpuModelKey keys a cpuModel in the process-wide derived table.
+// cpuModelKey keys a cpuModel in the process-wide derived table. Every
+// CPU job runs the full runtime (core.AllStrategies) profiled at
+// core.ProfileInterval, so the machine and the model key fix the value.
 type cpuModelKey struct {
 	m     hw.Machine
-	cfg   core.Config
 	model string
 }
 
@@ -185,7 +184,7 @@ type cpuModelKey struct {
 // key's own copy of the machine, so a shared value never aliases a
 // caller's machine.
 func (k cpuModelKey) prepare() cpuModel {
-	job, err := multijob.RuntimeJob(k.model, modelGraph(k.model), &k.m, k.cfg)
+	job, err := multijob.RuntimeJob(k.model, modelGraph(k.model), &k.m, core.AllStrategies())
 	if err != nil {
 		return cpuModel{err: err}
 	}
@@ -196,9 +195,8 @@ func (k cpuModelKey) prepare() cpuModel {
 // cpuWorkKey keys a model's predicted solo work on a CPU machine in the
 // process-wide derived table.
 type cpuWorkKey struct {
-	m        hw.Machine
-	interval int
-	model    string
+	m     hw.Machine
+	model string
 }
 
 // cpuMeshAlpha mirrors the exec engine's pinned mesh-interference
@@ -222,9 +220,9 @@ func (c *cpuRuntime) JobMemBytes(string) float64 { return 0 }
 
 func (c *cpuRuntime) SoloWorkNs(model string) float64 {
 	return c.work.get(model, func() float64 {
-		k := cpuWorkKey{*c.m, c.cfg.Interval, model}
+		k := cpuWorkKey{*c.m, model}
 		return perfmodel.Derive(k, func() any {
-			return multijob.PredictedSoloWorkNs(&k.m, modelGraph(model), k.interval)
+			return multijob.PredictedSoloWorkNs(&k.m, modelGraph(model))
 		}).(float64)
 	})
 }
@@ -240,10 +238,10 @@ func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 }
 
 // model returns the shared profiled job and solo makespan of a model key
-// on this runtime's machine and config.
+// on this runtime's machine.
 func (c *cpuRuntime) model(key string) cpuModel {
 	return c.models.get(key, func() cpuModel {
-		k := cpuModelKey{*c.m, c.cfg, key}
+		k := cpuModelKey{*c.m, key}
 		return perfmodel.Derive(k, func() any { return k.prepare() }).(cpuModel)
 	})
 }

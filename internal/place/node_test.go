@@ -64,7 +64,7 @@ func TestCPUModelCacheExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := buildRuntimes([]Node{{CPU: m}}, arb, core.AllStrategies(), true)[0]
+		rt := buildRuntimes([]Node{{CPU: m}}, arb, true)[0]
 		check := func(wave []WaveJob) {
 			t.Helper()
 			got, err := rt.RunWave(wave)

@@ -42,7 +42,6 @@ import (
 	"strconv"
 	"strings"
 
-	"opsched/internal/core"
 	"opsched/internal/gpu"
 	"opsched/internal/graph"
 	"opsched/internal/hw"
@@ -433,9 +432,6 @@ type Options struct {
 	// Arbiter names the per-node cross-job policy (multijob.Arbiters);
 	// empty means "fair".
 	Arbiter string
-	// Config is the per-job runtime configuration; nil means the full
-	// strategy set (core.AllStrategies).
-	Config *core.Config
 	// Preempt is the preemption trigger spec (preempt.ParseTriggers): ""
 	// or "off" runs every wave to completion; "none" arms the preemptive
 	// engine with no triggers (its output is byte-identical to "off");
@@ -475,13 +471,6 @@ func (o Options) arbiter() string {
 		return "fair"
 	}
 	return o.Arbiter
-}
-
-func (o Options) config() core.Config {
-	if o.Config == nil {
-		return core.AllStrategies()
-	}
-	return *o.Config
 }
 
 // PlacedJob is the outcome of one job in the placed workload.

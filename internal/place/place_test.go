@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"opsched/internal/core"
 	"opsched/internal/gpu"
 	"opsched/internal/hw"
 	"opsched/internal/nn"
@@ -370,21 +369,20 @@ func TestSingleNodeDegeneratesToCoTrain(t *testing.T) {
 }
 
 // TestExplicitOptionsAndInterconnect: a run with every option set — custom
-// interconnect, explicit runtime config, explicit arbiter — honours them
-// (a slower fabric stretches staging transfers).
+// interconnect, explicit arbiter — honours them (a slower fabric stretches
+// staging transfers).
 func TestExplicitOptionsAndInterconnect(t *testing.T) {
 	w := lstmStream(2)
-	cfg := core.Strategies12()
 	slow := &Interconnect{BWBytesNs: 0.5, LatencyNs: 3000}
 	res, err := PlaceJobs(w, Cluster{Nodes: 1, Interconnect: slow},
-		Options{Policy: "binpack", Arbiter: "srwf", Config: &cfg})
+		Options{Policy: "binpack", Arbiter: "srwf"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Arbiter != "srwf" {
 		t.Errorf("arbiter %q, want srwf", res.Arbiter)
 	}
-	fast, err := PlaceJobs(w, Cluster{Nodes: 1}, Options{Policy: "binpack", Arbiter: "srwf", Config: &cfg})
+	fast, err := PlaceJobs(w, Cluster{Nodes: 1}, Options{Policy: "binpack", Arbiter: "srwf"})
 	if err != nil {
 		t.Fatal(err)
 	}

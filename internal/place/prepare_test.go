@@ -30,21 +30,15 @@ func allModelKeys() []string {
 // TestSharedModelValuesExact: every per-model value a runtime reads from
 // the process-wide table equals a fresh derivation bit for bit, for every
 // model key — the graph (signature and node count), a KNL runtime's solo
-// makespan and predicted solo work under the default and a non-default
-// strategy config, and a P100's graph work — and the two configs get
-// different entries.
+// makespan and predicted solo work, and a P100's graph work.
 func TestSharedModelValuesExact(t *testing.T) {
 	arb, err := multijob.NewArbiter("fair")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, d := hw.NewKNL(), gpu.NewP100()
-	cfgs := []core.Config{core.AllStrategies(), {Strategy1: true, Strategy2: true, Strategy3: true}}
-	cpus := make([]*cpuRuntime, len(cfgs))
-	for i, cfg := range cfgs {
-		cpus[i] = buildRuntimes([]Node{{CPU: m}}, arb, cfg, true)[0].(*cpuRuntime)
-	}
-	gpuRt := buildRuntimes([]Node{{GPU: d}}, arb, core.AllStrategies(), true)[0].(*gpuRuntime)
+	rt := buildRuntimes([]Node{{CPU: m}}, arb, true)[0].(*cpuRuntime)
+	gpuRt := buildRuntimes([]Node{{GPU: d}}, arb, true)[0].(*gpuRuntime)
 
 	for _, key := range allModelKeys() {
 		g, fresh := modelGraph(key), buildModelGraph(key)
@@ -55,35 +49,28 @@ func TestSharedModelValuesExact(t *testing.T) {
 		if modelGraph(key) != g {
 			t.Errorf("%s: graph built twice", key)
 		}
-		for i, cfg := range cfgs {
-			rt := cpus[i]
-			mdl := rt.model(key)
-			if mdl.err != nil {
-				t.Fatalf("%s: %v", key, mdl.err)
-			}
-			job, err := multijob.RuntimeJob(key, buildModelGraph(key), hw.NewKNL(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			solo, err := multijob.SoloNs(job, hw.NewKNL())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mdl.soloNs != solo {
-				t.Errorf("%s cfg %d: shared solo makespan %v, fresh %v", key, i, mdl.soloNs, solo)
-			}
-			if got, want := rt.SoloWorkNs(key), multijob.PredictedSoloWorkNs(hw.NewKNL(), buildModelGraph(key), cfg.Interval); got != want {
-				t.Errorf("%s cfg %d: shared solo work %v, fresh %v", key, i, got, want)
-			}
-			// A second runtime on an equal machine and config reads the
-			// same entry.
-			other := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, arb, cfg, true)[0].(*cpuRuntime)
-			if other.model(key).job.Sched != mdl.job.Sched {
-				t.Errorf("%s cfg %d: an equal runtime profiled the job again", key, i)
-			}
+		mdl := rt.model(key)
+		if mdl.err != nil {
+			t.Fatalf("%s: %v", key, mdl.err)
 		}
-		if cpus[0].model(key).job.Sched == cpus[1].model(key).job.Sched {
-			t.Errorf("%s: two strategy configs share one profiled job", key)
+		job, err := multijob.RuntimeJob(key, buildModelGraph(key), hw.NewKNL(), core.AllStrategies())
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo, err := multijob.SoloNs(job, hw.NewKNL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mdl.soloNs != solo {
+			t.Errorf("%s: shared solo makespan %v, fresh %v", key, mdl.soloNs, solo)
+		}
+		if got, want := rt.SoloWorkNs(key), multijob.PredictedSoloWorkNs(hw.NewKNL(), buildModelGraph(key)); got != want {
+			t.Errorf("%s: shared solo work %v, fresh %v", key, got, want)
+		}
+		// A second runtime on an equal machine reads the same entry.
+		other := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, arb, true)[0].(*cpuRuntime)
+		if other.model(key).job.Sched != mdl.job.Sched {
+			t.Errorf("%s: an equal runtime profiled the job again", key)
 		}
 		if got, want := gpuRt.graphWork(key), d.PredictGraphWork(buildModelGraph(key)); got != want {
 			t.Errorf("%s: shared P100 graph work %+v, fresh %+v", key, got, want)
@@ -181,7 +168,7 @@ func TestSharedModelErrorNamesCaller(t *testing.T) {
 	bad := func() NodeRuntime {
 		m := hw.NewKNL()
 		m.Cores = 0
-		return buildRuntimes([]Node{{CPU: m}}, arb, core.AllStrategies(), true)[0]
+		return buildRuntimes([]Node{{CPU: m}}, arb, true)[0]
 	}
 	first := bad()
 	for _, tc := range []struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"opsched/internal/core"
 	"opsched/internal/gpu"
 	"opsched/internal/hw"
 	"opsched/internal/nn"
@@ -33,7 +32,8 @@ func DefaultClusterWorkloads() []NamedWorkload {
 // GPU node counts (GPUs), so one grid compares homogeneous and
 // heterogeneous fleets, and the preemption axis (Preempts) compares
 // run-to-completion against checkpoint/restart trigger sets on otherwise
-// identical cells.
+// identical cells. Every CPU job runs the full runtime
+// (core.AllStrategies).
 type ClusterGrid struct {
 	// Workloads to place; empty means DefaultClusterWorkloads.
 	Workloads []NamedWorkload
@@ -58,9 +58,6 @@ type ClusterGrid struct {
 	GPU *gpu.Device
 	// Interconnect joins the nodes; nil means place.NewAries().
 	Interconnect *place.Interconnect
-	// Config is the per-job runtime configuration; nil means the full
-	// strategy set (AllStrategies).
-	Config *core.Config
 	// Obs attaches an observability sink to every cell's engine; nil (the
 	// default) disables it. The metrics registry's instruments are atomic,
 	// so a parallel sweep aggregates across cells safely; a Tracer only
@@ -145,8 +142,7 @@ func (g ClusterGrid) points() []clusterPoint {
 							c: place.Cluster{Nodes: size, Machine: g.Machine,
 								GPUs: gcount, GPU: g.GPU, Interconnect: g.Interconnect},
 							opts: place.Options{Policy: pol, Arbiter: g.Arbiter,
-								Config: g.Config, Preempt: preemptOpt(pre),
-								Obs: g.Obs},
+								Preempt: preemptOpt(pre), Obs: g.Obs},
 						})
 					}
 				}

@@ -46,6 +46,7 @@ type NamedMachine struct {
 }
 
 // JobGrid is a job-mix × arbiter-policy × machine sweep specification.
+// Every job runs the full runtime (core.AllStrategies).
 type JobGrid struct {
 	// Mixes to co-schedule; empty means DefaultJobMixes.
 	Mixes []JobMix
@@ -54,9 +55,6 @@ type JobGrid struct {
 	Arbiters []string
 	// Machines to sweep; empty means one NewKNL labelled "knl".
 	Machines []NamedMachine
-	// Config is the per-job runtime configuration; nil means the full
-	// strategy set (AllStrategies).
-	Config *core.Config
 }
 
 func (g JobGrid) mixes() []JobMix {
@@ -80,13 +78,6 @@ func (g JobGrid) machines() []NamedMachine {
 	return g.Machines
 }
 
-func (g JobGrid) config() core.Config {
-	if g.Config == nil {
-		return core.AllStrategies()
-	}
-	return *g.Config
-}
-
 // JobCell is the outcome of one job-mix grid point.
 type JobCell struct {
 	// Machine, Mix and Arbiter name the grid point.
@@ -108,7 +99,6 @@ type jobPoint struct {
 	cell    JobCell
 	machine *hw.Machine
 	mix     JobMix
-	cfg     core.Config
 }
 
 func (g JobGrid) points() []jobPoint {
@@ -120,7 +110,6 @@ func (g JobGrid) points() []jobPoint {
 					cell:    JobCell{Machine: m.Name, Mix: mix.name(), Arbiter: arb},
 					machine: m.Machine,
 					mix:     mix,
-					cfg:     g.config(),
 				})
 			}
 		}
@@ -165,7 +154,7 @@ func RunJobGrid(ctx context.Context, g JobGrid, parallelism int) ([]JobCell, err
 			if err != nil {
 				return JobCell{}, fmt.Errorf("sweep: cell %s/%s/%s: %w", cell.Machine, cell.Mix, cell.Arbiter, err)
 			}
-			job, err := multijob.RuntimeJob(model.Name, model.Graph, pt.machine, pt.cfg)
+			job, err := multijob.RuntimeJob(model.Name, model.Graph, pt.machine, core.AllStrategies())
 			if err != nil {
 				return JobCell{}, fmt.Errorf("sweep: cell %s/%s/%s: %w", cell.Machine, cell.Mix, cell.Arbiter, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"opsched/internal/core"
 	"opsched/internal/hw"
 	"opsched/internal/nn"
 )
@@ -93,23 +92,18 @@ func TestJobGridUnknownArbiter(t *testing.T) {
 	}
 }
 
-// TestJobGridAccessorOverrides: explicit mixes, arbiters, machines and
-// config are honoured, and a named mix keeps its label.
+// TestJobGridAccessorOverrides: explicit mixes, arbiters and machines are
+// honoured, and a named mix keeps its label.
 func TestJobGridAccessorOverrides(t *testing.T) {
-	cfg := core.Strategies12()
 	g := JobGrid{
 		Arbiters: []string{"fair"},
 		Machines: []NamedMachine{{Name: "m", Machine: hw.NewKNL()}},
-		Config:   &cfg,
 	}
 	if got := g.arbiters(); len(got) != 1 || got[0] != "fair" {
 		t.Errorf("arbiters() = %v", got)
 	}
 	if got := g.machines(); len(got) != 1 || got[0].Name != "m" {
 		t.Errorf("machines() = %v", got)
-	}
-	if got := g.config(); got.Strategy3 {
-		t.Errorf("config() = %+v, want Strategies12", got)
 	}
 	if got := (JobMix{Name: "label", Models: []string{nn.LSTM}}).name(); got != "label" {
 		t.Errorf("named mix renders %q", got)

@@ -44,7 +44,6 @@ import (
 	"opsched/internal/perfmodel"
 	"opsched/internal/pipeline"
 	"opsched/internal/place"
-	"opsched/internal/preempt"
 	"opsched/internal/sweep"
 	"opsched/internal/tracefile"
 )
@@ -74,9 +73,6 @@ const (
 
 // NewKNL returns the Xeon Phi 7250 machine model used throughout the paper.
 func NewKNL() *Machine { return hw.NewKNL() }
-
-// Models lists the four workloads in the paper's order.
-func Models() []string { return nn.Names() }
 
 // Build constructs the named workload at its paper batch size.
 func Build(name string) (*Model, error) { return nn.Build(name) }
@@ -125,16 +121,6 @@ func ManualOptimize(model *Model, m *Machine) (string, *Result, error) {
 
 // Experiments lists the regenerable tables and figures in paper order.
 func Experiments() []string { return experiments.Names() }
-
-// RunExperiment regenerates the named table or figure and returns its
-// rendered report.
-func RunExperiment(name string, m *Machine) (string, error) {
-	res, err := experiments.Run(name, m)
-	if err != nil {
-		return "", err
-	}
-	return res.Render(), nil
-}
 
 // ExperimentReport is one regenerated table/figure from a sweep: its name,
 // rendered report, and the wall-clock time its worker spent on it.
@@ -222,7 +208,8 @@ func RunCoJobs(jobs []CoJob, m *Machine, arbiter string) (*CoTrainResult, error)
 // JobMix is one co-scheduled workload mix in a job sweep.
 type JobMix = sweep.JobMix
 
-// JobSweepGrid is a job-mix × arbiter-policy × machine sweep specification.
+// JobSweepGrid is a job-mix × arbiter-policy × machine sweep
+// specification; every job runs the full runtime (AllStrategies).
 type JobSweepGrid = sweep.JobGrid
 
 // JobSweepCell is the outcome of one job-mix grid point.
@@ -262,16 +249,11 @@ type GPUDevice = gpu.Device
 // study — and, in cluster placement, the default GPU node hardware.
 func NewP100() *GPUDevice { return gpu.NewP100() }
 
-// HeterogeneousCluster is a convenience constructor for a mixed fleet:
-// cpus KNL nodes followed by gpus P100 nodes, joined by the default
-// Aries-like interconnect. Set the Cluster fields directly for custom
-// hardware models.
-func HeterogeneousCluster(cpus, gpus int) Cluster {
-	return Cluster{Nodes: cpus, GPUs: gpus}
-}
-
 // PlaceOptions configure a cluster placement run: the placement policy,
-// the per-node cross-job arbiter and the per-job runtime configuration.
+// the per-node cross-job arbiter, the preemption trigger spec and the
+// observability sinks. Preempt names triggers — "priority", "deadline",
+// "slo-at-risk", "load" — joined with "+", or is "all", "none" or "off"
+// (the default). Every CPU job runs the full runtime (AllStrategies).
 type PlaceOptions = place.Options
 
 // PlacementResult is the outcome of placing a workload onto a cluster:
@@ -345,54 +327,13 @@ func SyntheticInferenceWorkload(n int, seed uint64, models []string, meanGapNs, 
 	return place.SyntheticInference(n, seed, models, meanGapNs, sloNs)
 }
 
-// BuildInferenceModel constructs the forward-only serving graph of the
-// named workload at the given per-request batch size — the tiny graphs the
-// inference job class schedules at high rate. Names accept the short
-// spellings of ResolveModel.
-func BuildInferenceModel(name string, batch int) (*Model, error) {
-	canon, err := nn.Resolve(name)
-	if err != nil {
-		return nil, err
-	}
-	return nn.BuildInference(canon, batch)
-}
-
-// PreemptCheckpoint captures a preempted job's progress at a step
-// boundary: steps completed, plus the parameter/optimizer state a
-// migration must ship (see preempt.Checkpoint).
-type PreemptCheckpoint = preempt.Checkpoint
-
-// PreemptTrigger decides when a running gang wave should be cut short at
-// its next per-job step boundary (see preempt.Trigger).
-type PreemptTrigger = preempt.Trigger
-
-// PreemptionTriggers lists the built-in preemption trigger names accepted
-// in trigger specs: "priority" (a high-priority arrival never waits out a
-// lower-priority gang), "deadline" (cut exactly when it converts a
-// predicted deadline miss into a hit), "slo-at-risk" (the deadline rule
-// applied to an inference request's latency SLO, so serving traffic
-// preempts training) and "load" (spill a wave's tail to an idle node).
-// Specs join names with "+", or use "all"/"none"/"off".
-func PreemptionTriggers() []string { return preempt.Triggers() }
-
-// RunPreemptiveCluster is PlaceJobs with preemption triggers armed:
-// triggers is a spec in PreemptionTriggers' spelling ("all",
-// "priority+deadline", ...). A preemptive run whose triggers never fire
-// reports byte-identically to the run-to-completion engine; when they do
-// fire, cut waves checkpoint their unfinished jobs at the step boundary
-// and the migrator re-prices each across the fleet — cross-hardware
-// CPU<->GPU moves included, paying the interconnect for checkpoint state
-// plus re-staging.
-func RunPreemptiveCluster(w ClusterWorkload, c Cluster, opts PlaceOptions, triggers string) (*PlacementResult, error) {
-	opts.Preempt = triggers
-	return place.PlaceJobs(w, c, opts)
-}
-
 // NamedWorkload pairs a job stream with a label for sweep attribution.
 type NamedWorkload = sweep.NamedWorkload
 
-// ClusterSweepGrid is a workload × policy × node-mix sweep specification;
-// the node-mix axis crosses CPU node counts with GPU node counts.
+// ClusterSweepGrid is a workload × policy × node-mix × preemption sweep
+// specification; the node-mix axis crosses CPU node counts with GPU node
+// counts, and the hardware fields describe the nodes and their
+// interconnect. Every CPU job runs the full runtime (AllStrategies).
 type ClusterSweepGrid = sweep.ClusterGrid
 
 // ClusterSweepCell is the outcome of one cluster-placement grid point.
@@ -407,9 +348,10 @@ func RunClusterSweep(ctx context.Context, g ClusterSweepGrid, parallelism int) (
 }
 
 // JobPipeline is a running stream over a placement engine, owned by one
-// goroutine: Submit jobs (and optionally Ticks) from any goroutine, Close
-// to send the END flag behind every queued submission, Wait for the sealed
-// result, Snapshot for live in-flight metrics (see pipeline.Pipeline).
+// goroutine: Submit jobs or Feed a JobSource (and optionally Tick) from
+// any goroutine, Close to send the END flag behind every queued
+// submission, Wait for the sealed result, Snapshot for live in-flight
+// metrics (see pipeline.Pipeline).
 type JobPipeline = pipeline.Pipeline
 
 // PipelineConfig assembles a JobPipeline: the cluster and placement
@@ -477,12 +419,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewSchedTracer returns an empty scheduler tracer.
 func NewSchedTracer() *SchedTracer { return obs.NewTracer() }
-
-// NewObserver returns an Observer carrying both a fresh metrics registry
-// and a fresh tracer — the everything-on configuration.
-func NewObserver() *Observer {
-	return &obs.Observer{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer()}
-}
 
 // TraceReader streams a Philly/Helios-style CSV job trace one row at a
 // time (see tracefile.Reader); it plugs into ReplayTrace as a JobSource.

@@ -114,16 +114,16 @@ func TestFacadePlaceJobs(t *testing.T) {
 	}
 }
 
-// TestFacadeHeterogeneousCluster drives the mixed-fleet surface: the
-// constructor counts out CPU and GPU nodes, NewP100 doubles as node
-// hardware through NodeList, and a placed stream lands jobs on both
-// hardware kinds with slowdowns >= 1.
+// TestFacadeHeterogeneousCluster drives the mixed-fleet surface: a
+// Cluster counts out CPU and GPU nodes, NewP100 doubles as node hardware
+// through NodeList, and a placed stream lands jobs on both hardware kinds
+// with slowdowns >= 1.
 func TestFacadeHeterogeneousCluster(t *testing.T) {
 	workload, err := SyntheticWorkload(6, 1, []string{"lstm", "dcgan"}, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PlaceJobs(workload, HeterogeneousCluster(1, 1), PlaceOptions{Policy: "model-aware"})
+	res, err := PlaceJobs(workload, Cluster{Nodes: 1, GPUs: 1}, PlaceOptions{Policy: "model-aware"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +166,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeModels(t *testing.T) {
-	if len(Models()) != 4 {
-		t.Fatalf("Models() = %v, want the paper's four", Models())
-	}
 	if _, err := Build("VGG"); err == nil {
 		t.Error("Build(unknown) succeeded")
 	}
-	for _, name := range Models() {
+	for _, name := range []string{ResNet50, DCGAN, InceptionV3, LSTM} {
 		model, err := Build(name)
 		if err != nil {
 			t.Fatal(err)
@@ -202,15 +199,15 @@ func TestFacadeExperiments(t *testing.T) {
 	if len(Experiments()) != 11 {
 		t.Fatalf("Experiments() = %v", Experiments())
 	}
-	out, err := RunExperiment("table2", NewKNL())
+	reps, err := RunExperiments(context.Background(), []string{"table2"}, NewKNL(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Table II") {
-		t.Errorf("unexpected render: %q", out)
+	if len(reps) != 1 || !strings.Contains(reps[0].Report, "Table II") {
+		t.Errorf("unexpected reports: %+v", reps)
 	}
-	if _, err := RunExperiment("bogus", NewKNL()); err == nil {
-		t.Error("RunExperiment(bogus) succeeded")
+	if _, err := RunExperiments(context.Background(), []string{"bogus"}, NewKNL(), 1); err == nil {
+		t.Error("RunExperiments(bogus) succeeded")
 	}
 }
 
@@ -279,26 +276,27 @@ func TestFacadeCoTrain(t *testing.T) {
 	}
 }
 
-// TestFacadePreemptiveCluster drives the preemption surface end to end:
-// trigger names are listed, a zero-firing preemptive run is byte-identical
-// to the run-to-completion engine, and an armed run on a pinned-down fleet
-// preempts without losing any job.
+// TestFacadePreemptiveCluster drives the preemption surface end to end
+// through PlaceOptions.Preempt: a zero-firing preemptive run is
+// byte-identical to the run-to-completion engine, and an armed run on a
+// pinned-down fleet preempts without losing any job.
 func TestFacadePreemptiveCluster(t *testing.T) {
-	names := PreemptionTriggers()
-	if len(names) != 4 || names[0] != "priority" || names[2] != "slo-at-risk" {
-		t.Fatalf("PreemptionTriggers() = %v", names)
-	}
 	workload, err := SyntheticStepsWorkload(5, 1, []string{"lstm", "dcgan"}, 1e6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := HeterogeneousCluster(1, 1)
+	fleet := Cluster{Nodes: 1, GPUs: 1}
 	opts := PlaceOptions{Policy: "model-aware"}
 	rtc, err := PlaceJobs(workload, fleet, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, err := RunPreemptiveCluster(workload, fleet, opts, "none")
+	preempt := func(spec string) (*PlacementResult, error) {
+		armed := opts
+		armed.Preempt = spec
+		return PlaceJobs(workload, fleet, armed)
+	}
+	none, err := preempt("none")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +304,7 @@ func TestFacadePreemptiveCluster(t *testing.T) {
 		t.Errorf("zero-trigger preemptive run differs from run-to-completion:\n%s\nvs\n%s",
 			none.Render(), rtc.Render())
 	}
-	armed, err := RunPreemptiveCluster(workload, fleet, opts, "all")
+	armed, err := preempt("all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +316,7 @@ func TestFacadePreemptiveCluster(t *testing.T) {
 			t.Errorf("armed job %s finish %v slowdown %.4f", j.Name, j.FinishNs, j.Slowdown)
 		}
 	}
-	if _, err := RunPreemptiveCluster(workload, fleet, opts, "bogus"); err == nil {
+	if _, err := preempt("bogus"); err == nil {
 		t.Error("bogus trigger spec accepted")
 	}
 }
@@ -417,8 +415,8 @@ func TestFacadeSweepHelpers(t *testing.T) {
 }
 
 // TestFacadeInferenceServing: the serving facade — inference workload
-// generation, forward-only model building, sharing-mode constants, and a
-// mixed-tenant run reporting per-class SLO metrics end to end.
+// generation, sharing-mode constants, and a mixed-tenant run reporting
+// per-class SLO metrics end to end.
 func TestFacadeInferenceServing(t *testing.T) {
 	requests, err := SyntheticInferenceWorkload(8, 3, []string{"dcgan"}, 1e6, 50e6)
 	if err != nil {
@@ -434,17 +432,6 @@ func TestFacadeInferenceServing(t *testing.T) {
 	}
 	if _, err := SyntheticInferenceWorkload(0, 3, nil, 1e6, 1e6); err == nil {
 		t.Error("n=0 accepted")
-	}
-
-	m, err := BuildInferenceModel("dcgan", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Params != 0 {
-		t.Errorf("serving graph records %d optimizer params, want 0", m.Params)
-	}
-	if _, err := BuildInferenceModel("vgg", 4); err == nil {
-		t.Error("unknown model accepted")
 	}
 
 	if SharingStreams != "streams" || SharingMPS != "mps" {
