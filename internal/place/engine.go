@@ -1,11 +1,12 @@
 package place
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 	"opsched/internal/nn"
 	"opsched/internal/obs"
 	"opsched/internal/perfmodel"
-	"opsched/internal/preempt"
 )
 
 // waveState is one in-flight gang wave on a node. A wave executes its
@@ -87,23 +87,6 @@ func (ns *nodeState) nextEventNs() float64 {
 	return ns.freeNs
 }
 
-// viewFreeNs is the horizon a policy or trigger sees: the wave's predicted
-// drain while one is in flight, else when the node went idle.
-func (ns *nodeState) viewFreeNs() float64 {
-	if ns.wave != nil {
-		return ns.wave.drainNs
-	}
-	return ns.freeNs
-}
-
-// residentCount is the in-flight wave's job count (0 when idle).
-func (ns *nodeState) residentCount() int {
-	if ns.wave == nil {
-		return 0
-	}
-	return len(ns.wave.active)
-}
-
 // drainTail is one active job's contribution to a wave's drain estimate:
 // rounds remaining past the current one and the frozen per-step span.
 type drainTail struct {
@@ -161,8 +144,8 @@ type jobRec struct {
 
 	// stepWork caches the job's one-step predicted work on its currently
 	// assigned node, so the wave scheduler never re-resolves a runtime
-	// work cache entry on the hot path; place and checkpointWave keep it
-	// current whenever the job's node changes.
+	// work cache entry on the hot path; stage keeps it current whenever
+	// the job's node changes.
 	stepWork float64
 
 	// flowID carries a preempted job's pending migration-flow id until its
@@ -222,11 +205,10 @@ type Engine struct {
 	ic        *Interconnect
 	infos     map[string]*modelInfo
 
-	// Preemption machinery: nil triggers with preemptOn false is the
+	// Preemption (preempt.go): nil triggers with preemptOn false is the
 	// run-to-completion engine.
 	preemptOn bool
-	triggers  []preempt.Trigger
-	migrator  preempt.Migrator
+	triggers  []trigger
 	firings   int
 
 	// anyInference arms the latency-class admission path the first time an
@@ -263,7 +245,6 @@ type Engine struct {
 	tailBuf     []drainTail
 	candBuf     []int
 	admittedBuf map[int]bool
-	snapBuf     []preempt.NodeSnapshot
 	finBuf      []int
 
 	// Observability (Options.Obs): tr collects virtual-time trace events,
@@ -290,9 +271,9 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
-	triggers, preemptOn, err := preempt.ParseTriggers(opts.Preempt)
+	triggers, preemptOn, err := parseTriggers(opts.Preempt)
 	if err != nil {
-		return nil, fmt.Errorf("place: %w", err)
+		return nil, err
 	}
 
 	// One runtime per distinct hardware descriptor: nodes sharing a
@@ -518,7 +499,7 @@ func (e *Engine) finish(pos []int) *Result {
 	out := &Result{
 		Policy: e.policy, Arbiter: e.arb.Name(), Nodes: len(e.nodes),
 		Fleet: fleetDescription(e.rts), Jobs: jobs,
-		Preempt: preempt.SpecName(e.preemptOn, e.triggers), TriggerFirings: e.firings,
+		Preempt: specName(e.preemptOn, e.triggers), TriggerFirings: e.firings,
 	}
 	for i, ns := range e.nodes {
 		out.NodeStats = append(out.NodeStats, NodeStats{
@@ -618,22 +599,22 @@ func (e *Engine) renderPath(hops []int) string {
 }
 
 // remainingNs prices the job's unfinished steps on the node it is currently
-// assigned to, from the per-job step-work cache place and checkpointWave
-// maintain — no runtime cache lookup on the hot path. Inference requests
-// price at their forward-only serving graph (their work key), not the
-// model's training step.
+// assigned to, from the per-job step-work cache stage maintains — no
+// runtime cache lookup on the hot path. Inference requests price at their
+// forward-only serving graph (their work key), not the model's training
+// step.
 func (r *jobRec) remainingNs() float64 {
 	return float64(r.steps-r.done) * r.stepWork
 }
 
 // jobWorkPerRuntime fills the engine's per-pick scratch with job ji's
-// predicted total solo work per distinct runtime (the work every node
-// sharing that runtime would price it at), resolving each runtime's work
-// cache exactly once.
+// predicted solo work for its remaining steps (all of them at arrival) per
+// distinct runtime (the work every node sharing that runtime would price it
+// at), resolving each runtime's work cache exactly once.
 func (e *Engine) jobWorkPerRuntime(ji int) []float64 {
 	r := e.job(ji)
 	model := r.workKey
-	steps := float64(r.steps)
+	steps := float64(r.steps - r.done)
 	work := e.rtWorkBuf
 	for k, rt := range e.uniqueRts {
 		work[k] = steps * rt.SoloWorkNs(model)
@@ -679,98 +660,32 @@ func (e *Engine) place(ji, n int, at float64) error {
 		DeadlineNs: sp.DeadlineNs, Steps: r.steps,
 		Class: sp.EffectiveClass(), SLONs: sp.SLONs,
 	}
-	r.readyNs = at + mi.xferNs
+	if e.tr != nil {
+		e.tr.AsyncInstant(obsPidJobs, int64(ji), "place", "job", at,
+			obs.A("node", n), obs.A("kind", ns.rt.Kind()))
+	}
+	e.stage(ji, n, at+mi.xferNs)
+	e.fireTriggers(ji, n, at)
+	return nil
+}
+
+// stage queues job ji on node n behind its wave, ready at readyNs: the
+// job's step work is re-priced on n's hardware, its remaining work joins
+// the node's and the fleet's queue aggregates, and n is re-indexed in the
+// event heap. Arrivals and checkpoint restarts both enter a node here.
+func (e *Engine) stage(ji, n int, readyNs float64) {
+	r := e.job(ji)
+	ns := e.nodes[n]
+	r.readyNs = readyNs
 	r.stepWork = ns.rt.SoloWorkNs(r.workKey)
 	work := r.remainingNs()
 	ns.queue = append(ns.queue, ji)
 	ns.queuedWorkNs += work
 	e.queueDelta(1, work)
-	if r.readyNs < ns.minReadyNs {
-		ns.minReadyNs = r.readyNs
-	}
-	if e.tr != nil {
-		e.tr.AsyncInstant(obsPidJobs, int64(ji), "place", "job", at,
-			obs.A("node", n), obs.A("kind", ns.rt.Kind()))
+	if readyNs < ns.minReadyNs {
+		ns.minReadyNs = readyNs
 	}
 	e.push(n)
-	e.fireTriggers(ji, n, at)
-	return nil
-}
-
-// fireTriggers evaluates every armed trigger against the arrival and marks
-// the waves they cut. A wave is cut at most once; firings count the newly
-// marked cuts.
-func (e *Engine) fireTriggers(ji, node int, at float64) {
-	if !e.preemptOn || len(e.triggers) == 0 {
-		return
-	}
-	r := e.job(ji)
-	sp := &r.spec
-	arr := preempt.Arrival{
-		Name: sp.Name, Model: sp.Model, Priority: sp.Priority,
-		DeadlineNs: sp.DeadlineNs, Node: node,
-		WorkNs:  r.remainingNs(),
-		ReadyNs: r.readyNs,
-	}
-	if sp.Inference() && sp.SLONs > 0 {
-		arr.SLODeadlineNs = at + sp.SLONs
-	}
-	snap := e.snapshot()
-	for _, tr := range e.triggers {
-		for _, idx := range tr.Fire(arr, at, snap) {
-			if idx < 0 || idx >= len(e.nodes) {
-				continue
-			}
-			if w := e.nodes[idx].wave; w != nil && !w.cut {
-				w.cut = true
-				// The wave now ends at the current round's boundary:
-				// collapse the drain horizon so later arrivals, triggers
-				// and migrations price the node as freeing there.
-				w.drainNs = w.roundEndNs
-				e.firings++
-				if e.eo != nil {
-					e.eo.firings.With(tr.Name()).Inc()
-				}
-				if e.tr != nil {
-					e.tr.Instant(obsPidNodes, idx, tr.Name(), "trigger", at,
-						obs.A("arrival", sp.Name), obs.A("wave", w.ord))
-				}
-			}
-		}
-	}
-}
-
-// snapshot builds the triggers' read-only fleet view into engine-owned
-// scratch — triggers inspect it inside Fire and never retain it, so the
-// backing arrays (including each node's Resident list) are reused across
-// arrivals.
-func (e *Engine) snapshot() []preempt.NodeSnapshot {
-	if cap(e.snapBuf) < len(e.nodes) {
-		e.snapBuf = make([]preempt.NodeSnapshot, len(e.nodes))
-	}
-	out := e.snapBuf[:len(e.nodes)]
-	for i, ns := range e.nodes {
-		s := preempt.NodeSnapshot{
-			Index: i, Kind: ns.rt.Kind(),
-			Queued: len(ns.queue), QueuedWorkNs: ns.queuedWorkNs,
-			Resident: out[i].Resident[:0],
-		}
-		if w := ns.wave; w != nil {
-			s.InWave = true
-			s.RoundEndNs = w.roundEndNs
-			s.DrainNs = w.drainNs
-			for _, ji := range w.active {
-				r := e.job(ji)
-				s.Resident = append(s.Resident, preempt.ResidentJob{
-					Name: r.spec.Name, Priority: r.spec.Priority, DeadlineNs: r.spec.DeadlineNs,
-					StepsDone: r.done, Steps: r.steps,
-					RemainingNs: r.remainingNs(),
-				})
-			}
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // maxDynamicBatch caps how many same-model inference requests one wave
@@ -807,14 +722,17 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 		// Latency-class first: inference requests ahead of training,
 		// ordered by SLO deadline (requests without one last); ties and
 		// the training suffix keep placement order (stable).
-		sort.SliceStable(cands, func(a, b int) bool {
-			sa, sb := &e.job(cands[a]).spec, &e.job(cands[b]).spec
+		slices.SortStableFunc(cands, func(a, b int) int {
+			sa, sb := &e.job(a).spec, &e.job(b).spec
 			ia, ib := sa.Inference(), sb.Inference()
 			if ia != ib {
-				return ia
+				if ia {
+					return -1
+				}
+				return 1
 			}
 			if !ia {
-				return false
+				return 0
 			}
 			da, db := math.Inf(1), math.Inf(1)
 			if sa.SLONs > 0 {
@@ -823,7 +741,7 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 			if sb.SLONs > 0 {
 				db = sb.ArrivalNs + sb.SLONs
 			}
-			return da < db
+			return cmp.Compare(da, db)
 		})
 		for trainStart < len(cands) && e.job(cands[trainStart]).spec.Inference() {
 			trainStart++
@@ -835,13 +753,12 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 		// per-step time, and a preemption's beneficiary is never crowded
 		// out of the relaunch by the very jobs it displaced. Equal keys
 		// keep placement order (stable).
-		tc := cands[trainStart:]
-		sort.SliceStable(tc, func(a, b int) bool {
-			ra, rb := e.job(tc[a]), e.job(tc[b])
+		slices.SortStableFunc(cands[trainStart:], func(a, b int) int {
+			ra, rb := e.job(a), e.job(b)
 			if ra.spec.Priority != rb.spec.Priority {
-				return ra.spec.Priority > rb.spec.Priority
+				return cmp.Compare(rb.spec.Priority, ra.spec.Priority)
 			}
-			return ra.remainingNs() < rb.remainingNs()
+			return cmp.Compare(ra.remainingNs(), rb.remainingNs())
 		})
 	}
 	// admit escapes into waveState.active, so it alone is freshly
@@ -1052,7 +969,7 @@ func (e *Engine) drainTailNs(w *waveState) float64 {
 		tails = append(tails, drainTail{rem: r.steps - r.done - 1, span: w.res.Jobs[k].MakespanNs})
 	}
 	e.tailBuf = tails
-	sort.Slice(tails, func(a, b int) bool { return tails[a].rem > tails[b].rem })
+	slices.SortFunc(tails, func(a, b drainTail) int { return cmp.Compare(b.rem, a.rem) })
 	// Walk rounds from the farthest back: the active set only grows as r
 	// decreases, so a running maximum over the sorted prefix prices each
 	// round in amortized O(1).
@@ -1168,77 +1085,6 @@ func (e *Engine) finishRound(n int) error {
 		return e.runRound(n, t)
 	}
 	return nil
-}
-
-// checkpointWave captures every unfinished job of a cut wave at the step
-// boundary t and re-places each through the migrator: the job restarts on
-// the node where its remaining steps are predicted to finish soonest,
-// paying the interconnect for checkpoint state plus re-staging when that
-// node is not the one it was preempted from.
-func (e *Engine) checkpointWave(from int, remain []int, t float64) {
-	for _, ji := range remain {
-		r := e.job(ji)
-		sp := &r.spec
-		mi := e.info(sp.Model)
-		cp := preempt.Checkpoint{
-			Job: ji, Name: sp.Name, Model: sp.Model, Node: from,
-			StepsDone: r.done, Steps: r.steps,
-			StateBytes: mi.paramBytes, TakenNs: t,
-		}
-		targets := make([]preempt.Target, len(e.nodes))
-		for i, ns := range e.nodes {
-			xfer := 0.0
-			if i != from {
-				xfer = e.ic.TransferNs(cp.StateBytes) + mi.xferNs
-			}
-			targets[i] = preempt.Target{
-				Index: i, Kind: ns.rt.Kind(), Capacity: ns.rt.Capacity(),
-				FreeNs: ns.viewFreeNs(), Resident: ns.residentCount(),
-				Queued: len(ns.queue), QueuedWorkNs: ns.queuedWorkNs,
-				WorkNs: float64(cp.StepsLeft()) * ns.rt.SoloWorkNs(sp.Model),
-				Alpha:  ns.rt.WaveAlpha(), TransferNs: xfer,
-			}
-		}
-		tgt := e.migrator.Pick(t, targets)
-		p := &r.out
-		p.Preemptions++
-		if tgt != from {
-			p.Migrations++
-			if r.path == nil {
-				r.path = []int{from}
-			}
-			r.path = append(r.path, tgt)
-		}
-		if e.eo != nil {
-			e.eo.preemptions.Inc()
-			if tgt != from {
-				e.eo.migrations.Inc()
-			}
-		}
-		if e.tr != nil {
-			// One flow arrow per preemption: started here on the node the
-			// job left, bound at its relaunch (launchWave ends it).
-			id := e.tr.NextID()
-			r.flowID = id
-			e.tr.AsyncInstant(obsPidJobs, int64(ji), "preempt", "job", t,
-				obs.A("from", from), obs.A("to", tgt),
-				obs.A("steps_done", r.done))
-			e.tr.FlowStart(obsPidNodes, from, id, "migrate", "preempt", t)
-		}
-		tn := e.nodes[tgt]
-		p.Node = tgt
-		p.Kind = tn.rt.Kind()
-		r.stepWork = tn.rt.SoloWorkNs(sp.Model)
-		r.readyNs = t + targets[tgt].TransferNs
-		r.checkpointNs = t
-		tn.queue = append(tn.queue, ji)
-		tn.queuedWorkNs += targets[tgt].WorkNs
-		e.queueDelta(1, targets[tgt].WorkNs)
-		if r.readyNs < tn.minReadyNs {
-			tn.minReadyNs = r.readyNs
-		}
-		e.push(tgt)
-	}
 }
 
 // graphKey keys a work key's graph in the process-wide derived table.

@@ -61,6 +61,15 @@ type pickAcc struct {
 	fallKey float64
 }
 
+// pick is the reduction's result: the preferred-class candidate, else the
+// fallback.
+func (a *pickAcc) pick() int {
+	if a.best >= 0 {
+		return a.best
+	}
+	return a.fall
+}
+
 // nodeLoadFree reads node i's committed load and free horizon at nowNs:
 // load counts the staged queue plus — only while the in-flight wave drains
 // past nowNs — its resident jobs; freeNs is when the node's wave drains
@@ -92,23 +101,33 @@ func (e *Engine) nodeLoadFree(i int, nowNs float64) (load int, freeNs float64) {
 // convolution-heavy DCGAN routes to the GPU. Preferred class is the
 // non-full nodes; full nodes are considered only when every node is full.
 //
+// The same scan picks a checkpointed job's restart node (restartNode):
+// work then prices the job's remaining steps, and every node but the
+// source src delays the start by delayNs, the checkpoint transfer plus
+// re-staging. An arrival passes src -1 and delayNs 0.
+//
 // The floor is min over runtimes k of nowNs + work[k]: a node's start is at
-// least nowNs, predicted work, co-runner count and alpha are all
-// non-negative, and float rounding is monotone, so no node's est falls
-// below its runtime's nowNs + work[k] — and an idle, empty node's est is
-// exactly that.
-func (e *Engine) scanModelAware(nowNs float64, work []float64, acc *pickAcc) {
+// least nowNs (delayNs is non-negative), predicted work, co-runner count
+// and alpha are all non-negative, and float rounding is monotone, so no
+// node's est falls below its runtime's nowNs + work[k] — and an idle, empty
+// node's est is exactly that.
+func (e *Engine) scanModelAware(nowNs float64, work []float64, src int, delayNs float64, acc *pickAcc) {
 	floor := math.Inf(1)
 	for _, w := range work {
 		floor = min(floor, nowNs+w)
 	}
+	delayed := nowNs + delayNs
 	for i := range e.nodes {
 		k := e.rtIdx[i]
 		capk := e.rtCap[k]
 		load, freeNs := e.nodeLoadFree(i, nowNs)
+		ready := delayed
+		if i == src {
+			ready = nowNs
+		}
 		start := freeNs
-		if start < nowNs {
-			start = nowNs
+		if start < ready {
+			start = ready
 		}
 		co := load
 		if co > capk-1 {
@@ -188,14 +207,11 @@ func (e *Engine) fusedPick(ji int, nowNs float64) int {
 	acc := pickAcc{best: -1, fall: -1}
 	switch e.policy {
 	case policyModelAware:
-		e.scanModelAware(nowNs, e.jobWorkPerRuntime(ji), &acc)
+		e.scanModelAware(nowNs, e.jobWorkPerRuntime(ji), -1, 0, &acc)
 	case policyBinPack:
 		e.scanBinPack(nowNs, &acc)
 	case policySpread:
 		e.scanSpread(nowNs, &acc)
 	}
-	if acc.best >= 0 {
-		return acc.best
-	}
-	return acc.fall
+	return acc.pick()
 }

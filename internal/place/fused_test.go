@@ -168,7 +168,7 @@ func TestFusedPickFloorEdges(t *testing.T) {
 			acc := pickAcc{best: -1, fall: -1}
 			switch tc.policy {
 			case policyModelAware:
-				e.scanModelAware(now, work, &acc)
+				e.scanModelAware(now, work, -1, 0, &acc)
 			case policyBinPack:
 				e.scanBinPack(now, &acc)
 			case policySpread:
@@ -180,6 +180,244 @@ func TestFusedPickFloorEdges(t *testing.T) {
 			}
 			if got != tc.want {
 				t.Errorf("fused scan picked node %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRestartPickMatchesModelAware: a checkpointed job restarts where the
+// reference model-aware policy, priced at its remaining steps with the
+// restart transfer on every node but the source, would put it. Preemptive
+// engines over a mixed fleet, one per placement policy, run a multi-step
+// stream; at every cut wave's round end the test records the engine's
+// restart nodes, rewinds the restarts' staging, and replays them one at a
+// time against ModelAware.Pick. The replay restores the engine's state
+// exactly, so each run must still render the report of an undisturbed run.
+func TestRestartPickMatchesModelAware(t *testing.T) {
+	w, err := SyntheticSteps(40, 5, []string{nn.LSTM, nn.DCGAN, nn.ResNet50}, 2e6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Cluster{Nodes: 2, GPUs: 3}
+	checked, moved := 0, 0
+	for _, policy := range Policies() {
+		opts := Options{Policy: policy, Preempt: "all"}
+		e, err := NewEngine(c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			src, now := e.peek()
+			cut := e.nodes[src].wave
+			if cut == nil || !cut.cut {
+				if err := e.step(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			var remain []int
+			for _, ji := range cut.active {
+				if r := e.job(ji); r.done+1 < r.steps {
+					remain = append(remain, ji)
+				}
+			}
+			// The round's completions leave every queue alone, so the
+			// queues before the step are what the first restart sees.
+			saved := make([]nodeState, len(e.nodes))
+			for i, ns := range e.nodes {
+				saved[i] = *ns
+			}
+			fleetJobs, fleetWorkNs := e.queuedJobs, e.queuedWorkNs
+			if err := e.step(); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]int, len(remain))
+			for k, ji := range remain {
+				got[k] = e.job(ji).out.Node
+			}
+			for i, ns := range e.nodes {
+				ns.queue = ns.queue[:len(saved[i].queue)]
+				ns.queuedWorkNs, ns.minReadyNs = saved[i].queuedWorkNs, saved[i].minReadyNs
+			}
+			e.queuedJobs, e.queuedWorkNs = fleetJobs, fleetWorkNs
+			for k, ji := range remain {
+				r := e.job(ji)
+				if want := (ModelAware{}).Pick(r.spec, now, restartViews(e, ji, src, now)); got[k] != want {
+					t.Fatalf("%s: job %s cut from node %d at %v restarted on node %d, reference picks %d",
+						policy, r.spec.Name, src, now, got[k], want)
+				}
+				if got[k] != src {
+					moved++
+				}
+				checked++
+				e.stage(ji, got[k], r.readyNs)
+			}
+		}
+		for _, sp := range w {
+			for {
+				if n, at := e.peek(); n < 0 || at >= sp.ArrivalNs {
+					break
+				}
+				step()
+			}
+			ji, err := e.Admit(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.PlaceAuto(ji, sp.ArrivalNs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for e.completed < e.n {
+			step()
+		}
+		plain, err := PlaceJobs(w, c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.Finish().Render(), plain.Render(); got != want {
+			t.Errorf("%s: checked run diverged from a plain run:\n%s\nwant:\n%s", policy, got, want)
+		}
+	}
+	if moved == 0 || moved == checked {
+		t.Fatalf("%d restarts checked, %d migrated: the streams must exercise both staying and moving", checked, moved)
+	}
+	t.Logf("%d restarts checked, %d migrated", checked, moved)
+}
+
+// restartCase is hand-built fleet state for one restart pick, checked
+// against the reference policy and an expected node.
+type restartCase struct {
+	name    string
+	src     int
+	work    []float64 // remaining work per runtime: CPU, GPU
+	delayNs float64
+	busy    []int // nodes free only at 100 × now
+	corun   []int // nodes with two staged jobs
+	full    []int // nodes staged to capacity
+	drained []int // nodes whose full wave drains exactly at now
+	want    int
+}
+
+// TestRestartPrefersFastestFinish: the restart scan picks the node with the
+// earliest predicted finish, and the transfer delays every node but the
+// source.
+func TestRestartPrefersFastestFinish(t *testing.T) {
+	runRestartCases(t, []restartCase{
+		{"idle remote beats the busy source", 0, []float64{5e6, 5e6}, 1e6, []int{0}, nil, nil, nil, 1},
+		{"faster hardware beats the idle source", 0, []float64{5e6, 1e6}, 1e6, nil, nil, nil, nil, 1},
+		{"transfer outweighs faster hardware", 0, []float64{5e6, 1e6}, 10e6, nil, nil, nil, nil, 0},
+		{"transfer delays every node but the source", 2, []float64{2e6, 2e6}, 1e6, nil, nil, nil, nil, 2},
+		// Two co-runners inflate the source's 2e6 by 2 × 0.22: more than
+		// the 0.5e6 transfer to the idle CPU node 2.
+		{"co-runners inflate the source", 0, []float64{2e6, 5e6}, 0.5e6, nil, []int{0}, nil, nil, 2},
+	})
+}
+
+// TestRestartCapacityAndTies: full nodes are only a fallback, ties go to the
+// lower index, and a wave that drains exactly at the checkpoint instant is
+// not a co-runner (the arrival rule, nodeLoadFree).
+func TestRestartCapacityAndTies(t *testing.T) {
+	runRestartCases(t, []restartCase{
+		{"zero transfer ties go to the lower index", 2, []float64{2e6, 2e6}, 0, nil, nil, nil, nil, 0},
+		{"remote ties go to the lower index", 0, []float64{2e6, 2e6}, 1e6, []int{0}, nil, nil, nil, 1},
+		{"a full source is only a fallback", 0, []float64{1e6, 5e6}, 1e6, []int{1, 2, 3}, nil, []int{0}, nil, 2},
+		{"every node full: the least-bad fallback", 1, []float64{1e6, 1e6}, 50e6, nil, nil, []int{0, 1, 2, 3}, nil, 1},
+		{"a wave draining at the checkpoint is no co-runner", 0, []float64{1e6, 1e6}, 1e6, []int{2, 3}, nil, []int{0}, []int{1}, 1},
+	})
+}
+
+func runRestartCases(t *testing.T, cases []restartCase) {
+	t.Helper()
+	knl, p100 := hw.NewKNL(), gpu.NewP100()
+	// Nodes 0 and 2 share the CPU runtime, 1 and 3 the GPU runtime.
+	fleet := Cluster{NodeList: []Node{{CPU: knl}, {GPU: p100}, {CPU: knl}, {GPU: p100}}}
+	const now = 1e6
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(fleet, Options{Policy: policyModelAware, Preempt: "all"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ji, err := e.Admit(JobSpec{Model: nn.DCGAN, Steps: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.job(ji).done = 1
+			for _, n := range tc.busy {
+				e.nodes[n].freeNs = 100 * now
+			}
+			for _, n := range tc.corun {
+				e.nodes[n].queue = make([]int, 2)
+			}
+			for _, n := range tc.full {
+				ns := e.nodes[n]
+				ns.queue = make([]int, e.rtCap[e.rtIdx[n]])
+				ns.queuedWorkNs = float64(len(ns.queue)) * 1e6
+			}
+			for _, n := range tc.drained {
+				e.nodes[n].wave = &waveState{
+					active: make([]int, e.rtCap[e.rtIdx[n]]), roundEndNs: now, drainNs: now,
+				}
+			}
+			views := referenceViews(e, ji, now)
+			work := e.jobWorkPerRuntime(ji)
+			copy(work, tc.work)
+			for i := range views {
+				views[i].JobWorkNs = work[e.rtIdx[i]]
+				if i != tc.src {
+					views[i].TransferNs = tc.delayNs
+				}
+			}
+			if want := (ModelAware{}).Pick(e.job(ji).spec, now, views); want != tc.want {
+				t.Fatalf("reference picked node %d, case expects %d", want, tc.want)
+			}
+			acc := pickAcc{best: -1, fall: -1}
+			e.scanModelAware(now, work, tc.src, tc.delayNs, &acc)
+			if got := acc.pick(); got != tc.want {
+				t.Errorf("restart scan picked node %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRestartNodeReadyTime: restartNode keeps a checkpoint on its source
+// node, ready at once, while the source frees sooner than the restart
+// transfer would land the job on an idle identical node; past that, the job
+// moves to the lowest-index idle node and is ready when the transfer lands.
+func TestRestartNodeReadyTime(t *testing.T) {
+	const now = 1e6
+	for _, tc := range []struct {
+		name      string
+		busyDelay float64 // the source frees at now + busyDelay × the restart delay
+		wantNode  int
+		wantDelay float64 // readyNs - now, in restart delays
+	}{
+		{"the source frees before the transfer lands", 0.5, 2, 0},
+		{"the source frees after the transfer lands", 2, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(Cluster{Nodes: 3}, Options{Preempt: "all"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ji, err := e.Admit(JobSpec{Model: nn.DCGAN, Steps: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.job(ji).done = 1
+			for k, w := range e.jobWorkPerRuntime(ji) {
+				if want := 3 * e.uniqueRts[k].SoloWorkNs(nn.DCGAN); w != want {
+					t.Fatalf("remaining work %v with 1 of 4 steps done, want %v", w, want)
+				}
+			}
+			mi := e.info(nn.DCGAN)
+			delay := e.ic.TransferNs(mi.paramBytes) + mi.xferNs
+			e.nodes[2].freeNs = now + tc.busyDelay*delay
+			n, ready := e.restartNode(ji, 2, now)
+			if n != tc.wantNode || ready != now+tc.wantDelay*delay {
+				t.Errorf("restarted on node %d ready at %v, want node %d at %v",
+					n, ready, tc.wantNode, now+tc.wantDelay*delay)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package place
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -39,6 +40,32 @@ func FuzzJobSpecCheck(f *testing.F) {
 		if !(p.FinishNs > p.ArrivalNs) || !(p.Slowdown >= 1) {
 			t.Fatalf("Check accepted %+v but it finished at %v after arriving at %v, slowdown %v",
 				j, p.FinishNs, p.ArrivalNs, p.Slowdown)
+		}
+	})
+}
+
+// FuzzParseTriggers: no spec makes parseTriggers panic; a successful parse
+// arms only built-in triggers, each at most once; and parsing the result's
+// specName yields the same configuration. Seeds live in
+// testdata/fuzz/FuzzParseTriggers.
+func FuzzParseTriggers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		ts, on, err := parseTriggers(spec)
+		if err != nil {
+			return
+		}
+		for i, tr := range ts {
+			if int(tr) >= len(triggerNames) {
+				t.Fatalf("spec %q armed unknown trigger %d", spec, tr)
+			}
+			if slices.Contains(ts[:i], tr) {
+				t.Fatalf("spec %q armed %v twice", spec, tr)
+			}
+		}
+		name := specName(on, ts)
+		again, onAgain, err := parseTriggers(name)
+		if err != nil || onAgain != on || !slices.Equal(again, ts) {
+			t.Fatalf("spec %q renders %q, which parses to %v %v %v, want %v %v", spec, name, again, onAgain, err, ts, on)
 		}
 	})
 }

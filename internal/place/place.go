@@ -432,7 +432,7 @@ type Options struct {
 	// Arbiter names the per-node cross-job policy (multijob.Arbiters);
 	// empty means "fair".
 	Arbiter string
-	// Preempt is the preemption trigger spec (preempt.ParseTriggers): ""
+	// Preempt is the preemption trigger spec (parseTriggers): ""
 	// or "off" runs every wave to completion; "none" arms the preemptive
 	// engine with no triggers (its output is byte-identical to "off");
 	// "all" arms every built-in trigger; otherwise a "+"-separated list

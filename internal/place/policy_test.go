@@ -35,6 +35,10 @@ type NodeView struct {
 	// Alpha is the hardware's per-co-runner finish-time inflation (mesh
 	// interference on CPU, stream interference on GPU).
 	Alpha float64
+	// TransferNs delays the job's start here: 0 for an arrival, and for a
+	// checkpoint restart the state transfer plus re-staging on every node
+	// but the one the job was cut from.
+	TransferNs float64
 }
 
 // Load is the node's total job commitment: in-flight plus queued.
@@ -100,14 +104,14 @@ func (Spread) Pick(_ JobSpec, _ float64, nodes []NodeView) int {
 type ModelAware struct{}
 
 // estimate is the predicted finish time of the arriving job on one node:
-// next-wave start, plus the job's own work on that hardware inflated by
+// next-wave start (no earlier than now plus the node's TransferNs), plus the job's own work on that hardware inflated by
 // the interference of the jobs it would co-run with, plus — only when the
 // commitment overflows one gang wave — the queued work draining at
 // capacity-wide throughput ahead of it.
 func (ModelAware) estimate(v NodeView, nowNs float64) float64 {
 	start := v.FreeNs
-	if start < nowNs {
-		start = nowNs
+	if ready := nowNs + v.TransferNs; start < ready {
+		start = ready
 	}
 	co := v.Load()
 	if co > v.Capacity-1 {
@@ -192,6 +196,21 @@ func referenceViews(e *Engine, ji int, nowNs float64) []NodeView {
 		v.QueuedWorkNs = ns.queuedWorkNs
 		v.JobWorkNs = work[k]
 		v.Alpha = e.rtAlpha[k]
+	}
+	return vs
+}
+
+// restartViews snapshots every node of e for restarting checkpointed job
+// ji, cut from node src at nowNs: referenceViews priced at the job's
+// remaining steps, with the checkpoint-state transfer plus re-staging on
+// every node but src.
+func restartViews(e *Engine, ji, src int, nowNs float64) []NodeView {
+	vs := referenceViews(e, ji, nowNs)
+	mi := e.info(e.job(ji).workKey)
+	for i := range vs {
+		if i != src {
+			vs[i].TransferNs = e.ic.TransferNs(mi.paramBytes) + mi.xferNs
+		}
 	}
 	return vs
 }

@@ -46,7 +46,7 @@ type ClusterGrid struct {
 	// (CPU-only clusters). A cell with zero CPU nodes and a positive GPU
 	// count is a homogeneous GPU fleet.
 	GPUs []int
-	// Preempts are preemption trigger specs (preempt.ParseTriggers)
+	// Preempts are preemption trigger specs (place.Options.Preempt)
 	// crossed with every cell; empty means {"off"} — run-to-completion
 	// only, the grid the engine always swept.
 	Preempts []string
