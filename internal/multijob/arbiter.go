@@ -1,7 +1,9 @@
 package multijob
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"opsched/internal/hw"
 )
@@ -41,13 +43,16 @@ func (FairShare) Order(js []*JobState) []*JobState {
 	return sortActive(js, func(a, b *JobState) bool { return a.ProgressFraction() < b.ProgressFraction() })
 }
 
-// Budget implements Arbiter.
+// Budget implements Arbiter. Inside an engine it reads the active-weight
+// total the engine summed once for the scheduling event
+// (JobState.activeWeight), so a round asking every job costs O(jobs), not
+// O(jobs²).
 func (FairShare) Budget(j *JobState, js []*JobState, m *hw.Machine) int {
-	total := 0.0
-	for _, o := range js {
-		if o.Active() {
-			total += o.weight()
-		}
+	var total float64
+	if len(js) > 0 && js[0].activeWeight != nil {
+		total = *js[0].activeWeight
+	} else {
+		total = activeWeight(js)
 	}
 	if total <= 0 {
 		return m.Cores
@@ -57,6 +62,17 @@ func (FairShare) Budget(j *JobState, js []*JobState, m *hw.Machine) int {
 		b = 1
 	}
 	return b
+}
+
+// activeWeight sums the unfinished jobs' weights in index order.
+func activeWeight(js []*JobState) float64 {
+	total := 0.0
+	for _, o := range js {
+		if o.Active() {
+			total += o.weight()
+		}
+	}
+	return total
 }
 
 // Priority is strict priority scheduling: jobs claim cores in descending
@@ -100,12 +116,12 @@ func (s SRWF) Budget(j *JobState, js []*JobState, m *hw.Machine) int {
 }
 
 // sortActive orders the unfinished jobs by less, breaking ties on job index
-// for determinism. It insertion-sorts into the engine's Order buffer when
-// the jobs belong to an engine (JobState.order), so a scheduling round
-// does not allocate; the result is then valid until the next Order call
-// on that engine. Between completion events no sort key changes, so a
-// Budget that re-runs Order mid-round rewrites the buffer with the very
-// order the round is iterating.
+// for determinism: a total order, so the result is the stable sort's. It
+// sorts into the engine's Order buffer when the jobs belong to an engine
+// (JobState.order), so a scheduling round does not allocate; the result is
+// then valid until the next Order call on that engine. Between completion
+// events no sort key changes, so a Budget that re-runs Order mid-round
+// rewrites the buffer with the very order the round is iterating.
 func sortActive(js []*JobState, less func(a, b *JobState) bool) []*JobState {
 	var out []*JobState
 	if len(js) > 0 && js[0].order != nil {
@@ -116,29 +132,19 @@ func sortActive(js []*JobState, less func(a, b *JobState) bool) []*JobState {
 			out = append(out, j)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		j, k := out[i], i
-		for ; k > 0 && claimsFirst(j, out[k-1], less); k-- {
-			out[k] = out[k-1]
+	slices.SortFunc(out, func(a, b *JobState) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
 		}
-		out[k] = j
-	}
+		return cmp.Compare(a.Index, b.Index)
+	})
 	if len(js) > 0 && js[0].order != nil {
 		*js[0].order = out
 	}
 	return out
-}
-
-// claimsFirst reports whether job a claims cores before job b: less, then
-// the lower job index.
-func claimsFirst(a, b *JobState, less func(a, b *JobState) bool) bool {
-	if less(a, b) {
-		return true
-	}
-	if less(b, a) {
-		return false
-	}
-	return a.Index < b.Index
 }
 
 // leftoverBudget is the shared strict-ordering budget: job j may hold

@@ -31,6 +31,9 @@ type JobState struct {
 	saturated     bool // no more launches until the next completion event
 
 	order *[]*JobState // the engine's Order buffer; nil outside an engine
+	// activeWeight is the engine's active-weight total for the current
+	// scheduling event (FairShare.Budget); nil outside an engine.
+	activeWeight *float64
 }
 
 // Active reports whether the job still has operations to finish.
@@ -82,9 +85,13 @@ type engine struct {
 	// heap); decs is the buffer schedulers append their decisions to;
 	// order is the buffer the built-in arbiters' Order writes into
 	// (JobState.order). All three are reused across scheduling rounds.
-	view  exec.State
-	decs  []exec.Decision
-	order []*JobState
+	// activeWeight is the active jobs' weight total, summed once per
+	// scheduling event (JobState.activeWeight): only a harvest changes
+	// which jobs are active, and none runs mid-event.
+	view         exec.State
+	decs         []exec.Decision
+	order        []*JobState
+	activeWeight float64
 }
 
 // SoloNs runs job alone on machine m (nil means hw.NewKNL()) under its own
@@ -149,7 +156,8 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 	e := &engine{m: m, arb: arb, global: &exec.State{Machine: m}, js: make([]*JobState, 0, len(jobs))}
 	for i, job := range jobs {
 		n := job.Graph.Len()
-		j := &JobState{Job: job, Index: i, in: job.Graph.InDegrees(), order: &e.order,
+		j := &JobState{Job: job, Index: i, in: job.Graph.InDegrees(),
+			order: &e.order, activeWeight: &e.activeWeight,
 			ready: make([]graph.NodeID, 0, n), records: make([]exec.OpRecord, 0, n)}
 		for id, d := range j.in {
 			if d == 0 {
@@ -202,6 +210,7 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 // would otherwise sit idle — the progress guarantee that makes every
 // arbiter deadlock-free.
 func (e *engine) scheduleEvent() error {
+	e.activeWeight = activeWeight(e.js)
 	for {
 		// Budgeted rounds: ask every unsaturated job in arbiter order until
 		// a full round launches nothing.

@@ -233,3 +233,31 @@ func TestArbiterOrderMatchesStableSort(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFairShareBudgetReadsEngineTotal: the fair-share budget computed from
+// an engine's once-per-event active-weight total equals the budget summed
+// afresh on every call, on random job sets with random weights.
+func TestFairShareBudgetReadsEngineTotal(t *testing.T) {
+	m := hw.NewKNL()
+	g := randomGraph(rand.New(rand.NewSource(2)), "g")
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		js := randomJobStates(rng, g)
+		for _, j := range js {
+			j.Weight = float64(rng.Intn(4)) * 0.75
+		}
+		want := make([]int, len(js))
+		for i, j := range js {
+			want[i] = FairShare{}.Budget(j, js, m)
+		}
+		total := activeWeight(js)
+		for _, j := range js {
+			j.activeWeight = &total
+		}
+		for i, j := range js {
+			if got := (FairShare{}).Budget(j, js, m); got != want[i] {
+				t.Fatalf("trial %d job %d: cached-total budget %d, summed %d", trial, j.Index, got, want[i])
+			}
+		}
+	}
+}

@@ -1,14 +1,17 @@
 package place
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // PlaceJobs admits the workload onto the cluster under the given options
 // and runs it to completion on one virtual cluster clock. It is a thin
 // batch wrapper over the open Engine: the closed slice is canonicalized,
 // sorted into (arrival time, input index) order, fed through Engine.Arrive
 // one job at a time and finished with Engine.Drain — the same two calls the
-// streaming pipeline's execution stage makes, so a batch run and a pipeline
-// run of the same workload are byte-identical by construction. Execution is
+// streaming pipeline's goroutine makes, so a batch run and a pipeline run
+// of the same workload are byte-identical by construction. Execution is
 // fully deterministic, and a preemptive run whose triggers never fire
 // reports byte-identically to a run-to-completion one.
 func PlaceJobs(w Workload, c Cluster, opts Options) (*Result, error) {
@@ -26,8 +29,8 @@ func PlaceJobs(w Workload, c Cluster, opts Options) (*Result, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return specs[order[a]].ArrivalNs < specs[order[b]].ArrivalNs
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(specs[a].ArrivalNs, specs[b].ArrivalNs)
 	})
 
 	for _, idx := range order {

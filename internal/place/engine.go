@@ -2,7 +2,6 @@ package place
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
@@ -50,7 +49,7 @@ type waveState struct {
 // nodeState is one node's mutable bookkeeping inside the event loop.
 type nodeState struct {
 	rt     NodeRuntime
-	wave   *waveState // in-flight gang wave, nil when idle
+	wave   *waveState // in-flight gang wave, nil when idle; else &waveRec
 	freeNs float64    // when the node last became idle — valid while wave == nil
 	queue  []int      // workload indices staged behind the wave, placement order
 
@@ -62,13 +61,15 @@ type nodeState struct {
 	queuedWorkNs float64
 	minReadyNs   float64
 
-	// version invalidates this node's entries in the event heap: an entry
-	// pushed under an older version is stale and skipped.
-	version int
-
 	waves  int
 	jobs   int
 	busyNs float64
+
+	// waveRec is the record every wave launched on this node reuses,
+	// active's backing array included. Nothing holds a wave's record or
+	// its active slice past the wave's end, so launching a wave allocates
+	// neither.
+	waveRec waveState
 }
 
 // nextEventNs is the node's next event on the cluster clock: the current
@@ -94,36 +95,122 @@ type drainTail struct {
 	span float64
 }
 
-// waveEntry is one candidate node event in the event loop's min-heap.
+// waveEntry is one pending node event in the event loop's min-heap.
 type waveEntry struct {
 	startNs float64
 	node    int
-	version int
 }
 
-// waveHeap orders candidate node events by time, breaking ties on the
+// eventHeap orders the pending node events by time, breaking ties on the
 // lower node index — the same deterministic order the former linear scan
-// produced, now at O(log nodes) per event instead of O(jobs × nodes).
-// Entries are never removed in place: re-indexing a node bumps its version
-// and the stale entry is skipped when it reaches the top.
-type waveHeap []waveEntry
+// produced, at O(log nodes) per event instead of O(jobs × nodes). It holds
+// at most one entry per node: set re-keys a node's entry in place or
+// removes it, so the heap never carries stale entries and never boxes.
+type eventHeap struct {
+	es []waveEntry
+	// heapIdx[node] is node's slot in es, -1 while it has no entry.
+	heapIdx []int
+}
 
-func (h waveHeap) Len() int { return len(h) }
-func (h waveHeap) Less(a, b int) bool {
-	if h[a].startNs != h[b].startNs {
-		return h[a].startNs < h[b].startNs
+// newEventHeap returns an empty heap over nodes nodes.
+func newEventHeap(nodes int) eventHeap {
+	h := eventHeap{heapIdx: make([]int, nodes)}
+	for i := range h.heapIdx {
+		h.heapIdx[i] = -1
 	}
-	return h[a].node < h[b].node
+	return h
 }
-func (h waveHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *waveHeap) Push(x interface{}) { *h = append(*h, x.(waveEntry)) }
-func (h *waveHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// less orders entries a and b of es on (startNs, node).
+func (h *eventHeap) less(a, b int) bool {
+	ea, eb := &h.es[a], &h.es[b]
+	if ea.startNs != eb.startNs {
+		return ea.startNs < eb.startNs
+	}
+	return ea.node < eb.node
 }
+
+func (h *eventHeap) swap(a, b int) {
+	h.es[a], h.es[b] = h.es[b], h.es[a]
+	h.heapIdx[h.es[a].node] = a
+	h.heapIdx[h.es[b].node] = b
+}
+
+func (h *eventHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *eventHeap) down(i int) {
+	n := len(h.es)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+// set makes node's pending event startNs: it inserts the node, re-keys its
+// entry in place, or removes it when startNs is +Inf (no pending event).
+func (h *eventHeap) set(node int, startNs float64) {
+	i := h.heapIdx[node]
+	if math.IsInf(startNs, 1) {
+		if i >= 0 {
+			h.remove(i)
+		}
+		return
+	}
+	if i < 0 {
+		h.heapIdx[node] = len(h.es)
+		h.es = append(h.es, waveEntry{startNs: startNs, node: node})
+		h.up(len(h.es) - 1)
+		return
+	}
+	h.es[i].startNs = startNs
+	h.down(i)
+	h.up(i)
+}
+
+// remove deletes the entry in slot i, moving the last entry into it.
+func (h *eventHeap) remove(i int) {
+	last := len(h.es) - 1
+	h.heapIdx[h.es[i].node] = -1
+	if i == last {
+		h.es = h.es[:last]
+		return
+	}
+	h.es[i] = h.es[last]
+	h.heapIdx[h.es[i].node] = i
+	h.es = h.es[:last]
+	h.down(i)
+	h.up(i)
+}
+
+// top returns the earliest pending event, or (-1, +Inf) when none is.
+func (h *eventHeap) top() (int, float64) {
+	if len(h.es) == 0 {
+		return -1, math.Inf(1)
+	}
+	return h.es[0].node, h.es[0].startNs
+}
+
+// pop removes the earliest pending event.
+func (h *eventHeap) pop() { h.remove(0) }
 
 // jobRec is one admitted job's engine state: its canonical spec, the
 // outcome the run fills in, and the per-job bookkeeping the event loop
@@ -185,7 +272,7 @@ type modelInfo struct {
 // workload is closed — jobs may keep arriving forever, as long as arrivals
 // are fed in nondecreasing virtual-time order — which is what lets the same
 // core serve both the batch PlaceJobs wrapper and the streaming pipeline's
-// execution stage: both feed it through Arrive and Drain, which own the
+// one goroutine: both feed it through Arrive and Drain, which own the
 // arrival/event tie rule. Each admitted job is one jobRec, written once at
 // admission into a table of doubling segments and never moved, so
 // admission costs one record write and, now and then, one segment
@@ -215,7 +302,7 @@ type Engine struct {
 	// inference request is admitted; a training-only run never takes it.
 	anyInference bool
 
-	events    waveHeap
+	events    eventHeap
 	idxW      int
 	completed int
 	arrivalNs float64 // admission high-water mark: arrivals must not regress
@@ -306,6 +393,7 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 		e.rtIdx[i] = idx
 	}
 	e.rtWorkBuf = make([]float64, len(e.uniqueRts))
+	e.events = newEventHeap(len(e.nodes))
 	e.idxW = len(fmt.Sprintf("%d", len(e.nodes)-1))
 	if e.idxW < 2 {
 		e.idxW = 2
@@ -386,7 +474,7 @@ func (e *Engine) step() error {
 	if node < 0 {
 		return fmt.Errorf("place: no pending node event")
 	}
-	heap.Pop(&e.events) // consume the peeked (valid) entry
+	e.events.pop()
 	if e.eo != nil {
 		e.eo.events.Inc()
 	}
@@ -528,27 +616,15 @@ func (e *Engine) info(model string) *modelInfo {
 	return mi
 }
 
-// push re-indexes node i in the event heap (stale entries are
-// version-skipped on peek).
+// push re-indexes node i in the event heap at its next event.
 func (e *Engine) push(i int) {
-	ns := e.nodes[i]
-	ns.version++
-	if next := ns.nextEventNs(); !math.IsInf(next, 1) {
-		heap.Push(&e.events, waveEntry{startNs: next, node: i, version: ns.version})
-	}
+	e.events.set(i, e.nodes[i].nextEventNs())
 }
 
-// peek returns the earliest valid node event on (time, node index),
-// popping stale entries along the way, or (-1, +Inf) when none is pending.
+// peek returns the earliest pending node event on (time, node index), or
+// (-1, +Inf) when none is pending.
 func (e *Engine) peek() (int, float64) {
-	for len(e.events) > 0 {
-		top := e.events[0]
-		if e.nodes[top.node].version == top.version {
-			return top.node, top.startNs
-		}
-		heap.Pop(&e.events)
-	}
-	return -1, math.Inf(1)
+	return e.events.top()
 }
 
 // queueDelta folds one node's staged-queue change into the fleet-wide
@@ -704,8 +780,9 @@ const maxDynamicBatch = 8
 // jobs keep placement order); CPU nodes admit training jobs in placement
 // order.
 //
-// selectWave reads node and job state but commits nothing — admitWave owns
-// the queue compaction.
+// selectWave commits nothing to node or job state — admitWave owns the
+// queue compaction. It builds the admitted list in the node's wave record,
+// which is idle whenever a wave can launch.
 func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 	ns := e.nodes[n]
 	capacity := ns.rt.Capacity()
@@ -761,9 +838,9 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 			return cmp.Compare(ra.remainingNs(), rb.remainingNs())
 		})
 	}
-	// admit escapes into waveState.active, so it alone is freshly
-	// allocated; the membership set is reused scratch.
-	admit := make([]int, 0, len(cands))
+	// admit fills the node's idle wave record's active array; the
+	// membership set is reused scratch.
+	admit := ns.waveRec.active[:0]
 	if e.admittedBuf == nil {
 		e.admittedBuf = make(map[int]bool, len(cands))
 	} else {
@@ -864,7 +941,8 @@ func (e *Engine) launchWave(n int, startNs float64) error {
 	if len(admit) == 0 {
 		return fmt.Errorf("place: node %d woke with no admissible job", n)
 	}
-	w := &waveState{ord: ns.waves, active: admit, batch: batch}
+	w := &ns.waveRec
+	*w = waveState{ord: ns.waves, active: admit, batch: batch}
 	ns.wave = w
 	ns.waves++
 	if e.eo != nil {
@@ -1028,7 +1106,10 @@ func (e *Engine) finishRound(n int) error {
 		e.tr.Complete(obsPidNodes, n, fmt.Sprintf("wave %d", w.ord), "wave",
 			w.roundStartNs, t-w.roundStartNs, obs.A("jobs", len(w.active)))
 	}
-	var remain []int
+	// The jobs with steps left compact into active's own array: the write
+	// index never passes the read index, and w.active keeps its length
+	// until the gang-size check below.
+	remain := w.active[:0]
 	for k, ji := range w.active {
 		jr := w.res.Jobs[k]
 		r := e.job(ji)
