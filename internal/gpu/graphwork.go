@@ -1,9 +1,10 @@
 package gpu
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"opsched/internal/graph"
 	"opsched/internal/op"
@@ -200,7 +201,7 @@ func (d *Device) CoRunWave(jobs []GraphWork) ([]WaveJobOutcome, float64, error) 
 	}
 	outs := make([]WaveJobOutcome, len(jobs))
 	// Active jobs in ascending remaining-work order; ties keep input
-	// order (sort.SliceStable) so the simulation is deterministic.
+	// order (a stable sort) so the simulation is deterministic.
 	type active struct {
 		idx       int
 		remaining float64
@@ -217,7 +218,7 @@ func (d *Device) CoRunWave(jobs []GraphWork) ([]WaveJobOutcome, float64, error) 
 		}
 		act = append(act, active{idx: i, remaining: j.SoloNs, memFrac: j.MemFrac})
 	}
-	sort.SliceStable(act, func(a, b int) bool { return act[a].remaining < act[b].remaining })
+	slices.SortStableFunc(act, func(a, b active) int { return cmp.Compare(a.remaining, b.remaining) })
 
 	clock := 0.0
 	for len(act) > 0 {

@@ -1,7 +1,9 @@
 package multijob
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"opsched/internal/core"
 	"opsched/internal/exec"
@@ -10,54 +12,32 @@ import (
 	"opsched/internal/perfmodel"
 )
 
-// JobState is the arbiter's view of one job mid-run. Arbiters may inspect
-// the embedded Job and the accessor methods but must not mutate anything.
-type JobState struct {
+// jobState is one job mid-run: its scheduler's ready and running
+// operations and the progress accounting the arbiter orders jobs by.
+type jobState struct {
 	Job
-	// Index is the job's position in the CoRun input (the determinism
-	// tie-breaker).
-	Index int
+	index int // position in the CoRun input (the determinism tie-breaker)
 
 	in      []int          // outstanding dependency counts, by NodeID
 	ready   []graph.NodeID // ready queue in enqueue order
 	running []*exec.Running
+	cores   int // physical cores the non-HT running operations occupy
 	done    int
 	records []exec.OpRecord
 
 	workNs        []float64 // predicted solo work per node, by NodeID; shared, read-only
 	totalWork     float64
-	remainingWork float64
+	remainingWork float64 // predicted solo time of the unfinished operations
 	finishNs      float64
 	saturated     bool // no more launches until the next completion event
-
-	order *[]*JobState // the engine's Order buffer; nil outside an engine
-	// activeWeight is the engine's active-weight total for the current
-	// scheduling event (FairShare.Budget); nil outside an engine.
-	activeWeight *float64
 }
 
-// Active reports whether the job still has operations to finish.
-func (j *JobState) Active() bool { return j.done < j.Graph.Len() }
+// active reports whether the job still has operations to finish.
+func (j *jobState) active() bool { return j.done < j.Graph.Len() }
 
-// CoresInUse reports how many physical cores the job's in-flight non-HT
-// operations occupy.
-func (j *JobState) CoresInUse(m *hw.Machine) int {
-	used := 0
-	for _, r := range j.running {
-		if !r.HT {
-			used += r.Placement.CoresUsed(m, r.Threads)
-		}
-	}
-	return used
-}
-
-// RemainingWorkNs is the predicted solo execution time of the job's
-// unfinished operations — what the SRWF arbiter ranks by.
-func (j *JobState) RemainingWorkNs() float64 { return j.remainingWork }
-
-// ProgressFraction is the weight-normalized fraction of the job's predicted
-// work already retired, in [0,1] — what the fair-share arbiter equalizes.
-func (j *JobState) ProgressFraction() float64 {
+// progress is the fraction of the job's predicted work already retired, in
+// [0,1] — what the fair-share arbiter equalizes.
+func (j *jobState) progress() float64 {
 	if j.totalWork <= 0 {
 		return 1
 	}
@@ -75,7 +55,7 @@ type Options struct {
 type engine struct {
 	m      *hw.Machine
 	arb    Arbiter
-	js     []*JobState
+	js     []*jobState
 	global *exec.State // Running is the union across jobs; Graph/Ready are the launching job's
 	done   int
 	total  int
@@ -83,15 +63,11 @@ type engine struct {
 	// view is the per-job State scheduleJob hands a scheduler, reset on
 	// every call (a Scheduler interface call would move a fresh one to the
 	// heap); decs is the buffer schedulers append their decisions to;
-	// order is the buffer the built-in arbiters' Order writes into
-	// (JobState.order). All three are reused across scheduling rounds.
-	// activeWeight is the active jobs' weight total, summed once per
-	// scheduling event (JobState.activeWeight): only a harvest changes
-	// which jobs are active, and none runs mid-event.
-	view         exec.State
-	decs         []exec.Decision
-	order        []*JobState
-	activeWeight float64
+	// order is the current scheduling event's claim order. All three are
+	// reused across scheduling events.
+	view  exec.State
+	decs  []exec.Decision
+	order []*jobState
 }
 
 // SoloNs runs job alone on machine m (nil means hw.NewKNL()) under its own
@@ -112,9 +88,9 @@ func SoloNs(job Job, m *hw.Machine) (float64, error) {
 }
 
 // CoTrain executes one training step of every job concurrently on one
-// machine under the given cross-job arbiter (nil means FairShare): it
-// prices every job's solo baseline with SoloNs, then co-runs them through
-// CoRun. Execution is fully deterministic.
+// machine under the given cross-job arbiter: it prices every job's solo
+// baseline with SoloNs, then co-runs them through CoRun. Execution is
+// fully deterministic.
 func CoTrain(jobs []Job, arb Arbiter, opts Options) (*Result, error) {
 	if err := validateJobs(jobs); err != nil {
 		return nil, err
@@ -134,10 +110,9 @@ func CoTrain(jobs []Job, arb Arbiter, opts Options) (*Result, error) {
 }
 
 // CoRun co-runs one training step of every job from a common virtual time
-// zero under the given cross-job arbiter (nil means FairShare). solos[i]
-// is job i's solo makespan on opts.Machine (SoloNs), the baseline its
-// slowdown and the fairness index are priced against. Execution is fully
-// deterministic.
+// zero under the given cross-job arbiter. solos[i] is job i's solo
+// makespan on opts.Machine (SoloNs), the baseline its slowdown and the
+// fairness index are priced against. Execution is fully deterministic.
 func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, error) {
 	if err := validateJobs(jobs); err != nil {
 		return nil, err
@@ -145,19 +120,18 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 	if len(solos) != len(jobs) {
 		return nil, fmt.Errorf("multijob: %d solo baselines for %d jobs", len(solos), len(jobs))
 	}
-	if arb == nil {
-		arb = FairShare{}
+	if !arb.valid() {
+		return nil, fmt.Errorf("multijob: unknown arbiter %s (have %v)", arb.Name(), Arbiters())
 	}
 	m := opts.Machine
 	if m == nil {
 		m = hw.NewKNL()
 	}
 
-	e := &engine{m: m, arb: arb, global: &exec.State{Machine: m}, js: make([]*JobState, 0, len(jobs))}
+	e := &engine{m: m, arb: arb, global: &exec.State{Machine: m}, js: make([]*jobState, 0, len(jobs))}
 	for i, job := range jobs {
 		n := job.Graph.Len()
-		j := &JobState{Job: job, Index: i, in: job.Graph.InDegrees(),
-			order: &e.order, activeWeight: &e.activeWeight,
+		j := &jobState{Job: job, index: i, in: job.Graph.InDegrees(),
 			ready: make([]graph.NodeID, 0, n), records: make([]exec.OpRecord, 0, n)}
 		for id, d := range j.in {
 			if d == 0 {
@@ -208,25 +182,29 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 // scheduleEvent runs budgeted scheduling rounds until no job can launch,
 // forcing the first schedulable job past its budget whenever the machine
 // would otherwise sit idle — the progress guarantee that makes every
-// arbiter deadlock-free.
+// arbiter deadlock-free. The claim order and the active weight total are
+// computed once per event: only a harvest changes a sort key or which jobs
+// are active, and none runs mid-event.
 func (e *engine) scheduleEvent() error {
-	e.activeWeight = activeWeight(e.js)
+	total := e.claimOrder()
 	for {
-		// Budgeted rounds: ask every unsaturated job in arbiter order until
-		// a full round launches nothing.
+		// Budgeted rounds: ask every unsaturated job in claim order until
+		// a full round launches nothing. ahead counts the cores the jobs
+		// already passed in the round hold, skipped jobs included.
 		for {
 			any := false
-			for _, j := range e.arb.Order(e.js) {
-				if j.saturated || len(j.ready) == 0 {
-					continue
+			ahead := 0
+			for _, j := range e.order {
+				if !j.saturated && len(j.ready) > 0 {
+					n, err := e.scheduleJob(j, e.arb.budget(j, e.m, total, ahead))
+					if err != nil {
+						return err
+					}
+					if n > 0 {
+						any = true
+					}
 				}
-				n, err := e.scheduleJob(j, false)
-				if err != nil {
-					return err
-				}
-				if n > 0 {
-					any = true
-				}
+				ahead += j.cores
 			}
 			if !any {
 				break
@@ -239,12 +217,12 @@ func (e *engine) scheduleEvent() error {
 		// Nothing running and nothing fit a budget: let the first job in
 		// claim order launch unbudgeted so the machine never idles.
 		forced := false
-		for _, j := range e.arb.Order(e.js) {
+		for _, j := range e.order {
 			if len(j.ready) == 0 {
 				continue
 			}
 			j.saturated = false
-			n, err := e.scheduleJob(j, true)
+			n, err := e.scheduleJob(j, e.m.Cores)
 			if err != nil {
 				return err
 			}
@@ -271,10 +249,34 @@ func (e *engine) scheduleEvent() error {
 	}
 }
 
+// claimOrder sorts the active jobs into e.order by the arbiter's key,
+// breaking ties on job index, and returns their weight total summed in
+// index order.
+func (e *engine) claimOrder() float64 {
+	e.order = e.order[:0]
+	total := 0.0
+	for _, j := range e.js {
+		if j.active() {
+			e.order = append(e.order, j)
+			total += j.weight()
+		}
+	}
+	slices.SortFunc(e.order, func(a, b *jobState) int {
+		switch {
+		case e.arb.claimsFirst(a, b):
+			return -1
+		case e.arb.claimsFirst(b, a):
+			return 1
+		}
+		return cmp.Compare(a.index, b.index)
+	})
+	return total
+}
+
 // scheduleJob asks one job's scheduler for decisions against its own-job
-// view of the machine and launches those that fit the arbiter's core budget
-// (all of them when unbudgeted). It returns the number of launches.
-func (e *engine) scheduleJob(j *JobState, unbudgeted bool) (int, error) {
+// view of the machine and launches those that keep the job within budget
+// physical cores. It returns the number of launches.
+func (e *engine) scheduleJob(j *jobState, budget int) (int, error) {
 	// The view a per-job runtime gets: its graph, its ready queue, its own
 	// in-flight operations. Cross-job interference is invisible to it —
 	// that is the arbiter's and the machine model's business.
@@ -287,14 +289,10 @@ func (e *engine) scheduleJob(j *JobState, unbudgeted bool) (int, error) {
 		j.saturated = true
 		return 0, nil
 	}
-	budget := e.m.Cores
-	if !unbudgeted {
-		budget = e.arb.Budget(j, e.js, e.m)
-	}
 
 	launched := 0
 	for _, d := range decs {
-		d.Job = j.Index
+		d.Job = j.index
 		if err := d.Validate(view); err != nil {
 			return launched, fmt.Errorf("multijob: job %s: %w", j.Name, err)
 		}
@@ -302,7 +300,7 @@ func (e *engine) scheduleJob(j *JobState, unbudgeted bool) (int, error) {
 		if !d.HT {
 			need = d.Placement.CoresUsed(e.m, d.Threads)
 		}
-		if need > 0 && j.CoresInUse(e.m)+need > budget {
+		if need > 0 && j.cores+need > budget {
 			// Over budget: drop the rest of the batch and wait for the next
 			// completion event (the scheduler would re-propose the same
 			// decisions forever otherwise).
@@ -318,6 +316,7 @@ func (e *engine) scheduleJob(j *JobState, unbudgeted bool) (int, error) {
 		}
 		view.Ready = e.global.Ready
 		j.running = append(j.running, r)
+		j.cores += need
 		view.Running = j.running
 		launched++
 	}
@@ -332,6 +331,9 @@ func (e *engine) harvest(r *exec.Running) {
 	j := e.js[r.Job]
 	j.done++
 	e.done++
+	if !r.HT {
+		j.cores -= r.Placement.CoresUsed(e.m, r.Threads)
+	}
 	j.finishNs = e.global.ClockNs
 	j.remainingWork -= j.workNs[r.Node]
 	if j.remainingWork < 0 {

@@ -13,9 +13,12 @@
 //   - each job keeps its own unmodified exec.Scheduler (the paper's runtime,
 //     or a FIFO baseline) and sees only its own ready and running
 //     operations — exactly what an uncoordinated per-job runtime knows;
-//   - a cross-job Arbiter decides, at every scheduling point, which jobs may
-//     claim cores and how many (fair-share budgets, strict priority, or
-//     shortest-remaining-work-first over perfmodel predictions).
+//   - a cross-job Arbiter, one of a closed set of policies, decides at
+//     every scheduling event which jobs claim cores first and how many each
+//     may hold (fair-share budgets, strict priority, or
+//     shortest-remaining-work-first over perfmodel predictions). The claim
+//     order is sorted once per event, since only a completion changes a
+//     sort key.
 //
 // Interference is not arbitrated away: the engine keeps the union of every
 // job's in-flight operations in one exec.State and reprices all of them
@@ -49,7 +52,8 @@ type Job struct {
 	// Sched is the job's own scheduling policy. Runtime schedulers must be
 	// profiled for Graph before CoTrain or CoRun (RuntimeJob does this).
 	Sched exec.Scheduler
-	// Weight is the job's fair-share weight; <= 0 means 1.
+	// Weight is the job's fair-share weight; <= 0 or NaN means 1, and
+	// weights above MaxWeight are rejected.
 	Weight float64
 	// Priority is the job's strict-priority rank; higher preempts lower in
 	// the priority arbiter's claim order.
@@ -149,6 +153,14 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
+// MaxWeight caps a job's fair-share weight at 2^20. The cap keeps every
+// weight sum finite, so no fair-share budget divides an infinite weight by
+// an infinite total. It takes nothing a policy could use: against a
+// default-weight co-runner a weight stops mattering once it passes the
+// core count, where the co-runner's share rounds below one core and is
+// lifted to the one-core floor.
+const MaxWeight = 1 << 20
+
 // validateJobs sanity-checks a job set before execution.
 func validateJobs(jobs []Job) error {
 	if len(jobs) == 0 {
@@ -157,6 +169,9 @@ func validateJobs(jobs []Job) error {
 	for i, j := range jobs {
 		if j.Name == "" {
 			return fmt.Errorf("multijob: job %d has no name", i)
+		}
+		if j.Weight > MaxWeight {
+			return fmt.Errorf("multijob: job %s has weight %v past the %v ceiling", j.Name, j.Weight, float64(MaxWeight))
 		}
 		if j.Sched == nil {
 			return fmt.Errorf("multijob: job %s has nil scheduler", j.Name)

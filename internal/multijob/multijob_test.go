@@ -2,6 +2,7 @@ package multijob
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"opsched/internal/core"
@@ -100,7 +101,7 @@ func TestCoTrainDeterminism(t *testing.T) {
 // run — no phantom contention, slowdown exactly 1.
 func TestSingleJobMatchesSolo(t *testing.T) {
 	m := hw.NewKNL()
-	res, err := CoTrain(runtimeJobs(t, m, nn.LSTM), FairShare{}, Options{Machine: m})
+	res, err := CoTrain(runtimeJobs(t, m, nn.LSTM), FairShare, Options{Machine: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestSingleJobMatchesSolo(t *testing.T) {
 // slowed no more than the bottom-ranked one.
 func TestPriorityFavorsTopJob(t *testing.T) {
 	m := hw.NewKNL()
-	res, err := CoTrain(runtimeJobs(t, m, nn.ResNet50, nn.LSTM), Priority{}, Options{Machine: m})
+	res, err := CoTrain(runtimeJobs(t, m, nn.ResNet50, nn.LSTM), Priority, Options{Machine: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestPriorityFavorsTopJob(t *testing.T) {
 // short job before the long one.
 func TestSRWFDrainsShortJobFirst(t *testing.T) {
 	m := hw.NewKNL()
-	res, err := CoTrain(runtimeJobs(t, m, nn.ResNet50, nn.LSTM), SRWF{}, Options{Machine: m})
+	res, err := CoTrain(runtimeJobs(t, m, nn.ResNet50, nn.LSTM), SRWF, Options{Machine: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestMixedSchedulerJobs(t *testing.T) {
 	}
 	fifo := FIFOJob("fifo", dcgan.Graph, 1, m.Cores)
 	fifo.Weight = 2
-	res, err := CoTrain([]Job{tuned, fifo}, FairShare{}, Options{Machine: m})
+	res, err := CoTrain([]Job{tuned, fifo}, FairShare, Options{Machine: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,21 +183,37 @@ func TestJainIndex(t *testing.T) {
 // TestCoTrainErrors: malformed inputs fail loudly.
 func TestCoTrainErrors(t *testing.T) {
 	m := hw.NewKNL()
-	if _, err := CoTrain(nil, FairShare{}, Options{Machine: m}); err == nil {
+	if _, err := CoTrain(nil, FairShare, Options{Machine: m}); err == nil {
 		t.Error("empty job set accepted")
 	}
 	lstm := nn.MustBuild(nn.LSTM)
-	if _, err := CoTrain([]Job{{Name: "", Graph: lstm.Graph}}, FairShare{}, Options{Machine: m}); err == nil {
+	if _, err := CoTrain([]Job{{Name: "", Graph: lstm.Graph}}, FairShare, Options{Machine: m}); err == nil {
 		t.Error("unnamed job accepted")
 	}
-	if _, err := CoTrain([]Job{{Name: "x", Graph: lstm.Graph}}, FairShare{}, Options{Machine: m}); err == nil {
+	if _, err := CoTrain([]Job{{Name: "x", Graph: lstm.Graph}}, FairShare, Options{Machine: m}); err == nil {
 		t.Error("job with nil scheduler accepted")
 	}
-	if _, err := CoTrain([]Job{FIFOJob("x", nil, 1, 68)}, FairShare{}, Options{Machine: m}); err == nil {
+	if _, err := CoTrain([]Job{FIFOJob("x", nil, 1, 68)}, FairShare, Options{Machine: m}); err == nil {
 		t.Error("job with nil graph accepted")
 	}
 	if _, err := NewArbiter("nope"); err == nil {
 		t.Error("unknown arbiter name accepted")
+	}
+	fifo := FIFOJob("x", lstm.Graph, 1, 68)
+	for _, w := range []float64{math.Inf(1), math.Nextafter(MaxWeight, math.Inf(1)), 1e308} {
+		heavy := fifo
+		heavy.Weight = w
+		if _, err := CoTrain([]Job{heavy, fifo}, FairShare, Options{Machine: m}); err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("weight %v: err = %v, want a weight error", w, err)
+		}
+	}
+	ceiling := fifo
+	ceiling.Weight = MaxWeight
+	if _, err := CoTrain([]Job{ceiling, fifo}, FairShare, Options{Machine: m}); err != nil {
+		t.Errorf("weight at the ceiling rejected: %v", err)
+	}
+	if _, err := CoRun([]Job{fifo}, []float64{1}, SRWF+1, Options{Machine: m}); err == nil || !strings.Contains(err.Error(), "unknown arbiter") {
+		t.Errorf("out-of-range arbiter: err = %v, want an unknown-arbiter error", err)
 	}
 }
 
@@ -204,13 +221,13 @@ func TestCoTrainErrors(t *testing.T) {
 // progressed (the fair-share arbiter must not divide by zero), and
 // partial work reads proportionally.
 func TestProgressFractionEdges(t *testing.T) {
-	j := &JobState{}
-	if got := j.ProgressFraction(); got != 1 {
+	j := &jobState{}
+	if got := j.progress(); got != 1 {
 		t.Errorf("zero-work progress %v, want 1", got)
 	}
 	j.totalWork = 10
 	j.remainingWork = 4
-	if got := j.ProgressFraction(); got != 0.6 {
+	if got := j.progress(); got != 0.6 {
 		t.Errorf("progress %v, want 0.6", got)
 	}
 }

@@ -3,6 +3,7 @@ package multijob
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -79,6 +80,11 @@ func TestCoTrainSlowdownProperty(t *testing.T) {
 			return false
 		}
 		nJobs := 2 + rng.Intn(2)
+		if rng.Intn(3) == 0 {
+			// Wide sets saturate the machine, so strict-order budgets see
+			// jobs ahead of them holding cores.
+			nJobs = 8 + rng.Intn(17)
+		}
 		jobs := make([]Job, nJobs)
 		for i := range jobs {
 			j := FIFOJob(fmt.Sprintf("j%d", i), randomGraph(rng, fmt.Sprintf("g%d", i)),
@@ -105,19 +111,19 @@ func TestCoTrainSlowdownProperty(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(23))}
+	cfg := &quick.Config{MaxCount: 24, Rand: rand.New(rand.NewSource(23))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
 	}
 }
 
 // referenceOrder is the arbiter order as a stable library sort: the
-// unfinished jobs by less, ties on job index. The arbiters' insertion sort
-// must reproduce it exactly.
-func referenceOrder(js []*JobState, less func(a, b *JobState) bool) []*JobState {
-	var out []*JobState
+// unfinished jobs by less, ties on job index. The engine's one-pass claim
+// order must reproduce it exactly.
+func referenceOrder(js []*jobState, less func(a, b *jobState) bool) []*jobState {
+	var out []*jobState
 	for _, j := range js {
-		if j.Active() {
+		if j.active() {
 			out = append(out, j)
 		}
 	}
@@ -128,20 +134,61 @@ func referenceOrder(js []*JobState, less func(a, b *JobState) bool) []*JobState 
 		if less(out[k], out[i]) {
 			return false
 		}
-		return out[i].Index < out[k].Index
+		return out[i].index < out[k].index
 	})
 	return out
 }
 
+// coresInUse sums the physical cores j's non-HT running operations occupy
+// afresh, the quantity the engine keeps in jobState.cores.
+func coresInUse(j *jobState, m *hw.Machine) int {
+	used := 0
+	for _, r := range j.running {
+		if !r.HT {
+			used += r.Placement.CoresUsed(m, r.Threads)
+		}
+	}
+	return used
+}
+
+// leftoverBudget is the strict-ordering budget by definition: job j may
+// hold whatever the jobs ahead of it in ordered do not.
+func leftoverBudget(j *jobState, ordered []*jobState, m *hw.Machine) int {
+	b := m.Cores
+	for _, o := range ordered {
+		if o == j {
+			break
+		}
+		b -= coresInUse(o, m)
+	}
+	if b < 0 {
+		return 0
+	}
+	return b
+}
+
+// fairBudget is the fair-share budget by definition: floor(Cores * w_j /
+// sum of active weights), never below one core.
+func fairBudget(j *jobState, js []*jobState, m *hw.Machine) int {
+	total := 0.0
+	for _, o := range js {
+		if o.active() {
+			total += o.weight()
+		}
+	}
+	return max(int(float64(m.Cores)*j.weight()/total), 1)
+}
+
 // randomJobStates builds a mid-run job set whose sort keys collide on
 // purpose: progress, priority and remaining work each come from a handful
-// of values, some jobs are finished, and every job holds a random set of
-// running operations. Shuffled input order makes the index tie-break
-// matter.
-func randomJobStates(rng *rand.Rand, g *graph.Graph) []*JobState {
-	js := make([]*JobState, 1+rng.Intn(10))
+// of values, weights from a few (zero meaning 1), some jobs are finished,
+// and every job holds a random set of running operations. Shuffled input
+// order makes the index tie-break matter.
+func randomJobStates(rng *rand.Rand, g *graph.Graph, m *hw.Machine) []*jobState {
+	js := make([]*jobState, 1+rng.Intn(10))
 	for i := range js {
-		j := &JobState{Job: Job{Name: fmt.Sprintf("j%d", i), Graph: g, Priority: rng.Intn(3)}, Index: i}
+		j := &jobState{Job: Job{Name: fmt.Sprintf("j%d", i), Graph: g, Priority: rng.Intn(3),
+			Weight: float64(rng.Intn(4)) * 0.75}, index: i}
 		if rng.Intn(5) == 0 {
 			j.done = g.Len()
 		}
@@ -155,8 +202,9 @@ func randomJobStates(rng *rand.Rand, g *graph.Graph) []*JobState {
 			if rng.Intn(2) == 0 {
 				pl = hw.Spread
 			}
-			j.running = append(j.running, &exec.Running{Threads: 1 + rng.Intn(20), Placement: pl, HT: rng.Intn(4) == 0})
+			j.running = append(j.running, &exec.Running{Threads: 1 + rng.Intn(40), Placement: pl, HT: rng.Intn(4) == 0})
 		}
+		j.cores = coresInUse(j, m)
 		js[i] = j
 	}
 	rng.Shuffle(len(js), func(a, b int) { js[a], js[b] = js[b], js[a] })
@@ -164,100 +212,50 @@ func randomJobStates(rng *rand.Rand, g *graph.Graph) []*JobState {
 }
 
 // TestArbiterOrderMatchesStableSort: on random job sets with deliberate
-// ties, every built-in arbiter's Order equals the stable-sort reference,
-// both outside an engine and through an engine-owned Order buffer; Budget
-// equals the strict-ordering budget over the reference order; and a
-// Budget call, which re-runs Order into the shared buffer, leaves an
-// earlier Order result exactly as it was — the engine iterates one while
-// calling the other.
+// ties, every arbiter's one-pass claim order equals the stable-sort
+// reference, and the budget each job gets from the running count of
+// cores held ahead of it in that order equals the budget by definition —
+// leftoverBudget for the strict orders, fairBudget for fair share.
 func TestArbiterOrderMatchesStableSort(t *testing.T) {
 	m := hw.NewKNL()
 	g := randomGraph(rand.New(rand.NewSource(1)), "g")
-	less := map[string]func(a, b *JobState) bool{
-		"fair":     func(a, b *JobState) bool { return a.ProgressFraction() < b.ProgressFraction() },
-		"priority": func(a, b *JobState) bool { return a.Priority > b.Priority },
-		"srwf":     func(a, b *JobState) bool { return a.RemainingWorkNs() < b.RemainingWorkNs() },
-	}
-	equal := func(a, b []*JobState) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+	less := map[Arbiter]func(a, b *jobState) bool{
+		FairShare: func(a, b *jobState) bool { return a.progress() < b.progress() },
+		Priority:  func(a, b *jobState) bool { return a.Priority > b.Priority },
+		SRWF:      func(a, b *jobState) bool { return a.remainingWork < b.remainingWork },
 	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		js := randomJobStates(rng, g)
+		js := randomJobStates(rng, g, m)
 		for _, name := range Arbiters() {
 			arb, err := NewArbiter(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceOrder(js, less[name])
-			for _, j := range js {
-				j.order = nil
-			}
-			if got := arb.Order(js); !equal(got, want) {
-				t.Logf("seed=%d %s: unbuffered order differs from the stable sort", seed, name)
+			e := &engine{m: m, arb: arb, js: js}
+			total := e.claimOrder()
+			want := referenceOrder(js, less[arb])
+			if !slices.Equal(e.order, want) {
+				t.Logf("seed=%d %s: claim order differs from the stable sort", seed, name)
 				return false
 			}
-			var buf []*JobState
-			for _, j := range js {
-				j.order = &buf
-			}
-			got := arb.Order(js)
-			snapshot := append([]*JobState(nil), got...)
-			if !equal(got, want) {
-				t.Logf("seed=%d %s: buffered order differs from the stable sort", seed, name)
-				return false
-			}
-			for _, j := range js {
-				b := arb.Budget(j, js, m)
-				if ref := leftoverBudget(j, want, m); name != "fair" && b != ref {
-					t.Logf("seed=%d %s job %d: budget %d, reference %d", seed, name, j.Index, b, ref)
+			ahead := 0
+			for _, j := range e.order {
+				b := arb.budget(j, m, total, ahead)
+				ref := leftoverBudget(j, want, m)
+				if arb == FairShare {
+					ref = fairBudget(j, js, m)
+				}
+				if b != ref {
+					t.Logf("seed=%d %s job %d: budget %d, reference %d", seed, name, j.index, b, ref)
 					return false
 				}
-			}
-			if !equal(got, snapshot) {
-				t.Logf("seed=%d %s: Budget changed an earlier Order result", seed, name)
-				return false
+				ahead += j.cores
 			}
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(19))}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestFairShareBudgetReadsEngineTotal: the fair-share budget computed from
-// an engine's once-per-event active-weight total equals the budget summed
-// afresh on every call, on random job sets with random weights.
-func TestFairShareBudgetReadsEngineTotal(t *testing.T) {
-	m := hw.NewKNL()
-	g := randomGraph(rand.New(rand.NewSource(2)), "g")
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		js := randomJobStates(rng, g)
-		for _, j := range js {
-			j.Weight = float64(rng.Intn(4)) * 0.75
-		}
-		want := make([]int, len(js))
-		for i, j := range js {
-			want[i] = FairShare{}.Budget(j, js, m)
-		}
-		total := activeWeight(js)
-		for _, j := range js {
-			j.activeWeight = &total
-		}
-		for i, j := range js {
-			if got := (FairShare{}).Budget(j, js, m); got != want[i] {
-				t.Fatalf("trial %d job %d: cached-total budget %d, summed %d", trial, j.Index, got, want[i])
-			}
-		}
 	}
 }

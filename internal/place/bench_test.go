@@ -164,6 +164,38 @@ func BenchmarkPlaceMultiStepMixed(b *testing.B) {
 	b.ReportMetric(float64(hits)/float64(hits+misses), "memo_hit_rate")
 }
 
+// BenchmarkPlacePileUp is the cross-job arbiter at scale: 200 one-step
+// LSTM/DCGAN jobs arriving at the same instant, priority i%3, on 4 KNL
+// nodes under model-aware placement, once per arbiter. A CPU wave
+// co-runs up to one job per core, so the cost is the multijob engine's
+// scheduling events, each of which orders the wave's active jobs once.
+// A claim order re-sorted per job rather than per event would make the
+// priority and srwf cases here about ten times slower.
+func BenchmarkPlacePileUp(b *testing.B) {
+	const jobs = 200
+	w := make(Workload, jobs)
+	for i := range w {
+		model := nn.LSTM
+		if i%2 == 1 {
+			model = nn.DCGAN
+		}
+		w[i] = JobSpec{Model: model, Priority: i % 3, Weight: 1}
+	}
+	for _, arb := range multijob.Arbiters() {
+		b.Run("arbiter="+arb, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := PlaceJobs(w, Cluster{Nodes: 4}, Options{Policy: "model-aware", Arbiter: arb})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Jobs) != jobs {
+					b.Fatalf("placed %d jobs, want %d", len(res.Jobs), jobs)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPlaceHeteroStream exercises the mixed-fleet path end to end —
 // CPU waves through multijob co-training next to GPU stream waves — at a
 // smoke-test size.

@@ -4,13 +4,16 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"opsched/internal/multijob"
 )
 
 // FuzzJobSpecCheck: Check never panics, and every spec it accepts places
 // alone on a one-CPU, one-GPU cluster, finishing after it arrives with a
 // slowdown of at least 1. The seeds include an arrival of 1e25 ns, which
 // an unbounded Check accepted and which then reported a JCT and a slowdown
-// of 0.
+// of 0, and an inference request at the weight ceiling, whose boosted
+// arbiter weight must stay within it.
 //
 // Steps is drawn from 0..8 only. Engine time grows faster than linearly in
 // the step count (drainTailNs re-sums the remaining rounds every round),
@@ -20,6 +23,8 @@ func FuzzJobSpecCheck(f *testing.F) {
 	f.Add("lstm", "", 1e25, 0.0, 0.0, 0.0, 0, uint8(1))
 	f.Add("lstm", "", float64(MaxTimeNs), float64(MaxTimeNs), 1.0, 0.0, 0, uint8(1))
 	f.Add("dcgan", ClassInference, 0.0, 0.0, 0.0, 50e6, 0, uint8(1))
+	f.Add("dcgan", ClassInference, 0.0, 0.0, float64(multijob.MaxWeight), 50e6, 0, uint8(1))
+	f.Add("lstm", ClassTraining, 0.0, 0.0, 1e308, 0.0, 0, uint8(1))
 	f.Add("resnet", ClassTraining, 1e6, 5e8, 2.0, 0.0, 3, uint8(4))
 	f.Add("inception", ClassInference, 0.0, 0.0, 0.0, 0.0, 0, uint8(2))
 	f.Add("lstm", "", math.NaN(), 0.0, math.Inf(1), -1.0, -5, uint8(8))

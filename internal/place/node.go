@@ -268,7 +268,8 @@ func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 }
 
 // cpuWaveJob labels a profiled runtime job as wave job wj: its name, its
-// priority and its arbiter weight, boosted for an inference slot.
+// priority and its arbiter weight, boosted for an inference slot up to
+// multijob.MaxWeight.
 func cpuWaveJob(wj WaveJob, job multijob.Job) multijob.Job {
 	job.Name = wj.Name
 	job.Priority = wj.Priority
@@ -278,7 +279,7 @@ func cpuWaveJob(wj WaveJob, job multijob.Job) multijob.Job {
 		if w <= 0 {
 			w = 1
 		}
-		job.Weight = w * inferenceWeightBoost
+		job.Weight = min(w*inferenceWeightBoost, multijob.MaxWeight)
 	}
 	return job
 }

@@ -101,3 +101,27 @@ func TestCPUModelCacheExact(t *testing.T) {
 		})
 	}
 }
+
+// TestInferenceWeightBoostCapped: an inference slot's boosted arbiter
+// weight stays within multijob.MaxWeight, so a request Check admits at the
+// weight ceiling co-runs on a CPU node instead of failing multijob's
+// validation.
+func TestInferenceWeightBoostCapped(t *testing.T) {
+	rt := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, multijob.FairShare, true)[0]
+	wave := []WaveJob{
+		{Name: "infer", Model: InferKey(nn.DCGAN, 1), Weight: multijob.MaxWeight, Class: ClassInference},
+		{Name: "train", Model: nn.LSTM, Weight: multijob.MaxWeight, Class: ClassTraining},
+	}
+	if w := cpuWaveJob(wave[0], multijob.Job{}).Weight; w != multijob.MaxWeight {
+		t.Errorf("boosted weight %v, want the %v ceiling", w, float64(multijob.MaxWeight))
+	}
+	res, err := rt.RunWave(wave)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, jr := range res.Jobs {
+		if !(jr.Slowdown >= 1) {
+			t.Errorf("%s: slowdown %v", wave[i].Name, jr.Slowdown)
+		}
+	}
+}

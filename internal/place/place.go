@@ -45,6 +45,7 @@ import (
 	"opsched/internal/gpu"
 	"opsched/internal/graph"
 	"opsched/internal/hw"
+	"opsched/internal/multijob"
 	"opsched/internal/nn"
 	"opsched/internal/obs"
 	"opsched/internal/stats"
@@ -61,7 +62,8 @@ type JobSpec struct {
 	// Priority is the job's strict-priority rank inside a co-run wave
 	// (higher outranks lower under the priority arbiter).
 	Priority int
-	// Weight is the job's fair-share weight inside a wave; <= 0 means 1.
+	// Weight is the job's fair-share weight inside a wave; 0 means 1, and
+	// it may not exceed multijob.MaxWeight.
 	Weight float64
 	// DeadlineNs is an absolute completion deadline on the cluster clock;
 	// 0 means none. Deadlines are reported, not enforced.
@@ -158,7 +160,8 @@ const MaxTimeNs = 1 << 60
 
 // Check rejects specs no placement engine could admit: negative, NaN or
 // too-large arrival times, unknown models, deadlines that precede the
-// job's arrival, and negative step counts. The index i labels the job in
+// job's arrival, negative step counts, and weights that are negative,
+// non-finite or above multijob.MaxWeight. The index i labels the job in
 // errors (its position in a workload slice, or its admission sequence in a
 // stream).
 func (j JobSpec) Check(i int) error {
@@ -199,6 +202,10 @@ func (j JobSpec) Check(i int) error {
 		// Zero means "default 1" everywhere; only genuinely negative
 		// weights are nonsense.
 		return fmt.Errorf("place: job %d (%s) has negative weight %v", i, j.label(i), j.Weight)
+	}
+	if j.Weight > multijob.MaxWeight {
+		return fmt.Errorf("place: job %d (%s) has weight %v past the %v ceiling",
+			i, j.label(i), j.Weight, float64(multijob.MaxWeight))
 	}
 	switch j.Class {
 	case "", ClassTraining, ClassInference:
@@ -429,8 +436,9 @@ type Options struct {
 	// Policy names the placement policy (see Policies); empty means
 	// "spread".
 	Policy string
-	// Arbiter names the per-node cross-job policy (multijob.Arbiters);
-	// empty means "fair".
+	// Arbiter names the cross-job policy every CPU node runs its waves
+	// under, one of multijob.Arbiters; empty means "fair". GPU streams
+	// share their device equally and ignore it.
 	Arbiter string
 	// Preempt is the preemption trigger spec (parseTriggers): ""
 	// or "off" runs every wave to completion; "none" arms the preemptive

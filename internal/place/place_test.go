@@ -7,6 +7,7 @@ import (
 
 	"opsched/internal/gpu"
 	"opsched/internal/hw"
+	"opsched/internal/multijob"
 	"opsched/internal/nn"
 )
 
@@ -39,6 +40,10 @@ func TestValidationErrors(t *testing.T) {
 			"non-finite arrival"},
 		{"infinite deadline", Workload{{Model: "lstm", DeadlineNs: math.Inf(1)}}, Cluster{Nodes: 1}, Options{},
 			"non-finite deadline"},
+		{"infinite weight", Workload{{Model: "lstm", Weight: math.Inf(1)}}, Cluster{Nodes: 1}, Options{},
+			"non-finite weight"},
+		{"weight past the ceiling", Workload{{Model: "lstm", Weight: math.Nextafter(multijob.MaxWeight, math.Inf(1))}},
+			Cluster{Nodes: 1}, Options{}, "ceiling"},
 		{"unknown model", Workload{{Model: "vgg"}}, Cluster{Nodes: 1}, Options{}, "unknown model"},
 		{"negative deadline", Workload{{Model: "lstm", DeadlineNs: -1}}, Cluster{Nodes: 1}, Options{},
 			"negative deadline"},

@@ -153,10 +153,11 @@ type CoJobResult = multijob.JobResult
 // CoJob is one workload entering a co-scheduled run (see multijob.Job).
 type CoJob = multijob.Job
 
-// Arbiters lists the cross-job scheduling policies CoTrain accepts:
-// "fair" (weighted core shares, least-progressed job claims first),
-// "priority" (strict priority, earlier jobs outrank later ones) and
-// "srwf" (shortest predicted remaining work first).
+// Arbiters lists the cross-job scheduling policies that CoTrain,
+// RunCoJobs and PlaceOptions.Arbiter accept, a closed set: "fair"
+// (weighted core shares, least-progressed job claims first), "priority"
+// (strict priority, earlier jobs outrank later ones) and "srwf" (shortest
+// predicted remaining work first).
 func Arbiters() []string { return multijob.Arbiters() }
 
 // ResolveModel maps a user-typed workload name ("resnet", "lstm", ...) to
