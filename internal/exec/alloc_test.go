@@ -8,12 +8,12 @@ import (
 	"opsched/internal/op"
 )
 
-// TestEventLoopAllocationFree: on a warm State, RecomputeRates and
-// AdvanceToNextCompletion allocate nothing — the running set, the
-// completed buffer and the Running values Start carves are all reused.
-// The running set covers every RecomputeRates branch: a full-width host
-// with a hyper-threading guest, pinned and unpinned co-runners, and more
-// threads than cores.
+// TestEventLoopAllocationFree: on a warm loop, launch, recomputeRates,
+// advance and harvest allocate nothing — the running set, the retired
+// buffer, the Running values launch carves and the record buffer are all
+// reused. The running set covers every recomputeRates branch: a full-width
+// host with a hyper-threading guest, pinned and unpinned co-runners, and
+// more threads than cores.
 func TestEventLoopAllocationFree(t *testing.T) {
 	m := hw.NewKNL()
 	g := graph.New("fan")
@@ -26,33 +26,35 @@ func TestEventLoopAllocationFree(t *testing.T) {
 		{Node: 2, Threads: 16, Placement: hw.Shared, Pinned: true},
 		{Node: 3, Threads: 16, Placement: hw.Spread},
 	}
-	st := &State{Machine: m, Graph: g}
+	l := &loop{m: m, lanes: []lane{{view: State{Machine: m, Graph: g}, name: "fan"}}, runs: make([]Result, 1)}
+	ln := &l.lanes[0]
 	start := func() {
 		for _, d := range decs {
-			st.Ready = append(st.Ready, d.Node)
+			ln.view.Ready = append(ln.view.Ready, d.Node)
 		}
 		for _, d := range decs {
-			if _, err := Start(st, d); err != nil {
+			if err := l.launch(ln, d); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	cycle := func() {
+		l.runs[0].Records = l.runs[0].Records[:0]
 		start()
-		for len(st.Running) > 0 {
-			RecomputeRates(st)
-			AdvanceToNextCompletion(st)
+		for len(l.running) > 0 {
+			recomputeRates(m, l.running)
+			l.harvest(l.advance())
 		}
 	}
 
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
-		t.Errorf("a Start/RecomputeRates/AdvanceToNextCompletion cycle allocates %v objects, want 0", n)
+		t.Errorf("a launch/recomputeRates/advance/harvest cycle allocates %v objects, want 0", n)
 	}
 	start()
-	if n := testing.AllocsPerRun(20, func() { RecomputeRates(st) }); n != 0 {
-		t.Errorf("RecomputeRates allocates %v objects, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { recomputeRates(m, l.running) }); n != 0 {
+		t.Errorf("recomputeRates allocates %v objects, want 0", n)
 	}
-	if len(st.Running) != len(decs) {
-		t.Fatalf("RecomputeRates changed the running set to %d ops", len(st.Running))
+	if len(l.running) != len(decs) {
+		t.Fatalf("recomputeRates changed the running set to %d ops", len(l.running))
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"opsched/internal/graph"
 	"opsched/internal/hw"
@@ -42,7 +43,30 @@ type Result struct {
 	Trace *trace.Trace
 }
 
+// Job is one dataflow graph entering the loop under its own scheduler.
+type Job struct {
+	// Name labels the job in errors.
+	Name  string
+	Graph *graph.Graph
+	Sched Scheduler
+}
+
+// Claim is one job's turn at a scheduling event: jobs ask their schedulers
+// in claim order, and each may hold at most Cap physical cores
+// (hyper-threading guests hold none).
+type Claim struct {
+	Job int // index into CoRun's jobs
+	Cap int
+}
+
+// Leftover as a Claim's Cap lets the job hold only the cores the jobs ahead
+// of it in the claim order leave idle.
+const Leftover = -1
+
 // Run executes one training step of g under the given scheduling policy.
+// It is CoRun's one-job case with no core cap: a scheduler that asks for
+// more threads than the machine has cores gets them, and pays for the
+// oversubscription (Table I).
 func Run(g *graph.Graph, sched Scheduler, opts Options) (*Result, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("exec: nil scheduler")
@@ -54,157 +78,311 @@ func Run(g *graph.Graph, sched Scheduler, opts Options) (*Result, error) {
 	if m == nil {
 		m = hw.NewKNL()
 	}
-
-	in := g.InDegrees()
-	ready := make([]graph.NodeID, 0, g.Len())
-	for id, d := range in {
-		if d == 0 {
-			ready = append(ready, graph.NodeID(id))
-		}
-	}
-
-	st := &State{Machine: m, Graph: g, Ready: ready}
-	res := &Result{Scheduler: sched.Name(), Records: make([]OpRecord, 0, g.Len())}
+	var tr *trace.Trace
 	if opts.Trace {
-		res.Trace = &trace.Trace{}
+		tr = &trace.Trace{}
 	}
+	solo := []Job{{Name: g.Name, Graph: g, Sched: sched}}
+	runs, err := run(solo, m, func([]Result, []Claim) []Claim { return uncapped }, tr)
+	if err != nil {
+		return nil, err
+	}
+	runs[0].Trace = tr
+	return &runs[0], nil
+}
 
-	done := 0
-	var decs []Decision // reused by every Schedule call
-	for done < g.Len() {
-		// Ask the scheduler for launches until it has nothing to add.
+// uncapped is Run's claim order: its one job, with no core cap.
+var uncapped = []Claim{{Job: 0, Cap: math.MaxInt}}
+
+// CoRun executes one training step of every job on m from a common virtual
+// time zero and returns one Result per job, in input order; a job's
+// StepTimeNs is the time its last operation finished. The graphs must be
+// valid. claims is consulted once at every scheduling event and returns
+// the jobs that may launch, in claim order; it may append them to dst, an
+// empty buffer the loop reuses. runs holds each job's completion records
+// so far, so a policy can rank jobs by their progress. Every job's
+// in-flight operations are priced together, so co-running jobs slow each
+// other down.
+func CoRun(jobs []Job, m *hw.Machine, claims func(runs []Result, dst []Claim) []Claim) ([]Result, error) {
+	return run(jobs, m, claims, nil)
+}
+
+// lane is one job mid-run. Its view is the State the job's scheduler gets:
+// its graph, its ready queue and its own in-flight operations in launch
+// order. Other jobs' operations are invisible to it; the claim policy and
+// the machine model account for them.
+type lane struct {
+	view      State
+	name      string
+	sched     Scheduler
+	in        []int // outstanding dependency counts, by NodeID
+	cores     int   // physical cores the non-HT running operations occupy
+	saturated bool  // no more launches until the next completion event
+}
+
+// loop is the op-event loop: per-job ready bookkeeping, the union of every
+// job's in-flight operations, one virtual clock.
+type loop struct {
+	m      *hw.Machine
+	lanes  []lane
+	runs   []Result
+	claims func(runs []Result, dst []Claim) []Claim
+	trace  *trace.Trace
+	done   int
+	total  int
+
+	clockNs float64
+	running []*Running // every job's in-flight operations, in launch order
+
+	// retired holds the Running values advance has retired: its tail is
+	// the completions advance last returned, and once harvested all of
+	// them are free for launch to recycle. slab is the unused tail of the
+	// chunk launch carves new Running values from.
+	retired []*Running
+	slab    []Running
+
+	// decs is the buffer schedulers append their decisions to and order
+	// the current scheduling event's claim order; both are reused.
+	decs  []Decision
+	order []Claim
+}
+
+// run is CoRun with an optional event log.
+func run(jobs []Job, m *hw.Machine, claims func([]Result, []Claim) []Claim, tr *trace.Trace) ([]Result, error) {
+	l := loop{m: m, claims: claims, trace: tr, lanes: make([]lane, len(jobs)), runs: make([]Result, len(jobs))}
+	for i, job := range jobs {
+		n := job.Graph.Len()
+		ln := &l.lanes[i]
+		ln.view = State{Machine: m, Graph: job.Graph, Ready: make([]graph.NodeID, 0, n)}
+		ln.name, ln.sched, ln.in = job.Name, job.Sched, job.Graph.InDegrees()
+		for id, d := range ln.in {
+			if d == 0 {
+				ln.view.Ready = append(ln.view.Ready, graph.NodeID(id))
+			}
+		}
+		l.runs[i] = Result{Scheduler: job.Sched.Name(), Records: make([]OpRecord, 0, n)}
+		l.total += n
+	}
+	for l.done < l.total {
+		if err := l.event(); err != nil {
+			return nil, err
+		}
+		recomputeRates(m, l.running)
+		l.harvest(l.advance())
+	}
+	return l.runs, nil
+}
+
+// event runs capped scheduling rounds until no job can launch, forcing the
+// first schedulable job past its cap whenever the machine would otherwise
+// sit idle: the progress guarantee that makes every claim policy
+// deadlock-free. The claim order is fetched once per event: only a
+// completion changes what a policy ranks jobs by, and none happens
+// mid-event.
+func (l *loop) event() error {
+	l.order = l.claims(l.runs, l.order[:0])
+	for {
+		// Every job is asked afresh: after a completion, and after a forced
+		// launch, since Strategy-4 guests, for one, only exist once a host
+		// is running.
+		for i := range l.lanes {
+			l.lanes[i].saturated = false
+		}
+		// Capped rounds: ask every unsaturated job in claim order until a
+		// full round launches nothing. ahead counts the cores the jobs
+		// already passed in the round hold, skipped jobs included.
 		for {
-			decs = sched.Schedule(st, decs[:0])
-			if len(decs) == 0 {
+			any := false
+			ahead := 0
+			for _, c := range l.order {
+				ln := &l.lanes[c.Job]
+				if !ln.saturated && len(ln.view.Ready) > 0 {
+					limit := c.Cap
+					if limit == Leftover {
+						limit = max(l.m.Cores-ahead, 0)
+					}
+					launched, err := l.schedule(c.Job, limit)
+					if err != nil {
+						return err
+					}
+					any = any || launched
+				}
+				ahead += ln.cores
+			}
+			if !any {
 				break
 			}
-			for _, d := range decs {
-				if err := d.Validate(st); err != nil {
-					return nil, err
-				}
-				if err := launch(st, d, res); err != nil {
-					return nil, err
-				}
-			}
 		}
-		if len(st.Running) == 0 {
-			return nil, fmt.Errorf("exec: scheduler %q stalled with %d ready and %d done of %d ops",
-				sched.Name(), len(st.Ready), done, g.Len())
+		if len(l.running) > 0 {
+			return nil
 		}
 
-		RecomputeRates(st)
-
-		completed := AdvanceToNextCompletion(st)
-		for _, r := range completed {
-			done++
-			res.Records = append(res.Records, OpRecord{
-				Node: r.Node, Threads: r.Threads, Placement: r.Placement,
-				HT: r.HT, StartNs: r.StartNs, FinishNs: st.ClockNs,
-			})
-			for _, c := range g.Node(r.Node).Consumers() {
-				in[c]--
-				if in[c] == 0 {
-					st.Ready = append(st.Ready, c)
-				}
+		// Nothing running and nothing fit a cap: let the first job in claim
+		// order launch past it so the machine never idles.
+		forced := false
+		for _, c := range l.order {
+			if len(l.lanes[c.Job].view.Ready) == 0 {
+				continue
+			}
+			launched, err := l.schedule(c.Job, l.m.Cores)
+			if err != nil {
+				return err
+			}
+			if forced = launched; forced {
+				break
 			}
 		}
-		if res.Trace != nil {
-			// One Finish event per completed operation, attributed to its
-			// real node. Simultaneous completions drain one at a time, so
-			// each event's CoRunning reflects the set still in flight after
-			// that operation retired.
-			for i, r := range completed {
-				res.Trace.Add(trace.Event{
-					ClockNs: st.ClockNs, Type: trace.Finish,
-					Node: r.Node, CoRunning: len(st.Running) + len(completed) - 1 - i,
-				})
-			}
+		if !forced {
+			return fmt.Errorf("exec: stalled with %d of %d ops done", l.done, l.total)
 		}
 	}
-
-	res.StepTimeNs = st.ClockNs
-	return res, nil
 }
 
-// launch removes the node from the ready queue and adds it to the running
-// set.
-func launch(st *State, d Decision, res *Result) error {
-	r, err := Start(st, d)
-	if err != nil {
-		return err
+// schedule asks job j's scheduler for decisions against the job's own view
+// of the machine and launches those that keep it within limit physical
+// cores. It reports whether anything launched.
+func (l *loop) schedule(j, limit int) (bool, error) {
+	ln := &l.lanes[j]
+	ln.view.ClockNs = l.clockNs
+	decs := ln.sched.Schedule(&ln.view, l.decs[:0])
+	if cap(decs) > cap(l.decs) {
+		l.decs = decs // keep the grown buffer
 	}
-	if res.Trace != nil {
-		res.Trace.Add(trace.Event{
-			ClockNs: st.ClockNs, Type: trace.Launch,
-			Node: r.Node, CoRunning: len(st.Running),
-		})
+	if len(decs) == 0 {
+		ln.saturated = true
+		return false, nil
 	}
-	return nil
-}
 
-// Start launches one decision: the node leaves st.Ready, it is priced once
-// on st.Machine (the context-free hw.OpPrice that every RecomputeRates only
-// rescales, its solo duration and its bandwidth demand), and the resulting
-// Running — tagged with the decision's Job — joins st.Running. The Running
-// comes from a slab st owns and may be one AdvanceToNextCompletion retired
-// before its latest call. Start does not re-validate the decision beyond
-// readiness; callers wanting the full sanity checks run Decision.Validate
-// first, as exec.Run does.
-func Start(st *State, d Decision) (*Running, error) {
-	idx := -1
-	for i, id := range st.Ready {
-		if id == d.Node {
-			idx = i
+	launched := false
+	for _, d := range decs {
+		d.Job = j
+		if err := d.Validate(&ln.view); err != nil {
+			return launched, fmt.Errorf("exec: job %s: %w", ln.name, err)
+		}
+		if !d.HT && ln.cores+d.Placement.CoresUsed(l.m, d.Threads) > limit {
+			// Over the cap: drop the rest of the batch and wait for the next
+			// completion event (the scheduler would re-propose the same
+			// decisions forever otherwise).
+			ln.saturated = true
 			break
 		}
+		if err := l.launch(ln, d); err != nil {
+			return launched, fmt.Errorf("exec: job %s: %w", ln.name, err)
+		}
+		launched = true
 	}
-	if idx < 0 {
-		return nil, fmt.Errorf("exec: node %d not in ready queue", d.Node)
-	}
-	st.Ready = append(st.Ready[:idx], st.Ready[idx+1:]...)
+	return launched, nil
+}
 
-	cost := st.Graph.Node(d.Node).Op.Cost()
-	if err := cost.Validate(); err != nil {
-		return nil, fmt.Errorf("exec: node %d: %w", d.Node, err)
+// launch starts one decision of lane ln: the node leaves the ready queue,
+// it is priced once on the machine (the context-free hw.OpPrice that every
+// recomputeRates only rescales, its solo duration and its bandwidth
+// demand), and the resulting Running joins the union and the lane.
+func (l *loop) launch(ln *lane, d Decision) error {
+	i := slices.Index(ln.view.Ready, d.Node)
+	if i < 0 {
+		return fmt.Errorf("node %d not in ready queue", d.Node)
 	}
-	price := st.Machine.Price(cost, d.Threads, d.Placement)
-	solo := price.Time(st.Machine, hw.Solo())
-	r := st.newRunning()
+	cost := ln.view.Graph.Node(d.Node).Op.Cost()
+	if err := cost.Validate(); err != nil {
+		return fmt.Errorf("node %d: %w", d.Node, err)
+	}
+	ln.view.Ready = append(ln.view.Ready[:i], ln.view.Ready[i+1:]...)
+	price := l.m.Price(cost, d.Threads, d.Placement)
+	solo := price.Time(l.m, hw.Solo())
+	r := l.newRunning()
 	*r = Running{
 		Node: d.Node, Job: d.Job, Threads: d.Threads, Placement: d.Placement,
-		HT: d.HT, Pinned: d.Pinned, StartNs: st.ClockNs,
+		HT: d.HT, Pinned: d.Pinned, StartNs: l.clockNs,
 		price: price, remaining: 1, nominal: solo,
 	}
 	if solo > 0 {
 		r.demand = price.Traffic() / solo
 	}
-	st.Running = append(st.Running, r)
-	return r, nil
+	l.running = append(l.running, r)
+	ln.view.Running = append(ln.view.Running, r)
+	if !d.HT {
+		ln.cores += d.Placement.CoresUsed(l.m, d.Threads)
+	}
+	if l.trace != nil {
+		l.trace.Add(trace.Event{ClockNs: l.clockNs, Type: trace.Launch, Node: d.Node, CoRunning: len(l.running)})
+	}
+	return nil
 }
 
-// AdvanceToNextCompletion moves st.ClockNs forward to the earliest
-// completion among st.Running, progresses every running operation by the
-// elapsed virtual time, removes the completed operations from st.Running
-// (compacting it in place) and returns them in running-set order. It
-// returns nil when nothing is running.
+// newRunning returns a Running to fill: one advance has retired, or the
+// next slot of the loop's slab.
+func (l *loop) newRunning() *Running {
+	if n := len(l.retired); n > 0 {
+		r := l.retired[n-1]
+		l.retired = l.retired[:n-1]
+		return r
+	}
+	if len(l.slab) == 0 {
+		l.slab = make([]Running, 16)
+	}
+	r := &l.slab[0]
+	l.slab = l.slab[1:]
+	return r
+}
+
+// harvest retires completed operations: each is recorded on its job's
+// Result, leaves its lane, and releases its dependents into the lane's
+// ready queue.
+func (l *loop) harvest(completed []*Running) {
+	for _, r := range completed {
+		ln, res := &l.lanes[r.Job], &l.runs[r.Job]
+		l.done++
+		if !r.HT {
+			ln.cores -= r.Placement.CoresUsed(l.m, r.Threads)
+		}
+		res.StepTimeNs = l.clockNs
+		res.Records = append(res.Records, OpRecord{
+			Node: r.Node, Threads: r.Threads, Placement: r.Placement,
+			HT: r.HT, StartNs: r.StartNs, FinishNs: l.clockNs,
+		})
+		i := slices.Index(ln.view.Running, r)
+		ln.view.Running = append(ln.view.Running[:i], ln.view.Running[i+1:]...)
+		for _, c := range ln.view.Graph.Node(r.Node).Consumers() {
+			ln.in[c]--
+			if ln.in[c] == 0 {
+				ln.view.Ready = append(ln.view.Ready, c)
+			}
+		}
+	}
+	if l.trace != nil {
+		// One Finish event per completed operation, attributed to its real
+		// node. Simultaneous completions drain one at a time, so each
+		// event's CoRunning reflects the set still in flight after that
+		// operation retired.
+		for i, r := range completed {
+			l.trace.Add(trace.Event{
+				ClockNs: l.clockNs, Type: trace.Finish,
+				Node: r.Node, CoRunning: len(l.running) + len(completed) - 1 - i,
+			})
+		}
+	}
+}
+
+// advance moves the clock forward to the earliest completion among the
+// running operations, progresses every one of them by the elapsed virtual
+// time, removes the completed ones from the running set (compacting it in
+// place) and returns them in running-set order. It returns nil when
+// nothing is running.
 //
-// The returned slice is a buffer st owns: it and the Running values in it
-// stay valid only until the next AdvanceToNextCompletion on st, after which
-// Start recycles those Running values. Callers copy what they keep.
+// The returned slice is the tail of the loop's retired buffer: it and the
+// Running values in it stay valid only until the next launch, which
+// recycles them.
 //
 // Remaining times below half a nanosecond count as done: every modeled
 // operation takes microseconds, and once the clock is large, sub-ulp
 // remainders would otherwise never drain (clock+r == clock in float64). The
-// nearest op is forced complete so callers always make progress.
-func AdvanceToNextCompletion(st *State) []*Running {
-	// The previous call's completions are out of the caller's hands now.
-	st.free = append(st.free, st.completed...)
-	st.completed = st.completed[:0]
-
+// nearest op is forced complete so the loop always makes progress.
+func (l *loop) advance() []*Running {
 	next := math.Inf(1)
 	var nearest *Running
-	for _, r := range st.Running {
-		if t := st.ClockNs + r.RemainingNs(); t < next {
+	for _, r := range l.running {
+		if t := l.clockNs + r.RemainingNs(); t < next {
 			next = t
 			nearest = r
 		}
@@ -212,40 +390,38 @@ func AdvanceToNextCompletion(st *State) []*Running {
 	if nearest == nil {
 		return nil
 	}
-	elapsed := next - st.ClockNs
+	elapsed := next - l.clockNs
 	if elapsed < 0 {
 		elapsed = 0
 	}
-	st.ClockNs = next
+	l.clockNs = next
 
 	const completionEpsNs = 0.5
-	still := st.Running[:0]
-	for _, r := range st.Running {
+	n := len(l.retired)
+	still := l.running[:0]
+	for _, r := range l.running {
 		r.remaining -= elapsed / r.nominal
 		if r != nearest && r.remaining*r.nominal > completionEpsNs {
 			still = append(still, r)
 			continue
 		}
-		st.completed = append(st.completed, r)
+		l.retired = append(l.retired, r)
 	}
-	st.Running = still
-	return st.completed
+	l.running = still
+	return l.retired[n:]
 }
 
-// RecomputeRates refreshes every running operation's nominal duration for
+// recomputeRates refreshes every running operation's nominal duration for
 // the current co-run set: bandwidth is shared when total demand exceeds the
 // machine peak, hyper-threading guests slow their hosts, and
 // oversubscription beyond the physical cores stacks everything onto
 // hyper-threads (the TensorFlow-default behaviour of Table I). The co-run
-// set is whatever st.Running holds — in multi-job execution that is the
-// union across jobs, which is how co-located jobs genuinely slow each other
-// down.
-func RecomputeRates(st *State) {
-	m := st.Machine
-
+// set is the union across jobs, which is how co-located jobs genuinely
+// slow each other down.
+func recomputeRates(m *hw.Machine, running []*Running) {
 	totalThreads := 0
 	totalDemand := 0.0
-	for _, r := range st.Running {
+	for _, r := range running {
 		totalThreads += r.Threads
 		totalDemand += r.demand
 	}
@@ -258,15 +434,15 @@ func RecomputeRates(st *State) {
 	// non-HT op that can cover its threads. Guests run at full SMT cost
 	// (they share busy cores); hosts only lose a mild slice per guest —
 	// Strategy 4 deliberately picks small, short operations as guests.
-	for _, r := range st.Running {
+	for _, r := range running {
 		r.guests, r.depth, r.scale = 0, 1, 1
 	}
-	for _, r := range st.Running {
+	for _, r := range running {
 		if !r.HT {
 			continue
 		}
 		var host *Running
-		for _, h := range st.Running {
+		for _, h := range running {
 			if h.HT {
 				continue
 			}
@@ -283,7 +459,7 @@ func RecomputeRates(st *State) {
 		// free now, so it runs at full speed.
 	}
 	const hostGuestEff = 0.99
-	for _, h := range st.Running {
+	for _, h := range running {
 		for i := 0; i < h.guests && i < m.HTPerCore-1; i++ {
 			h.scale *= hostGuestEff
 		}
@@ -297,7 +473,7 @@ func RecomputeRates(st *State) {
 	if totalThreads > m.Cores {
 		overlapped = true
 		d := (totalThreads + m.Cores - 1) / m.Cores
-		for _, r := range st.Running {
+		for _, r := range running {
 			if d > r.depth {
 				r.depth = d
 			}
@@ -317,13 +493,13 @@ func RecomputeRates(st *State) {
 		meshAlphaPinned   = 0.22
 		meshAlphaUnpinned = 0.85
 	)
-	if k := nonHT(st.Running); k >= 2 {
+	if k := nonHT(running); k >= 2 {
 		extra := k - 1
 		if overlapped {
 			extra = k - 2
 		}
 		if extra > 0 {
-			for _, r := range st.Running {
+			for _, r := range running {
 				if r.HT {
 					continue
 				}
@@ -336,7 +512,7 @@ func RecomputeRates(st *State) {
 		}
 	}
 
-	for _, r := range st.Running {
+	for _, r := range running {
 		r.nominal = r.price.Time(m, hw.RunContext{
 			BWShare:      share,
 			SMTDepth:     r.depth,

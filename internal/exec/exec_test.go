@@ -361,3 +361,48 @@ func TestFIFOPresets(t *testing.T) {
 		t.Errorf("Recommendation = %+v, want 1/68", rec)
 	}
 }
+
+// TestCoRunCaps: a Claim's Cap bounds the physical cores its job holds at
+// every instant — a fixed share per job, or under Leftover whatever the
+// jobs ahead leave idle, so the pair never holds more than the machine —
+// while uncapped the same pair oversubscribes the machine.
+func TestCoRunCaps(t *testing.T) {
+	m := hw.NewKNL()
+	fan := graph.New("fan")
+	for i := 0; i < 8; i++ {
+		fan.Add(op.Conv(op.Conv2D, 32, 8, 8, 128, 3, 128, 1), "c")
+	}
+	jobs := []Job{
+		{Name: "a", Graph: fan, Sched: &FIFO{InterOp: 4, IntraOp: 20, Place: hw.Shared}},
+		{Name: "b", Graph: fan, Sched: &FIFO{InterOp: 4, IntraOp: 20, Place: hw.Shared}},
+	}
+	// peaks returns, per job and for the pair, the most cores held at any
+	// operation's start.
+	peaks := func(claims ...Claim) (a, b, both int) {
+		runs, err := CoRun(jobs, m, func(_ []Result, dst []Claim) []Claim { return append(dst, claims...) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range append(runs[0].Records, runs[1].Records...) {
+			held := [2]int{}
+			for j, run := range runs {
+				for _, r := range run.Records {
+					if r.StartNs <= at.StartNs && at.StartNs < r.FinishNs {
+						held[j] += r.Placement.CoresUsed(m, r.Threads)
+					}
+				}
+			}
+			a, b, both = max(a, held[0]), max(b, held[1]), max(both, held[0]+held[1])
+		}
+		return a, b, both
+	}
+	if a, b, _ := peaks(Claim{Job: 0, Cap: 20}, Claim{Job: 1, Cap: 40}); a > 20 || b > 40 {
+		t.Errorf("fixed caps 20 and 40: jobs held up to %d and %d cores", a, b)
+	}
+	if _, _, both := peaks(Claim{Job: 1, Cap: Leftover}, Claim{Job: 0, Cap: Leftover}); both > m.Cores {
+		t.Errorf("leftover caps: the pair held up to %d of %d cores", both, m.Cores)
+	}
+	if _, _, both := peaks(Claim{Job: 0, Cap: math.MaxInt}, Claim{Job: 1, Cap: math.MaxInt}); both <= m.Cores {
+		t.Errorf("uncapped: the pair held at most %d of %d cores, want oversubscription", both, m.Cores)
+	}
+}

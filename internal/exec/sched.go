@@ -1,11 +1,17 @@
 // Package exec is the discrete-event execution engine that plays the role
-// of the TensorFlow runtime: it tracks operation readiness in a dataflow
-// graph, asks a pluggable Scheduler how to launch ready operations, and
-// advances a virtual clock through launch/finish events. Execution times
-// come from the hw machine model and are recomputed whenever the co-running
-// set changes, so memory-bandwidth contention and hyper-threading sharing
-// between co-runners are captured (processor-sharing semantics with
+// of the TensorFlow runtime. It has one op-event loop: it tracks operation
+// readiness in one or more dataflow graphs, asks each graph's pluggable
+// Scheduler how to launch its ready operations, and advances one virtual
+// clock through launch/finish events. Execution times come from the hw
+// machine model and are recomputed whenever the co-running set changes, so
+// memory-bandwidth contention and hyper-threading sharing between
+// co-runners are captured (processor-sharing semantics with
 // piecewise-constant rates).
+//
+// CoRun runs several jobs through the loop, each seeing only its own
+// operations; a claim policy the caller passes orders the jobs and caps
+// the cores each may hold at every scheduling event. Run, the solo
+// training step, is the one-job case with no cap.
 package exec
 
 import (
@@ -20,9 +26,8 @@ type Decision struct {
 	// Node is the ready operation to launch.
 	Node graph.NodeID
 	// Job identifies which training job the operation belongs to when
-	// several jobs share the machine (see internal/multijob). Single-job
-	// execution leaves it 0; schedulers never need to set it — the engine
-	// that owns the job does.
+	// several jobs share the machine (its index in CoRun's jobs; 0 in Run).
+	// Schedulers never need to set it: the loop does.
 	Job int
 	// Threads is the intra-op parallelism.
 	Threads int
@@ -53,12 +58,12 @@ type Running struct {
 	Pinned    bool
 	StartNs   float64
 
-	price     hw.OpPrice // context-free terms; RecomputeRates rescales them
+	price     hw.OpPrice // context-free terms; recomputeRates rescales them
 	remaining float64    // fraction of the op still to execute, in (0,1]
 	nominal   float64    // duration under the current context, ns
 	demand    float64    // solo memory-bandwidth demand, bytes/ns
 
-	// RecomputeRates scratch: hyper-threading guests riding this op, its
+	// Set by recomputeRates: hyper-threading guests riding this op, its
 	// SMT stacking depth and its compute-throughput scale.
 	guests int
 	depth  int
@@ -71,7 +76,8 @@ type Running struct {
 // operations").
 func (r *Running) RemainingNs() float64 { return r.remaining * r.nominal }
 
-// State is the scheduler's view of the machine at a decision point.
+// State is a scheduler's view of the machine at a decision point: its own
+// job's graph, ready queue and in-flight operations.
 type State struct {
 	// Machine is the hardware model.
 	Machine *hw.Machine
@@ -83,30 +89,6 @@ type State struct {
 	Ready []graph.NodeID
 	// Running lists operations in flight.
 	Running []*Running
-
-	// completed is the buffer AdvanceToNextCompletion returns, reused on
-	// every call; free holds the Running values it returned last time,
-	// which Start recycles; slab is the unused tail of the chunk Start
-	// carves new Running values from.
-	completed []*Running
-	free      []*Running
-	slab      []Running
-}
-
-// newRunning returns a Running to fill: one AdvanceToNextCompletion has
-// retired, or the next slot of the state's slab.
-func (s *State) newRunning() *Running {
-	if n := len(s.free); n > 0 {
-		r := s.free[n-1]
-		s.free = s.free[:n-1]
-		return r
-	}
-	if len(s.slab) == 0 {
-		s.slab = make([]Running, 16)
-	}
-	r := &s.slab[0]
-	s.slab = s.slab[1:]
-	return r
 }
 
 // IdleCores returns the number of physical cores not occupied by non-HT

@@ -69,36 +69,45 @@ func TestValidateErrorTable(t *testing.T) {
 	}
 }
 
-// TestStartAndAdvance: Start prices an operation, tags it with the
-// decision's job, and AdvanceToNextCompletion retires it at the shared
-// clock.
+// TestStartAndAdvance: launch prices an operation, tags it with the
+// decision's job and adds it to the union and to its job's lane; advance
+// retires it at the shared clock, and harvest records it on the job's
+// Result and takes it off the lane.
 func TestStartAndAdvance(t *testing.T) {
 	m := hw.NewKNL()
 	g := chain(1)
-	st := &State{Machine: m, Graph: g, Ready: []graph.NodeID{0}}
-	r, err := Start(st, Decision{Node: 0, Job: 3, Threads: 16, Placement: hw.Shared})
-	if err != nil {
+	l := &loop{m: m, lanes: make([]lane, 4), runs: make([]Result, 4)}
+	ln := &l.lanes[3]
+	ln.view, ln.name, ln.in = State{Machine: m, Graph: g, Ready: []graph.NodeID{0}}, "c", g.InDegrees()
+	if err := l.launch(ln, Decision{Node: 0, Job: 3, Threads: 16, Placement: hw.Shared}); err != nil {
 		t.Fatal(err)
 	}
+	if len(ln.view.Ready) != 0 || len(l.running) != 1 || len(ln.view.Running) != 1 || ln.cores != 16 {
+		t.Fatalf("after launch: %d ready, %d running, %d in the lane holding %d cores",
+			len(ln.view.Ready), len(l.running), len(ln.view.Running), ln.cores)
+	}
+	r := l.running[0]
 	if r.Job != 3 {
 		t.Errorf("running op has job %d, want 3", r.Job)
 	}
-	if len(st.Ready) != 0 || len(st.Running) != 1 {
-		t.Fatalf("after Start: %d ready, %d running", len(st.Ready), len(st.Running))
-	}
-	RecomputeRates(st)
-	done := AdvanceToNextCompletion(st)
+	recomputeRates(m, l.running)
+	done := l.advance()
 	if len(done) != 1 || done[0] != r {
 		t.Fatalf("advance returned %d completions", len(done))
 	}
-	if len(st.Running) != 0 || st.ClockNs <= 0 {
-		t.Errorf("after advance: %d running, clock %v", len(st.Running), st.ClockNs)
+	if len(l.running) != 0 || l.clockNs <= 0 {
+		t.Errorf("after advance: %d running, clock %v", len(l.running), l.clockNs)
 	}
-	if extra := AdvanceToNextCompletion(st); extra != nil {
+	l.harvest(done)
+	if res := l.runs[3]; len(ln.view.Running) != 0 || ln.cores != 0 || len(res.Records) != 1 || res.StepTimeNs != l.clockNs {
+		t.Errorf("after harvest: %d in the lane holding %d cores, %d records, step %v at clock %v",
+			len(ln.view.Running), ln.cores, len(res.Records), res.StepTimeNs, l.clockNs)
+	}
+	if extra := l.advance(); extra != nil {
 		t.Errorf("advance with nothing running returned %d completions", len(extra))
 	}
-	// Starting a node that is not ready must fail.
-	if _, err := Start(st, Decision{Node: 0, Threads: 16, Placement: hw.Shared}); err == nil {
-		t.Error("Start accepted a node missing from the ready queue")
+	// Launching a node that is not ready must fail.
+	if err := l.launch(ln, Decision{Node: 0, Threads: 16, Placement: hw.Shared}); err == nil {
+		t.Error("launch accepted a node missing from the ready queue")
 	}
 }

@@ -1,9 +1,11 @@
 package multijob
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
+	"opsched/internal/exec"
 	"opsched/internal/hw"
 )
 
@@ -66,25 +68,31 @@ func NewArbiter(name string) (Arbiter, error) {
 	return 0, fmt.Errorf("multijob: unknown arbiter %q (have %v)", name, Arbiters())
 }
 
-// claimsFirst reports whether job x claims cores strictly ahead of job y
-// under the policy's sort key (ties fall to the caller's index tie-break).
-func (a Arbiter) claimsFirst(x, y *jobState) bool {
-	switch a {
-	case Priority:
-		return x.Priority > y.Priority
-	case SRWF:
-		return x.remainingWork < y.remainingWork
+// key is job j's sort key at a scheduling event: its progress under
+// FairShare, its remaining work under SRWF.
+func (a Arbiter) key(j *jobState) float64 {
+	if a == SRWF {
+		return j.remainingWork
 	}
-	return x.progress() < y.progress()
+	return j.progress()
 }
 
-// budget returns the most physical cores job j may hold during one
-// scheduling round (cores it already holds included). total is the active
-// jobs' weight sum and ahead the cores held by the jobs before j in claim
-// order.
-func (a Arbiter) budget(j *jobState, m *hw.Machine, total float64, ahead int) int {
+// compare orders jobs x and y by the policy: negative when x claims cores
+// first, zero on a tie (which the caller breaks on job index).
+func (a Arbiter) compare(x, y *jobState) int {
+	if a == Priority {
+		return cmp.Compare(y.Priority, x.Priority)
+	}
+	return cmp.Compare(x.key, y.key)
+}
+
+// coreCap returns the most physical cores job j may hold during a scheduling
+// event (cores it already holds included): a fixed share of the machine
+// under FairShare, whatever the jobs ahead leave idle under the strict
+// orders. total is the active jobs' weight sum.
+func (a Arbiter) coreCap(j *jobState, m *hw.Machine, total float64) int {
 	if a == FairShare {
 		return max(int(float64(m.Cores)*j.weight()/total), 1)
 	}
-	return max(m.Cores-ahead, 0)
+	return exec.Leftover
 }

@@ -12,28 +12,19 @@ import (
 	"opsched/internal/perfmodel"
 )
 
-// jobState is one job mid-run: its scheduler's ready and running
-// operations and the progress accounting the arbiter orders jobs by.
+// jobState is one job mid-run as the arbiter sees it: the progress
+// accounting it orders jobs by.
 type jobState struct {
 	Job
-	index int // position in the CoRun input (the determinism tie-breaker)
-
-	in      []int          // outstanding dependency counts, by NodeID
-	ready   []graph.NodeID // ready queue in enqueue order
-	running []*exec.Running
-	cores   int // physical cores the non-HT running operations occupy
-	done    int
-	records []exec.OpRecord
-
 	workNs        []float64 // predicted solo work per node, by NodeID; shared, read-only
 	totalWork     float64
 	remainingWork float64 // predicted solo time of the unfinished operations
-	finishNs      float64
-	saturated     bool // no more launches until the next completion event
+	seen          int     // completion records already folded into remainingWork
+	key           float64 // the arbiter's sort key this scheduling event
 }
 
 // active reports whether the job still has operations to finish.
-func (j *jobState) active() bool { return j.done < j.Graph.Len() }
+func (j *jobState) active() bool { return j.seen < j.Graph.Len() }
 
 // progress is the fraction of the job's predicted work already retired, in
 // [0,1] — what the fair-share arbiter equalizes.
@@ -50,41 +41,28 @@ type Options struct {
 	Machine *hw.Machine
 }
 
-// engine is the multi-job discrete-event loop: per-job ready bookkeeping,
-// one global running union, one shared clock.
-type engine struct {
-	m      *hw.Machine
-	arb    Arbiter
-	js     []*jobState
-	global *exec.State // Running is the union across jobs; Graph/Ready are the launching job's
-	done   int
-	total  int
-
-	// view is the per-job State scheduleJob hands a scheduler, reset on
-	// every call (a Scheduler interface call would move a fresh one to the
-	// heap); decs is the buffer schedulers append their decisions to;
-	// order is the current scheduling event's claim order. All three are
-	// reused across scheduling events.
-	view  exec.State
-	decs  []exec.Decision
-	order []*jobState
-}
-
 // SoloNs runs job alone on machine m (nil means hw.NewKNL()) under its own
 // scheduler and returns its makespan: the slowdown baseline CoRun divides
-// by. Runtime schedulers are already profiled, so this is the exact
-// single-job behaviour the facade's TrainStep produces. The value depends
-// only on the job's graph, scheduler and m, so callers that co-run the
-// same job many times may compute it once.
+// by. It is the one-job co-run, capped at every core (a lone unit-weight
+// job's cap under each arbiter), so it differs from exec.Run only where
+// the scheduler oversubscribes the machine. The value depends only on the
+// job's graph, scheduler and m, so callers that co-run the same job many
+// times may compute it once.
 func SoloNs(job Job, m *hw.Machine) (float64, error) {
+	if err := validateJobs([]Job{job}); err != nil {
+		return 0, err
+	}
 	if m == nil {
 		m = hw.NewKNL()
 	}
-	res, err := exec.Run(job.Graph, job.Sched, exec.Options{Machine: m})
+	solo := []exec.Job{{Name: job.Name, Graph: job.Graph, Sched: job.Sched}}
+	runs, err := exec.CoRun(solo, m, func(_ []exec.Result, dst []exec.Claim) []exec.Claim {
+		return append(dst, exec.Claim{Cap: m.Cores})
+	})
 	if err != nil {
-		return 0, fmt.Errorf("multijob: solo run of job %s: %w", job.Name, err)
+		return 0, err
 	}
-	return res.StepTimeNs, nil
+	return runs[0].StepTimeNs, nil
 }
 
 // CoTrain executes one training step of every job concurrently on one
@@ -128,233 +106,80 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 		m = hw.NewKNL()
 	}
 
-	e := &engine{m: m, arb: arb, global: &exec.State{Machine: m}, js: make([]*jobState, 0, len(jobs))}
+	p := &policy{m: m, arb: arb, js: make([]jobState, len(jobs))}
+	ej := make([]exec.Job, len(jobs))
 	for i, job := range jobs {
-		n := job.Graph.Len()
-		j := &jobState{Job: job, index: i, in: job.Graph.InDegrees(),
-			ready: make([]graph.NodeID, 0, n), records: make([]exec.OpRecord, 0, n)}
-		for id, d := range j.in {
-			if d == 0 {
-				j.ready = append(j.ready, graph.NodeID(id))
-			}
-		}
-		j.workNs = predictedWork(m, j.Graph)
+		j := &p.js[i]
+		j.Job, j.workNs = job, predictedWork(m, job.Graph)
 		for _, w := range j.workNs {
 			j.remainingWork += w
 		}
 		j.totalWork = j.remainingWork
-		e.js = append(e.js, j)
-		e.total += n
+		ej[i] = exec.Job{Name: job.Name, Graph: job.Graph, Sched: job.Sched}
+	}
+	runs, err := exec.CoRun(ej, m, p.claims)
+	if err != nil {
+		return nil, err
 	}
 
-	for e.done < e.total {
-		if err := e.scheduleEvent(); err != nil {
-			return nil, err
-		}
-		exec.RecomputeRates(e.global)
-		completed := exec.AdvanceToNextCompletion(e.global)
-		for _, r := range completed {
-			e.harvest(r)
-		}
-		for _, j := range e.js {
-			j.saturated = false
-		}
-	}
-
-	res := &Result{Arbiter: arb.Name(), Machine: m.String(), TotalNs: e.global.ClockNs,
-		Jobs: make([]JobResult, 0, len(e.js))}
-	progress := make([]float64, 0, len(e.js))
-	for i, j := range e.js {
+	res := &Result{Arbiter: arb.Name(), Machine: m.String(), Jobs: make([]JobResult, 0, len(jobs))}
+	progress := make([]float64, 0, len(jobs))
+	for i, run := range runs {
 		jr := JobResult{
-			Name: j.Name, Scheduler: j.Sched.Name(), Ops: j.done,
-			SoloNs: solos[i], MakespanNs: j.finishNs, Records: j.records,
+			Name: jobs[i].Name, Scheduler: run.Scheduler, Ops: len(run.Records),
+			SoloNs: solos[i], MakespanNs: run.StepTimeNs, Records: run.Records,
 		}
 		if jr.SoloNs > 0 {
 			jr.Slowdown = jr.MakespanNs / jr.SoloNs
 			progress = append(progress, jr.SoloNs/jr.MakespanNs)
 		}
+		res.TotalNs = max(res.TotalNs, jr.MakespanNs)
 		res.Jobs = append(res.Jobs, jr)
 	}
 	res.FairnessIndex = jainIndex(progress)
 	return res, nil
 }
 
-// scheduleEvent runs budgeted scheduling rounds until no job can launch,
-// forcing the first schedulable job past its budget whenever the machine
-// would otherwise sit idle — the progress guarantee that makes every
-// arbiter deadlock-free. The claim order and the active weight total are
-// computed once per event: only a harvest changes a sort key or which jobs
-// are active, and none runs mid-event.
-func (e *engine) scheduleEvent() error {
-	total := e.claimOrder()
-	for {
-		// Budgeted rounds: ask every unsaturated job in claim order until
-		// a full round launches nothing. ahead counts the cores the jobs
-		// already passed in the round hold, skipped jobs included.
-		for {
-			any := false
-			ahead := 0
-			for _, j := range e.order {
-				if !j.saturated && len(j.ready) > 0 {
-					n, err := e.scheduleJob(j, e.arb.budget(j, e.m, total, ahead))
-					if err != nil {
-						return err
-					}
-					if n > 0 {
-						any = true
-					}
-				}
-				ahead += j.cores
-			}
-			if !any {
-				break
-			}
-		}
-		if len(e.global.Running) > 0 {
-			return nil
-		}
-
-		// Nothing running and nothing fit a budget: let the first job in
-		// claim order launch unbudgeted so the machine never idles.
-		forced := false
-		for _, j := range e.order {
-			if len(j.ready) == 0 {
-				continue
-			}
-			j.saturated = false
-			n, err := e.scheduleJob(j, e.m.Cores)
-			if err != nil {
-				return err
-			}
-			if n > 0 {
-				forced = true
-				break
-			}
-		}
-		if !forced {
-			ready := 0
-			for _, j := range e.js {
-				ready += len(j.ready)
-			}
-			return fmt.Errorf("multijob: arbiter %q stalled with %d ready and %d done of %d ops",
-				e.arb.Name(), ready, e.done, e.total)
-		}
-		// With a host now in flight, re-poll every job before advancing the
-		// clock: clear the saturation flags set during the empty-machine
-		// rounds so the budgeted pass genuinely re-asks each scheduler
-		// (Strategy-4 guests, for one, only exist once a host is running).
-		for _, j := range e.js {
-			j.saturated = false
-		}
-	}
+// policy is the arbiter applied to one co-run: the claim order and caps
+// the loop consults at every scheduling event.
+type policy struct {
+	m   *hw.Machine
+	arb Arbiter
+	js  []jobState
 }
 
-// claimOrder sorts the active jobs into e.order by the arbiter's key,
-// breaking ties on job index, and returns their weight total summed in
-// index order.
-func (e *engine) claimOrder() float64 {
-	e.order = e.order[:0]
+// claims folds the records each job completed since the last scheduling
+// event into its remaining work, in completion order, then appends the
+// unfinished jobs to the empty dst in the arbiter's claim order, ties
+// broken on job index, each with its arbiter cap. The active weight total
+// is summed in index order.
+func (p *policy) claims(runs []exec.Result, dst []exec.Claim) []exec.Claim {
 	total := 0.0
-	for _, j := range e.js {
+	for i := range p.js {
+		j := &p.js[i]
+		for _, r := range runs[i].Records[j.seen:] {
+			j.remainingWork -= j.workNs[r.Node]
+			if j.remainingWork < 0 {
+				j.remainingWork = 0
+			}
+		}
+		j.seen = len(runs[i].Records)
 		if j.active() {
-			e.order = append(e.order, j)
+			j.key = p.arb.key(j)
+			dst = append(dst, exec.Claim{Job: i})
 			total += j.weight()
 		}
 	}
-	slices.SortFunc(e.order, func(a, b *jobState) int {
-		switch {
-		case e.arb.claimsFirst(a, b):
-			return -1
-		case e.arb.claimsFirst(b, a):
-			return 1
+	for k := range dst {
+		dst[k].Cap = p.arb.coreCap(&p.js[dst[k].Job], p.m, total)
+	}
+	slices.SortFunc(dst, func(a, b exec.Claim) int {
+		if c := p.arb.compare(&p.js[a.Job], &p.js[b.Job]); c != 0 {
+			return c
 		}
-		return cmp.Compare(a.index, b.index)
+		return cmp.Compare(a.Job, b.Job)
 	})
-	return total
-}
-
-// scheduleJob asks one job's scheduler for decisions against its own-job
-// view of the machine and launches those that keep the job within budget
-// physical cores. It returns the number of launches.
-func (e *engine) scheduleJob(j *jobState, budget int) (int, error) {
-	// The view a per-job runtime gets: its graph, its ready queue, its own
-	// in-flight operations. Cross-job interference is invisible to it —
-	// that is the arbiter's and the machine model's business.
-	view := &e.view
-	*view = exec.State{Machine: e.m, Graph: j.Graph, ClockNs: e.global.ClockNs,
-		Ready: j.ready, Running: j.running}
-	decs := j.Sched.Schedule(view, e.decs[:0])
-	e.decs = decs
-	if len(decs) == 0 {
-		j.saturated = true
-		return 0, nil
-	}
-
-	launched := 0
-	for _, d := range decs {
-		d.Job = j.index
-		if err := d.Validate(view); err != nil {
-			return launched, fmt.Errorf("multijob: job %s: %w", j.Name, err)
-		}
-		need := 0
-		if !d.HT {
-			need = d.Placement.CoresUsed(e.m, d.Threads)
-		}
-		if need > 0 && j.cores+need > budget {
-			// Over budget: drop the rest of the batch and wait for the next
-			// completion event (the scheduler would re-propose the same
-			// decisions forever otherwise).
-			j.saturated = true
-			break
-		}
-		// Launch into the union, which owns every Running; the job's own
-		// view tracks the same entry so both states advance together.
-		e.global.Graph, e.global.Ready = j.Graph, view.Ready
-		r, err := exec.Start(e.global, d)
-		if err != nil {
-			return launched, fmt.Errorf("multijob: job %s: %w", j.Name, err)
-		}
-		view.Ready = e.global.Ready
-		j.running = append(j.running, r)
-		j.cores += need
-		view.Running = j.running
-		launched++
-	}
-	j.ready = view.Ready
-	return launched, nil
-}
-
-// harvest retires one completed operation: record it, release its
-// dependents into the owning job's ready queue, and update the job's
-// progress accounting.
-func (e *engine) harvest(r *exec.Running) {
-	j := e.js[r.Job]
-	j.done++
-	e.done++
-	if !r.HT {
-		j.cores -= r.Placement.CoresUsed(e.m, r.Threads)
-	}
-	j.finishNs = e.global.ClockNs
-	j.remainingWork -= j.workNs[r.Node]
-	if j.remainingWork < 0 {
-		j.remainingWork = 0
-	}
-	j.records = append(j.records, exec.OpRecord{
-		Node: r.Node, Threads: r.Threads, Placement: r.Placement,
-		HT: r.HT, StartNs: r.StartNs, FinishNs: e.global.ClockNs,
-	})
-	for i, o := range j.running {
-		if o == r {
-			j.running = append(j.running[:i], j.running[i+1:]...)
-			break
-		}
-	}
-	for _, c := range j.Graph.Node(r.Node).Consumers() {
-		j.in[c]--
-		if j.in[c] == 0 {
-			j.ready = append(j.ready, c)
-		}
-	}
+	return dst
 }
 
 // PredictedSoloWorkNs prices graph g's total predicted solo execution time

@@ -1,7 +1,7 @@
 // Package multijob is the cross-job co-scheduling layer: it executes
 // several independent training jobs — each a dataflow graph driven by its
-// own per-job scheduler — concurrently on one hw.Machine through a single
-// shared virtual clock.
+// own per-job scheduler — concurrently on one hw.Machine through exec's
+// one op-event loop.
 //
 // The paper's runtime tunes concurrency for one training job; its machine
 // model (bandwidth contention, SMT sharing, core partitioning) is exactly
@@ -13,23 +13,21 @@
 //   - each job keeps its own unmodified exec.Scheduler (the paper's runtime,
 //     or a FIFO baseline) and sees only its own ready and running
 //     operations — exactly what an uncoordinated per-job runtime knows;
-//   - a cross-job Arbiter, one of a closed set of policies, decides at
-//     every scheduling event which jobs claim cores first and how many each
-//     may hold (fair-share budgets, strict priority, or
-//     shortest-remaining-work-first over perfmodel predictions). The claim
-//     order is sorted once per event, since only a completion changes a
-//     sort key.
+//   - a cross-job Arbiter, one of a closed set of policies, is the claim
+//     policy the loop consults once per scheduling event: which jobs claim
+//     cores first and how many each may hold (fair-share budgets, strict
+//     priority, or shortest-remaining-work-first over perfmodel
+//     predictions, folded from the loop's completion records).
 //
-// Interference is not arbitrated away: the engine keeps the union of every
-// job's in-flight operations in one exec.State and reprices all of them
-// together (exec.RecomputeRates), so memory-bandwidth saturation, mesh
+// Interference is not arbitrated away: the loop reprices every job's
+// in-flight operations together, so memory-bandwidth saturation, mesh
 // interference and SMT stacking between jobs genuinely slow each other
-// down. A job's co-run makespan is therefore never better than its solo
-// makespan, and CoTrain reports the per-job slowdown plus a Jain fairness
-// index over solo-normalized progress. CoTrain is SoloNs for every job
-// followed by CoRun; a caller that co-runs the same jobs many times (the
-// cluster engine's CPU nodes) prices each solo baseline once and calls
-// CoRun directly.
+// down. CoTrain is SoloNs for every job followed by CoRun, and reports the
+// per-job slowdown plus a Jain fairness index over solo-normalized
+// progress. The solo baseline is the one-job co-run under the same core
+// cap, so a lone job's slowdown is exactly 1. A caller that co-runs the
+// same jobs many times (the cluster engine's CPU nodes) prices each solo
+// baseline once and calls CoRun directly.
 package multijob
 
 import (

@@ -98,19 +98,26 @@ func TestCoTrainDeterminism(t *testing.T) {
 }
 
 // TestSingleJobMatchesSolo: a co-run of one job is exactly that job's solo
-// run — no phantom contention, slowdown exactly 1.
+// run — no phantom contention, slowdown exactly 1 and fairness exactly 1 —
+// under every arbiter, for the runtime under every strategy configuration
+// and every point of the manual FIFO grid, the oversubscribed ones
+// included.
 func TestSingleJobMatchesSolo(t *testing.T) {
 	m := hw.NewKNL()
-	res, err := CoTrain(runtimeJobs(t, m, nn.LSTM), FairShare, Options{Machine: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr := res.Jobs[0]
-	if jr.MakespanNs != jr.SoloNs {
-		t.Errorf("single-job co-run %.3fns != solo %.3fns", jr.MakespanNs, jr.SoloNs)
-	}
-	if res.FairnessIndex != 1 {
-		t.Errorf("single-job fairness %.4f, want 1", res.FairnessIndex)
+	for _, name := range []string{nn.LSTM, nn.DCGAN} {
+		for _, job := range soloJobs(t, m, nn.MustBuild(name).Graph, func(core.ManualConfig) bool { return true }) {
+			for _, arbName := range Arbiters() {
+				arb, _ := NewArbiter(arbName)
+				res, err := CoTrain([]Job{job}, arb, Options{Machine: m})
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", name, job.Name, arbName, err)
+				}
+				if jr := res.Jobs[0]; jr.Slowdown != 1 || res.FairnessIndex != 1 {
+					t.Errorf("%s %s %s: solo %.0fns, co-run %.0fns, slowdown %v, fairness %v; want 1 and 1",
+						name, job.Name, arbName, jr.SoloNs, jr.MakespanNs, jr.Slowdown, res.FairnessIndex)
+				}
+			}
+		}
 	}
 }
 

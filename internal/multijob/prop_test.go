@@ -87,8 +87,10 @@ func TestCoTrainSlowdownProperty(t *testing.T) {
 		}
 		jobs := make([]Job, nJobs)
 		for i := range jobs {
+			// Inter-op 1-4 and intra-op 8-136 span core.DefaultGrid's range,
+			// oversubscribed FIFO configurations included.
 			j := FIFOJob(fmt.Sprintf("j%d", i), randomGraph(rng, fmt.Sprintf("g%d", i)),
-				1+rng.Intn(2), 8+rng.Intn(61))
+				1+rng.Intn(4), 8+rng.Intn(129))
 			j.Weight = 0.5 + rng.Float64()*2
 			j.Priority = rng.Intn(3)
 			jobs[i] = j
@@ -118,62 +120,34 @@ func TestCoTrainSlowdownProperty(t *testing.T) {
 }
 
 // referenceOrder is the arbiter order as a stable library sort: the
-// unfinished jobs by less, ties on job index. The engine's one-pass claim
+// unfinished jobs by less, ties on job index. The policy's one-pass claim
 // order must reproduce it exactly.
-func referenceOrder(js []*jobState, less func(a, b *jobState) bool) []*jobState {
-	var out []*jobState
-	for _, j := range js {
-		if j.active() {
-			out = append(out, j)
+func referenceOrder(js []jobState, less func(a, b *jobState) bool) []int {
+	var out []int
+	for i := range js {
+		if js[i].active() {
+			out = append(out, i)
 		}
 	}
 	sort.SliceStable(out, func(i, k int) bool {
-		if less(out[i], out[k]) {
+		if less(&js[out[i]], &js[out[k]]) {
 			return true
 		}
-		if less(out[k], out[i]) {
+		if less(&js[out[k]], &js[out[i]]) {
 			return false
 		}
-		return out[i].index < out[k].index
+		return out[i] < out[k]
 	})
 	return out
 }
 
-// coresInUse sums the physical cores j's non-HT running operations occupy
-// afresh, the quantity the engine keeps in jobState.cores.
-func coresInUse(j *jobState, m *hw.Machine) int {
-	used := 0
-	for _, r := range j.running {
-		if !r.HT {
-			used += r.Placement.CoresUsed(m, r.Threads)
-		}
-	}
-	return used
-}
-
-// leftoverBudget is the strict-ordering budget by definition: job j may
-// hold whatever the jobs ahead of it in ordered do not.
-func leftoverBudget(j *jobState, ordered []*jobState, m *hw.Machine) int {
-	b := m.Cores
-	for _, o := range ordered {
-		if o == j {
-			break
-		}
-		b -= coresInUse(o, m)
-	}
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
 // fairBudget is the fair-share budget by definition: floor(Cores * w_j /
 // sum of active weights), never below one core.
-func fairBudget(j *jobState, js []*jobState, m *hw.Machine) int {
+func fairBudget(j *jobState, js []jobState, m *hw.Machine) int {
 	total := 0.0
-	for _, o := range js {
-		if o.active() {
-			total += o.weight()
+	for i := range js {
+		if js[i].active() {
+			total += js[i].weight()
 		}
 	}
 	return max(int(float64(m.Cores)*j.weight()/total), 1)
@@ -181,41 +155,33 @@ func fairBudget(j *jobState, js []*jobState, m *hw.Machine) int {
 
 // randomJobStates builds a mid-run job set whose sort keys collide on
 // purpose: progress, priority and remaining work each come from a handful
-// of values, weights from a few (zero meaning 1), some jobs are finished,
-// and every job holds a random set of running operations. Shuffled input
-// order makes the index tie-break matter.
-func randomJobStates(rng *rand.Rand, g *graph.Graph, m *hw.Machine) []*jobState {
-	js := make([]*jobState, 1+rng.Intn(10))
+// of values, weights from a few (zero meaning 1), and some jobs are
+// finished. Each job's progress is already folded (its records are the
+// empty runs the test passes), so the claim order reads these keys as
+// they are.
+func randomJobStates(rng *rand.Rand, g *graph.Graph) []jobState {
+	js := make([]jobState, 1+rng.Intn(10))
 	for i := range js {
-		j := &jobState{Job: Job{Name: fmt.Sprintf("j%d", i), Graph: g, Priority: rng.Intn(3),
-			Weight: float64(rng.Intn(4)) * 0.75}, index: i}
+		j := jobState{Job: Job{Name: fmt.Sprintf("j%d", i), Graph: g, Priority: rng.Intn(3),
+			Weight: float64(rng.Intn(4)) * 0.75}}
 		if rng.Intn(5) == 0 {
-			j.done = g.Len()
+			j.seen = g.Len()
 		}
 		j.totalWork = float64(rng.Intn(3)) * 100
 		j.remainingWork = float64(rng.Intn(3)) * 50
 		if j.remainingWork > j.totalWork {
 			j.remainingWork = j.totalWork
 		}
-		for k := rng.Intn(3); k > 0; k-- {
-			pl := hw.Shared
-			if rng.Intn(2) == 0 {
-				pl = hw.Spread
-			}
-			j.running = append(j.running, &exec.Running{Threads: 1 + rng.Intn(40), Placement: pl, HT: rng.Intn(4) == 0})
-		}
-		j.cores = coresInUse(j, m)
 		js[i] = j
 	}
-	rng.Shuffle(len(js), func(a, b int) { js[a], js[b] = js[b], js[a] })
 	return js
 }
 
 // TestArbiterOrderMatchesStableSort: on random job sets with deliberate
 // ties, every arbiter's one-pass claim order equals the stable-sort
-// reference, and the budget each job gets from the running count of
-// cores held ahead of it in that order equals the budget by definition —
-// leftoverBudget for the strict orders, fairBudget for fair share.
+// reference, and each claim carries the cap by definition — fairBudget
+// under fair share, and under the strict orders exec.Leftover, whatever
+// the jobs ahead in that order leave idle.
 func TestArbiterOrderMatchesStableSort(t *testing.T) {
 	m := hw.NewKNL()
 	g := randomGraph(rand.New(rand.NewSource(1)), "g")
@@ -226,31 +192,35 @@ func TestArbiterOrderMatchesStableSort(t *testing.T) {
 	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		js := randomJobStates(rng, g, m)
+		js := randomJobStates(rng, g)
+		runs := make([]exec.Result, len(js))
+		for i := range js {
+			runs[i].Records = make([]exec.OpRecord, js[i].seen)
+		}
 		for _, name := range Arbiters() {
 			arb, err := NewArbiter(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &engine{m: m, arb: arb, js: js}
-			total := e.claimOrder()
-			want := referenceOrder(js, less[arb])
-			if !slices.Equal(e.order, want) {
-				t.Logf("seed=%d %s: claim order differs from the stable sort", seed, name)
+			p := &policy{m: m, arb: arb, js: js}
+			claims := p.claims(runs, nil)
+			got := make([]int, len(claims))
+			for k, c := range claims {
+				got[k] = c.Job
+			}
+			if want := referenceOrder(js, less[arb]); !slices.Equal(got, want) {
+				t.Logf("seed=%d %s: claim order %v differs from the stable sort %v", seed, name, got, want)
 				return false
 			}
-			ahead := 0
-			for _, j := range e.order {
-				b := arb.budget(j, m, total, ahead)
-				ref := leftoverBudget(j, want, m)
+			for _, c := range claims {
+				ref := exec.Leftover
 				if arb == FairShare {
-					ref = fairBudget(j, js, m)
+					ref = fairBudget(&js[c.Job], js, m)
 				}
-				if b != ref {
-					t.Logf("seed=%d %s job %d: budget %d, reference %d", seed, name, j.index, b, ref)
+				if c.Cap != ref {
+					t.Logf("seed=%d %s job %d: cap %d, reference %d", seed, name, c.Job, c.Cap, ref)
 					return false
 				}
-				ahead += j.cores
 			}
 		}
 		return true
