@@ -3,6 +3,7 @@ package multijob
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"opsched/internal/exec"
@@ -92,7 +93,42 @@ func (a Arbiter) compare(x, y *jobState) int {
 // orders. total is the active jobs' weight sum.
 func (a Arbiter) coreCap(j *jobState, m *hw.Machine, total float64) int {
 	if a == FairShare {
-		return max(int(float64(m.Cores)*j.weight()/total), 1)
+		return max(fairShare(m.Cores, j.weight(), total), 1)
 	}
 	return exec.Leftover
+}
+
+// fairShare is floor(cores * w / total), exact for the given float64
+// values. The rounded quotient alone can land just below an exact integer:
+// a lone job of weight 1.887676273034419 on 68 cores computes
+// 68*w/w = 67.99…, one core short of the whole machine. The quotient q is
+// two roundings from the exact one, so within q·2^-51 of it, and its floor
+// is exact unless q lies that close to an integer. There each step
+// compares n * total with cores * w exactly.
+func fairShare(cores int, w, total float64) int {
+	c := float64(cores)
+	q := c * w / total
+	n := math.Floor(q)
+	if m := q * 0x1p-50; q-n > m && n+1-q > m {
+		return int(n)
+	}
+	for n < c && productLE(n+1, total, c, w) {
+		n++
+	}
+	for n > 0 && !productLE(n, total, c, w) {
+		n--
+	}
+	return int(n)
+}
+
+// productLE reports whether a*b <= c*d for the exact real products of
+// finite float64 values. Rounding is monotone, so unequal rounded
+// products order the exact ones; equal ones differ only by their rounding
+// errors, which an FMA gives exactly (barring underflow).
+func productLE(a, b, c, d float64) bool {
+	p, q := float64(a*b), float64(c*d)
+	if p != q {
+		return p < q
+	}
+	return math.FMA(a, b, -p) <= math.FMA(c, d, -q)
 }

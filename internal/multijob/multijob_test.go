@@ -2,6 +2,8 @@ package multijob
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -116,6 +118,68 @@ func TestSingleJobMatchesSolo(t *testing.T) {
 					t.Errorf("%s %s %s: solo %.0fns, co-run %.0fns, slowdown %v, fairness %v; want 1 and 1",
 						name, job.Name, arbName, jr.SoloNs, jr.MakespanNs, jr.Slowdown, res.FairnessIndex)
 				}
+			}
+		}
+	}
+}
+
+// TestFairShareFloorsExactly: the fair share is the exact floor of
+// Cores * w / total. The weights are ones whose rounded quotient 68*w/w
+// fell to 67.99…, which capped a lone job one core short of the machine
+// it ran alone on: a lone FIFO 2×34 LSTM reported slowdown 1.064. A lone
+// job of each weight now gets the whole machine and slowdown exactly 1,
+// and k equal weights get Cores/k wherever k divides Cores and the
+// float64 sum of the k weights is exact. Random weight sets match the
+// exact rational floor.
+func TestFairShareFloorsExactly(t *testing.T) {
+	m := hw.NewKNL()
+	lstm := nn.MustBuild(nn.LSTM).Graph
+	weights := []float64{1.887676273034419, 1.9253252243293453, 996339.6111992765}
+	split := 0
+	for _, w := range weights {
+		job := FIFOJob("lone", lstm, 2, 34)
+		job.Weight = w
+		res, err := CoTrain([]Job{job}, FairShare, Options{Machine: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jr := res.Jobs[0]; jr.Slowdown != 1 {
+			t.Errorf("weight %v: lone job's slowdown %v, want 1", w, jr.Slowdown)
+		}
+		for _, cores := range []int{m.Cores, 4 * m.Cores} {
+			for k := 1; k <= cores; k++ {
+				total := 0.0
+				for i := 0; i < k; i++ {
+					total += w
+				}
+				exact := new(big.Rat).Mul(new(big.Rat).SetFloat64(w), new(big.Rat).SetInt64(int64(k)))
+				if cores%k != 0 || exact.Cmp(new(big.Rat).SetFloat64(total)) != 0 {
+					continue
+				}
+				if k > 1 {
+					split++
+				}
+				if got := fairShare(cores, w, total); got != cores/k {
+					t.Errorf("weight %v, %d cores, %d equal jobs: share %d, want %d", w, cores, k, got, cores/k)
+				}
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no equal-weight split had an exact weight sum")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 2000; n++ {
+		cores := 1 + rng.Intn(300)
+		ws := make([]float64, 1+rng.Intn(8))
+		total := 0.0
+		for i := range ws {
+			ws[i] = math.Ldexp(1+rng.Float64(), rng.Intn(40)-20)
+			total += ws[i]
+		}
+		for _, w := range ws {
+			if got, want := fairShare(cores, w, total), exactFloorShare(cores, w, total); got != want {
+				t.Fatalf("%d cores, weight %v of %v: share %d, exact floor %d", cores, w, total, got, want)
 			}
 		}
 	}

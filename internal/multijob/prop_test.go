@@ -2,6 +2,7 @@ package multijob
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sort"
@@ -142,7 +143,8 @@ func referenceOrder(js []jobState, less func(a, b *jobState) bool) []int {
 }
 
 // fairBudget is the fair-share budget by definition: floor(Cores * w_j /
-// sum of active weights), never below one core.
+// sum of active weights), never below one core, with the quotient taken
+// exactly over the summed float64 weights.
 func fairBudget(j *jobState, js []jobState, m *hw.Machine) int {
 	total := 0.0
 	for i := range js {
@@ -150,7 +152,16 @@ func fairBudget(j *jobState, js []jobState, m *hw.Machine) int {
 			total += js[i].weight()
 		}
 	}
-	return max(int(float64(m.Cores)*j.weight()/total), 1)
+	return max(exactFloorShare(m.Cores, j.weight(), total), 1)
+}
+
+// exactFloorShare is floor(cores * w / total) in exact rational
+// arithmetic.
+func exactFloorShare(cores int, w, total float64) int {
+	q := new(big.Rat).SetFloat64(w)
+	q.Mul(q, new(big.Rat).SetInt64(int64(cores)))
+	q.Quo(q, new(big.Rat).SetFloat64(total))
+	return int(new(big.Int).Quo(q.Num(), q.Denom()).Int64())
 }
 
 // randomJobStates builds a mid-run job set whose sort keys collide on

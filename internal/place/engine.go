@@ -284,6 +284,7 @@ type Engine struct {
 	jobSegs [bits.UintSize - jobSegShift][]jobRec
 	n       int
 
+	// nodes point into one slab of node states, allocated together.
 	nodes     []*nodeState
 	policy    string // a built-in policy name (checkPolicy)
 	arb       multijob.Arbiter
@@ -303,6 +304,7 @@ type Engine struct {
 	anyInference bool
 
 	events    eventHeap
+	idle      idleIndex // quiescent nodes per runtime, kept by push (fused.go)
 	idxW      int
 	completed int
 	arrivalNs float64 // admission high-water mark: arrivals must not regress
@@ -374,9 +376,11 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 		preemptOn: preemptOn, triggers: triggers,
 	}
 	e.nodes = make([]*nodeState, len(runtimes))
+	slab := make([]nodeState, len(runtimes))
 	e.rtIdx = make([]int, len(runtimes))
 	for i, rt := range runtimes {
-		e.nodes[i] = &nodeState{rt: rt, minReadyNs: math.Inf(1)}
+		slab[i] = nodeState{rt: rt, minReadyNs: math.Inf(1)}
+		e.nodes[i] = &slab[i]
 		idx := -1
 		for k, u := range e.uniqueRts {
 			if u == rt {
@@ -394,9 +398,11 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	}
 	e.rtWorkBuf = make([]float64, len(e.uniqueRts))
 	e.events = newEventHeap(len(e.nodes))
-	e.idxW = len(fmt.Sprintf("%d", len(e.nodes)-1))
-	if e.idxW < 2 {
-		e.idxW = 2
+	e.idle = newIdleIndex(len(e.uniqueRts), e.rtIdx)
+	// Node labels pad to the widest index, at least two digits.
+	e.idxW = 2
+	for n := len(e.nodes) - 1; n >= 100; n /= 10 {
+		e.idxW++
 	}
 	e.attachObs(opts.Obs)
 	return e, nil
@@ -616,9 +622,13 @@ func (e *Engine) info(model string) *modelInfo {
 	return mi
 }
 
-// push re-indexes node i in the event heap at its next event.
+// push re-indexes node i in the event heap at its next event and in the
+// quiescent-node index. Every change to a node's wave or queue ends in a
+// push before the next arrival is placed.
 func (e *Engine) push(i int) {
-	e.events.set(i, e.nodes[i].nextEventNs())
+	ns := e.nodes[i]
+	e.events.set(i, ns.nextEventNs())
+	e.idle.mark(e.rtIdx[i], i, ns.wave == nil && len(ns.queue) == 0)
 }
 
 // peek returns the earliest pending node event on (time, node index), or

@@ -3,6 +3,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Placement policies.
@@ -22,6 +23,13 @@ import (
 // it, so the scan returns right there with exactly the node a full scan
 // would pick. A fleet with idle nodes thus stops at the first idle node it
 // reaches; a fleet with none still scans every node.
+//
+// The model-aware policy finds an arrival's floor node without walking the
+// busy nodes ahead of it: the engine keeps, per distinct runtime, a bitset
+// of its quiescent nodes (idleIndex), and floorNode reads the floor node
+// off it with a find-first-set. It answers only where it can prove the
+// scan would stop at that same node, and otherwise leaves the pick to the
+// scan (see floorNode).
 
 // The built-in placement policies, spelled as Options.Policy names them.
 const (
@@ -104,18 +112,32 @@ func (e *Engine) nodeLoadFree(i int, nowNs float64) (load int, freeNs float64) {
 // The same scan picks a checkpointed job's restart node (restartNode):
 // work then prices the job's remaining steps, and every node but the
 // source src delays the start by delayNs, the checkpoint transfer plus
-// re-staging. An arrival passes src -1 and delayNs 0.
+// re-staging. An arrival passes src -1 and delayNs 0. acc must be empty.
 //
 // The floor is min over runtimes k of nowNs + work[k]: a node's start is at
 // least nowNs (delayNs is non-negative), predicted work, co-runner count
 // and alpha are all non-negative, and float rounding is monotone, so no
 // node's est falls below its runtime's nowNs + work[k] — and an idle, empty
-// node's est is exactly that.
+// node's est is exactly that. An arrival first asks the quiescent-node
+// index for the node the scan would stop at (floorNode); a restart, and an
+// arrival the index cannot answer, walks the nodes in index order.
 func (e *Engine) scanModelAware(nowNs float64, work []float64, src int, delayNs float64, acc *pickAcc) {
 	floor := math.Inf(1)
 	for _, w := range work {
 		floor = min(floor, nowNs+w)
 	}
+	if src < 0 && delayNs == 0 {
+		if n := e.floorNode(nowNs, work, floor); n >= 0 {
+			acc.best, acc.bestKey = n, floor
+			return
+		}
+	}
+	e.walkModelAware(nowNs, work, src, delayNs, floor, acc)
+}
+
+// walkModelAware is scanModelAware's linear scan: every node in index
+// order until the running best reaches floor.
+func (e *Engine) walkModelAware(nowNs float64, work []float64, src int, delayNs, floor float64, acc *pickAcc) {
 	delayed := nowNs + delayNs
 	for i := range e.nodes {
 		k := e.rtIdx[i]
@@ -133,7 +155,7 @@ func (e *Engine) scanModelAware(nowNs float64, work []float64, src int, delayNs 
 		if co > capk-1 {
 			co = capk - 1
 		}
-		est := start + work[k]*(1+e.rtAlpha[k]*float64(co))
+		est := finishEst(start, work[k], e.rtAlpha[k], co)
 		if load >= capk {
 			est += e.nodes[i].queuedWorkNs / float64(capk)
 			if acc.fall < 0 || est < acc.fallKey {
@@ -148,6 +170,113 @@ func (e *Engine) scanModelAware(nowNs float64, work []float64, src int, delayNs 
 			}
 		}
 	}
+}
+
+// finishEst is the model-aware finish estimate of work started at startNs
+// beside co co-runners on hardware with interference factor alpha. The
+// scan and floorNode's lower bound share it, so both round alike.
+func finishEst(startNs, work, alpha float64, co int) float64 {
+	return startNs + work*(1+alpha*float64(co))
+}
+
+// floorNode returns the node the model-aware scan of an arrival at nowNs
+// (no source, no delay) stops at, read off the quiescent-node index: the
+// lowest-index quiescent node of a runtime k with nowNs + work[k] == floor.
+// It returns -1, leaving the pick to the scan, unless it can prove the scan
+// stops at that node:
+//
+//   - No node event is pending at or before nowNs. Arrive leaves events at
+//     exactly the arrival instant pending, and a wave whose round ends by
+//     nowNs may have drained: the scan reads it as an empty node, the
+//     index as a busy one. Past that guard, every in-flight wave drains
+//     after nowNs and holds at least one job.
+//   - Every runtime k has a finite, non-negative alpha, and its
+//     occupied-node lower bound finishEst(nowNs, work[k], alpha[k], 1) lies
+//     strictly above floor. A node that is not quiescent starts at nowNs
+//     or later beside at least one co-runner (or is full, a fallback the
+//     scan never stops at), and finishEst is monotone in both, so its est
+//     is above floor and never NaN: the scan passes it. The bound rules
+//     out zero, negative and NaN work, alpha 0, and an alpha or work gap
+//     too small to survive rounding; +Inf work only keeps a runtime's
+//     nodes off the floor.
+//   - The node found is idle by nowNs (freeNs <= nowNs). Empty, it has
+//     room (every capacity is at least one), and its est is exactly floor.
+//     A quiescent node before it belongs to a runtime whose nowNs + work[k]
+//     is above floor, and so is its est.
+//
+// The scan then passes every node before the one found and stops there.
+func (e *Engine) floorNode(nowNs float64, work []float64, floor float64) int {
+	if _, t := e.events.top(); t <= nowNs {
+		return -1
+	}
+	n := len(e.nodes)
+	for k, w := range work {
+		a := e.rtAlpha[k]
+		if !(a >= 0 && a <= math.MaxFloat64) || !(finishEst(nowNs, w, a, 1) > floor) {
+			return -1
+		}
+		if nowNs+w == floor {
+			n = e.idle.first(k, n)
+		}
+	}
+	if n == len(e.nodes) || e.nodes[n].freeNs > nowNs {
+		return -1
+	}
+	return n
+}
+
+// idleIndex is the set of quiescent nodes — no wave in flight, nothing
+// staged — as one bitset over node indices per distinct runtime. The
+// engine's push keeps it current.
+type idleIndex struct {
+	words int      // uint64 words per runtime
+	bits  []uint64 // runtime k's set is bits[k*words : (k+1)*words]
+}
+
+// newIdleIndex returns the index of a fresh fleet, whose nodes are all
+// quiescent; rtIdx maps each node to its runtime.
+func newIdleIndex(runtimes int, rtIdx []int) idleIndex {
+	x := idleIndex{words: (len(rtIdx) + 63) / 64}
+	x.bits = make([]uint64, runtimes*x.words)
+	for i, k := range rtIdx {
+		x.mark(k, i, true)
+	}
+	return x
+}
+
+// mark records whether node i of runtime k is quiescent.
+func (x *idleIndex) mark(k, i int, quiescent bool) {
+	w := &x.bits[k*x.words+i>>6]
+	if quiescent {
+		*w |= 1 << (i & 63)
+	} else {
+		*w &^= 1 << (i & 63)
+	}
+}
+
+// any reports whether any node is quiescent.
+func (x *idleIndex) any() bool {
+	for _, w := range x.bits {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// first returns runtime k's lowest quiescent node below limit, or limit
+// when it has none there.
+func (x *idleIndex) first(k, limit int) int {
+	set := x.bits[k*x.words : (k+1)*x.words]
+	for wi, w := range set {
+		if wi<<6 >= limit {
+			break
+		}
+		if w != 0 {
+			return min(wi<<6+bits.TrailingZeros64(w), limit)
+		}
+	}
+	return limit
 }
 
 // scanBinPack folds every node into acc under the binpack policy, which

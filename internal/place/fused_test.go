@@ -16,20 +16,28 @@ import (
 // small fleet keeps every node busy; the wide one, under a dense stream,
 // leaves many nodes idle and tied, so the floor cutoff must fire — the
 // test counts the picks whose key reached the floor with later nodes left
-// unscanned and requires some per policy.
+// unscanned and requires some per policy, and under model-aware some picks
+// the quiescent-node index answered. The third stream's arrivals land
+// exactly on pending node events, advanced under Arrive's tie rule, so
+// the index's pending-event guard must hand some picks to the scan. After
+// every engine event the index must hold exactly the quiescent nodes.
 func TestFusedPickMatchesPick(t *testing.T) {
 	fleets := []struct {
 		name      string
 		cluster   Cluster
 		w         Workload
+		onEvents  bool // arrivals move to the earliest pending event
 		wantFloor bool
+		wantIndex bool
 	}{
 		{"3cpu+5gpu", Cluster{Nodes: 3, GPUs: 5},
 			MustSynthetic(30, 11, []string{nn.LSTM, nn.DCGAN, nn.ResNet50}, 2e6).
-				Merge(MustSyntheticInference(12, 13, []string{nn.DCGAN}, 3e6, 50e6)), false},
+				Merge(MustSyntheticInference(12, 13, []string{nn.DCGAN}, 3e6, 50e6)), false, false, false},
 		{"8cpu+40gpu", Cluster{Nodes: 8, GPUs: 40},
 			MustSynthetic(160, 17, []string{nn.LSTM, nn.DCGAN, nn.ResNet50}, 1e5).
-				Merge(MustSyntheticInference(80, 19, []string{nn.LSTM, nn.DCGAN}, 2e5, 50e6)), true},
+				Merge(MustSyntheticInference(80, 19, []string{nn.LSTM, nn.DCGAN}, 2e5, 50e6)), false, true, true},
+		{"4cpu+12gpu on events", Cluster{Nodes: 4, GPUs: 12},
+			MustSynthetic(60, 23, []string{nn.LSTM, nn.DCGAN, nn.ResNet50}, 1e6), true, false, false},
 	}
 	for _, fl := range fleets {
 		for _, policy := range Policies() {
@@ -37,17 +45,32 @@ func TestFusedPickMatchesPick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkIdleIndex(t, e)
 			ref := referencePolicy(policy)
-			floorHits := 0
+			floorHits, indexPicks, pendingScans := 0, 0, 0
 			for i, sp := range fl.w {
+				if fl.onEvents {
+					if _, at := e.peek(); !math.IsInf(at, 1) {
+						sp.ArrivalNs = max(at, e.arrivalNs)
+					}
+				}
 				ji, err := e.Admit(sp)
 				if err != nil {
 					t.Fatalf("%s %s job %d: %v", fl.name, policy, i, err)
 				}
 				// Advance the clock so picks see waves mid-flight, drained
-				// nodes and staged queues, not just an empty fleet.
-				if _, err := e.AdvanceTo(sp.ArrivalNs); err != nil {
-					t.Fatalf("%s %s advance %d: %v", fl.name, policy, i, err)
+				// nodes and staged queues, not just an empty fleet; on
+				// events, only past the events before the arrival, as
+				// Arrive does.
+				for {
+					n, at := e.peek()
+					if n < 0 || at > sp.ArrivalNs || fl.onEvents && at == sp.ArrivalNs {
+						break
+					}
+					if err := e.step(); err != nil {
+						t.Fatalf("%s %s advance %d: %v", fl.name, policy, i, err)
+					}
+					checkIdleIndex(t, e)
 				}
 				views := referenceViews(e, ji, sp.ArrivalNs)
 				want := ref.Pick(e.job(ji).spec, sp.ArrivalNs, views)
@@ -58,15 +81,69 @@ func TestFusedPickMatchesPick(t *testing.T) {
 				if got < len(views)-1 && atFloor(policy, views, sp.ArrivalNs, got) {
 					floorHits++
 				}
+				if policy == policyModelAware {
+					if n := indexPick(e, ji, sp.ArrivalNs); n >= 0 {
+						indexPicks++
+					} else if _, at := e.peek(); at <= sp.ArrivalNs {
+						pendingScans++
+					}
+				}
 				if err := e.place(ji, got, sp.ArrivalNs); err != nil {
 					t.Fatalf("%s %s place %d: %v", fl.name, policy, i, err)
 				}
+				checkIdleIndex(t, e)
 			}
 			if fl.wantFloor && floorHits == 0 {
 				t.Errorf("%s %s: no pick reached the floor before the last node; the cutoff never fired", fl.name, policy)
 			}
+			if policy != policyModelAware {
+				continue
+			}
+			if fl.wantIndex && indexPicks == 0 {
+				t.Errorf("%s: the quiescent-node index answered no pick", fl.name)
+			}
+			if fl.onEvents && pendingScans == 0 {
+				t.Errorf("%s: no arrival met a pending node event; the guard was never exercised", fl.name)
+			}
+			t.Logf("%s: %d index picks, %d pending-event scans of %d", fl.name, indexPicks, pendingScans, len(fl.w))
 		}
 	}
+}
+
+// indexPick is what the quiescent-node index answers for admitted job ji
+// arriving at nowNs: its floor node, or -1 when the pick falls to the scan.
+func indexPick(e *Engine, ji int, nowNs float64) int {
+	work := e.jobWorkPerRuntime(ji)
+	floor := math.Inf(1)
+	for _, w := range work {
+		floor = min(floor, nowNs+w)
+	}
+	return e.floorNode(nowNs, work, floor)
+}
+
+// checkIdleIndex fails t unless e's quiescent-node index holds exactly the
+// nodes with no wave in flight and nothing staged, each under its own
+// runtime, and no bit past the last node.
+func checkIdleIndex(t *testing.T, e *Engine) {
+	t.Helper()
+	for k := range e.uniqueRts {
+		for i := 0; i < e.idle.words*64; i++ {
+			got := e.idle.bits[k*e.idle.words+i>>6]>>(i&63)&1 == 1
+			want := i < len(e.nodes) && e.rtIdx[i] == k &&
+				e.nodes[i].wave == nil && len(e.nodes[i].queue) == 0
+			if got != want {
+				t.Fatalf("idle index: runtime %d node %d marked %v, want %v", k, i, got, want)
+			}
+		}
+	}
+}
+
+// pokeNode applies a hand-built change to node n's state, then re-indexes
+// the node in the event heap and the quiescent-node index, as every engine
+// change to a node does.
+func pokeNode(e *Engine, n int, f func(ns *nodeState)) {
+	f(e.nodes[n])
+	e.push(n)
 }
 
 // atFloor reports whether the reference policy's pick among views carries
@@ -140,18 +217,22 @@ func TestFusedPickFloorEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range tc.busy {
-				e.nodes[n].queue = []int{ji}
-				e.nodes[n].freeNs = 2 * now
+				pokeNode(e, n, func(ns *nodeState) {
+					ns.queue = []int{ji}
+					ns.freeNs = 2 * now
+				})
 			}
 			for n, q := range tc.queued {
-				e.nodes[n].queue = make([]int, q)
+				pokeNode(e, n, func(ns *nodeState) { ns.queue = make([]int, q) })
 			}
 			if tc.full {
-				for i, ns := range e.nodes {
+				for i := range e.nodes {
 					// Load falls with the index, so the fallback is the
 					// last node and the scan has to reach it.
-					ns.queue = make([]int, e.rtCap[e.rtIdx[i]]+len(e.nodes)-i)
-					ns.queuedWorkNs = float64(len(ns.queue)) * 1e6
+					pokeNode(e, i, func(ns *nodeState) {
+						ns.queue = make([]int, e.rtCap[e.rtIdx[i]]+len(e.nodes)-i)
+						ns.queuedWorkNs = float64(len(ns.queue)) * 1e6
+					})
 				}
 			}
 			views := referenceViews(e, ji, now)
@@ -180,6 +261,80 @@ func TestFusedPickFloorEdges(t *testing.T) {
 			}
 			if got != tc.want {
 				t.Errorf("fused scan picked node %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestFloorNodeGuards pins when the quiescent-node index answers an
+// arrival's model-aware pick and when it hands the pick to the scan, on
+// hand-built fleet state: each case is checked against the reference
+// policy, an expected node, and whether floorNode answered. Every declined
+// case is one where the index's node is wrong — the lowest quiescent node
+// of the floor runtime is not where the scan stops.
+func TestFloorNodeGuards(t *testing.T) {
+	knl, p100 := hw.NewKNL(), gpu.NewP100()
+	// Nodes 0 and 2 share the CPU runtime, 1 and 3 the GPU runtime.
+	fleet := Cluster{NodeList: []Node{{CPU: knl}, {GPU: p100}, {CPU: knl}, {GPU: p100}}}
+	const now = 1e6
+	cases := []struct {
+		name      string
+		work      []float64 // per runtime: CPU, GPU
+		alpha     []float64 // per-runtime interference override, nil for none
+		queued    []int     // nodes with one staged job, free since 0
+		drained   []int     // nodes whose one-job wave ends and drains at now
+		late      []int     // quiescent nodes free only after now
+		want      int
+		wantIndex bool
+	}{
+		{"the index finds the floor node", []float64{5e6, 2e6}, nil, []int{1}, nil, nil, 3, true},
+		{"a wave draining at the arrival is an empty node", []float64{2e6, 2e6}, nil, nil, []int{0}, nil, 0, false},
+		{"alpha 0: a co-runner costs nothing", []float64{2e6, 2e6}, []float64{0, 0}, []int{0}, nil, nil, 0, false},
+		{"a co-runner's cost below an ulp", []float64{1e-12, 1e-12}, nil, []int{0}, nil, nil, 0, false},
+		{"the floor node frees after now", []float64{2e6, 5e6}, nil, nil, nil, []int{0}, 2, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(fleet, Options{Policy: policyModelAware})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ji, err := e.Admit(JobSpec{Model: nn.DCGAN})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.alpha != nil {
+				copy(e.rtAlpha, tc.alpha)
+			}
+			for _, n := range tc.queued {
+				pokeNode(e, n, func(ns *nodeState) { ns.queue = []int{ji} })
+			}
+			for _, n := range tc.drained {
+				pokeNode(e, n, func(ns *nodeState) {
+					ns.wave = &waveState{active: []int{ji}, roundEndNs: now, drainNs: now}
+				})
+			}
+			for _, n := range tc.late {
+				pokeNode(e, n, func(ns *nodeState) { ns.freeNs = now + 1 })
+			}
+			views := referenceViews(e, ji, now)
+			work := e.jobWorkPerRuntime(ji)
+			copy(work, tc.work)
+			floor := math.Inf(1)
+			for i := range views {
+				views[i].JobWorkNs = work[e.rtIdx[i]]
+				floor = min(floor, now+views[i].JobWorkNs)
+			}
+			if want := (ModelAware{}).Pick(e.job(ji).spec, now, views); want != tc.want {
+				t.Fatalf("reference picked node %d, case expects %d", want, tc.want)
+			}
+			if n := e.floorNode(now, work, floor); (n >= 0) != tc.wantIndex || n >= 0 && n != tc.want {
+				t.Errorf("floorNode = %d, want the index to answer %v with node %d", n, tc.wantIndex, tc.want)
+			}
+			acc := pickAcc{best: -1, fall: -1}
+			e.scanModelAware(now, work, -1, 0, &acc)
+			if got := acc.pick(); got != tc.want {
+				t.Errorf("model-aware scan picked node %d, want %d", got, tc.want)
 			}
 		})
 	}
@@ -235,9 +390,11 @@ func TestRestartPickMatchesModelAware(t *testing.T) {
 			for k, ji := range remain {
 				got[k] = e.job(ji).out.Node
 			}
-			for i, ns := range e.nodes {
-				ns.queue = ns.queue[:len(saved[i].queue)]
-				ns.queuedWorkNs, ns.minReadyNs = saved[i].queuedWorkNs, saved[i].minReadyNs
+			for i := range e.nodes {
+				pokeNode(e, i, func(ns *nodeState) {
+					ns.queue = ns.queue[:len(saved[i].queue)]
+					ns.queuedWorkNs, ns.minReadyNs = saved[i].queuedWorkNs, saved[i].minReadyNs
+				})
 			}
 			e.queuedJobs, e.queuedWorkNs = fleetJobs, fleetWorkNs
 			for k, ji := range remain {
@@ -345,20 +502,23 @@ func runRestartCases(t *testing.T, cases []restartCase) {
 			}
 			e.job(ji).done = 1
 			for _, n := range tc.busy {
-				e.nodes[n].freeNs = 100 * now
+				pokeNode(e, n, func(ns *nodeState) { ns.freeNs = 100 * now })
 			}
 			for _, n := range tc.corun {
-				e.nodes[n].queue = make([]int, 2)
+				pokeNode(e, n, func(ns *nodeState) { ns.queue = make([]int, 2) })
 			}
 			for _, n := range tc.full {
-				ns := e.nodes[n]
-				ns.queue = make([]int, e.rtCap[e.rtIdx[n]])
-				ns.queuedWorkNs = float64(len(ns.queue)) * 1e6
+				pokeNode(e, n, func(ns *nodeState) {
+					ns.queue = make([]int, e.rtCap[e.rtIdx[n]])
+					ns.queuedWorkNs = float64(len(ns.queue)) * 1e6
+				})
 			}
 			for _, n := range tc.drained {
-				e.nodes[n].wave = &waveState{
-					active: make([]int, e.rtCap[e.rtIdx[n]]), roundEndNs: now, drainNs: now,
-				}
+				pokeNode(e, n, func(ns *nodeState) {
+					ns.wave = &waveState{
+						active: make([]int, e.rtCap[e.rtIdx[n]]), roundEndNs: now, drainNs: now,
+					}
+				})
 			}
 			views := referenceViews(e, ji, now)
 			work := e.jobWorkPerRuntime(ji)
@@ -413,7 +573,7 @@ func TestRestartNodeReadyTime(t *testing.T) {
 			}
 			mi := e.info(nn.DCGAN)
 			delay := e.ic.TransferNs(mi.paramBytes) + mi.xferNs
-			e.nodes[2].freeNs = now + tc.busyDelay*delay
+			pokeNode(e, 2, func(ns *nodeState) { ns.freeNs = now + tc.busyDelay*delay })
 			n, ready := e.restartNode(ji, 2, now)
 			if n != tc.wantNode || ready != now+tc.wantDelay*delay {
 				t.Errorf("restarted on node %d ready at %v, want node %d at %v",

@@ -1,10 +1,13 @@
 package place
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
 
+	"opsched/internal/gpu"
+	"opsched/internal/hw"
 	"opsched/internal/multijob"
 )
 
@@ -71,6 +74,97 @@ func FuzzParseTriggers(f *testing.F) {
 		again, onAgain, err := parseTriggers(name)
 		if err != nil || onAgain != on || !slices.Equal(again, ts) {
 			t.Fatalf("spec %q renders %q, which parses to %v %v %v, want %v %v", spec, name, again, onAgain, err, ts, on)
+		}
+	})
+}
+
+// FuzzPickMatchesScan: the model-aware pick an arrival gets through the
+// quiescent-node index is the node the linear scan picks. Each byte of
+// states builds one node of a mixed fleet: bit 0 its hardware (CPU or
+// GPU), bits 1-3 its state (idle since before, at or after the arrival;
+// one to four jobs staged, ready by or after it; a wave whose round ends
+// at, or drains before or after, the arrival; full to capacity), bits 4-5
+// the number of jobs. The fuzzer also picks the arrival instant, the
+// per-runtime work and each runtime's interference factor; the seeds
+// include zero, +Inf and NaN work, work one ulp apart, a work gap that
+// rounds away against the clock, and alpha 0, negative and infinite.
+func FuzzPickMatchesScan(f *testing.F) {
+	knl, p100 := hw.NewKNL(), gpu.NewP100()
+	cpuA, gpuA := (&cpuRuntime{}).WaveAlpha(), p100.CoRunAlpha()
+	mixed := []byte{0x0a, 0x01, 0x08, 0x1d, 0x00, 0x03, 0x10, 0x11, 0x02, 0x01}
+	f.Add(mixed, 1e6, 5e6, 2e6, cpuA, gpuA)
+	f.Add(mixed, 1e6, 2e6, 2e6, cpuA, gpuA)
+	f.Add([]byte{0x0a, 0x0b, 0x00, 0x01}, 1e6, 2e6, 2e6, cpuA, gpuA)
+	f.Add([]byte{0x08, 0x00, 0x01}, 1e6, 2e6, 2e6, 0.0, 0.0)
+	f.Add([]byte{0x08, 0x00, 0x01}, 1e18, 1.0, 1.0, cpuA, gpuA)
+	f.Add(mixed, 1e6, 2e6, math.Nextafter(2e6, 3e6), cpuA, gpuA)
+	f.Add(mixed, 1e6, 0.0, 0.0, cpuA, gpuA)
+	f.Add(mixed, 1e6, math.Inf(1), 3e6, cpuA, gpuA)
+	f.Add(mixed, 1e6, math.NaN(), 3e6, cpuA, gpuA)
+	f.Add(mixed, 1e6, 2e6, 3e6, math.Inf(1), gpuA)
+	f.Add([]byte{0x00, 0x01}, 1e6, 3e6, 2e6, math.Inf(1), gpuA)
+	f.Add([]byte{0x28, 0x01}, 1e6, 4e6, 1e6, -0.5, gpuA)
+	f.Add(bytes.Repeat([]byte{0x07, 0x16}, 70), 1e6, 4e6, 4e6, cpuA, gpuA)
+	f.Fuzz(func(t *testing.T, states []byte, nowNs, cpuWork, gpuWork, cpuAlpha, gpuAlpha float64) {
+		if len(states) == 0 || len(states) > 200 {
+			return
+		}
+		nodes := make([]Node, len(states))
+		for i, b := range states {
+			if b&1 == 0 {
+				nodes[i].CPU = knl
+			} else {
+				nodes[i].GPU = p100
+			}
+		}
+		e, err := NewEngine(Cluster{NodeList: nodes}, Options{Policy: policyModelAware})
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := make([]float64, len(e.uniqueRts))
+		for k, rt := range e.uniqueRts {
+			work[k], e.rtAlpha[k] = cpuWork, cpuAlpha
+			if rt.Kind() == KindGPU {
+				work[k], e.rtAlpha[k] = gpuWork, gpuAlpha
+			}
+		}
+		after := math.Nextafter(nowNs, math.Inf(1))
+		for i, b := range states {
+			jobs := 1 + int(b>>4&3)
+			pokeNode(e, i, func(ns *nodeState) {
+				switch b >> 1 & 7 {
+				case 0:
+					ns.freeNs = nowNs - 1
+				case 1:
+					ns.freeNs = nowNs
+				case 2:
+					ns.freeNs = after
+				case 3:
+					ns.queue, ns.minReadyNs = make([]int, jobs), nowNs
+				case 4:
+					ns.queue, ns.minReadyNs = make([]int, jobs), after
+				case 5:
+					ns.wave = &waveState{active: make([]int, jobs), roundEndNs: nowNs, drainNs: nowNs}
+				case 6:
+					ns.wave = &waveState{active: make([]int, jobs), roundEndNs: nowNs - 1, drainNs: nowNs - 1 + float64(jobs-1)}
+				default:
+					ns.wave = &waveState{active: make([]int, jobs), roundEndNs: after, drainNs: max(after, nowNs+float64(jobs))}
+					ns.queue = make([]int, e.rtCap[e.rtIdx[i]])
+					ns.queuedWorkNs = float64(len(ns.queue)) * 1e6
+				}
+			})
+		}
+		checkIdleIndex(t, e)
+		floor := math.Inf(1)
+		for _, w := range work {
+			floor = min(floor, nowNs+w)
+		}
+		scan := pickAcc{best: -1, fall: -1}
+		e.walkModelAware(nowNs, work, -1, 0, floor, &scan)
+		got := pickAcc{best: -1, fall: -1}
+		e.scanModelAware(nowNs, work, -1, 0, &got)
+		if got.pick() != scan.pick() {
+			t.Fatalf("indexed pick %d (floorNode %d), full scan %d", got.pick(), e.floorNode(nowNs, work, floor), scan.pick())
 		}
 	})
 }

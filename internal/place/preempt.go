@@ -171,15 +171,8 @@ func (e *Engine) fires(t trigger, r *jobRec, w *waveState, at float64) bool {
 		}
 		return cutMeets(at+sp.SLONs, r, w)
 	case triggerLoad:
-		if w.drainNs <= w.roundEndNs {
-			return false
-		}
 		// r's node runs w, so any idle node is another one.
-		for _, ns := range e.nodes {
-			if ns.wave == nil && len(ns.queue) == 0 {
-				return true
-			}
-		}
+		return w.drainNs > w.roundEndNs && e.idle.any()
 	}
 	return false
 }

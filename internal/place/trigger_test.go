@@ -130,13 +130,17 @@ func runTriggerCases(t *testing.T, cases []triggerCase) {
 				for _, p := range tc.residents {
 					w.active = append(w.active, admit(JobSpec{Priority: p, Steps: 4}))
 				}
-				e.nodes[0].wave = w
+				pokeNode(e, 0, func(ns *nodeState) { ns.wave = w })
 			}
 			switch tc.peer {
 			case peerQueued:
-				e.nodes[1].queue = []int{admit(JobSpec{})}
+				queued := admit(JobSpec{})
+				pokeNode(e, 1, func(ns *nodeState) { ns.queue = []int{queued} })
 			case peerWave:
-				e.nodes[1].wave = &waveState{active: []int{admit(JobSpec{})}, roundEndNs: 20, drainNs: 20}
+				running := admit(JobSpec{})
+				pokeNode(e, 1, func(ns *nodeState) {
+					ns.wave = &waveState{active: []int{running}, roundEndNs: 20, drainNs: 20}
+				})
 			}
 			ji := admit(tc.arrival)
 			r := e.job(ji)
@@ -168,7 +172,9 @@ func TestOneFiringPerCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.nodes[0].wave = &waveState{active: []int{res}, roundEndNs: 20, drainNs: 100}
+	pokeNode(e, 0, func(ns *nodeState) {
+		ns.wave = &waveState{active: []int{res}, roundEndNs: 20, drainNs: 100}
+	})
 	ji, err := e.Admit(JobSpec{Model: "lstm", Priority: 3})
 	if err != nil {
 		t.Fatal(err)
