@@ -212,13 +212,18 @@ func (h *eventHeap) top() (int, float64) {
 // pop removes the earliest pending event.
 func (h *eventHeap) pop() { h.remove(0) }
 
-// jobRec is one admitted job's engine state: its canonical spec, the
-// outcome the run fills in, and the per-job bookkeeping the event loop
-// keeps. A record is written once at admission into the engine's job table
-// and never moves afterwards.
+// jobRec is one admitted job's engine state: the outcome the run fills
+// in, the two spec fields the outcome does not echo, and the per-job
+// bookkeeping the event loop keeps. A record is written once at admission
+// into the engine's job table and never moves afterwards.
 type jobRec struct {
-	spec JobSpec
-	out  PlacedJob // the outcome so far; Job fills StepsDone and Path
+	// out is the outcome so far. Admit writes the spec's echo (Name, the
+	// resolved Model, ArrivalNs, DeadlineNs, Steps, Class, SLONs), place
+	// the placement fields, and Job fills StepsDone and Path.
+	out PlacedJob
+
+	priority int     // the spec's co-run priority
+	weight   float64 // the spec's fair-share weight
 
 	steps        int     // total step count
 	done         int     // steps retired
@@ -240,17 +245,17 @@ type jobRec struct {
 	flowID int64
 }
 
-// jobSegBase is the length of the job table's first segment; segment k
-// holds jobSegBase<<k records. An engine of n jobs thus allocates about
-// log2(n/jobSegBase) segments, holds fewer than 2n+jobSegBase records,
-// and never copies a record to grow.
+// jobSegBase is the length of the job table's first segment past the
+// slab; segment k holds jobSegBase<<k records. An engine of n streamed jobs
+// thus allocates about log2(n/jobSegBase) segments, holds fewer than
+// 2n+jobSegBase records, and never copies a record to grow.
 const (
 	jobSegShift = 6
 	jobSegBase  = 1 << jobSegShift
 )
 
-// jobSlot maps job index ji to its job-table segment and the offset
-// inside it.
+// jobSlot maps ji, a job index counted from the end of the slab, to its
+// job-table segment and the offset inside it.
 func jobSlot(ji int) (seg, off int) {
 	x := uint(ji) + jobSegBase
 	seg = bits.Len(x) - jobSegShift - 1
@@ -274,13 +279,16 @@ type modelInfo struct {
 // core serve both the batch PlaceJobs wrapper and the streaming pipeline's
 // one goroutine: both feed it through Arrive and Drain, which own the
 // arrival/event tie rule. Each admitted job is one jobRec, written once at
-// admission into a table of doubling segments and never moved, so
-// admission costs one record write and, now and then, one segment
-// allocation. An Engine is not safe for concurrent use; exactly one
-// goroutine must drive it.
+// admission and never moved: into a slab sized when the engine is built
+// (PlaceJobs sizes it to its workload), and past it into a table of
+// doubling segments, so a streamed admission costs one record write and,
+// now and then, one segment allocation. An Engine is not safe for
+// concurrent use; exactly one goroutine must drive it.
 type Engine struct {
-	// The job table: one jobRec per admitted job in admission order, in
-	// segments jobSlot addresses (see job). n counts the admitted jobs.
+	// The job table: one jobRec per admitted job in admission order, the
+	// first len(jobSlab) in the slab and the rest in segments jobSlot
+	// addresses (see job). n counts the admitted jobs.
+	jobSlab []jobRec
 	jobSegs [bits.UintSize - jobSegShift][]jobRec
 	n       int
 
@@ -350,6 +358,12 @@ type Engine struct {
 // resolved per hardware descriptor, policy/arbiter/triggers parsed, no jobs
 // admitted yet.
 func NewEngine(c Cluster, opts Options) (*Engine, error) {
+	return newEngine(c, opts, 0)
+}
+
+// newEngine is NewEngine with a job slab of jobs records, for a caller
+// that knows how many jobs it will admit.
+func newEngine(c Cluster, opts Options, jobs int) (*Engine, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -374,6 +388,9 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 		policy: opts.policy(), arb: arb, rts: runtimes, ic: c.interconnect(),
 		infos:     make(map[string]*modelInfo),
 		preemptOn: preemptOn, triggers: triggers,
+	}
+	if jobs > 0 {
+		e.jobSlab = make([]jobRec, jobs)
 	}
 	e.nodes = make([]*nodeState, len(runtimes))
 	slab := make([]nodeState, len(runtimes))
@@ -432,25 +449,32 @@ func (e *Engine) Admit(j JobSpec) (int, error) {
 	e.arrivalNs = j.ArrivalNs
 	ji := e.n
 	j.Model = canon
-	j.Name = j.label(ji)
 	key := canon
 	if j.Inference() {
 		key = InferKey(canon, 1)
 		e.anyInference = true
 	}
-	seg, off := jobSlot(ji)
-	if off == 0 {
-		e.jobSegs[seg] = make([]jobRec, jobSegBase<<seg)
+	if s := ji - len(e.jobSlab); s >= 0 {
+		if seg, off := jobSlot(s); off == 0 {
+			e.jobSegs[seg] = make([]jobRec, jobSegBase<<seg)
+		}
 	}
-	r := &e.jobSegs[seg][off]
-	*r = jobRec{spec: j, steps: j.steps(), countedOn: -1, checkpointNs: -1, workKey: key}
+	// The slot is fresh zeroed memory written only here, so setting the
+	// non-zero fields one by one stands for a whole-record write.
+	r := e.job(ji)
+	p := &r.out
+	p.Name, p.Model = j.label(ji), canon
+	p.ArrivalNs, p.DeadlineNs = j.ArrivalNs, j.DeadlineNs
+	p.Steps, p.Class, p.SLONs = j.steps(), j.EffectiveClass(), j.SLONs
+	r.priority, r.weight = j.Priority, j.Weight
+	r.steps, r.countedOn, r.checkpointNs, r.workKey = p.Steps, -1, -1, key
 	e.n++
 	if e.eo != nil {
 		e.eo.admitted.Inc()
 	}
 	if e.tr != nil {
-		e.tr.AsyncBegin(obsPidJobs, int64(ji), j.Name, "job", j.ArrivalNs,
-			obs.A("model", j.Model), obs.A("class", j.EffectiveClass()),
+		e.tr.AsyncBegin(obsPidJobs, int64(ji), p.Name, "job", j.ArrivalNs,
+			obs.A("model", canon), obs.A("class", p.Class),
 			obs.A("steps", r.steps))
 	}
 	return ji, nil
@@ -551,7 +575,10 @@ func (e *Engine) Drain() ([]int, error) {
 
 // job returns admitted job ji's record.
 func (e *Engine) job(ji int) *jobRec {
-	seg, off := jobSlot(ji)
+	if ji < len(e.jobSlab) {
+		return &e.jobSlab[ji]
+	}
+	seg, off := jobSlot(ji - len(e.jobSlab))
 	return &e.jobSegs[seg][off]
 }
 
@@ -588,7 +615,11 @@ func (e *Engine) finish(pos []int) *Result {
 		if pos != nil {
 			at = pos[ji]
 		}
-		jobs[at] = e.Job(ji)
+		r := e.job(ji)
+		p := &jobs[at]
+		*p = r.out
+		p.StepsDone = r.done
+		p.Path = e.renderPath(r.path)
 	}
 	out := &Result{
 		Policy: e.policy, Arbiter: e.arb.Name(), Nodes: len(e.nodes),
@@ -684,6 +715,9 @@ func (e *Engine) renderPath(hops []int) string {
 	return strings.Join(segs, " -> ")
 }
 
+// inference reports whether the job is an inference request.
+func (r *jobRec) inference() bool { return r.out.Class == ClassInference }
+
 // remainingNs prices the job's unfinished steps on the node it is currently
 // assigned to, from the per-job step-work cache stage maintains — no
 // runtime cache lookup on the hot path. Inference requests price at their
@@ -730,22 +764,18 @@ func (e *Engine) PlaceAuto(ji int, at float64) error {
 // the armed preemption triggers a chance to cut a wave.
 func (e *Engine) place(ji, n int, at float64) error {
 	r := e.job(ji)
-	sp := &r.spec
 	if n < 0 || n >= len(e.nodes) {
 		return fmt.Errorf("place: policy %q placed job %s on node %d of a %d-node cluster",
-			e.policy, sp.Name, n, len(e.nodes))
+			e.policy, r.out.Name, n, len(e.nodes))
 	}
 	// An inference request stages its serving graph's payload — next to no
 	// parameters, so effectively just the interconnect latency — not the
 	// training model's optimizer state.
 	mi := e.info(r.workKey)
 	ns := e.nodes[n]
-	r.out = PlacedJob{
-		Name: sp.Name, Model: sp.Model, Node: n, Kind: ns.rt.Kind(),
-		ArrivalNs: at, TransferNs: mi.xferNs, ReadyNs: at + mi.xferNs,
-		DeadlineNs: sp.DeadlineNs, Steps: r.steps,
-		Class: sp.EffectiveClass(), SLONs: sp.SLONs,
-	}
+	p := &r.out
+	p.Node, p.Kind = n, ns.rt.Kind()
+	p.ArrivalNs, p.TransferNs, p.ReadyNs = at, mi.xferNs, at+mi.xferNs
 	if e.tr != nil {
 		e.tr.AsyncInstant(obsPidJobs, int64(ji), "place", "job", at,
 			obs.A("node", n), obs.A("kind", ns.rt.Kind()))
@@ -810,8 +840,8 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 		// ordered by SLO deadline (requests without one last); ties and
 		// the training suffix keep placement order (stable).
 		slices.SortStableFunc(cands, func(a, b int) int {
-			sa, sb := &e.job(a).spec, &e.job(b).spec
-			ia, ib := sa.Inference(), sb.Inference()
+			ra, rb := e.job(a), e.job(b)
+			ia, ib := ra.inference(), rb.inference()
 			if ia != ib {
 				if ia {
 					return -1
@@ -821,6 +851,7 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 			if !ia {
 				return 0
 			}
+			sa, sb := &ra.out, &rb.out
 			da, db := math.Inf(1), math.Inf(1)
 			if sa.SLONs > 0 {
 				da = sa.ArrivalNs + sa.SLONs
@@ -830,7 +861,7 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 			}
 			return cmp.Compare(da, db)
 		})
-		for trainStart < len(cands) && e.job(cands[trainStart]).spec.Inference() {
+		for trainStart < len(cands) && e.job(cands[trainStart]).inference() {
 			trainStart++
 		}
 	}
@@ -842,8 +873,8 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 		// keep placement order (stable).
 		slices.SortStableFunc(cands[trainStart:], func(a, b int) int {
 			ra, rb := e.job(a), e.job(b)
-			if ra.spec.Priority != rb.spec.Priority {
-				return cmp.Compare(rb.spec.Priority, ra.spec.Priority)
+			if ra.priority != rb.priority {
+				return cmp.Compare(rb.priority, ra.priority)
 			}
 			return cmp.Compare(ra.remainingNs(), rb.remainingNs())
 		})
@@ -867,9 +898,9 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 			continue
 		}
 		r := e.job(ji)
-		sp := &r.spec
+		model := r.out.Model
 		var group []int
-		if sp.Inference() {
+		if r.inference() {
 			// Fold later same-model requests into this slot's dynamic
 			// batch; the deadline sort already put the most urgent ones
 			// first, so a batch never delays a tighter request behind a
@@ -881,7 +912,7 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 				if admitted[fj] {
 					continue
 				}
-				if fsp := &e.job(fj).spec; !fsp.Inference() || fsp.Model != sp.Model {
+				if f := e.job(fj); !f.inference() || f.out.Model != model {
 					continue
 				}
 				group = append(group, fj)
@@ -890,7 +921,7 @@ func (e *Engine) selectWave(n int, startNs float64) ([]int, map[int][]int) {
 		if memCap > 0 {
 			key := r.workKey
 			if len(group) > 0 {
-				key = InferKey(sp.Model, 1+len(group))
+				key = InferKey(model, 1+len(group))
 			}
 			need := ns.rt.JobMemBytes(key)
 			if len(admit) > 0 && memUsed+need > memCap {
@@ -993,7 +1024,7 @@ func (e *Engine) launchWave(n int, startNs float64) error {
 	}
 	for _, ji := range admit {
 		size := 0
-		if e.job(ji).spec.Inference() {
+		if e.job(ji).inference() {
 			size = 1 + len(batch[ji])
 		}
 		launch(ji, size)
@@ -1014,13 +1045,13 @@ func (e *Engine) runRound(n int, startNs float64) error {
 	w := ns.wave
 	jobs := e.waveJobBuf[:0]
 	for _, ji := range w.active {
-		sp := &e.job(ji).spec
-		wj := WaveJob{Name: sp.Name, Model: sp.Model, Priority: sp.Priority, Weight: sp.Weight}
-		if sp.Inference() {
+		r := e.job(ji)
+		wj := WaveJob{Name: r.out.Name, Model: r.out.Model, Priority: r.priority, Weight: r.weight}
+		if r.inference() {
 			// An inference slot runs one batch-sized forward step: its
 			// work key carries the dynamic batch size, so every cache
 			// (runtime work, wave memo) prices it distinctly.
-			wj.Model = InferKey(sp.Model, 1+len(w.batch[ji]))
+			wj.Model = InferKey(r.out.Model, 1+len(w.batch[ji]))
 			wj.Class = ClassInference
 		}
 		jobs = append(jobs, wj)

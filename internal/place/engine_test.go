@@ -1,9 +1,11 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -85,11 +87,17 @@ func TestWaveMemoEngineByteEquivalence(t *testing.T) {
 // the way the batch wrapper does, returning the engine for inspection.
 func driveBatch(t *testing.T, w Workload, c Cluster, opts Options) *Engine {
 	t.Helper()
+	return driveSlab(t, w, c, opts, 0)
+}
+
+// driveSlab is driveBatch on an engine whose job slab holds slab records.
+func driveSlab(t *testing.T, w Workload, c Cluster, opts Options, slab int) *Engine {
+	t.Helper()
 	specs, err := w.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(c, opts)
+	e, err := newEngine(c, opts, slab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +336,36 @@ func TestJobTableSegmentEdges(t *testing.T) {
 				t.Fatalf("past the first segment %d jobs migrated and %d resumed from a checkpoint, want both > 0",
 					migrated, resumed)
 			}
+			// PlaceJobs sizes its table to the workload: one slab, no
+			// segment.
+			be, _, err := runBatch(w, c, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(be.jobSlab) != n || slices.ContainsFunc(be.jobSegs[:], func(s []jobRec) bool { return s != nil }) {
+				t.Fatalf("PlaceJobs engine has a %d-record slab and segments %v, want %d records and none",
+					len(be.jobSlab), segLens(be), n)
+			}
+			// A slab a segment and one job short of, one short of and one
+			// past the job count (PlaceJobs's own, n, is the run above): the
+			// jobs past the slab land in segments and report the same.
+			for _, slab := range []int{n - jobSegBase - 1, n - 1, n + 1} {
+				if slab < 0 {
+					continue
+				}
+				se := driveSlab(t, w, c, opts, slab)
+				if got := se.Finish().Render(); got != want.Render() {
+					t.Fatalf("slab %d: engine render differs from PlaceJobs:\n%s\nwant:\n%s", slab, got, want.Render())
+				}
+				for ji := 0; ji < n; ji++ {
+					if got := se.Job(ji); got != want.Jobs[ji] {
+						t.Fatalf("slab %d job %d: Engine.Job %+v, PlaceJobs %+v", slab, ji, got, want.Jobs[ji])
+					}
+				}
+				if used := se.jobSegs[0] != nil; used != (n > slab) {
+					t.Fatalf("slab %d of %d jobs: segments %v", slab, n, segLens(se))
+				}
+			}
 			before := e.Job(n - 1)
 			res.Jobs[n-1].Name = "mutated"
 			res.Jobs[n-1].Preemptions += 7
@@ -336,6 +374,173 @@ func TestJobTableSegmentEdges(t *testing.T) {
 				t.Fatalf("mutating Result.Jobs changed Engine.Job: %+v, want %+v", after, before)
 			}
 		})
+	}
+}
+
+// segLens lists the lengths of e's allocated job-table segments.
+func segLens(e *Engine) []int {
+	var lens []int
+	for _, seg := range e.jobSegs {
+		if seg != nil {
+			lens = append(lens, len(seg))
+		}
+	}
+	return lens
+}
+
+// TestPlaceJobsUnsortedInputOrder: PlaceJobs of a workload that is not
+// arrival-sorted, with no job named, labels each job by its input index
+// and lists the outcomes in input order, matching a stream of the
+// canonical specs in stable arrival order (what a pipeline replay of
+// Workload.Canonical does) with its outcomes put back in input order.
+func TestPlaceJobsUnsortedInputOrder(t *testing.T) {
+	sorted, err := SyntheticSteps(40, 9, []string{"LSTM", "DC-GAN", "resnet", "inception"}, 20e6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make(Workload, len(sorted))
+	for i := range w {
+		// Reverse the stream, and clamp pairs onto one instant so the
+		// input index breaks arrival ties.
+		j := sorted[len(sorted)-1-i]
+		j.Name = ""
+		j.ArrivalNs = float64(int(j.ArrivalNs) / 40e6 * 40e6)
+		w[i] = j
+	}
+	if slices.IsSortedFunc(w, func(a, b JobSpec) int { return cmp.Compare(a.ArrivalNs, b.ArrivalNs) }) {
+		t.Fatal("workload is arrival-sorted")
+	}
+	c, opts := Cluster{Nodes: 2, GPUs: 1}, Options{Policy: "model-aware", Preempt: "all"}
+	got, err := PlaceJobs(w, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range got.Jobs {
+		model, _ := nn.Resolve(w[i].Model)
+		if wantName := fmt.Sprintf("%s#%d", model, i); p.Name != wantName || p.ArrivalNs != w[i].ArrivalNs {
+			t.Fatalf("Jobs[%d] is %s arriving at %v, want %s arriving at %v",
+				i, p.Name, p.ArrivalNs, wantName, w[i].ArrivalNs)
+		}
+	}
+
+	specs, err := w.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(specs[a].ArrivalNs, specs[b].ArrivalNs) })
+	e, err := NewEngine(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range order {
+		if _, err := e.Arrive(specs[idx]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	ref := e.Finish()
+	if ref.Preemptions == 0 {
+		t.Fatal("no preemption: the stream exercises too little")
+	}
+	jobs := make([]PlacedJob, len(ref.Jobs))
+	for k, idx := range order {
+		jobs[idx] = ref.Jobs[k]
+	}
+	ref.Jobs = jobs
+	if got.Render() != ref.Render() {
+		t.Fatalf("PlaceJobs render differs from the stream's in input order:\n%s\nwant:\n%s", got.Render(), ref.Render())
+	}
+}
+
+// recordingRuntime is a NodeRuntime that keeps a copy of every wave it is
+// asked to price.
+type recordingRuntime struct {
+	NodeRuntime
+	waves *[][]WaveJob
+}
+
+func (r recordingRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
+	*r.waves = append(*r.waves, slices.Clone(jobs))
+	return r.NodeRuntime.RunWave(jobs)
+}
+
+// TestAdmitEchoesSpec: every JobSpec field reaches the run. Engine.Job
+// echoes the name (or the default label), the resolved model, arrival,
+// deadline, step count (0 meaning 1), effective class and SLO, and every
+// wave that prices a job carries its priority, weight and class.
+func TestAdmitEchoesSpec(t *testing.T) {
+	specs := []JobSpec{
+		{Name: "train", Model: "LSTM", ArrivalNs: 0, Priority: 3, Weight: 2.5, DeadlineNs: 9e9, Steps: 3,
+			Class: ClassTraining},
+		{Model: "dc-gan", ArrivalNs: 1e6, Priority: -2, Weight: 0.5},
+		{Name: "request", Model: "lstm", ArrivalNs: 2e6, Priority: 1, Weight: 4, DeadlineNs: 8e9,
+			Class: ClassInference, SLONs: 50e6},
+		{Model: "resnet", ArrivalNs: 2e6, Steps: 2, DeadlineNs: 2e6},
+		{Model: "inception", ArrivalNs: 3e6, Class: ClassInference},
+	}
+	type echo struct {
+		name, model string
+		steps       int
+		class       string
+	}
+	want := []echo{
+		{"train", nn.LSTM, 3, ClassTraining},
+		{nn.DCGAN + "#1", nn.DCGAN, 1, ClassTraining},
+		{"request", nn.LSTM, 1, ClassInference},
+		{nn.ResNet50 + "#3", nn.ResNet50, 2, ClassTraining},
+		{nn.InceptionV3 + "#4", nn.InceptionV3, 1, ClassInference},
+	}
+	for _, c := range []Cluster{{Nodes: 1}, {GPUs: 1}} {
+		e, err := NewEngine(c, Options{Policy: "model-aware", Arbiter: "priority", Preempt: "all"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var waves [][]WaveJob
+		for _, ns := range e.nodes {
+			ns.rt = recordingRuntime{NodeRuntime: ns.rt, waves: &waves}
+		}
+		for _, sp := range specs {
+			if _, err := e.Arrive(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		for ji, sp := range specs {
+			p, w := e.Job(ji), want[ji]
+			if p.Name != w.name || p.Model != w.model || p.ArrivalNs != sp.ArrivalNs ||
+				p.DeadlineNs != sp.DeadlineNs || p.Steps != w.steps || p.StepsDone != w.steps ||
+				p.Class != w.class || p.SLONs != sp.SLONs {
+				t.Errorf("%v: job %d outcome %+v does not echo spec %+v", c, ji, p, sp)
+			}
+			priced := 0
+			for _, wave := range waves {
+				for _, wj := range wave {
+					if wj.Name != p.Name {
+						continue
+					}
+					priced++
+					wantClass := ""
+					if sp.Inference() {
+						wantClass = ClassInference
+					}
+					if wj.Priority != sp.Priority || wj.Weight != sp.Weight || wj.Class != wantClass {
+						t.Errorf("%v: job %d priced as %+v, want priority %d, weight %v, class %q",
+							c, ji, wj, sp.Priority, sp.Weight, wantClass)
+					}
+				}
+			}
+			if priced == 0 {
+				t.Errorf("%v: job %d (%s) priced in no wave", c, ji, p.Name)
+			}
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func TestFusedPickMatchesPick(t *testing.T) {
 					checkIdleIndex(t, e)
 				}
 				views := referenceViews(e, ji, sp.ArrivalNs)
-				want := ref.Pick(e.job(ji).spec, sp.ArrivalNs, views)
+				want := ref.Pick(recSpec(e.job(ji)), sp.ArrivalNs, views)
 				got := e.fusedPick(ji, sp.ArrivalNs)
 				if got != want {
 					t.Fatalf("%s %s job %d at %v: fusedPick=%d, Views→Pick=%d", fl.name, policy, i, sp.ArrivalNs, got, want)
@@ -107,6 +107,17 @@ func TestFusedPickMatchesPick(t *testing.T) {
 			}
 			t.Logf("%s: %d index picks, %d pending-event scans of %d", fl.name, indexPicks, pendingScans, len(fl.w))
 		}
+	}
+}
+
+// recSpec rebuilds the admitted spec a job record holds: the outcome's
+// echo fields plus the record's priority and weight.
+func recSpec(r *jobRec) JobSpec {
+	p := &r.out
+	return JobSpec{
+		Name: p.Name, Model: p.Model, ArrivalNs: p.ArrivalNs,
+		Priority: r.priority, Weight: r.weight, DeadlineNs: p.DeadlineNs,
+		Steps: p.Steps, Class: p.Class, SLONs: p.SLONs,
 	}
 }
 
@@ -243,7 +254,7 @@ func TestFusedPickFloorEdges(t *testing.T) {
 					views[i].JobWorkNs = work[e.rtIdx[i]]
 				}
 			}
-			if want := referencePolicy(tc.policy).Pick(e.job(ji).spec, now, views); want != tc.want {
+			if want := referencePolicy(tc.policy).Pick(recSpec(e.job(ji)), now, views); want != tc.want {
 				t.Fatalf("reference picked node %d, case expects %d", want, tc.want)
 			}
 			acc := pickAcc{best: -1, fall: -1}
@@ -325,7 +336,7 @@ func TestFloorNodeGuards(t *testing.T) {
 				views[i].JobWorkNs = work[e.rtIdx[i]]
 				floor = min(floor, now+views[i].JobWorkNs)
 			}
-			if want := (ModelAware{}).Pick(e.job(ji).spec, now, views); want != tc.want {
+			if want := (ModelAware{}).Pick(recSpec(e.job(ji)), now, views); want != tc.want {
 				t.Fatalf("reference picked node %d, case expects %d", want, tc.want)
 			}
 			if n := e.floorNode(now, work, floor); (n >= 0) != tc.wantIndex || n >= 0 && n != tc.want {
@@ -399,9 +410,9 @@ func TestRestartPickMatchesModelAware(t *testing.T) {
 			e.queuedJobs, e.queuedWorkNs = fleetJobs, fleetWorkNs
 			for k, ji := range remain {
 				r := e.job(ji)
-				if want := (ModelAware{}).Pick(r.spec, now, restartViews(e, ji, src, now)); got[k] != want {
+				if want := (ModelAware{}).Pick(recSpec(r), now, restartViews(e, ji, src, now)); got[k] != want {
 					t.Fatalf("%s: job %s cut from node %d at %v restarted on node %d, reference picks %d",
-						policy, r.spec.Name, src, now, got[k], want)
+						policy, r.out.Name, src, now, got[k], want)
 				}
 				if got[k] != src {
 					moved++
@@ -529,7 +540,7 @@ func runRestartCases(t *testing.T, cases []restartCase) {
 					views[i].TransferNs = tc.delayNs
 				}
 			}
-			if want := (ModelAware{}).Pick(e.job(ji).spec, now, views); want != tc.want {
+			if want := (ModelAware{}).Pick(recSpec(e.job(ji)), now, views); want != tc.want {
 				t.Fatalf("reference picked node %d, case expects %d", want, tc.want)
 			}
 			acc := pickAcc{best: -1, fall: -1}

@@ -139,7 +139,7 @@ func (e *Engine) fireTriggers(ji, n int, at float64) {
 		}
 		if e.tr != nil {
 			e.tr.Instant(obsPidNodes, n, t.String(), "trigger", at,
-				obs.A("arrival", r.spec.Name), obs.A("wave", w.ord))
+				obs.A("arrival", r.out.Name), obs.A("wave", w.ord))
 		}
 		return
 	}
@@ -151,25 +151,25 @@ func (e *Engine) fireTriggers(ji, n int, at float64) {
 // anyway, and an arrival still staging past the boundary cannot join the
 // relaunch.
 func (e *Engine) fires(t trigger, r *jobRec, w *waveState, at float64) bool {
-	sp := &r.spec
+	p := &r.out
 	switch t {
 	case triggerPriority:
 		if w.drainNs <= w.roundEndNs || r.readyNs > w.roundEndNs {
 			return false
 		}
 		for _, ji := range w.active {
-			if e.job(ji).spec.Priority >= sp.Priority {
+			if e.job(ji).priority >= r.priority {
 				return false
 			}
 		}
 		return true
 	case triggerDeadline:
-		return cutMeets(sp.DeadlineNs, r, w)
+		return cutMeets(p.DeadlineNs, r, w)
 	case triggerSLO:
-		if !sp.Inference() || sp.SLONs <= 0 {
+		if !r.inference() || p.SLONs <= 0 {
 			return false
 		}
-		return cutMeets(at+sp.SLONs, r, w)
+		return cutMeets(at+p.SLONs, r, w)
 	case triggerLoad:
 		// r's node runs w, so any idle node is another one.
 		return w.drainNs > w.roundEndNs && e.idle.any()
