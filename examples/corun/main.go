@@ -13,7 +13,6 @@ import (
 	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/op"
-	"opsched/internal/trace"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 		return g
 	}
 	run := func(label string, s exec.Scheduler) float64 {
-		res, err := exec.Run(pair(), s, exec.Options{Machine: machine})
+		res, err := exec.Run(pair(), s, machine)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,11 +42,21 @@ func main() {
 	// --- The runtime doing it automatically on a full workload ---
 	model := opsched.MustBuild(opsched.DCGAN)
 	rt := opsched.NewRuntime(machine, opsched.AllStrategies())
-	res, err := rt.RunStep(model.Graph, exec.Options{Machine: machine, Trace: true})
+	res, err := rt.RunStep(model.Graph)
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := res.Trace.Window(6000)
+	// The co-running count at each of the 6000 launches and completions in
+	// the middle of the step, as in the paper's Figure 4.
+	series := exec.CoRunning(res.Records)
+	if n := 6000; len(series) > n {
+		series = series[(len(series)-n)/2:][:n]
+	}
+	sum, peak := 0.0, 0
+	for _, c := range series {
+		sum += float64(c)
+		peak = max(peak, c)
+	}
 	fmt.Printf("DCGAN step under the runtime: %.1f ms, avg co-running ops %.2f (max %d)\n",
-		res.StepTimeNs/1e6, trace.AvgCoRunning(events), trace.MaxCoRunning(events))
+		res.StepTimeNs/1e6, sum/float64(len(series)), peak)
 }

@@ -51,8 +51,7 @@ func ManualOptimize(g *graph.Graph, m *hw.Machine, grid []ManualConfig) (ManualC
 		bestRes *exec.Result
 	)
 	for _, cfg := range grid {
-		res, err := exec.Run(g, &exec.FIFO{InterOp: cfg.InterOp, IntraOp: cfg.IntraOp, Place: hw.Shared},
-			exec.Options{Machine: m})
+		res, err := exec.Run(g, &exec.FIFO{InterOp: cfg.InterOp, IntraOp: cfg.IntraOp, Place: hw.Shared}, m)
 		if err != nil {
 			return ManualConfig{}, nil, fmt.Errorf("core: manual config %v: %w", cfg, err)
 		}
@@ -64,15 +63,13 @@ func ManualOptimize(g *graph.Graph, m *hw.Machine, grid []ManualConfig) (ManualC
 }
 
 // RunStep profiles g (if not already profiled) and executes one training
-// step under the runtime, returning the execution result.
-func (rt *Runtime) RunStep(g *graph.Graph, opts exec.Options) (*exec.Result, error) {
+// step under the runtime on the machine it was built for, returning the
+// execution result.
+func (rt *Runtime) RunStep(g *graph.Graph) (*exec.Result, error) {
 	if rt.graph != g || rt.store == nil {
 		if err := rt.Profile(g); err != nil {
 			return nil, err
 		}
 	}
-	if opts.Machine == nil {
-		opts.Machine = rt.machine
-	}
-	return exec.Run(g, rt, opts)
+	return exec.Run(g, rt, rt.machine)
 }

@@ -92,9 +92,6 @@ func New(m *hw.Machine, cfg Config) *Runtime {
 	return &Runtime{cfg: cfg, machine: m}
 }
 
-// Machine exposes the hardware model the runtime schedules for.
-func (rt *Runtime) Machine() *hw.Machine { return rt.machine }
-
 // Store exposes the hill-climbing profiles gathered by Profile.
 func (rt *Runtime) Store() *perfmodel.Store { return rt.store }
 

@@ -9,7 +9,6 @@ import (
 	"opsched/internal/hw"
 	"opsched/internal/nn"
 	"opsched/internal/op"
-	"opsched/internal/trace"
 )
 
 func knl() *hw.Machine { return hw.NewKNL() }
@@ -19,7 +18,7 @@ func runModel(t *testing.T, name string, cfg Config) *exec.Result {
 	m := knl()
 	model := nn.MustBuild(name)
 	rt := New(m, cfg)
-	res, err := rt.RunStep(model.Graph, exec.Options{Machine: m})
+	res, err := rt.RunStep(model.Graph)
 	if err != nil {
 		t.Fatalf("%s under %s: %v", name, rt.Name(), err)
 	}
@@ -33,7 +32,7 @@ func recommendationTime(t *testing.T, name string) float64 {
 	t.Helper()
 	m := knl()
 	model := nn.MustBuild(name)
-	res, err := exec.Run(model.Graph, exec.Recommendation(m), exec.Options{Machine: m})
+	res, err := exec.Run(model.Graph, exec.Recommendation(m), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestStrategy2FreezesPerKind(t *testing.T) {
 	m := knl()
 	model := nn.BuildResNet50(64)
 	rt := New(m, Strategies12())
-	res, err := rt.RunStep(model.Graph, exec.Options{Machine: m})
+	res, err := rt.RunStep(model.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestStrategy1VariesPerClass(t *testing.T) {
 	m := knl()
 	model := nn.BuildResNet50(64)
 	rt := New(m, Config{Strategy1: true})
-	res, err := rt.RunStep(model.Graph, exec.Options{Machine: m})
+	res, err := rt.RunStep(model.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestUntunableOpsKeepBaseline(t *testing.T) {
 	m := knl()
 	model := nn.BuildResNet50(64)
 	rt := New(m, AllStrategies())
-	res, err := rt.RunStep(model.Graph, exec.Options{Machine: m})
+	res, err := rt.RunStep(model.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,7 @@ func TestCoRunNeverOversubscribes(t *testing.T) {
 	m := knl()
 	model := nn.BuildDCGAN(64)
 	rt := New(m, AllStrategies())
-	res, err := rt.RunStep(model.Graph, exec.Options{Machine: m, Trace: true})
+	res, err := rt.RunStep(model.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +211,19 @@ func TestS4IncreasesCoRunning(t *testing.T) {
 	model := nn.BuildInceptionV3(16)
 	avg := func(cfg Config) float64 {
 		rt := New(m, cfg)
-		res, err := rt.RunStep(model.Graph, exec.Options{Machine: m, Trace: true})
+		res, err := rt.RunStep(model.Graph)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return trace.AvgCoRunning(res.Trace.Window(6000))
+		series := exec.CoRunning(res.Records)
+		if n := 6000; len(series) > n {
+			series = series[(len(series)-n)/2:][:n]
+		}
+		sum := 0.0
+		for _, c := range series {
+			sum += float64(c)
+		}
+		return sum / float64(len(series))
 	}
 	without := avg(Strategies123())
 	with := avg(AllStrategies())
@@ -231,7 +238,7 @@ func TestHTGuestsAreSmall(t *testing.T) {
 	m := knl()
 	model := nn.BuildInceptionV3(16)
 	rt := New(m, AllStrategies())
-	res, err := rt.RunStep(model.Graph, exec.Options{Machine: m})
+	res, err := rt.RunStep(model.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +261,7 @@ func TestRuntimeDeterminism(t *testing.T) {
 	model := nn.BuildLSTM(20)
 	run := func() *exec.Result {
 		rt := New(m, AllStrategies())
-		res, err := rt.RunStep(model.Graph, exec.Options{Machine: m})
+		res, err := rt.RunStep(model.Graph)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +309,7 @@ func TestManualOptimizeGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range grid {
-		r, err := exec.Run(model.Graph, &exec.FIFO{InterOp: cfg.InterOp, IntraOp: cfg.IntraOp, Place: hw.Shared}, exec.Options{Machine: m})
+		r, err := exec.Run(model.Graph, &exec.FIFO{InterOp: cfg.InterOp, IntraOp: cfg.IntraOp, Place: hw.Shared}, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,12 +344,9 @@ func TestProfilingBudget(t *testing.T) {
 	}
 }
 
-func TestRuntimeMachineAccessor(t *testing.T) {
+func TestRuntimeName(t *testing.T) {
 	m := hw.NewKNL()
 	rt := New(m, AllStrategies())
-	if rt.Machine() != m {
-		t.Error("Machine() does not return the scheduled-for machine")
-	}
 	if got, want := rt.Name(), "opsched(s1=true,s2=true,s3=true,s4=true,x=4)"; got != want {
 		t.Errorf("Name() = %q, want %q", got, want)
 	}

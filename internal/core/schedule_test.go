@@ -51,7 +51,7 @@ func TestScheduleAppendContract(t *testing.T) {
 	}
 	for _, s := range scheds {
 		c := &appendChecker{Scheduler: s, t: t}
-		if _, err := exec.Run(g, c, exec.Options{Machine: m}); err != nil {
+		if _, err := exec.Run(g, c, m); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		if c.events == 0 {
@@ -87,7 +87,7 @@ func TestScheduleAllocationFree(t *testing.T) {
 			if err := rt.Profile(g); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := exec.Run(g, &allocChecker{Runtime: rt, t: t}, exec.Options{Machine: m}); err != nil {
+			if _, err := exec.Run(g, &allocChecker{Runtime: rt, t: t}, m); err != nil {
 				t.Fatalf("%s: %v", rt.Name(), err)
 			}
 		}

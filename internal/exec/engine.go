@@ -7,16 +7,7 @@ import (
 
 	"opsched/internal/graph"
 	"opsched/internal/hw"
-	"opsched/internal/trace"
 )
-
-// Options configure a simulated training-step execution.
-type Options struct {
-	// Machine is the hardware model; nil means hw.NewKNL().
-	Machine *hw.Machine
-	// Trace enables event recording (needed for Figure 4).
-	Trace bool
-}
 
 // OpRecord is the execution record of one operation instance.
 type OpRecord struct {
@@ -39,8 +30,6 @@ type Result struct {
 	StepTimeNs float64
 	// Records holds one entry per operation, in completion order.
 	Records []OpRecord
-	// Trace is the event log (nil unless Options.Trace).
-	Trace *trace.Trace
 }
 
 // Job is one dataflow graph entering the loop under its own scheduler.
@@ -63,31 +52,25 @@ type Claim struct {
 // of it in the claim order leave idle.
 const Leftover = -1
 
-// Run executes one training step of g under the given scheduling policy.
-// It is CoRun's one-job case with no core cap: a scheduler that asks for
-// more threads than the machine has cores gets them, and pays for the
-// oversubscription (Table I).
-func Run(g *graph.Graph, sched Scheduler, opts Options) (*Result, error) {
+// Run executes one training step of g under the given scheduling policy on
+// machine m (nil means hw.NewKNL()). It is CoRun's one-job case with no
+// core cap: a scheduler that asks for more threads than the machine has
+// cores gets them, and pays for the oversubscription (Table I).
+func Run(g *graph.Graph, sched Scheduler, m *hw.Machine) (*Result, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("exec: nil scheduler")
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	m := opts.Machine
 	if m == nil {
 		m = hw.NewKNL()
 	}
-	var tr *trace.Trace
-	if opts.Trace {
-		tr = &trace.Trace{}
-	}
 	solo := []Job{{Name: g.Name, Graph: g, Sched: sched}}
-	runs, err := run(solo, m, func([]Result, []Claim) []Claim { return uncapped }, tr)
+	runs, err := CoRun(solo, m, func([]Result, []Claim) []Claim { return uncapped })
 	if err != nil {
 		return nil, err
 	}
-	runs[0].Trace = tr
 	return &runs[0], nil
 }
 
@@ -104,7 +87,58 @@ var uncapped = []Claim{{Job: 0, Cap: math.MaxInt}}
 // in-flight operations are priced together, so co-running jobs slow each
 // other down.
 func CoRun(jobs []Job, m *hw.Machine, claims func(runs []Result, dst []Claim) []Claim) ([]Result, error) {
-	return run(jobs, m, claims, nil)
+	l := loop{m: m, claims: claims, lanes: make([]lane, len(jobs)), runs: make([]Result, len(jobs))}
+	for i, job := range jobs {
+		n := job.Graph.Len()
+		ln := &l.lanes[i]
+		ln.view = State{Machine: m, Graph: job.Graph, Ready: make([]graph.NodeID, 0, n)}
+		ln.name, ln.sched, ln.in = job.Name, job.Sched, job.Graph.InDegrees()
+		for id, d := range ln.in {
+			if d == 0 {
+				ln.view.Ready = append(ln.view.Ready, graph.NodeID(id))
+			}
+		}
+		l.runs[i] = Result{Scheduler: job.Sched.Name(), Records: make([]OpRecord, 0, n)}
+		l.total += n
+	}
+	for l.done < l.total {
+		if err := l.event(); err != nil {
+			return nil, err
+		}
+		recomputeRates(m, l.running)
+		l.harvest(l.advance())
+	}
+	return l.runs, nil
+}
+
+// CoRunning returns the number of operations in flight just after each
+// launch and each completion the records describe, in the loop's event
+// order: by time, and at equal times completions before launches (the loop
+// retires what finishes at an instant before it schedules). It is the
+// series the paper's Figure 4 plots. For a co-run, pass the concatenation
+// of every job's Records.
+func CoRunning(records []OpRecord) []int {
+	n := len(records)
+	times := make([]float64, 2*n)
+	starts, finishes := times[:n], times[n:]
+	for i, r := range records {
+		starts[i], finishes[i] = r.StartNs, r.FinishNs
+	}
+	slices.Sort(starts)
+	slices.Sort(finishes)
+	series := make([]int, 0, 2*n)
+	inFlight := 0
+	for len(starts) > 0 || len(finishes) > 0 {
+		if len(finishes) > 0 && (len(starts) == 0 || finishes[0] <= starts[0]) {
+			inFlight--
+			finishes = finishes[1:]
+		} else {
+			inFlight++
+			starts = starts[1:]
+		}
+		series = append(series, inFlight)
+	}
+	return series
 }
 
 // lane is one job mid-run. Its view is the State the job's scheduler gets:
@@ -127,7 +161,6 @@ type loop struct {
 	lanes  []lane
 	runs   []Result
 	claims func(runs []Result, dst []Claim) []Claim
-	trace  *trace.Trace
 	done   int
 	total  int
 
@@ -145,32 +178,6 @@ type loop struct {
 	// the current scheduling event's claim order; both are reused.
 	decs  []Decision
 	order []Claim
-}
-
-// run is CoRun with an optional event log.
-func run(jobs []Job, m *hw.Machine, claims func([]Result, []Claim) []Claim, tr *trace.Trace) ([]Result, error) {
-	l := loop{m: m, claims: claims, trace: tr, lanes: make([]lane, len(jobs)), runs: make([]Result, len(jobs))}
-	for i, job := range jobs {
-		n := job.Graph.Len()
-		ln := &l.lanes[i]
-		ln.view = State{Machine: m, Graph: job.Graph, Ready: make([]graph.NodeID, 0, n)}
-		ln.name, ln.sched, ln.in = job.Name, job.Sched, job.Graph.InDegrees()
-		for id, d := range ln.in {
-			if d == 0 {
-				ln.view.Ready = append(ln.view.Ready, graph.NodeID(id))
-			}
-		}
-		l.runs[i] = Result{Scheduler: job.Sched.Name(), Records: make([]OpRecord, 0, n)}
-		l.total += n
-	}
-	for l.done < l.total {
-		if err := l.event(); err != nil {
-			return nil, err
-		}
-		recomputeRates(m, l.running)
-		l.harvest(l.advance())
-	}
-	return l.runs, nil
 }
 
 // event runs capped scheduling rounds until no job can launch, forcing the
@@ -304,9 +311,6 @@ func (l *loop) launch(ln *lane, d Decision) error {
 	if !d.HT {
 		ln.cores += d.Placement.CoresUsed(l.m, d.Threads)
 	}
-	if l.trace != nil {
-		l.trace.Add(trace.Event{ClockNs: l.clockNs, Type: trace.Launch, Node: d.Node, CoRunning: len(l.running)})
-	}
 	return nil
 }
 
@@ -348,18 +352,6 @@ func (l *loop) harvest(completed []*Running) {
 			if ln.in[c] == 0 {
 				ln.view.Ready = append(ln.view.Ready, c)
 			}
-		}
-	}
-	if l.trace != nil {
-		// One Finish event per completed operation, attributed to its real
-		// node. Simultaneous completions drain one at a time, so each
-		// event's CoRunning reflects the set still in flight after that
-		// operation retired.
-		for i, r := range completed {
-			l.trace.Add(trace.Event{
-				ClockNs: l.clockNs, Type: trace.Finish,
-				Node: r.Node, CoRunning: len(l.running) + len(completed) - 1 - i,
-			})
 		}
 	}
 }

@@ -2,13 +2,13 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/nn"
 	"opsched/internal/op"
-	"opsched/internal/trace"
 )
 
 // chain builds a linear graph of n identical convolutions.
@@ -41,7 +41,7 @@ func diamond() *graph.Graph {
 func TestRunSerialChain(t *testing.T) {
 	g := chain(5)
 	m := hw.NewKNL()
-	res, err := Run(g, Recommendation(m), Options{Machine: m})
+	res, err := Run(g, Recommendation(m), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunSerialChain(t *testing.T) {
 
 func TestRunRespectsDependencies(t *testing.T) {
 	g := chain(8)
-	res, err := Run(g, &FIFO{InterOp: 4, IntraOp: 16, Place: hw.Shared}, Options{})
+	res, err := Run(g, &FIFO{InterOp: 4, IntraOp: 16, Place: hw.Shared}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestCoRunBeatsSerialWithThreadControl(t *testing.T) {
 	g := diamond()
 	m := hw.NewKNL()
 
-	serial, err := Run(g, Recommendation(m), Options{Machine: m})
+	serial, err := Run(g, Recommendation(m), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := Run(g, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared, Pinned: true}, Options{Machine: m})
+	split, err := Run(g, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared, Pinned: true}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestCoRunBeatsSerialWithThreadControl(t *testing.T) {
 func TestOversubscriptionHurts(t *testing.T) {
 	g := chain(4)
 	m := hw.NewKNL()
-	base, err := Run(g, Recommendation(m), Options{Machine: m})
+	base, err := Run(g, Recommendation(m), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := Run(g, &FIFO{InterOp: 1, IntraOp: 136, Place: hw.Shared}, Options{Machine: m})
+	over, err := Run(g, &FIFO{InterOp: 1, IntraOp: 136, Place: hw.Shared}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,54 +131,69 @@ func TestOversubscriptionHurts(t *testing.T) {
 	}
 }
 
+// TestTraceEvents: the co-running series of the diamond under inter-op 2 is
+// a non-empty trace that shows both branches in flight at once.
 func TestTraceEvents(t *testing.T) {
 	g := diamond()
-	res, err := Run(g, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, Options{Trace: true})
+	res, err := Run(g, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Trace.Len() == 0 {
-		t.Fatal("trace empty despite Options.Trace")
+	series := CoRunning(res.Records)
+	if len(series) == 0 {
+		t.Fatal("co-running series empty for a run with records")
 	}
-	if max := maxCoRun(res); max < 2 {
-		t.Errorf("max co-running = %d, want >= 2 for the diamond under inter-op 2", max)
+	if peak := slices.Max(series); peak < 2 {
+		t.Errorf("max co-running = %d, want >= 2 for the diamond under inter-op 2", peak)
 	}
-	// Without tracing the field stays nil.
-	res2, err := Run(g, Recommendation(nil2()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Trace != nil {
-		t.Error("trace allocated without Options.Trace")
+	if got := CoRunning(nil); len(got) != 0 {
+		t.Errorf("CoRunning(nil) = %v, want no events", got)
 	}
 }
 
 func nil2() *hw.Machine { return hw.NewKNL() }
 
-func maxCoRun(res *Result) int {
-	max := 0
-	for _, e := range res.Trace.Events() {
-		if e.CoRunning > max {
-			max = e.CoRunning
+// TestTraceFinishPerOperation: the diamond's records give one launch and
+// one completion per operation, every count is non-negative, and the last
+// completion leaves an empty machine.
+func TestTraceFinishPerOperation(t *testing.T) {
+	g := diamond()
+	res, err := Run(g, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finishes := make(map[graph.NodeID]int)
+	for _, r := range res.Records {
+		if g.Node(r.Node) == nil {
+			t.Fatalf("record for nonexistent node %d", r.Node)
+		}
+		finishes[r.Node]++
+	}
+	for _, n := range g.Nodes() {
+		if finishes[n.ID] != 1 {
+			t.Errorf("node %d has %d records, want 1", n.ID, finishes[n.ID])
 		}
 	}
-	return max
+	series := checkCoRunning(t, []*graph.Graph{g}, []Result{*res})
+	if len(series) != 2*g.Len() {
+		t.Errorf("%d events, want a launch and a completion for each of %d operations", len(series), g.Len())
+	}
 }
 
 func TestRunErrors(t *testing.T) {
 	g := chain(2)
-	if _, err := Run(g, nil, Options{}); err == nil {
+	if _, err := Run(g, nil, nil); err == nil {
 		t.Error("nil scheduler accepted")
 	}
-	if _, err := Run(graph.New("empty"), Recommendation(nil2()), Options{}); err == nil {
+	if _, err := Run(graph.New("empty"), Recommendation(nil2()), nil); err == nil {
 		t.Error("empty graph accepted")
 	}
 	// A scheduler that never launches anything must be reported as stalled.
-	if _, err := Run(g, stallSched{}, Options{}); err == nil {
+	if _, err := Run(g, stallSched{}, nil); err == nil {
 		t.Error("stalling scheduler not detected")
 	}
 	// A scheduler returning invalid decisions must fail loudly.
-	if _, err := Run(g, badSched{}, Options{}); err == nil {
+	if _, err := Run(g, badSched{}, nil); err == nil {
 		t.Error("invalid decision not rejected")
 	}
 }
@@ -202,7 +217,7 @@ func (badSched) Schedule(st *State, dst []Decision) []Decision {
 // recommendation baseline and sanity-checks the step time and record count.
 func TestFullModelUnderBaseline(t *testing.T) {
 	m := nn.BuildResNet50(64)
-	res, err := Run(m.Graph, Recommendation(nil2()), Options{})
+	res, err := Run(m.Graph, Recommendation(nil2()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +238,11 @@ func TestFullModelUnderBaseline(t *testing.T) {
 func TestInterOpParallelismChangesMakespan(t *testing.T) {
 	model := nn.BuildResNet50(64)
 	m := hw.NewKNL()
-	serial, err := Run(model.Graph, Recommendation(m), Options{Machine: m})
+	serial, err := Run(model.Graph, Recommendation(m), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := Run(model.Graph, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, Options{Machine: m})
+	co, err := Run(model.Graph, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +255,11 @@ func TestInterOpParallelismChangesMakespan(t *testing.T) {
 // TestDeterminism: identical inputs yield identical timelines.
 func TestDeterminism(t *testing.T) {
 	model := nn.BuildDCGAN(64)
-	a, err := Run(model.Graph, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, Options{})
+	a, err := Run(model.Graph, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(model.Graph, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, Options{})
+	b, err := Run(model.Graph, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,63 +273,22 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceFinishPerOperation: every operation gets exactly one Finish event
-// attributed to its real node ID — the attribution Figure 4 needs (the old
-// engine emitted one aggregate Finish per clock advance with Node -1).
-func TestTraceFinishPerOperation(t *testing.T) {
-	g := diamond()
-	res, err := Run(g, &FIFO{InterOp: 2, IntraOp: 34, Place: hw.Shared}, Options{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	finishes := make(map[graph.NodeID]int)
-	launches := 0
-	for _, e := range res.Trace.Events() {
-		switch e.Type {
-		case trace.Finish:
-			if g.Node(e.Node) == nil {
-				t.Fatalf("finish event for nonexistent node %d", e.Node)
-			}
-			finishes[e.Node]++
-		case trace.Launch:
-			launches++
-		}
-		if e.CoRunning < 0 {
-			t.Errorf("event with negative co-running count: %+v", e)
-		}
-	}
-	if launches != g.Len() {
-		t.Errorf("launch events = %d, want %d", launches, g.Len())
-	}
-	for _, n := range g.Nodes() {
-		if finishes[n.ID] != 1 {
-			t.Errorf("node %d has %d finish events, want 1", n.ID, finishes[n.ID])
-		}
-	}
-	// The last finish leaves an empty machine.
-	evs := res.Trace.Events()
-	if last := evs[len(evs)-1]; last.Type != trace.Finish || last.CoRunning != 0 {
-		t.Errorf("last event = %+v, want a Finish with 0 co-running", last)
-	}
-}
-
 // TestValidateRejectsImpossiblePinnedPlacement: a pinned decision cannot ask
 // for more threads than the machine has physical cores.
 func TestValidateRejectsImpossiblePinnedPlacement(t *testing.T) {
 	g := chain(2)
 	m := hw.NewKNL()
-	_, err := Run(g, &FIFO{InterOp: 1, IntraOp: m.Cores + 1, Place: hw.Shared, Pinned: true},
-		Options{Machine: m})
+	_, err := Run(g, &FIFO{InterOp: 1, IntraOp: m.Cores + 1, Place: hw.Shared, Pinned: true}, m)
 	if err == nil {
 		t.Fatal("pinned decision with threads > cores accepted")
 	}
 	// The same width unpinned models stock TensorFlow oversubscription and
 	// must still execute.
-	if _, err := Run(g, &FIFO{InterOp: 1, IntraOp: m.Cores + 1, Place: hw.Shared}, Options{Machine: m}); err != nil {
+	if _, err := Run(g, &FIFO{InterOp: 1, IntraOp: m.Cores + 1, Place: hw.Shared}, m); err != nil {
 		t.Fatalf("unpinned oversubscribed run failed: %v", err)
 	}
 	// At exactly the core count a pinned decision is legal.
-	if _, err := Run(g, &FIFO{InterOp: 1, IntraOp: m.Cores, Place: hw.Shared, Pinned: true}, Options{Machine: m}); err != nil {
+	if _, err := Run(g, &FIFO{InterOp: 1, IntraOp: m.Cores, Place: hw.Shared, Pinned: true}, m); err != nil {
 		t.Fatalf("pinned full-width run failed: %v", err)
 	}
 }

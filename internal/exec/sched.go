@@ -12,6 +12,11 @@
 // operations; a claim policy the caller passes orders the jobs and caps
 // the cores each may hold at every scheduling event. Run, the solo
 // training step, is the one-job case with no cap.
+//
+// A run's only op-level output is its records: one OpRecord per operation
+// with its start and finish times, threads and placement. Everything
+// per-op is derived from them; CoRunning, for one, rebuilds the
+// co-running count at every launch and completion (the paper's Figure 4).
 package exec
 
 import (

@@ -167,7 +167,7 @@ func Table3(m *hw.Machine) (*Table3Result, error) {
 		return g
 	}
 	run := func(s exec.Scheduler) (float64, error) {
-		res, err := exec.Run(mk(), s, exec.Options{Machine: m})
+		res, err := exec.Run(mk(), s, m)
 		if err != nil {
 			return 0, err
 		}

@@ -9,7 +9,6 @@ import (
 	"opsched/internal/nn"
 	"opsched/internal/op"
 	"opsched/internal/stats"
-	"opsched/internal/trace"
 )
 
 // modelsForTable5 builds the four workloads once per experiment.
@@ -36,7 +35,7 @@ func Table1(m *hw.Machine) (*Table1Result, error) {
 	}
 	for _, name := range []string{nn.ResNet50, nn.DCGAN} {
 		model := nn.MustBuild(name)
-		base, err := exec.Run(model.Graph, exec.Recommendation(m), exec.Options{Machine: m})
+		base, err := exec.Run(model.Graph, exec.Recommendation(m), m)
 		if err != nil {
 			return nil, err
 		}
@@ -45,8 +44,7 @@ func Table1(m *hw.Machine) (*Table1Result, error) {
 		for _, inter := range res.Inter {
 			for _, intra := range res.Intra {
 				r, err := exec.Run(model.Graph,
-					&exec.FIFO{InterOp: inter, IntraOp: intra, Place: hw.Shared},
-					exec.Options{Machine: m})
+					&exec.FIFO{InterOp: inter, IntraOp: intra, Place: hw.Shared}, m)
 				if err != nil {
 					return nil, err
 				}
@@ -101,13 +99,13 @@ func Figure3(m *hw.Machine) (*Figure3Result, error) {
 	}
 	for _, name := range nn.Names() {
 		model := nn.MustBuild(name)
-		rec, err := exec.Run(model.Graph, exec.Recommendation(m), exec.Options{Machine: m})
+		rec, err := exec.Run(model.Graph, exec.Recommendation(m), m)
 		if err != nil {
 			return nil, err
 		}
 		step := func(cfg core.Config) (float64, error) {
 			rt := core.New(m, cfg)
-			r, err := rt.RunStep(model.Graph, exec.Options{Machine: m})
+			r, err := rt.RunStep(model.Graph)
 			if err != nil {
 				return 0, err
 			}
@@ -175,12 +173,12 @@ func Table6(m *hw.Machine) (*Table6Result, error) {
 	res := &Table6Result{}
 	for _, name := range nn.Names() {
 		model := nn.MustBuild(name)
-		rec, err := exec.Run(model.Graph, exec.Recommendation(m), exec.Options{Machine: m})
+		rec, err := exec.Run(model.Graph, exec.Recommendation(m), m)
 		if err != nil {
 			return nil, err
 		}
 		rt := core.New(m, core.Strategies12())
-		s12, err := rt.RunStep(model.Graph, exec.Options{Machine: m})
+		s12, err := rt.RunStep(model.Graph)
 		if err != nil {
 			return nil, err
 		}
@@ -260,17 +258,20 @@ func Figure4(m *hw.Machine) (*Figure4Result, error) {
 	for _, name := range []string{nn.ResNet50, nn.DCGAN, nn.InceptionV3} {
 		model := nn.MustBuild(name)
 		run := func(cfg core.Config) ([]int, float64, error) {
-			rt := core.New(m, cfg)
-			r, err := rt.RunStep(model.Graph, exec.Options{Machine: m, Trace: true})
+			r, err := core.New(m, cfg).RunStep(model.Graph)
 			if err != nil {
 				return nil, 0, err
 			}
-			w := r.Trace.Window(6000)
-			series := make([]int, len(w))
-			for i, e := range w {
-				series[i] = e.CoRunning
+			// The paper plots events from the middle of one step.
+			series := exec.CoRunning(r.Records)
+			if n := 6000; len(series) > n {
+				series = series[(len(series)-n)/2:][:n]
 			}
-			return series, trace.AvgCoRunning(w), nil
+			sum := 0.0
+			for _, c := range series {
+				sum += float64(c)
+			}
+			return series, sum / float64(len(series)), nil
 		}
 		s3, avg3, err := run(core.Strategies123())
 		if err != nil {

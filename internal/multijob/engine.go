@@ -35,12 +35,6 @@ func (j *jobState) progress() float64 {
 	return (j.totalWork - j.remainingWork) / j.totalWork
 }
 
-// Options configure a co-scheduled run.
-type Options struct {
-	// Machine is the shared hardware model; nil means hw.NewKNL().
-	Machine *hw.Machine
-}
-
 // SoloNs runs job alone on machine m (nil means hw.NewKNL()) under its own
 // scheduler and returns its makespan: the slowdown baseline CoRun divides
 // by. It is the one-job co-run, capped at every core (a lone unit-weight
@@ -65,33 +59,34 @@ func SoloNs(job Job, m *hw.Machine) (float64, error) {
 	return runs[0].StepTimeNs, nil
 }
 
-// CoTrain executes one training step of every job concurrently on one
-// machine under the given cross-job arbiter: it prices every job's solo
-// baseline with SoloNs, then co-runs them through CoRun. Execution is
-// fully deterministic.
-func CoTrain(jobs []Job, arb Arbiter, opts Options) (*Result, error) {
+// CoTrain executes one training step of every job concurrently on machine
+// m (nil means hw.NewKNL()) under the given cross-job arbiter: it prices
+// every job's solo baseline with SoloNs, then co-runs them through CoRun.
+// Execution is fully deterministic.
+func CoTrain(jobs []Job, arb Arbiter, m *hw.Machine) (*Result, error) {
 	if err := validateJobs(jobs); err != nil {
 		return nil, err
 	}
-	if opts.Machine == nil {
-		opts.Machine = hw.NewKNL()
+	if m == nil {
+		m = hw.NewKNL()
 	}
 	solos := make([]float64, len(jobs))
 	for i, job := range jobs {
-		s, err := SoloNs(job, opts.Machine)
+		s, err := SoloNs(job, m)
 		if err != nil {
 			return nil, err
 		}
 		solos[i] = s
 	}
-	return CoRun(jobs, solos, arb, opts)
+	return CoRun(jobs, solos, arb, m)
 }
 
-// CoRun co-runs one training step of every job from a common virtual time
-// zero under the given cross-job arbiter. solos[i] is job i's solo
-// makespan on opts.Machine (SoloNs), the baseline its slowdown and the
-// fairness index are priced against. Execution is fully deterministic.
-func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, error) {
+// CoRun co-runs one training step of every job on machine m (nil means
+// hw.NewKNL()) from a common virtual time zero under the given cross-job
+// arbiter. solos[i] is job i's solo makespan on m (SoloNs), the baseline
+// its slowdown and the fairness index are priced against. Execution is
+// fully deterministic.
+func CoRun(jobs []Job, solos []float64, arb Arbiter, m *hw.Machine) (*Result, error) {
 	if err := validateJobs(jobs); err != nil {
 		return nil, err
 	}
@@ -101,7 +96,6 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, opts Options) (*Result, err
 	if !arb.valid() {
 		return nil, fmt.Errorf("multijob: unknown arbiter %s (have %v)", arb.Name(), Arbiters())
 	}
-	m := opts.Machine
 	if m == nil {
 		m = hw.NewKNL()
 	}

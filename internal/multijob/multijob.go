@@ -27,7 +27,8 @@
 // progress. The solo baseline is the one-job co-run under the same core
 // cap, so a lone job's slowdown is exactly 1. A caller that co-runs the
 // same jobs many times (the cluster engine's CPU nodes) prices each solo
-// baseline once and calls CoRun directly.
+// baseline once and calls CoRun directly. SoloNs, CoTrain and CoRun all
+// take the shared machine directly (nil means hw.NewKNL()).
 package multijob
 
 import (
@@ -89,7 +90,8 @@ type JobResult struct {
 	// Slowdown is MakespanNs/SoloNs; contention and queueing make it >= 1.
 	Slowdown float64
 	// Records holds the job's per-operation execution records in completion
-	// order.
+	// order. exec.CoRunning over every job's Records, concatenated, is the
+	// co-run's co-running series.
 	Records []exec.OpRecord
 }
 

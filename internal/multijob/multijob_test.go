@@ -40,7 +40,7 @@ func TestCoRunNeverBeatsSolo(t *testing.T) {
 			t.Fatal(err)
 		}
 		jobs := runtimeJobs(t, m, nn.ResNet50, nn.LSTM)
-		res, err := CoTrain(jobs, arb, Options{Machine: m})
+		res, err := CoTrain(jobs, arb, m)
 		if err != nil {
 			t.Fatalf("%s: %v", arbName, err)
 		}
@@ -87,7 +87,7 @@ func TestCoTrainDeterminism(t *testing.T) {
 	for _, arbName := range Arbiters() {
 		arb, _ := NewArbiter(arbName)
 		run := func() string {
-			res, err := CoTrain(runtimeJobs(t, m, nn.DCGAN, nn.LSTM), arb, Options{Machine: m})
+			res, err := CoTrain(runtimeJobs(t, m, nn.DCGAN, nn.LSTM), arb, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestSingleJobMatchesSolo(t *testing.T) {
 		for _, job := range soloJobs(t, m, nn.MustBuild(name).Graph, func(core.ManualConfig) bool { return true }) {
 			for _, arbName := range Arbiters() {
 				arb, _ := NewArbiter(arbName)
-				res, err := CoTrain([]Job{job}, arb, Options{Machine: m})
+				res, err := CoTrain([]Job{job}, arb, m)
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", name, job.Name, arbName, err)
 				}
@@ -139,7 +139,7 @@ func TestFairShareFloorsExactly(t *testing.T) {
 	for _, w := range weights {
 		job := FIFOJob("lone", lstm, 2, 34)
 		job.Weight = w
-		res, err := CoTrain([]Job{job}, FairShare, Options{Machine: m})
+		res, err := CoTrain([]Job{job}, FairShare, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestFairShareFloorsExactly(t *testing.T) {
 // slowed no more than the bottom-ranked one.
 func TestPriorityFavorsTopJob(t *testing.T) {
 	m := hw.NewKNL()
-	res, err := CoTrain(runtimeJobs(t, m, nn.ResNet50, nn.LSTM), Priority, Options{Machine: m})
+	res, err := CoTrain(runtimeJobs(t, m, nn.ResNet50, nn.LSTM), Priority, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestPriorityFavorsTopJob(t *testing.T) {
 // short job before the long one.
 func TestSRWFDrainsShortJobFirst(t *testing.T) {
 	m := hw.NewKNL()
-	res, err := CoTrain(runtimeJobs(t, m, nn.ResNet50, nn.LSTM), SRWF, Options{Machine: m})
+	res, err := CoTrain(runtimeJobs(t, m, nn.ResNet50, nn.LSTM), SRWF, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMixedSchedulerJobs(t *testing.T) {
 	}
 	fifo := FIFOJob("fifo", dcgan.Graph, 1, m.Cores)
 	fifo.Weight = 2
-	res, err := CoTrain([]Job{tuned, fifo}, FairShare, Options{Machine: m})
+	res, err := CoTrain([]Job{tuned, fifo}, FairShare, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,17 +254,17 @@ func TestJainIndex(t *testing.T) {
 // TestCoTrainErrors: malformed inputs fail loudly.
 func TestCoTrainErrors(t *testing.T) {
 	m := hw.NewKNL()
-	if _, err := CoTrain(nil, FairShare, Options{Machine: m}); err == nil {
+	if _, err := CoTrain(nil, FairShare, m); err == nil {
 		t.Error("empty job set accepted")
 	}
 	lstm := nn.MustBuild(nn.LSTM)
-	if _, err := CoTrain([]Job{{Name: "", Graph: lstm.Graph}}, FairShare, Options{Machine: m}); err == nil {
+	if _, err := CoTrain([]Job{{Name: "", Graph: lstm.Graph}}, FairShare, m); err == nil {
 		t.Error("unnamed job accepted")
 	}
-	if _, err := CoTrain([]Job{{Name: "x", Graph: lstm.Graph}}, FairShare, Options{Machine: m}); err == nil {
+	if _, err := CoTrain([]Job{{Name: "x", Graph: lstm.Graph}}, FairShare, m); err == nil {
 		t.Error("job with nil scheduler accepted")
 	}
-	if _, err := CoTrain([]Job{FIFOJob("x", nil, 1, 68)}, FairShare, Options{Machine: m}); err == nil {
+	if _, err := CoTrain([]Job{FIFOJob("x", nil, 1, 68)}, FairShare, m); err == nil {
 		t.Error("job with nil graph accepted")
 	}
 	if _, err := NewArbiter("nope"); err == nil {
@@ -274,16 +274,16 @@ func TestCoTrainErrors(t *testing.T) {
 	for _, w := range []float64{math.Inf(1), math.Nextafter(MaxWeight, math.Inf(1)), 1e308} {
 		heavy := fifo
 		heavy.Weight = w
-		if _, err := CoTrain([]Job{heavy, fifo}, FairShare, Options{Machine: m}); err == nil || !strings.Contains(err.Error(), "weight") {
+		if _, err := CoTrain([]Job{heavy, fifo}, FairShare, m); err == nil || !strings.Contains(err.Error(), "weight") {
 			t.Errorf("weight %v: err = %v, want a weight error", w, err)
 		}
 	}
 	ceiling := fifo
 	ceiling.Weight = MaxWeight
-	if _, err := CoTrain([]Job{ceiling, fifo}, FairShare, Options{Machine: m}); err != nil {
+	if _, err := CoTrain([]Job{ceiling, fifo}, FairShare, m); err != nil {
 		t.Errorf("weight at the ceiling rejected: %v", err)
 	}
-	if _, err := CoRun([]Job{fifo}, []float64{1}, SRWF+1, Options{Machine: m}); err == nil || !strings.Contains(err.Error(), "unknown arbiter") {
+	if _, err := CoRun([]Job{fifo}, []float64{1}, SRWF+1, m); err == nil || !strings.Contains(err.Error(), "unknown arbiter") {
 		t.Errorf("out-of-range arbiter: err = %v, want an unknown-arbiter error", err)
 	}
 }

@@ -96,7 +96,7 @@ func TestCoTrainSlowdownProperty(t *testing.T) {
 			j.Priority = rng.Intn(3)
 			jobs[i] = j
 		}
-		res, err := CoTrain(jobs, arb, Options{Machine: m})
+		res, err := CoTrain(jobs, arb, m)
 		if err != nil {
 			t.Logf("seed=%d arbiter=%s: %v", seed, arbName, err)
 			return false

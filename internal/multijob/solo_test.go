@@ -82,7 +82,7 @@ func TestSoloNsMatchesRunUnlessOversubscribed(t *testing.T) {
 	for _, name := range models {
 		g := nn.MustBuild(name).Graph
 		for _, job := range soloJobs(t, m, g, func(c core.ManualConfig) bool { return !oversubscribed(c) }) {
-			run, err := exec.Run(g, job.Sched, exec.Options{Machine: m})
+			run, err := exec.Run(g, job.Sched, m)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, job.Name, err)
 			}
@@ -141,7 +141,7 @@ func TestStepTimeAboveCriticalPath(t *testing.T) {
 		bounds[name] = bound
 		lowest := math.Inf(1)
 		for _, job := range soloJobs(t, m, g, func(core.ManualConfig) bool { return true }) {
-			res, err := exec.Run(g, job.Sched, exec.Options{Machine: m})
+			res, err := exec.Run(g, job.Sched, m)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, job.Name, err)
 			}
@@ -156,7 +156,7 @@ func TestStepTimeAboveCriticalPath(t *testing.T) {
 	for a := 0; a < len(names); a++ {
 		for b := a + 1; b < len(names); b++ {
 			for _, arb := range []Arbiter{FairShare, Priority, SRWF} {
-				res, err := CoTrain(runtimeJobs(t, m, names[a], names[b]), arb, Options{Machine: m})
+				res, err := CoTrain(runtimeJobs(t, m, names[a], names[b]), arb, m)
 				if err != nil {
 					t.Fatal(err)
 				}

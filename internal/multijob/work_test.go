@@ -65,7 +65,7 @@ func TestPredictedWorkShared(t *testing.T) {
 	jobs := runtimeJobs(t, m, nn.LSTM, nn.DCGAN, nn.LSTM)
 	shared := predictedWork(m, jobs[0].Graph)
 	before := append([]float64(nil), shared...)
-	if _, err := CoTrain(jobs, SRWF, Options{Machine: m}); err != nil {
+	if _, err := CoTrain(jobs, SRWF, m); err != nil {
 		t.Fatal(err)
 	}
 	for i := range before {
@@ -115,11 +115,11 @@ func TestCoRunRejectsGraphMutatedAfterValidation(t *testing.T) {
 	m := hw.NewKNL()
 	g := nn.MustBuild(nn.LSTM).Graph
 	job := FIFOJob("mutant", g, 1, 68)
-	if _, err := CoRun([]Job{job}, []float64{1}, FairShare, Options{Machine: m}); err != nil {
+	if _, err := CoRun([]Job{job}, []float64{1}, FairShare, m); err != nil {
 		t.Fatal(err)
 	}
 	g.Add(&op.Op{Kind: "Bogus", Input: op.Dims{8, 8}}, "bogus", graph.NodeID(g.Len()-1))
-	_, err := CoRun([]Job{job}, []float64{1}, FairShare, Options{Machine: m})
+	_, err := CoRun([]Job{job}, []float64{1}, FairShare, m)
 	if err == nil || !strings.Contains(err.Error(), "job mutant") {
 		t.Fatalf("CoRun on the mutated graph = %v, want an error naming job mutant", err)
 	}

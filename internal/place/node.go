@@ -260,7 +260,7 @@ func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 		mj[i] = cpuWaveJob(wj, mdl.job)
 		solos[i] = mdl.soloNs
 	}
-	res, err := multijob.CoRun(mj, solos, c.arb, multijob.Options{Machine: c.m})
+	res, err := multijob.CoRun(mj, solos, c.arb, c.m)
 	if err != nil {
 		return nil, err
 	}

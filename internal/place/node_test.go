@@ -23,7 +23,7 @@ func freshCPUWave(t *testing.T, m *hw.Machine, arb multijob.Arbiter, wave []Wave
 		}
 		jobs[i] = cpuWaveJob(wj, job)
 	}
-	res, err := multijob.CoTrain(jobs, arb, multijob.Options{Machine: m})
+	res, err := multijob.CoTrain(jobs, arb, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func RunJobGrid(ctx context.Context, g JobGrid, parallelism int) ([]JobCell, err
 			job.Priority = len(pt.mix.Models) - i
 			jobs[i] = job
 		}
-		res, err := multijob.CoTrain(jobs, arb, multijob.Options{Machine: pt.machine})
+		res, err := multijob.CoTrain(jobs, arb, pt.machine)
 		if err != nil {
 			return JobCell{}, fmt.Errorf("sweep: cell %s/%s/%s: %w", cell.Machine, cell.Mix, cell.Arbiter, err)
 		}

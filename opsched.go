@@ -96,7 +96,7 @@ func NewRuntime(m *Machine, cfg Config) *Runtime { return core.New(m, cfg) }
 // steps) and executes one training step under the runtime.
 func TrainStep(model *Model, m *Machine, cfg Config) (*Result, error) {
 	rt := core.New(m, cfg)
-	return rt.RunStep(model.Graph, exec.Options{Machine: m})
+	return rt.RunStep(model.Graph)
 }
 
 // BaselineStep executes one training step under the TensorFlow FIFO
@@ -104,8 +104,7 @@ func TrainStep(model *Model, m *Machine, cfg Config) (*Result, error) {
 // recommended configuration is interOp=1, intraOp=68.
 func BaselineStep(model *Model, m *Machine, interOp, intraOp int) (*Result, error) {
 	return exec.Run(model.Graph,
-		&exec.FIFO{InterOp: interOp, IntraOp: intraOp, Place: hw.Shared},
-		exec.Options{Machine: m})
+		&exec.FIFO{InterOp: interOp, IntraOp: intraOp, Place: hw.Shared}, m)
 }
 
 // ManualOptimize exhaustively searches uniform configurations — the
@@ -193,7 +192,7 @@ func CoTrain(models []string, m *Machine, cfg Config, arbiter string) (*CoTrainR
 		job.Priority = len(models) - i
 		jobs[i] = job
 	}
-	return multijob.CoTrain(jobs, arb, multijob.Options{Machine: m})
+	return multijob.CoTrain(jobs, arb, m)
 }
 
 // RunCoJobs co-schedules caller-assembled jobs (custom graphs, schedulers,
@@ -203,7 +202,7 @@ func RunCoJobs(jobs []CoJob, m *Machine, arbiter string) (*CoTrainResult, error)
 	if err != nil {
 		return nil, err
 	}
-	return multijob.CoTrain(jobs, arb, multijob.Options{Machine: m})
+	return multijob.CoTrain(jobs, arb, m)
 }
 
 // JobMix is one co-scheduled workload mix in a job sweep.
