@@ -26,10 +26,10 @@ func (c *appendChecker) Schedule(st *exec.State, dst []exec.Decision) []exec.Dec
 	buf := append(make([]exec.Decision, 0, len(prefix)+len(want)+4), prefix...)
 	got := c.Scheduler.Schedule(st, buf)
 	if len(got) < len(prefix) || !slices.Equal(got[:len(prefix)], prefix) {
-		c.t.Fatalf("%s at %.0f ns: prefix %v came back as %v", c.Name(), st.ClockNs, prefix, got)
+		c.t.Fatalf("%s with %d ready, %d running: prefix %v came back as %v", c.Name(), len(st.Ready), len(st.Running), prefix, got)
 	}
 	if tail := got[len(prefix):]; !slices.Equal(tail, want) {
-		c.t.Fatalf("%s at %.0f ns: appended %v, Schedule(st, nil) gives %v", c.Name(), st.ClockNs, tail, want)
+		c.t.Fatalf("%s with %d ready, %d running: appended %v, Schedule(st, nil) gives %v", c.Name(), len(st.Ready), len(st.Running), tail, want)
 	}
 	c.events++
 	return c.Scheduler.Schedule(st, dst)
@@ -70,7 +70,7 @@ type allocChecker struct {
 
 func (c *allocChecker) Schedule(st *exec.State, dst []exec.Decision) []exec.Decision {
 	if n := testing.AllocsPerRun(2, func() { c.buf = c.Runtime.Schedule(st, c.buf[:0]) }); n != 0 {
-		c.t.Fatalf("%s at %.0f ns: Schedule allocates %v objects with a reused buffer, want 0", c.Name(), st.ClockNs, n)
+		c.t.Fatalf("%s with %d ready, %d running: Schedule allocates %v objects with a reused buffer, want 0", c.Name(), len(st.Ready), len(st.Running), n)
 	}
 	return c.Runtime.Schedule(st, dst)
 }

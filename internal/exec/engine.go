@@ -92,7 +92,7 @@ func CoRun(jobs []Job, m *hw.Machine, claims func(runs []Result, dst []Claim) []
 		n := job.Graph.Len()
 		ln := &l.lanes[i]
 		ln.view = State{Machine: m, Graph: job.Graph, Ready: make([]graph.NodeID, 0, n)}
-		ln.name, ln.sched, ln.in = job.Name, job.Sched, job.Graph.InDegrees()
+		ln.name, ln.sched, ln.in, ln.refused = job.Name, job.Sched, job.Graph.InDegrees(), -1
 		for id, d := range ln.in {
 			if d == 0 {
 				ln.view.Ready = append(ln.view.Ready, graph.NodeID(id))
@@ -152,6 +152,13 @@ type lane struct {
 	in        []int // outstanding dependency counts, by NodeID
 	cores     int   // physical cores the non-HT running operations occupy
 	saturated bool  // no more launches until the next completion event
+
+	// refused is the limit the scheduler last launched nothing under while
+	// the lane had nothing in flight; -1 once the lane launches again.
+	// Until then none of its operations can complete, so its view stays as
+	// it was, and Schedule is a function of the view: under a limit no
+	// larger it would refuse again, so it is not asked.
+	refused int
 }
 
 // loop is the op-event loop: per-job ready bookkeeping, the union of every
@@ -250,14 +257,13 @@ func (l *loop) event() error {
 // cores. It reports whether anything launched.
 func (l *loop) schedule(j, limit int) (bool, error) {
 	ln := &l.lanes[j]
-	ln.view.ClockNs = l.clockNs
+	if limit <= ln.refused {
+		ln.saturated = true
+		return false, nil
+	}
 	decs := ln.sched.Schedule(&ln.view, l.decs[:0])
 	if cap(decs) > cap(l.decs) {
 		l.decs = decs // keep the grown buffer
-	}
-	if len(decs) == 0 {
-		ln.saturated = true
-		return false, nil
 	}
 
 	launched := false
@@ -277,6 +283,12 @@ func (l *loop) schedule(j, limit int) (bool, error) {
 			return launched, fmt.Errorf("exec: job %s: %w", ln.name, err)
 		}
 		launched = true
+	}
+	if !launched {
+		ln.saturated = true
+		if len(ln.view.Running) == 0 {
+			ln.refused = limit
+		}
 	}
 	return launched, nil
 }
@@ -308,6 +320,7 @@ func (l *loop) launch(ln *lane, d Decision) error {
 	}
 	l.running = append(l.running, r)
 	ln.view.Running = append(ln.view.Running, r)
+	ln.refused = -1
 	if !d.HT {
 		ln.cores += d.Placement.CoresUsed(l.m, d.Threads)
 	}

@@ -380,3 +380,38 @@ func TestCoRunCaps(t *testing.T) {
 		t.Errorf("uncapped: the pair held at most %d of %d cores, want oversubscription", both, m.Cores)
 	}
 }
+
+// countingSched counts the Schedule calls its scheduler gets.
+type countingSched struct {
+	Scheduler
+	calls int
+}
+
+func (c *countingSched) Schedule(st *State, dst []Decision) []Decision {
+	c.calls++
+	return c.Scheduler.Schedule(st, dst)
+}
+
+// TestRefusedIdleLaneNotReasked: a job with nothing in flight whose
+// scheduler launched nothing under a core limit is not asked again until
+// its limit grows. Behind a chain at 34 threads, under Leftover, a job that
+// wants all 68 cores is refused at the first event and then left alone at
+// each of the chain's seven later completions; it is asked once more, and
+// launches, when the chain's last completion frees the machine.
+func TestRefusedIdleLaneNotReasked(t *testing.T) {
+	m := hw.NewKNL()
+	narrow := &countingSched{Scheduler: &FIFO{InterOp: 1, IntraOp: 34, Place: hw.Shared}}
+	wide := &countingSched{Scheduler: &FIFO{InterOp: 1, IntraOp: 68, Place: hw.Shared}}
+	jobs := []Job{{Name: "narrow", Graph: chain(8), Sched: narrow}, {Name: "wide", Graph: chain(1), Sched: wide}}
+	claims := []Claim{{Job: 0, Cap: Leftover}, {Job: 1, Cap: Leftover}}
+	runs, err := CoRun(jobs, m, func(_ []Result, dst []Claim) []Claim { return append(dst, claims...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.calls != 2 {
+		t.Errorf("the wide job's scheduler was asked %d times, want 2", wide.calls)
+	}
+	if start := runs[1].Records[0].StartNs; start != runs[0].StepTimeNs {
+		t.Errorf("the wide job started at %v ns, want the chain's finish at %v ns", start, runs[0].StepTimeNs)
+	}
+}

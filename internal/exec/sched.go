@@ -88,8 +88,6 @@ type State struct {
 	Machine *hw.Machine
 	// Graph is the dataflow graph being executed.
 	Graph *graph.Graph
-	// ClockNs is the current virtual time.
-	ClockNs float64
 	// Ready lists ready-to-run operations in FIFO (enqueue) order.
 	Ready []graph.NodeID
 	// Running lists operations in flight.
@@ -137,6 +135,12 @@ type Scheduler interface {
 	// every call and schedules without allocating. The appended decisions
 	// are applied in order; invalid decisions (not-ready nodes,
 	// non-positive thread counts) abort execution with an error.
+	//
+	// The decisions must be a deterministic function of the view st (and
+	// of the scheduler's own fixed configuration): asked twice about an
+	// unchanged view, a scheduler answers the same. The loop relies on it
+	// and does not re-ask a job with nothing in flight that launched
+	// nothing under a core limit at least as large.
 	Schedule(st *State, dst []Decision) []Decision
 }
 

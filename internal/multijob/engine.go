@@ -37,11 +37,13 @@ func (j *jobState) progress() float64 {
 
 // SoloNs runs job alone on machine m (nil means hw.NewKNL()) under its own
 // scheduler and returns its makespan: the slowdown baseline CoRun divides
-// by. It is the one-job co-run, capped at every core (a lone unit-weight
-// job's cap under each arbiter), so it differs from exec.Run only where
-// the scheduler oversubscribes the machine. The value depends only on the
-// job's graph, scheduler and m, so callers that co-run the same job many
-// times may compute it once.
+// by. It is the one-job co-run, capped at every core — a lone job's cap
+// under every arbiter at any admissible weight and priority — so CoRun of
+// that job alone finishes at exactly this makespan, and the cluster
+// engine's CPU nodes answer a one-job wave from it without co-running. It
+// differs from exec.Run only where the scheduler oversubscribes the
+// machine. The value depends only on the job's graph, scheduler and m, so
+// callers that co-run the same job many times may compute it once.
 func SoloNs(job Job, m *hw.Machine) (float64, error) {
 	if err := validateJobs([]Job{job}); err != nil {
 		return 0, err

@@ -100,23 +100,38 @@ func TestCoTrainDeterminism(t *testing.T) {
 }
 
 // TestSingleJobMatchesSolo: a co-run of one job is exactly that job's solo
-// run — no phantom contention, slowdown exactly 1 and fairness exactly 1 —
-// under every arbiter, for the runtime under every strategy configuration
-// and every point of the manual FIFO grid, the oversubscribed ones
-// included.
+// run — no phantom contention, makespan bit-identical to SoloNs, slowdown
+// exactly 1 and fairness exactly 1 — under every arbiter, for every model,
+// for the runtime under every strategy configuration and every point of
+// the manual FIFO grid, the oversubscribed ones included, at priorities 0
+// and 7 and at weights from the smallest subnormal to MaxWeight (0 means
+// 1; 1.887676273034419 and 996339.6111992765 are weights whose rounded
+// fair-share quotient once fell short of the machine). The cluster
+// engine's CPU nodes rely on it to answer a one-job wave from SoloNs.
 func TestSingleJobMatchesSolo(t *testing.T) {
 	m := hw.NewKNL()
-	for _, name := range []string{nn.LSTM, nn.DCGAN} {
+	weights := []float64{0, 1, 1.887676273034419, 996339.6111992765, MaxWeight, 5e-324}
+	for _, name := range nn.Names() {
 		for _, job := range soloJobs(t, m, nn.MustBuild(name).Graph, func(core.ManualConfig) bool { return true }) {
+			solo, err := SoloNs(job, m)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, job.Name, err)
+			}
 			for _, arbName := range Arbiters() {
 				arb, _ := NewArbiter(arbName)
-				res, err := CoTrain([]Job{job}, arb, m)
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", name, job.Name, arbName, err)
-				}
-				if jr := res.Jobs[0]; jr.Slowdown != 1 || res.FairnessIndex != 1 {
-					t.Errorf("%s %s %s: solo %.0fns, co-run %.0fns, slowdown %v, fairness %v; want 1 and 1",
-						name, job.Name, arbName, jr.SoloNs, jr.MakespanNs, jr.Slowdown, res.FairnessIndex)
+				for _, prio := range []int{0, 7} {
+					for _, w := range weights {
+						job.Priority, job.Weight = prio, w
+						res, err := CoRun([]Job{job}, []float64{solo}, arb, m)
+						if err != nil {
+							t.Fatalf("%s %s %s: %v", name, job.Name, arbName, err)
+						}
+						jr := res.Jobs[0]
+						if math.Float64bits(jr.MakespanNs) != math.Float64bits(solo) || jr.Slowdown != 1 || res.FairnessIndex != 1 {
+							t.Errorf("%s %s %s priority %d weight %v: solo %v ns, co-run %v ns, slowdown %v, fairness %v; want the solo makespan, 1 and 1",
+								name, job.Name, arbName, prio, w, solo, jr.MakespanNs, jr.Slowdown, res.FairnessIndex)
+						}
+					}
 				}
 			}
 		}

@@ -21,8 +21,11 @@ import "strconv"
 // hit therefore returns the byte-identical result a fresh simulation of
 // that exact input would produce, which keeps every determinism and
 // batch-vs-pipeline equivalence gate intact with memoization enabled. The
-// GPU simulator reads only Model; the key keeps the shared tuple on both
-// kinds.
+// GPU simulator reads only Model, and so does the CPU simulator for a lone
+// job, whose wave is its cached solo step; the key keeps the shared tuple
+// on both kinds and at every gang size. The lone-job answer is cheap but
+// still goes through the memo, so hit and miss counts mean the same at
+// every gang size.
 
 // appendWaveKey appends the memo key of one RunWave input to buf. Weight is
 // normalized the way the simulators read it (<= 0 means 1), and Class

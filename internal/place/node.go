@@ -144,10 +144,11 @@ func (c *workCache[V]) get(key string, compute func() V) V {
 	return v
 }
 
-// cpuRuntime runs waves through multijob.CoRun: per-job runtime
+// cpuRuntime runs gangs through multijob.CoRun: per-job runtime
 // schedulers under a cross-job arbiter, contention priced over the union
 // of in-flight operations — the identical-node behaviour the engine had
-// before heterogeneous clusters.
+// before heterogeneous clusters. A one-job wave is the job's solo step,
+// read from its model's cached solo makespan.
 type cpuRuntime struct {
 	m        *hw.Machine
 	hardware string // m.String(), rendered once
@@ -246,10 +247,25 @@ func (c *cpuRuntime) model(key string) cpuModel {
 	})
 }
 
-// simulate prices one wave's co-run fresh through the multi-job
-// co-scheduling engine; each job's profile and solo baseline come from the
-// shared per-model values.
+// simulate prices one wave fresh. A lone job's co-run is its solo step
+// under every arbiter at any admissible priority and weight
+// (multijob.SoloNs), so a one-job wave is answered from the model's cached
+// solo makespan without running the op-event loop; a gang goes through
+// coRun.
 func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
+	if len(jobs) != 1 {
+		return c.coRun(jobs)
+	}
+	mdl := c.model(jobs[0].Model)
+	if mdl.err != nil {
+		return nil, fmt.Errorf("place: job %s: %w", jobs[0].Name, mdl.err)
+	}
+	return soloWave(mdl.soloNs), nil
+}
+
+// coRun prices a wave through the multi-job co-scheduling engine; each
+// job's profile and solo baseline come from the shared per-model values.
+func (c *cpuRuntime) coRun(jobs []WaveJob) (*WaveResult, error) {
 	mj := make([]multijob.Job, len(jobs))
 	solos := make([]float64, len(jobs))
 	for i, wj := range jobs {
@@ -291,6 +307,17 @@ func cpuWaveResult(res *multijob.Result) *WaveResult {
 		out.Jobs[i] = WaveJobResult{SoloNs: jr.SoloNs, MakespanNs: jr.MakespanNs, Slowdown: jr.Slowdown}
 	}
 	return out
+}
+
+// soloWave is the wave of one job whose solo makespan is soloNs: what
+// cpuWaveResult makes of that job's one-job co-run, whose makespan is
+// soloNs and whose slowdown is 1 (0 for an empty step).
+func soloWave(soloNs float64) *WaveResult {
+	jr := WaveJobResult{SoloNs: soloNs, MakespanNs: soloNs}
+	if soloNs > 0 {
+		jr.Slowdown = 1
+	}
+	return &WaveResult{TotalNs: soloNs, Jobs: []WaveJobResult{jr}}
 }
 
 // gpuRuntime runs waves through the gpu occupancy/stream model: each

@@ -2,6 +2,7 @@ package place
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"opsched/internal/core"
@@ -32,11 +33,13 @@ func freshCPUWave(t *testing.T, m *hw.Machine, arb multijob.Arbiter, wave []Wave
 
 // sameWave reports whether two wave results are bit-identical.
 func sameWave(a, b *WaveResult) bool {
-	if a.TotalNs != b.TotalNs || len(a.Jobs) != len(b.Jobs) {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !same(a.TotalNs, b.TotalNs) || len(a.Jobs) != len(b.Jobs) {
 		return false
 	}
-	for i := range a.Jobs {
-		if a.Jobs[i] != b.Jobs[i] {
+	for i, x := range a.Jobs {
+		y := b.Jobs[i]
+		if !same(x.SoloNs, y.SoloNs) || !same(x.MakespanNs, y.MakespanNs) || !same(x.Slowdown, y.Slowdown) {
 			return false
 		}
 	}
@@ -122,6 +125,45 @@ func TestInferenceWeightBoostCapped(t *testing.T) {
 	for i, jr := range res.Jobs {
 		if !(jr.Slowdown >= 1) {
 			t.Errorf("%s: slowdown %v", wave[i].Name, jr.Slowdown)
+		}
+	}
+}
+
+// TestLoneCPUWaveIsSoloStep: the CPU runtime answers a one-job wave from
+// the model's cached solo makespan, and that answer is bit-identical to
+// the job's one-job co-run through multijob.CoRun — for every model key
+// the engine prices, under each arbiter, at priorities 0 and 7, at weights
+// from the smallest subnormal to multijob.MaxWeight (0 meaning 1, and the
+// weights whose rounded fair-share quotient once fell short of the
+// machine), as a training and as an inference slot.
+func TestLoneCPUWaveIsSoloStep(t *testing.T) {
+	weights := []float64{0, 1, 1.887676273034419, 996339.6111992765, multijob.MaxWeight, 5e-324}
+	m := hw.NewKNL()
+	for _, name := range multijob.Arbiters() {
+		arb, err := multijob.NewArbiter(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := buildRuntimes([]Node{{CPU: m}}, arb, true)[0].(*cpuRuntime)
+		for _, key := range allModelKeys() {
+			for _, prio := range []int{0, 7} {
+				for _, w := range weights {
+					for _, class := range []string{ClassTraining, ClassInference} {
+						wave := []WaveJob{{Name: key, Model: key, Priority: prio, Weight: w, Class: class}}
+						got, err := rt.simulate(wave)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := rt.coRun(wave)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameWave(got, want) {
+							t.Errorf("%s %+v: lone wave %+v, co-run %+v", name, wave[0], got.Jobs, want.Jobs)
+						}
+					}
+				}
+			}
 		}
 	}
 }
