@@ -10,6 +10,7 @@ import (
 	"opsched/internal/graph"
 	"opsched/internal/hw"
 	"opsched/internal/perfmodel"
+	"opsched/internal/stats"
 )
 
 // jobState is one job mid-run as the arbiter sees it: the progress
@@ -119,7 +120,8 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, m *hw.Machine) (*Result, er
 	}
 
 	res := &Result{Arbiter: arb.Name(), Machine: m.String(), Jobs: make([]JobResult, 0, len(jobs))}
-	progress := make([]float64, 0, len(jobs))
+	var rateSum, rateSumSq float64
+	rates := 0
 	for i, run := range runs {
 		jr := JobResult{
 			Name: jobs[i].Name, Scheduler: run.Scheduler, Ops: len(run.Records),
@@ -127,12 +129,15 @@ func CoRun(jobs []Job, solos []float64, arb Arbiter, m *hw.Machine) (*Result, er
 		}
 		if jr.SoloNs > 0 {
 			jr.Slowdown = jr.MakespanNs / jr.SoloNs
-			progress = append(progress, jr.SoloNs/jr.MakespanNs)
+			rate := jr.SoloNs / jr.MakespanNs
+			rateSum += rate
+			rateSumSq += rate * rate
+			rates++
 		}
 		res.TotalNs = max(res.TotalNs, jr.MakespanNs)
 		res.Jobs = append(res.Jobs, jr)
 	}
-	res.FairnessIndex = jainIndex(progress)
+	res.FairnessIndex = stats.JainIndex(rateSum, rateSumSq, rates)
 	return res, nil
 }
 

@@ -111,23 +111,6 @@ type Result struct {
 	Jobs []JobResult
 }
 
-// jainIndex is Jain's fairness index (sum x)^2 / (n * sum x^2) over the
-// per-job allocation metric x.
-func jainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sq)
-}
-
 // Render formats the result as a deterministic report table: byte-identical
 // output for identical inputs, whatever parallelism produced the Result.
 func (r *Result) Render() string {

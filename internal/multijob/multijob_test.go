@@ -10,6 +10,7 @@ import (
 	"opsched/internal/core"
 	"opsched/internal/hw"
 	"opsched/internal/nn"
+	"opsched/internal/stats"
 )
 
 // runtimeJobs builds one runtime-scheduled job per model name, earlier
@@ -249,6 +250,17 @@ func TestMixedSchedulerJobs(t *testing.T) {
 			t.Errorf("%s: slowdown %.4f < 1", jr.Name, jr.Slowdown)
 		}
 	}
+}
+
+// jainIndex folds xs into stats.JainIndex the way CoRun folds its
+// solo-normalized rates.
+func jainIndex(xs []float64) float64 {
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	return stats.JainIndex(sum, sumSq, len(xs))
 }
 
 // TestJainIndex: the fairness metric is 1 for equal allocations and

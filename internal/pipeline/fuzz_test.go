@@ -23,8 +23,9 @@ import (
 //     those outside [0, place.MaxTimeNs].
 //
 // The stream must drain, count every submission once as placed or
-// rejected, and report each placed job finishing after it arrived with a
-// slowdown of at least 1. The seeds hold the +Inf and 1e300 ticks that,
+// rejected, report each placed job finishing after it arrived with a
+// slowdown of at least 1, and leave a snapshot whose counts and means
+// equal the sealed Result's exactly. The seeds hold the +Inf and 1e300 ticks that,
 // accepted, stalled the drain and pushed a job past the time ceiling.
 func FuzzPipelineSubmit(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 3, 0, 0, 1, 10, 1}, math.Inf(1), 0.0)
@@ -74,6 +75,7 @@ func FuzzPipelineSubmit(f *testing.F) {
 			t.Fatalf("%d submitted, snapshot says %d submitted, %d rejected, %d completed; result holds %d jobs",
 				submitted, s.Submitted, s.Rejected, s.Completed, len(res.Jobs))
 		}
+		checkDrained(t, s, res)
 		for _, j := range res.Jobs {
 			if !(j.FinishNs > j.ArrivalNs) || !(j.Slowdown >= 1) {
 				t.Fatalf("job %s finished at %v after arriving at %v, slowdown %v", j.Name, j.FinishNs, j.ArrivalNs, j.Slowdown)

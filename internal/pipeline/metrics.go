@@ -11,9 +11,11 @@ import (
 )
 
 // Snapshot is one live reading of a pipeline's metrics: what the scheduler
-// can report while jobs are still in flight. Percentiles are nearest-rank
-// (stats.NearestRank) over everything completed so far, the rule
-// Result.QueuePercentileNs applies to a sealed run.
+// can report while jobs are still in flight. Completion counts and means
+// come from the engine's place.Tally, the fold the sealed Result reads, so
+// a drained pipeline's snapshot equals its Result exactly. Percentiles are
+// nearest-rank (stats.NearestRank) over everything completed so far, the
+// rule Result.QueuePercentileNs applies to a sealed run.
 type Snapshot struct {
 	// VirtualNowNs is the latest virtual time the pipeline has reported —
 	// the newest placement, completion or tick.
@@ -50,15 +52,6 @@ type Snapshot struct {
 	InferP99Ns     float64
 }
 
-// SLOAttainment is the fraction of completed SLO-carrying inference
-// requests that finished within their objective (0 when none carried one).
-func (s Snapshot) SLOAttainment() float64 {
-	if s.InferSLOTotal == 0 {
-		return 0
-	}
-	return float64(s.InferSLOMet) / float64(s.InferSLOTotal)
-}
-
 // String renders the snapshot as one compact log line, virtual times in
 // milliseconds — the format opsched-serve and examples/serve print.
 func (s Snapshot) String() string {
@@ -77,15 +70,17 @@ func (s Snapshot) String() string {
 
 // Latency-distribution memory bound: below exactSampleCap samples a
 // distribution keeps every sample and its percentiles are exact
-// nearest-rank — byte-identical to the sealed report, which is what the
-// drain-equality CI gates compare. At the cap the samples fold into a
-// fixed log-spaced bucket histogram (histBucketsPerDecade buckets per
-// decade spanning [1 ns, 10^histDecades ns], plus an underflow bucket for
-// zero/negative values and an overflow bucket), after which memory is O(1)
-// per completion forever — the property that keeps a long-lived
-// opsched-serve from growing without bound. A histogram quantile reports
-// the geometric midpoint of its bucket, so its relative error is bounded
-// by half a bucket width: 10^(1/(2·histBucketsPerDecade))-1 ≈ 2.4%.
+// nearest-rank — byte-identical to the sealed report, which go test checks
+// at drain. At the cap the samples fold into a fixed log-spaced bucket
+// histogram (histBucketsPerDecade buckets per decade spanning
+// [1 ns, 10^histDecades ns], plus an underflow bucket for zero/negative
+// values and an overflow bucket), after which a distribution takes O(1)
+// memory per completion. The fold bounds only the live samples: the
+// engine's job table still keeps one record (376 B) per admitted job for
+// the life of the pipeline, so a long-lived opsched-serve grows with every
+// job it admits. A histogram quantile reports the geometric midpoint of
+// its bucket, so its relative error is bounded by half a bucket width:
+// 10^(1/(2·histBucketsPerDecade))-1 ≈ 2.4%.
 const (
 	exactSampleCap       = 8192
 	histBucketsPerDecade = 48
@@ -142,19 +137,24 @@ func histRepr(i int) float64 {
 	return math.Pow(10, (float64(i-1)+0.5)/histBucketsPerDecade)
 }
 
-// clone returns a copy of d that shares no memory with it.
-func (d *latencyDist) clone() latencyDist {
-	return latencyDist{n: d.n, exact: slices.Clone(d.exact), hist: slices.Clone(d.hist)}
+// view returns a reading of d that its writer cannot disturb: the exact
+// samples' slice header, since add only appends past it and a fold or a
+// reallocation leaves the old array as it was, and a copy of the
+// histogram, which add increments in place. Take it under the lock that
+// guards d and rank it after releasing the lock.
+func (d *latencyDist) view() latencyDist {
+	return latencyDist{n: d.n, exact: d.exact[:len(d.exact):len(d.exact)], hist: slices.Clone(d.hist)}
 }
 
 // quantile3 returns the three requested nearest-rank quantiles: exact in
 // the sample regime, bucket-resolution (documented bound above) after the
-// histogram fold. It sorts d's exact samples in place, so callers rank a
-// clone.
+// histogram fold. It sorts a copy of the exact samples, so it may rank a
+// view while the writer appends.
 func (d *latencyDist) quantile3(a, b, c float64) (float64, float64, float64) {
 	if d.hist == nil {
-		slices.Sort(d.exact)
-		return stats.NearestRank(d.exact, a), stats.NearestRank(d.exact, b), stats.NearestRank(d.exact, c)
+		xs := slices.Clone(d.exact)
+		slices.Sort(xs)
+		return stats.NearestRank(xs, a), stats.NearestRank(xs, b), stats.NearestRank(xs, c)
 	}
 	return d.histRank(a), d.histRank(b), d.histRank(c)
 }
@@ -177,38 +177,27 @@ func (d *latencyDist) histRank(p float64) float64 {
 	return histRepr(histBucketCount - 1)
 }
 
-// liveMetrics is the mutex-guarded accumulator behind Snapshot: the
-// pipeline's goroutine folds in every rejection, placement, tick and
-// completion, and any goroutine may read a Snapshot.
+// liveMetrics is the mutex-guarded state behind Snapshot: the pipeline's
+// goroutine records every rejection, placement and tick, and after each
+// engine call the latency samples of the jobs it completed together with
+// the engine's tally; any goroutine may read a Snapshot.
 type liveMetrics struct {
-	mu        sync.Mutex
-	submitted int
-	rejected  int
-	clamped   int
-	placed    int
-	completed int
+	mu       sync.Mutex
+	rejected int // every submission is rejected or placed
+	clamped  int
+	placed   int
+	nowNs    float64 // latest placement or tick
 
+	// tally is the engine's tally as of the last completion sampled.
+	tally    place.Tally
 	queue    latencyDist
 	jct      latencyDist
-	queueSum float64
-	jctSum   float64
-
-	// Inference-class accumulators; untouched (and the inferJCT
-	// distribution never allocated) in a training-only run.
-	inferDone     int
-	inferSLOMet   int
-	inferSLOTotal int
-	inferJCT      latencyDist
-
-	nowNs       float64
-	preemptions int
-	migrations  int
+	inferJCT latencyDist // never allocated in a training-only run
 }
 
 // noteRejected counts one submission JobSpec.Check refused.
 func (m *liveMetrics) noteRejected() {
 	m.mu.Lock()
-	m.submitted++
 	m.rejected++
 	m.mu.Unlock()
 }
@@ -216,7 +205,6 @@ func (m *liveMetrics) noteRejected() {
 // notePlaced counts one submission placed at atNs, clamped or not.
 func (m *liveMetrics) notePlaced(atNs float64, clamped bool) {
 	m.mu.Lock()
-	m.submitted++
 	m.placed++
 	if clamped {
 		m.clamped++
@@ -235,60 +223,42 @@ func (m *liveMetrics) noteNow(atNs float64) {
 	m.mu.Unlock()
 }
 
-// noteCompleted folds one finished job in and returns the completion count.
-func (m *liveMetrics) noteCompleted(j place.PlacedJob) int {
+// noteCompleted samples the latencies of jobs, completed in that order,
+// and adopts t, the engine's tally as of the last of them.
+func (m *liveMetrics) noteCompleted(jobs []place.PlacedJob, t *place.Tally) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	jct := j.JCTNs()
-	m.completed++
-	m.queue.add(j.QueueNs)
-	m.jct.add(jct)
-	m.queueSum += j.QueueNs
-	m.jctSum += jct
-	if j.Class == place.ClassInference {
-		m.inferDone++
-		m.inferJCT.add(jct)
-		if j.SLONs > 0 {
-			m.inferSLOTotal++
-			if j.SLOMet {
-				m.inferSLOMet++
-			}
+	for k := range jobs {
+		j := &jobs[k]
+		jct := j.JCTNs()
+		m.queue.add(j.QueueNs)
+		m.jct.add(jct)
+		if j.Class == place.ClassInference {
+			m.inferJCT.add(jct)
 		}
 	}
-	if j.FinishNs > m.nowNs {
-		m.nowNs = j.FinishNs
-	}
-	m.preemptions += j.Preemptions
-	m.migrations += j.Migrations
-	return m.completed
+	m.tally = *t
 }
 
 // Snapshot computes the current reading. It holds the lock only to copy
-// the counters and the latency samples (or histogram counts), and sorts
-// and ranks the copies after releasing it, so a client polling Snapshot
-// never holds up the placements and completions that take the lock. In
-// the exact regime ranking is O(n log n) in completions; past the
-// histogram fold it is O(1); the hot per-completion path stays O(1)
+// the counters and tally and to take a view of each latency distribution;
+// it copies, sorts and ranks the samples after releasing it, so a client
+// polling Snapshot never holds up the placements and completions that take
+// the lock. In the exact regime ranking is O(n log n) in completions; past
+// the histogram fold it is O(1); the hot per-completion path stays O(1)
 // amortized either way.
 func (m *liveMetrics) Snapshot() Snapshot {
 	m.mu.Lock()
+	t := m.tally
 	s := Snapshot{
-		VirtualNowNs: m.nowNs,
-		Submitted:    m.submitted, Rejected: m.rejected, ClampedArrivals: m.clamped,
-		Placed: m.placed, InFlight: m.placed - m.completed, Completed: m.completed,
-		Preemptions: m.preemptions, Migrations: m.migrations,
+		VirtualNowNs: max(m.nowNs, t.MakespanNs),
+		Submitted:    m.rejected + m.placed, Rejected: m.rejected, ClampedArrivals: m.clamped,
+		Placed: m.placed, InFlight: m.placed - t.Completed(), Completed: t.Completed(),
+		MeanQueueNs: t.MeanQueueNs(), MeanJCTNs: t.MeanJCTNs(),
+		Preemptions: t.Preemptions, Migrations: t.Migrations,
+		InferCompleted: t.InferenceJobs, InferSLOMet: t.SLO.Met, InferSLOTotal: t.SLO.Total,
 	}
-	if n := float64(m.completed); n > 0 {
-		s.MeanQueueNs = m.queueSum / n
-		s.MeanJCTNs = m.jctSum / n
-	}
-	queue, jct := m.queue.clone(), m.jct.clone()
-	var infer latencyDist
-	if m.inferDone > 0 {
-		s.InferCompleted = m.inferDone
-		s.InferSLOMet, s.InferSLOTotal = m.inferSLOMet, m.inferSLOTotal
-		infer = m.inferJCT.clone()
-	}
+	queue, jct, infer := m.queue.view(), m.jct.view(), m.inferJCT.view()
 	m.mu.Unlock()
 
 	s.QueueP50Ns, s.QueueP95Ns, s.QueueP99Ns = queue.quantile3(0.50, 0.95, 0.99)

@@ -31,6 +31,14 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
+// complete records one completed job in m the way retire records an
+// engine call that completed only j.
+func complete(m *liveMetrics, j place.PlacedJob) {
+	t := m.tally
+	t.Add(&j)
+	m.noteCompleted([]place.PlacedJob{j}, &t)
+}
+
 // TestLiveMetricsMemoryPinned: past exactSampleCap completions the
 // accumulator folds into the fixed-bucket histogram and stops retaining
 // samples — O(1) memory per completion, the long-lived-service guarantee.
@@ -38,7 +46,7 @@ func TestLiveMetricsMemoryPinned(t *testing.T) {
 	m := &liveMetrics{}
 	n := 4 * exactSampleCap
 	for i := 0; i < n; i++ {
-		m.noteCompleted(place.PlacedJob{
+		complete(m, place.PlacedJob{
 			ArrivalNs: 0, StartNs: float64(i), FinishNs: float64(i) + 1e6,
 			QueueNs: float64(i % 1000 * 1e3),
 		})
@@ -75,7 +83,7 @@ func TestLiveMetricsExactRegime(t *testing.T) {
 	m := &liveMetrics{}
 	queues := []float64{9e6, 1e6, 7e6, 3e6, 5e6, 0, 2e6, 8e6, 6e6, 4e6}
 	for i, q := range queues {
-		m.noteCompleted(place.PlacedJob{
+		complete(m, place.PlacedJob{
 			ArrivalNs: 0, StartNs: q, FinishNs: q + float64(i+1)*1e6, QueueNs: q,
 		})
 	}
@@ -98,18 +106,14 @@ func TestLiveMetricsExactRegime(t *testing.T) {
 }
 
 // TestLiveMetricsPerClass: inference completions fold into the per-class
-// snapshot fields — counts, SLO accounting, p50/p99 and the attainment
-// helper — while training completions leave them untouched, and the
+// snapshot fields — counts, SLO accounting and p50/p99 — while training completions leave them untouched, and the
 // String() serving clause appears only once inference jobs exist.
 func TestLiveMetricsPerClass(t *testing.T) {
 	m := &liveMetrics{}
-	m.noteCompleted(place.PlacedJob{ArrivalNs: 0, StartNs: 1e6, FinishNs: 5e6, QueueNs: 1e6})
+	complete(m, place.PlacedJob{ArrivalNs: 0, StartNs: 1e6, FinishNs: 5e6, QueueNs: 1e6})
 	s := m.Snapshot()
 	if s.InferCompleted != 0 || s.InferSLOTotal != 0 {
 		t.Fatalf("training completion leaked into serving fields: %+v", s)
-	}
-	if got := s.SLOAttainment(); got != 0 {
-		t.Errorf("attainment with no requests is %v, want 0", got)
 	}
 	if strings.Contains(s.String(), "inf[") {
 		t.Errorf("training-only snapshot renders the serving clause: %s", s)
@@ -122,19 +126,16 @@ func TestLiveMetricsPerClass(t *testing.T) {
 			Class: place.ClassInference, SLONs: 5e6, SLOMet: met,
 			ArrivalNs: 0, StartNs: 0, FinishNs: jct, QueueNs: 0,
 		}
-		m.noteCompleted(j)
+		complete(m, j)
 	}
 	// One request without an SLO counts toward completion but not the
 	// attainment denominator.
-	m.noteCompleted(place.PlacedJob{
+	complete(m, place.PlacedJob{
 		Class: place.ClassInference, ArrivalNs: 0, StartNs: 0, FinishNs: 1e6,
 	})
 	s = m.Snapshot()
 	if s.InferCompleted != 5 || s.InferSLOTotal != 4 || s.InferSLOMet != 2 {
 		t.Fatalf("serving counts %d done, %d/%d slo; want 5 done, 2/4", s.InferCompleted, s.InferSLOMet, s.InferSLOTotal)
-	}
-	if got := s.SLOAttainment(); got != 0.5 {
-		t.Errorf("attainment %v, want 0.5", got)
 	}
 	if s.InferP50Ns > s.InferP99Ns {
 		t.Errorf("inference p50 %v > p99 %v", s.InferP50Ns, s.InferP99Ns)

@@ -4,11 +4,13 @@
 // clock and takes submissions and ticks off one input channel, in order.
 // For each job it checks the spec (a failure is counted as a rejection,
 // not fatal), tags its submission sequence, clamps a late arrival forward
-// to the admission clock, places it through the engine's Arrive call, and
-// folds every completion into incremental queue/JCT percentiles that stay
-// readable while jobs are still in flight. Every scheduling decision is
-// made inline, in the one loop that owns the dataflow state, with no
-// hand-off between goroutines.
+// to the admission clock, and places it through the engine's Arrive call.
+// After each engine call it records the completed jobs' queue and JCT
+// samples and a copy of the engine's completion tally (place.Tally), so
+// live percentiles, counts and means stay readable while jobs are still in
+// flight; the counts and means are the ones the sealed Result reports.
+// Every scheduling decision is made inline, in the one loop that owns the
+// dataflow state, with no hand-off between goroutines.
 //
 // Shutdown is ordered, after Octopus's block pipeline: Close closes the
 // input channel, which acts as the END flag. It is queued behind every
@@ -85,6 +87,9 @@ type Pipeline struct {
 	inClosed bool
 
 	met *liveMetrics
+	// finJobs holds the outcomes of the jobs the last engine call
+	// completed; retire reuses it.
+	finJobs []place.PlacedJob
 	// po holds the pre-bound pipeline instruments when Config.Options.Obs
 	// carries a metrics registry; nil disables them (the loop pays one nil
 	// check per message). Engine-level instruments attach inside
@@ -271,7 +276,7 @@ func (p *Pipeline) run() {
 	}
 }
 
-// retire folds the jobs an engine call completed into the live metrics,
+// retire records the jobs an engine call completed in the live metrics,
 // publishing a snapshot on every SnapshotEvery-th completion, or records
 // the call's error and unwinds the pipeline. It reports whether the call
 // succeeded.
@@ -281,14 +286,32 @@ func (p *Pipeline) retire(fins []int, err error) bool {
 		p.cancel()
 		return false
 	}
+	if len(fins) == 0 {
+		return true
+	}
+	if p.po != nil {
+		p.po.completed.Add(uint64(len(fins)))
+	}
+	p.finJobs = p.finJobs[:0]
 	for _, ji := range fins {
-		n := p.met.noteCompleted(p.eng.Job(ji))
-		if p.po != nil {
-			p.po.completed.Inc()
-		}
-		if every := p.cfg.SnapshotEvery; every > 0 && n%every == 0 && p.cfg.OnSnapshot != nil {
-			p.cfg.OnSnapshot(p.met.Snapshot())
+		p.finJobs = append(p.finJobs, p.eng.Job(ji))
+	}
+	from := 0
+	if every := p.cfg.SnapshotEvery; every > 0 && p.cfg.OnSnapshot != nil {
+		// A snapshot due inside this call reads the tally as of its own
+		// completion: fold the call's jobs, in the engine's order, onto
+		// the last call's tally through the engine's own Tally.Add.
+		t := p.met.tally // only this goroutine writes it
+		for k := range p.finJobs {
+			t.Add(&p.finJobs[k])
+			if t.Completed()%every == 0 {
+				p.met.noteCompleted(p.finJobs[from:k+1], &t)
+				from = k + 1
+				p.cfg.OnSnapshot(p.met.Snapshot())
+			}
 		}
 	}
+	t := p.eng.Tally()
+	p.met.noteCompleted(p.finJobs[from:], &t)
 	return true
 }

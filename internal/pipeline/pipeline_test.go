@@ -14,6 +14,7 @@ import (
 
 	"opsched/internal/nn"
 	"opsched/internal/place"
+	"opsched/internal/stats"
 )
 
 // equivCases are the workload/cluster/options combinations the batch
@@ -212,12 +213,35 @@ func TestInvalidSpecRejectedNotFatal(t *testing.T) {
 	}
 }
 
+// checkDrained requires every count and both means of a drained
+// pipeline's snapshot to equal the sealed result's exactly.
+func checkDrained(t *testing.T, s Snapshot, res *place.Result) {
+	t.Helper()
+	for _, c := range []struct {
+		what       string
+		live, want float64
+	}{
+		{"completed", float64(s.Completed), float64(len(res.Jobs))},
+		{"in flight", float64(s.InFlight), 0},
+		{"preemptions", float64(s.Preemptions), float64(res.Preemptions)},
+		{"migrations", float64(s.Migrations), float64(res.Migrations)},
+		{"inference completed", float64(s.InferCompleted), float64(res.InferenceJobs)},
+		{"SLO met", float64(s.InferSLOMet), float64(res.SLOMet)},
+		{"SLO total", float64(s.InferSLOTotal), float64(res.SLOTotal)},
+		{"mean JCT", s.MeanJCTNs, res.MeanJCTNs},
+		{"mean queue", s.MeanQueueNs, res.MeanQueueNs},
+	} {
+		if c.live != c.want {
+			t.Errorf("live %s = %v, sealed result says %v", c.what, c.live, c.want)
+		}
+	}
+}
+
 // TestSnapshotMatchesSealedResult: at drain, the live snapshot equals the
 // sealed Result — one metric definition, batch or streaming — on every
 // equivalence workload and on a preemptive training+inference mix. Counts
-// and nearest-rank percentiles match exactly; the means are summed in
-// completion order live and admission order sealed, so they match up to
-// float summation order.
+// and means match exactly, since both read the engine's one completion
+// tally, and so do the nearest-rank percentiles.
 func TestSnapshotMatchesSealedResult(t *testing.T) {
 	type run struct {
 		name string
@@ -259,17 +283,11 @@ func TestSnapshotMatchesSealedResult(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := p.Snapshot()
+			checkDrained(t, s, res)
 			for _, c := range []struct {
 				what       string
 				live, want float64
 			}{
-				{"completed", float64(s.Completed), float64(len(res.Jobs))},
-				{"in flight", float64(s.InFlight), 0},
-				{"preemptions", float64(s.Preemptions), float64(res.Preemptions)},
-				{"migrations", float64(s.Migrations), float64(res.Migrations)},
-				{"inference completed", float64(s.InferCompleted), float64(res.InferenceJobs)},
-				{"SLO met", float64(s.InferSLOMet), float64(res.SLOMet)},
-				{"SLO total", float64(s.InferSLOTotal), float64(res.SLOTotal)},
 				{"inference p50", s.InferP50Ns, res.InferP50JCTNs},
 				{"inference p99", s.InferP99Ns, res.InferP99JCTNs},
 				{"queue p50", s.QueueP50Ns, res.QueuePercentileNs(0.50)},
@@ -280,18 +298,100 @@ func TestSnapshotMatchesSealedResult(t *testing.T) {
 					t.Errorf("live %s = %v, sealed result says %v", c.what, c.live, c.want)
 				}
 			}
-			closeEnough := func(a, b float64) bool {
-				return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-			}
-			if !closeEnough(s.MeanJCTNs, res.MeanJCTNs) || !closeEnough(s.MeanQueueNs, res.MeanQueueNs) {
-				t.Errorf("live means (jct %v, queue %v) != sealed (%v, %v)",
-					s.MeanJCTNs, s.MeanQueueNs, res.MeanJCTNs, res.MeanQueueNs)
-			}
 			if tc.name == "train-infer-mix" && (res.InferenceJobs == 0 || res.SLOTotal == 0 || res.Preemptions == 0) {
 				t.Errorf("mix exercises too little: %d inference jobs, %d with an SLO, %d preemptions",
 					res.InferenceJobs, res.SLOTotal, res.Preemptions)
 			}
 		})
+	}
+}
+
+// TestHistogramRegimeMatchesSealedResult replays more jobs than a latency
+// distribution keeps exact samples of (exactSampleCap), so the drained
+// snapshot ranks histograms, while one goroutine polls Snapshot
+// throughout (run it under -race: the poller copies the exact samples
+// after releasing the lock while the pipeline appends). Every count and
+// both means must still equal the sealed Result exactly, and every live
+// percentile must lie within the documented half-bucket bound of the
+// sealed nearest-rank value.
+func TestHistogramRegimeMatchesSealedResult(t *testing.T) {
+	const n = 10_000
+	p, err := New(context.Background(), Config{Cluster: place.Cluster{Nodes: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		polls, prev := 0, Snapshot{}
+		defer func() { polled <- polls }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := p.Snapshot()
+			polls++
+			if s.Completed < prev.Completed || s.Completed+s.InFlight != s.Placed ||
+				s.QueueP50Ns > s.QueueP95Ns || s.QueueP95Ns > s.QueueP99Ns ||
+				s.JCTP50Ns > s.JCTP95Ns || s.JCTP95Ns > s.JCTP99Ns {
+				t.Errorf("inconsistent live snapshot %+v after %+v", s, prev)
+				return
+			}
+			prev = s
+		}
+	}()
+	src := &genSource{n: n, gapNs: 10e6, models: []string{"lstm", "dcgan"}}
+	if err := p.Feed(src, 0); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	res, err := p.Wait()
+	close(stop)
+	if polls := <-polled; polls == 0 {
+		t.Error("the poller never read a snapshot")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.met.queue.hist == nil || p.met.jct.hist == nil {
+		t.Fatalf("%d completions left the distributions exact", n)
+	}
+	s := p.Snapshot()
+	if len(res.Jobs) != n {
+		t.Fatalf("sealed %d of %d jobs", len(res.Jobs), n)
+	}
+	checkDrained(t, s, res)
+	jcts := make([]float64, len(res.Jobs))
+	for i, j := range res.Jobs {
+		jcts[i] = j.JCTNs()
+	}
+	sort.Float64s(jcts)
+	bound := math.Pow(10, 1/(2*float64(histBucketsPerDecade))) - 1
+	for _, c := range []struct {
+		what       string
+		live, want float64
+	}{
+		{"queue p50", s.QueueP50Ns, res.QueuePercentileNs(0.50)},
+		{"queue p95", s.QueueP95Ns, res.QueuePercentileNs(0.95)},
+		{"queue p99", s.QueueP99Ns, res.QueuePercentileNs(0.99)},
+		{"JCT p50", s.JCTP50Ns, stats.NearestRank(jcts, 0.50)},
+		{"JCT p95", s.JCTP95Ns, stats.NearestRank(jcts, 0.95)},
+		{"JCT p99", s.JCTP99Ns, stats.NearestRank(jcts, 0.99)},
+		{"inference p50", s.InferP50Ns, res.InferP50JCTNs},
+		{"inference p99", s.InferP99Ns, res.InferP99JCTNs},
+	} {
+		if c.want == 0 {
+			if c.live != 0 {
+				t.Errorf("live %s = %v, sealed nearest rank is 0", c.what, c.live)
+			}
+			continue
+		}
+		if rel := math.Abs(c.live-c.want) / c.want; rel > bound+1e-9 {
+			t.Errorf("live %s = %v against sealed %v: relative error %.4f past the %.4f bound",
+				c.what, c.live, c.want, rel, bound)
+		}
 	}
 }
 

@@ -314,7 +314,7 @@ type Engine struct {
 	events    eventHeap
 	idle      idleIndex // quiescent nodes per runtime, kept by push (fused.go)
 	idxW      int
-	completed int
+	tally     Tally   // every completed job, folded in completion order
 	arrivalNs float64 // admission high-water mark: arrivals must not regress
 
 	// Fleet-wide aggregates over every node's staged queue, maintained
@@ -428,7 +428,11 @@ func newEngine(c Cluster, opts Options, jobs int) (*Engine, error) {
 // Admitted is the number of jobs admitted so far; Completed the number that
 // have retired every step.
 func (e *Engine) Admitted() int  { return e.n }
-func (e *Engine) Completed() int { return e.completed }
+func (e *Engine) Completed() int { return e.tally.Completed() }
+
+// Tally returns the fold over every job completed so far, in completion
+// order: the aggregates Finish seals into the Result.
+func (e *Engine) Tally() Tally { return e.tally }
 
 // Admit registers one job with the engine and returns its job index. The
 // spec must be individually valid (JobSpec.Check) and its arrival must not
@@ -561,10 +565,10 @@ func (e *Engine) Arrive(j JobSpec) ([]int, error) {
 // reported as an error.
 func (e *Engine) Drain() ([]int, error) {
 	e.finBuf = e.finBuf[:0]
-	for e.completed < e.n {
+	for e.tally.Completed() < e.n {
 		if node, _ := e.peek(); node < 0 {
 			return e.finBuf, fmt.Errorf("place: stalled with %d of %d jobs done and no runnable wave",
-				e.completed, e.n)
+				e.tally.Completed(), e.n)
 		}
 		if err := e.step(); err != nil {
 			return e.finBuf, err
@@ -596,18 +600,18 @@ func (e *Engine) Job(ji int) PlacedJob {
 }
 
 // Finish seals the run and builds the Result: per-job outcomes in admission
-// order plus per-node usage and the aggregate metrics. Result.Jobs is a
-// fresh slice that shares nothing with the engine. Call it once, after
-// every admitted job has completed (a caller that stalls earlier should
-// surface its own error — Finish reports whatever retired).
+// order plus per-node usage and the aggregate metrics, read from the
+// engine's Tally. Result.Jobs is a fresh slice that shares nothing with the
+// engine. Call it once, after every admitted job has completed (a caller
+// that stalls earlier should surface its own error — Finish reports
+// whatever retired, and its aggregates count only the retired jobs).
 func (e *Engine) Finish() *Result {
 	return e.finish(nil)
 }
 
 // finish is Finish with job ji's outcome written to Jobs[pos[ji]] instead
 // of Jobs[ji] when pos is non-nil (a permutation of the admitted jobs), so
-// a caller wanting another order gathers each outcome once. The aggregates
-// still fold the jobs in admission order.
+// a caller wanting another order gathers each outcome once.
 func (e *Engine) finish(pos []int) *Result {
 	jobs := make([]PlacedJob, e.n)
 	for ji := range jobs {
@@ -632,7 +636,7 @@ func (e *Engine) finish(pos []int) *Result {
 			Jobs: ns.jobs, Waves: ns.waves, BusyNs: ns.busyNs,
 		})
 	}
-	out.finalize(pos)
+	out.finalize(&e.tally)
 	if e.eo != nil {
 		// Seal the sampled instruments and attach the registry's final
 		// exposition to the Result — a diagnostic rider, never rendered.
@@ -1125,7 +1129,7 @@ func (e *Engine) completeLastStep(ji int, jr WaveJobResult, roundStartNs float64
 	}
 	p.DeadlineMet = p.DeadlineNs > 0 && p.FinishNs <= p.DeadlineNs
 	p.SLOMet = p.SLONs > 0 && p.FinishNs <= p.ArrivalNs+p.SLONs
-	e.completed++
+	e.tally.Add(p)
 	e.finBuf = append(e.finBuf, ji)
 	if e.eo != nil || e.tr != nil {
 		e.obsComplete(ji, p)

@@ -436,7 +436,7 @@ func TestRestartPickMatchesModelAware(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for e.completed < e.n {
+		for e.Completed() < e.n {
 			step()
 		}
 		plain, err := PlaceJobs(w, c, opts)

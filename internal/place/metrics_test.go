@@ -30,23 +30,6 @@ func TestQueuePercentileNs(t *testing.T) {
 	}
 }
 
-// TestJainIndexEdges: empty and all-zero rate vectors degrade to 1, a
-// uniform vector is exactly 1, a one-hot vector is 1/n.
-func TestJainIndexEdges(t *testing.T) {
-	if got := jainIndex(nil); got != 1 {
-		t.Errorf("empty jain %v, want 1", got)
-	}
-	if got := jainIndex([]float64{0, 0}); got != 1 {
-		t.Errorf("all-zero jain %v, want 1", got)
-	}
-	if got := jainIndex([]float64{2, 2, 2}); got != 1 {
-		t.Errorf("uniform jain %v, want 1", got)
-	}
-	if got := jainIndex([]float64{1, 0, 0, 0}); got != 0.25 {
-		t.Errorf("one-hot jain %v, want 0.25", got)
-	}
-}
-
 // TestCPURuntimeMemoryUnbounded: CPU nodes report no device-memory bound,
 // so wave admission never consults a working set there.
 func TestCPURuntimeMemoryUnbounded(t *testing.T) {
@@ -57,6 +40,16 @@ func TestCPURuntimeMemoryUnbounded(t *testing.T) {
 	if rt.JobMemBytes("lstm") != 0 {
 		t.Errorf("CPU JobMemBytes %v, want 0", rt.JobMemBytes("lstm"))
 	}
+}
+
+// finalizeByHand seals a hand-built result, folding its jobs through a
+// Tally in input order as an engine would in completion order.
+func finalizeByHand(r *Result) {
+	var t Tally
+	for k := range r.Jobs {
+		t.Add(&r.Jobs[k])
+	}
+	r.finalize(&t)
 }
 
 // TestRenderPreemptColumns: the preempt columns appear exactly when the
@@ -75,7 +68,7 @@ func TestRenderPreemptColumns(t *testing.T) {
 		CoRunSlowdown: 1, Slowdown: 1,
 	})
 	r.NodeStats = append(r.NodeStats, NodeStats{Node: 0, Kind: KindCPU}, NodeStats{Node: 1, Kind: KindCPU})
-	r.finalize(nil)
+	finalizeByHand(r)
 	if r.Preemptions != 2 || r.Migrations != 1 || r.DisruptionNs != 5e5 {
 		t.Fatalf("finalize aggregated %d/%d/%v", r.Preemptions, r.Migrations, r.DisruptionNs)
 	}

@@ -37,13 +37,10 @@ type engineObs struct {
 
 	// Per-class SLO attainment: inference requests against their SLONs,
 	// training jobs against their deadlines (training's latency objective).
+	// The ratio gauges read the engine's Tally.
 	sloMet        *obs.CounterVec
 	sloMissed     *obs.CounterVec
 	sloAttainment *obs.GaugeVec
-	// Serial tallies behind the attainment gauges (the event loop is
-	// single-threaded, so plain ints suffice).
-	metTrain, missTrain int
-	metInfer, missInfer int
 
 	// Fleet-wide staged-queue gauges.
 	queueDepth *obs.Gauge
@@ -98,35 +95,31 @@ func newEngineObs(reg *obs.Registry) *engineObs {
 	return eo
 }
 
-// complete folds one finished job into the completion and SLO instruments.
-func (eo *engineObs) complete(p *PlacedJob) {
+// complete counts one finished job into the completion and SLO
+// instruments; t is the engine's tally, p already folded in.
+func (eo *engineObs) complete(p *PlacedJob, t *Tally) {
 	if p.Class == ClassInference {
 		eo.completedInfer.Inc()
 		if p.SLONs > 0 {
-			if p.SLOMet {
-				eo.metInfer++
-				eo.sloMet.With(ClassInference).Inc()
-			} else {
-				eo.missInfer++
-				eo.sloMissed.With(ClassInference).Inc()
-			}
-			eo.sloAttainment.With(ClassInference).Set(
-				float64(eo.metInfer) / float64(eo.metInfer+eo.missInfer))
+			eo.objective(ClassInference, p.SLOMet, t.SLO.Ratio())
 		}
 		return
 	}
 	eo.completedTrain.Inc()
 	if p.DeadlineNs > 0 {
-		if p.DeadlineMet {
-			eo.metTrain++
-			eo.sloMet.With(ClassTraining).Inc()
-		} else {
-			eo.missTrain++
-			eo.sloMissed.With(ClassTraining).Inc()
-		}
-		eo.sloAttainment.With(ClassTraining).Set(
-			float64(eo.metTrain) / float64(eo.metTrain+eo.missTrain))
+		eo.objective(ClassTraining, p.DeadlineMet, t.TrainDeadlines.Ratio())
 	}
+}
+
+// objective counts one job of class against its latency objective and
+// publishes the class's attainment ratio.
+func (eo *engineObs) objective(class string, met bool, ratio float64) {
+	if met {
+		eo.sloMet.With(class).Inc()
+	} else {
+		eo.sloMissed.With(class).Inc()
+	}
+	eo.sloAttainment.With(class).Set(ratio)
 }
 
 // attachObs wires the Observer into the engine (NewEngine tail): bind
@@ -162,7 +155,7 @@ func (e *Engine) obsQueueGauges() {
 // obsComplete emits one job completion into both sinks.
 func (e *Engine) obsComplete(ji int, p *PlacedJob) {
 	if e.eo != nil {
-		e.eo.complete(p)
+		e.eo.complete(p, &e.tally)
 	}
 	if e.tr != nil {
 		e.tr.AsyncEnd(obsPidJobs, int64(ji), p.Name, "job", p.FinishNs,

@@ -104,6 +104,35 @@ func TestObsMetricsMatchResult(t *testing.T) {
 	if got := slo.With(ClassInference).Value() + sloMiss.With(ClassInference).Value(); got != uint64(res.SLOTotal) {
 		t.Errorf("slo total counters = %d, result says %d", got, res.SLOTotal)
 	}
+	// Training's objective is its deadline. The scenario's deadlines are
+	// all on training jobs, so the training counters are the Result's
+	// deadline counts.
+	trainMet, trainTotal := 0, 0
+	for _, j := range res.Jobs {
+		if j.Class != ClassInference && j.DeadlineNs > 0 {
+			trainTotal++
+			if j.DeadlineMet {
+				trainMet++
+			}
+		}
+	}
+	if trainTotal == 0 || trainTotal != res.DeadlinesTotal || trainMet != res.DeadlinesMet {
+		t.Fatalf("scenario's training deadlines %d/%d, result's %d/%d — rebuild it",
+			trainMet, trainTotal, res.DeadlinesMet, res.DeadlinesTotal)
+	}
+	if got := slo.With(ClassTraining).Value(); got != uint64(res.DeadlinesMet) {
+		t.Errorf("training slo met counter = %d, result says %d", got, res.DeadlinesMet)
+	}
+	if got := sloMiss.With(ClassTraining).Value(); got != uint64(res.DeadlinesTotal-res.DeadlinesMet) {
+		t.Errorf("training slo missed counter = %d, result says %d", got, res.DeadlinesTotal-res.DeadlinesMet)
+	}
+	ratio := reg.GaugeVec("opsched_engine_slo_attainment_ratio", "", "class")
+	if got, want := ratio.With(ClassTraining).Value(), float64(res.DeadlinesMet)/float64(res.DeadlinesTotal); got != want {
+		t.Errorf("training attainment gauge = %v, result says %v", got, want)
+	}
+	if got := ratio.With(ClassInference).Value(); got != res.SLOAttainment {
+		t.Errorf("inference attainment gauge = %v, result says %v", got, res.SLOAttainment)
+	}
 	hits, misses := 0, 0
 	{
 		// The memo counters are republished at seal; compare against a

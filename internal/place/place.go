@@ -630,82 +630,113 @@ type Result struct {
 	MetricsDump string
 }
 
-// jainIndex is Jain's fairness index (sum x)^2 / (n * sum x^2).
-func jainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sq)
+// Tally is the one fold over completed jobs. The engine adds each job
+// once, as the job retires its last step, so every sum runs in completion
+// order; the sealed Result, a pipeline's live Snapshot and the engine's
+// SLO gauges all read a Tally, which makes them agree bit for bit. A field
+// means what the Result field of its name means, over the jobs added so
+// far; the sums back the means, and TrainDeadlines counts the training
+// jobs among Deadlines (training's latency objective).
+type Tally struct {
+	TrainingJobs, InferenceJobs int
+	JCTSumNs, QueueSumNs        float64
+	MaxJCTNs, MakespanNs        float64
+	Deadlines, TrainDeadlines   Objective
+	SLO                         Objective
+	Preemptions, Migrations     int
+	DisruptionNs                float64
+	// rateSum, rateSumSq and rates fold the jobs' solo-normalized
+	// completion rates SoloNs/JCTNs into Jain's index.
+	rateSum, rateSumSq float64
+	rates              int
 }
 
-// finalize fills the aggregate metrics from the per-job outcomes, folding
-// them in admission order: Jobs[pos[k]] is the k-th admitted job, or
-// Jobs[k] when pos is nil.
-func (r *Result) finalize(pos []int) {
-	var jctSum, queueSum float64
-	rates := make([]float64, 0, len(r.Jobs))
-	// Pure-training replays are the throughput-critical shape: give the
-	// training partition full capacity up front so the per-class fold
-	// never regrows it, and let the inference side allocate lazily.
-	trainJCT := make([]float64, 0, len(r.Jobs))
+// Objective counts the jobs that carried a latency objective (Total) and
+// the ones that made it (Met).
+type Objective struct{ Met, Total int }
+
+func (o *Objective) add(met bool) {
+	o.Total++
+	if met {
+		o.Met++
+	}
+}
+
+// Ratio is Met/Total, 0 when no job carried the objective.
+func (o Objective) Ratio() float64 {
+	if o.Total == 0 {
+		return 0
+	}
+	return float64(o.Met) / float64(o.Total)
+}
+
+// Add folds one completed job in. The engine calls it once per job, as
+// the job retires; a caller that re-folds the same jobs in the same order
+// from the same starting tally reaches the same bits.
+func (t *Tally) Add(p *PlacedJob) {
+	jct := p.JCTNs()
+	t.JCTSumNs += jct
+	t.QueueSumNs += p.QueueNs
+	t.MaxJCTNs, t.MakespanNs = max(t.MaxJCTNs, jct), max(t.MakespanNs, p.FinishNs)
+	if p.SoloNs > 0 && jct > 0 {
+		rate := p.SoloNs / jct
+		t.rateSum += rate
+		t.rateSumSq += rate * rate
+		t.rates++
+	}
+	if p.DeadlineNs > 0 {
+		t.Deadlines.add(p.DeadlineMet)
+	}
+	if p.Class == ClassInference {
+		t.InferenceJobs++
+		if p.SLONs > 0 {
+			t.SLO.add(p.SLOMet)
+		}
+	} else {
+		t.TrainingJobs++
+		if p.DeadlineNs > 0 {
+			t.TrainDeadlines.add(p.DeadlineMet)
+		}
+	}
+	t.Preemptions += p.Preemptions
+	t.Migrations += p.Migrations
+	t.DisruptionNs += p.DisruptionNs
+}
+
+// Completed is the number of jobs folded in.
+func (t *Tally) Completed() int { return t.TrainingJobs + t.InferenceJobs }
+
+// MeanJCTNs and MeanQueueNs are the mean completion time and queueing
+// delay; both sums are 0 before any completion, and so are the means.
+func (t *Tally) MeanJCTNs() float64   { return t.JCTSumNs / float64(max(t.Completed(), 1)) }
+func (t *Tally) MeanQueueNs() float64 { return t.QueueSumNs / float64(max(t.Completed(), 1)) }
+
+// finalize seals the result: the aggregate fields come from the tally t of
+// its completed jobs, the per-class JCT percentiles from sorting Jobs, and
+// each node's utilization from its busy time over the makespan.
+func (r *Result) finalize(t *Tally) {
+	r.MakespanNs, r.MaxJCTNs = t.MakespanNs, t.MaxJCTNs
+	r.MeanJCTNs, r.MeanQueueNs = t.MeanJCTNs(), t.MeanQueueNs()
+	r.FairnessIndex = stats.JainIndex(t.rateSum, t.rateSumSq, t.rates)
+	r.DeadlinesMet, r.DeadlinesTotal = t.Deadlines.Met, t.Deadlines.Total
+	r.Preemptions, r.Migrations, r.DisruptionNs = t.Preemptions, t.Migrations, t.DisruptionNs
+	r.TrainingJobs, r.InferenceJobs = t.TrainingJobs, t.InferenceJobs
+	r.SLOMet, r.SLOTotal, r.SLOAttainment = t.SLO.Met, t.SLO.Total, t.SLO.Ratio()
+	if r.MakespanNs > 0 {
+		r.GoodputPerSec = float64(r.SLOMet) / (r.MakespanNs / 1e9)
+		for i := range r.NodeStats {
+			r.NodeStats[i].Utilization = r.NodeStats[i].BusyNs / r.MakespanNs
+		}
+	}
+	trainJCT := make([]float64, 0, t.TrainingJobs)
 	var inferJCT []float64
 	for k := range r.Jobs {
 		p := &r.Jobs[k]
-		if pos != nil {
-			p = &r.Jobs[pos[k]]
-		}
-		jct := p.JCTNs()
-		jctSum += jct
-		queueSum += p.QueueNs
-		if p.FinishNs > r.MakespanNs {
-			r.MakespanNs = p.FinishNs
-		}
-		if jct > r.MaxJCTNs {
-			r.MaxJCTNs = jct
-		}
-		if p.SoloNs > 0 && jct > 0 {
-			rates = append(rates, p.SoloNs/jct)
-		}
-		if p.DeadlineNs > 0 {
-			r.DeadlinesTotal++
-			if p.DeadlineMet {
-				r.DeadlinesMet++
-			}
-		}
 		if p.Class == ClassInference {
-			r.InferenceJobs++
-			inferJCT = append(inferJCT, jct)
-			if p.SLONs > 0 {
-				r.SLOTotal++
-				if p.SLOMet {
-					r.SLOMet++
-				}
-			}
+			inferJCT = append(inferJCT, p.JCTNs())
 		} else {
-			r.TrainingJobs++
-			trainJCT = append(trainJCT, jct)
+			trainJCT = append(trainJCT, p.JCTNs())
 		}
-		r.Preemptions += p.Preemptions
-		r.Migrations += p.Migrations
-		r.DisruptionNs += p.DisruptionNs
-	}
-	if n := float64(len(r.Jobs)); n > 0 {
-		r.MeanJCTNs = jctSum / n
-		r.MeanQueueNs = queueSum / n
-	}
-	if r.SLOTotal > 0 {
-		r.SLOAttainment = float64(r.SLOMet) / float64(r.SLOTotal)
-	}
-	if r.MakespanNs > 0 {
-		r.GoodputPerSec = float64(r.SLOMet) / (r.MakespanNs / 1e9)
 	}
 	sort.Float64s(trainJCT)
 	sort.Float64s(inferJCT)
@@ -713,12 +744,6 @@ func (r *Result) finalize(pos []int) {
 	r.TrainP99JCTNs = stats.NearestRank(trainJCT, 0.99)
 	r.InferP50JCTNs = stats.NearestRank(inferJCT, 0.50)
 	r.InferP99JCTNs = stats.NearestRank(inferJCT, 0.99)
-	r.FairnessIndex = jainIndex(rates)
-	for i := range r.NodeStats {
-		if r.MakespanNs > 0 {
-			r.NodeStats[i].Utilization = r.NodeStats[i].BusyNs / r.MakespanNs
-		}
-	}
 }
 
 // QueuePercentileNs returns the p-quantile (p in [0,1], nearest-rank) of
@@ -742,33 +767,14 @@ func (r *Result) QueuePercentileNs(p float64) float64 {
 // preempted something, so a run whose triggers never fire renders exactly
 // like a run-to-completion one.
 func (r *Result) Render() string {
-	nameW, modelW := len("job"), len("model")
+	nameW, modelW, waveW, pathW := len("job"), len("model"), len("wave"), len("path")
 	for _, p := range r.Jobs {
-		if len(p.Name) > nameW {
-			nameW = len(p.Name)
-		}
-		if len(p.Model) > modelW {
-			modelW = len(p.Model)
-		}
+		nameW, modelW = max(nameW, len(p.Name)), max(modelW, len(p.Model))
+		waveW, pathW = max(waveW, len(strconv.Itoa(p.Wave))), max(pathW, len(p.Path))
 	}
-	nodeW := len("node")
-	if w := len(fmt.Sprintf("%d", r.Nodes-1)); w > nodeW {
-		nodeW = w
-	}
-	waveW := len("wave")
-	for _, p := range r.Jobs {
-		if w := len(fmt.Sprintf("%d", p.Wave)); w > waveW {
-			waveW = w
-		}
-	}
+	nodeW := max(len("node"), len(strconv.Itoa(r.Nodes-1)))
 	preempted := r.Preemptions > 0
 	serving := r.InferenceJobs > 0
-	pathW := len("path")
-	for _, p := range r.Jobs {
-		if len(p.Path) > pathW {
-			pathW = len(p.Path)
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "placement: %d jobs over %d nodes, policy=%s, arbiter=%s, fleet=%s\n",
 		len(r.Jobs), r.Nodes, r.Policy, r.Arbiter, r.Fleet)
@@ -783,14 +789,7 @@ func (r *Result) Render() string {
 	}
 	b.WriteString("\n")
 	for _, p := range r.Jobs {
-		deadline := "-"
-		if p.DeadlineNs > 0 {
-			if p.DeadlineMet {
-				deadline = "met"
-			} else {
-				deadline = "MISS"
-			}
-		}
+		deadline := outcome(p.DeadlineNs > 0, p.DeadlineMet)
 		fmt.Fprintf(&b, "  %-*s  %-*s  %*d  %-3s  %*d  %10.3f  %10.3f  %10.3f  %10.3f  %7.2fx  %8s",
 			nameW, p.Name, modelW, p.Model, nodeW, p.Node, p.Kind, waveW, p.Wave,
 			p.ArrivalNs/1e6, p.QueueNs/1e6, p.CoRunNs/1e6, p.JCTNs()/1e6, p.Slowdown, deadline)
@@ -799,13 +798,7 @@ func (r *Result) Render() string {
 			if p.Class == ClassInference {
 				class = "infer"
 				batch = strconv.Itoa(p.Batched)
-				if p.SLONs > 0 {
-					if p.SLOMet {
-						slo = "met"
-					} else {
-						slo = "MISS"
-					}
-				}
+				slo = outcome(p.SLONs > 0, p.SLOMet)
 			}
 			fmt.Fprintf(&b, "  %-5s  %5s  %4s", class, batch, slo)
 		}
@@ -839,4 +832,16 @@ func (r *Result) Render() string {
 	}
 	b.WriteString("\n")
 	return b.String()
+}
+
+// outcome labels a job's latency objective in the report: "-" when the
+// job had none.
+func outcome(had, met bool) string {
+	switch {
+	case !had:
+		return "-"
+	case met:
+		return "met"
+	}
+	return "MISS"
 }

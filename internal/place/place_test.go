@@ -307,7 +307,7 @@ func TestRenderAlignment(t *testing.T) {
 		})
 		r.NodeStats = append(r.NodeStats, NodeStats{Node: i, Kind: kind, Hardware: "x", Jobs: 1, Waves: 1})
 	}
-	r.finalize(nil)
+	finalizeByHand(r)
 	lines := strings.Split(strings.TrimRight(r.Render(), "\n"), "\n")
 	var jobLens []int
 	for _, l := range lines[1 : 1+1+12] { // header + 12 job rows

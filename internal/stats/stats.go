@@ -125,6 +125,18 @@ func GeoMean(xs []float64) float64 {
 	return math.Pow(prod, 1/float64(len(xs)))
 }
 
+// JainIndex is Jain's fairness index (Σx)² / (n·Σx²) over n allocations
+// whose sum is sum and sum of squares sumSq: 1 when every allocation is
+// equal, 1/n when one job holds everything. It is 1 for no allocations
+// and for all-zero ones. Callers fold the sums themselves, so the index
+// needs no slice of the allocations.
+func JainIndex(sum, sumSq float64, n int) float64 {
+	if n == 0 || sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(n) * sumSq)
+}
+
 // NearestRank returns the nearest-rank p-quantile of an ascending sample:
 // the ⌈p·n⌉-th smallest value, clamped to the sample, and 0 when the
 // sample is empty. It is the one percentile rule of the repo, shared by

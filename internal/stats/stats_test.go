@@ -88,3 +88,20 @@ func TestNearestRank(t *testing.T) {
 		t.Errorf("single sample: got %v, want 7", got)
 	}
 }
+
+// TestJainIndexEdges: empty and all-zero rate vectors degrade to 1, a
+// uniform vector is exactly 1, a one-hot vector is 1/n.
+func TestJainIndexEdges(t *testing.T) {
+	if got := JainIndex(0, 0, 0); got != 1 {
+		t.Errorf("empty jain %v, want 1", got)
+	}
+	if got := JainIndex(0, 0, 2); got != 1 {
+		t.Errorf("all-zero jain %v, want 1", got)
+	}
+	if got := JainIndex(6, 12, 3); got != 1 {
+		t.Errorf("uniform jain %v, want 1", got)
+	}
+	if got := JainIndex(1, 1, 4); got != 0.25 {
+		t.Errorf("one-hot jain %v, want 0.25", got)
+	}
+}
