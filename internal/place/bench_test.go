@@ -43,8 +43,8 @@ func BenchmarkPlaceLargeStream(b *testing.B) {
 // BenchmarkPlaceHuge is the service-scale gate: tens of thousands of jobs
 // over a thousand-node and a ten-thousand-node GPU fleet through the event
 // loop with wave memoization. The 100k × 10k case is place-fleet's shape:
-// the placement scan stops at the first idle node, so it runs in about a
-// second and is gated under -short too. ReportAllocs pins the arena-reuse
+// the quiescent-node index answers each pick without a scan, so it runs in
+// about a second and is gated under -short too. ReportAllocs pins the arena-reuse
 // work: per-round allocations must not scale with the fleet.
 func BenchmarkPlaceHuge(b *testing.B) {
 	cases := []struct{ jobs, nodes int }{
@@ -215,7 +215,8 @@ func BenchmarkPlaceHeteroStream(b *testing.B) {
 
 // cpuWaveBench is the CPU wave benchmarks' fixture: a fixed mixed KNL gang
 // of two training jobs and two inference requests, and a constructor of
-// fresh memo-free CPU runtimes.
+// fresh CPU runtimes. A runtime's RunWave only simulates; the wave memo
+// is the engine's.
 func cpuWaveBench(b *testing.B) (gang []WaveJob, newRuntime func() NodeRuntime) {
 	arb, err := multijob.NewArbiter("fair")
 	if err != nil {
@@ -223,7 +224,7 @@ func cpuWaveBench(b *testing.B) (gang []WaveJob, newRuntime func() NodeRuntime) 
 	}
 	m := hw.NewKNL()
 	newRuntime = func() NodeRuntime {
-		return buildRuntimes([]Node{{CPU: m}}, arb, true)[0]
+		return buildRuntimes([]Node{{CPU: m}}, arb)[0]
 	}
 	gang = []WaveJob{
 		{Name: "lstm#0", Model: nn.LSTM, Priority: 1, Weight: 1},
@@ -240,9 +241,9 @@ func cpuWaveBench(b *testing.B) (gang []WaveJob, newRuntime func() NodeRuntime) 
 }
 
 // BenchmarkCPUWaveSim prices one steady-state wave-memo miss: the
-// cpuWaveBench gang simulated fresh through the engine's CPU wave path
-// (memo off) on a runtime whose per-model cache is warm, as it is for
-// nearly every miss of a replay. Each iteration pays the multi-job co-run
+// cpuWaveBench gang simulated fresh by the CPU runtime's RunWave, the call
+// the engine's memo makes on a miss, on a runtime whose per-model cache
+// is warm, as it is for nearly every miss of a replay. Each iteration pays the multi-job co-run
 // alone: the profiled runtime jobs and their solo makespans come from the
 // cache. The allocs/op gate keeps per-operation-class facts from being
 // re-derived for every job and a co-run's scheduling rounds from

@@ -298,6 +298,7 @@ type Engine struct {
 	arb       multijob.Arbiter
 	rts       []NodeRuntime // per node; nodes with equal hardware share one
 	uniqueRts []NodeRuntime // the deduplicated runtime set
+	memos     []waveMemo    // the wave memo of each uniqueRts entry (gangsig.go)
 	ic        *Interconnect
 	infos     map[string]*modelInfo
 
@@ -380,9 +381,9 @@ func newEngine(c Cluster, opts Options, jobs int) (*Engine, error) {
 	}
 
 	// One runtime per distinct hardware descriptor: nodes sharing a
-	// machine or device share its per-model work cache — and its
-	// fleet-wide wave memo.
-	runtimes := buildRuntimes(c.nodeDescriptors(), arb, opts.NoWaveMemo)
+	// machine or device share its per-model work cache — and the engine's
+	// wave memo for that runtime.
+	runtimes := buildRuntimes(c.nodeDescriptors(), arb)
 
 	e := &Engine{
 		policy: opts.policy(), arb: arb, rts: runtimes, ic: c.interconnect(),
@@ -413,6 +414,7 @@ func newEngine(c Cluster, opts Options, jobs int) (*Engine, error) {
 		}
 		e.rtIdx[i] = idx
 	}
+	e.memos = make([]waveMemo, len(e.uniqueRts))
 	e.rtWorkBuf = make([]float64, len(e.uniqueRts))
 	e.events = newEventHeap(len(e.nodes))
 	e.idle = newIdleIndex(len(e.uniqueRts), e.rtIdx)
@@ -688,15 +690,11 @@ func (e *Engine) queueDelta(dJobs int, dWorkNs float64) {
 }
 
 // WaveMemoStats sums the fleet's wave-memo counters: cache hits are waves
-// priced without a simulation. Both are zero when the memo is disabled
-// (Options.NoWaveMemo).
+// priced without a simulation, misses are simulations run.
 func (e *Engine) WaveMemoStats() (hits, misses int) {
-	for _, rt := range e.uniqueRts {
-		if ms, ok := rt.(waveMemoStats); ok {
-			h, m := ms.WaveMemoStats()
-			hits += h
-			misses += m
-		}
+	for i := range e.memos {
+		hits += e.memos[i].hits
+		misses += e.memos[i].misses
 	}
 	return hits, misses
 }
@@ -1041,9 +1039,9 @@ func (e *Engine) launchWave(n int, startNs float64) error {
 }
 
 // runRound prices one lockstep round — one training step of every active
-// job — through the node's runtime and schedules the round-end event. The
-// WaveJob slice is engine-owned scratch: runtimes read it only for the
-// duration of RunWave.
+// job — through the wave memo of the node's runtime, simulating on a miss,
+// and schedules the round-end event. The WaveJob slice is engine-owned
+// scratch: runtimes read it only for the duration of RunWave.
 func (e *Engine) runRound(n int, startNs float64) error {
 	ns := e.nodes[n]
 	w := ns.wave
@@ -1061,7 +1059,7 @@ func (e *Engine) runRound(n int, startNs float64) error {
 		jobs = append(jobs, wj)
 	}
 	e.waveJobBuf = jobs
-	res, err := ns.rt.RunWave(jobs)
+	res, err := e.memos[e.rtIdx[n]].do(jobs, ns.rt.RunWave)
 	if err != nil {
 		return fmt.Errorf("place: wave %d on node %d: %w", w.ord, n, err)
 	}
@@ -1234,9 +1232,9 @@ func buildModelGraph(key string) *graph.Graph {
 }
 
 // buildRuntimes resolves every node descriptor to its NodeRuntime, sharing
-// one runtime — its per-model work cache and its wave memo — across nodes
-// with the same hardware descriptor.
-func buildRuntimes(descs []Node, arb multijob.Arbiter, noMemo bool) []NodeRuntime {
+// one runtime — its per-model work cache — across nodes with the same
+// hardware descriptor.
+func buildRuntimes(descs []Node, arb multijob.Arbiter) []NodeRuntime {
 	cpus := make(map[*hw.Machine]*cpuRuntime)
 	gpus := make(map[*gpu.Device]*gpuRuntime)
 	rts := make([]NodeRuntime, len(descs))
@@ -1245,9 +1243,6 @@ func buildRuntimes(descs []Node, arb multijob.Arbiter, noMemo bool) []NodeRuntim
 			rt, ok := gpus[d.GPU]
 			if !ok {
 				rt = &gpuRuntime{d: d.GPU, hardware: d.GPU.String()}
-				if !noMemo {
-					rt.memo = &waveMemo{}
-				}
 				gpus[d.GPU] = rt
 			}
 			rts[i] = rt
@@ -1256,9 +1251,6 @@ func buildRuntimes(descs []Node, arb multijob.Arbiter, noMemo bool) []NodeRuntim
 		rt, ok := cpus[d.CPU]
 		if !ok {
 			rt = &cpuRuntime{m: d.CPU, hardware: d.CPU.String(), arb: arb}
-			if !noMemo {
-				rt.memo = &waveMemo{}
-			}
 			cpus[d.CPU] = rt
 		}
 		rts[i] = rt

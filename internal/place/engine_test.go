@@ -17,8 +17,10 @@ import (
 // goldenConfigs are the byte-equivalence fixtures: every preempt golden
 // scenario — a firing priority preemption, a firing load-trigger
 // migration, and a multi-step mixed-fleet synthetic under "all" — plus a
-// plain GPU-fleet stream big enough to wave-pack and a multi-step binpack
-// stream on a small GPU fleet.
+// plain GPU-fleet stream big enough to wave-pack, a multi-step binpack
+// stream on a small GPU fleet, and an LSTM pair on one KNL node under the
+// priority arbiter that recurs with its priorities swapped (a wave memo
+// key blind to priority would serve the second pair the first's outcome).
 func goldenConfigs() []struct {
 	name string
 	w    Workload
@@ -54,12 +56,17 @@ func goldenConfigs() []struct {
 		{"gpu-stream", MustSynthetic(24, 7, []string{nn.LSTM, nn.DCGAN}, 1e5),
 			Cluster{GPUs: 6}, Options{Policy: "model-aware"}},
 		{"binpack", packed, Cluster{GPUs: 4}, Options{Policy: "binpack"}},
+		{"priority-recurrence", Workload{
+			{Name: "lo", Model: "lstm", Priority: 0}, {Name: "hi", Model: "lstm", Priority: 5},
+			{Name: "hi2", Model: "lstm", ArrivalNs: 200e6, Priority: 5},
+			{Name: "lo2", Model: "lstm", ArrivalNs: 200e6, Priority: 0},
+		}, Cluster{Nodes: 1}, Options{Policy: "model-aware", Arbiter: "priority"}},
 	}
 }
 
-// TestWaveMemoEngineByteEquivalence: disabling the wave memo changes
-// nothing but speed — every golden config renders byte-identically with
-// NoWaveMemo set.
+// TestWaveMemoEngineByteEquivalence: the wave memo changes nothing but
+// speed — every golden config renders byte-identically when no round is
+// served from the memo.
 func TestWaveMemoEngineByteEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs each golden config twice")
@@ -70,17 +77,70 @@ func TestWaveMemoEngineByteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := tc.opts
-			opts.NoWaveMemo = true
-			off, err := PlaceJobs(tc.w, tc.c, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			off := placeMemoFree(t, tc.w, tc.c, tc.opts, nil)
 			if on.Render() != off.Render() {
 				t.Errorf("memoized render differs from memo-free:\n%s\nvs\n%s", on.Render(), off.Render())
 			}
 		})
 	}
+}
+
+// placeMemoFree is PlaceJobs driven step by step through the engine's
+// internals, with every wave memo emptied before each step. Rounds are
+// priced only inside step, so no round is served from the memo; the run
+// fails t if one is. wrap, when non-nil, may replace node runtimes before
+// the first arrival. Arrivals interleave with node events under Arrive's
+// tie rule, and the Result lists jobs in input order, as PlaceJobs does.
+func placeMemoFree(t testing.TB, w Workload, c Cluster, opts Options, wrap func(*Engine)) *Result {
+	t.Helper()
+	specs, err := w.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(c, opts, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrap != nil {
+		wrap(e)
+	}
+	step := func() {
+		t.Helper()
+		for i := range e.memos {
+			clear(e.memos[i].entries)
+		}
+		if err := e.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(specs[a].ArrivalNs, specs[b].ArrivalNs) })
+	for _, idx := range order {
+		sp := specs[idx]
+		for {
+			if n, at := e.peek(); n < 0 || at >= sp.ArrivalNs {
+				break
+			}
+			step()
+		}
+		ji, err := e.Admit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.PlaceAuto(ji, sp.ArrivalNs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e.Completed() < e.Admitted() {
+		step()
+	}
+	if hits, _ := e.WaveMemoStats(); hits != 0 {
+		t.Fatalf("memo-free run served %d rounds from the memo", hits)
+	}
+	return e.finish(order)
 }
 
 // driveBatch pumps a canonical, arrival-ordered workload through an engine
@@ -115,7 +175,7 @@ func driveSlab(t *testing.T, w Workload, c Cluster, opts Options, slab int) *Eng
 // TestQueueAggregatesAndMemoCounters drives a wave-packing stream and
 // checks the introspection surfaces: events were retired, the fleet-wide
 // queue aggregates drain to zero at completion, and the memo counters show
-// real hits on a recurring stream (and stay zero when disabled).
+// real hits on a recurring stream.
 func TestQueueAggregatesAndMemoCounters(t *testing.T) {
 	// A uniform replay-shaped stream — alternating models, equal priority
 	// and weight — so wave compositions genuinely recur fleet-wide.
@@ -141,11 +201,6 @@ func TestQueueAggregatesAndMemoCounters(t *testing.T) {
 	hits, misses := e.WaveMemoStats()
 	if hits == 0 || misses == 0 {
 		t.Errorf("memo counters hits=%d misses=%d on a recurring stream, want both positive", hits, misses)
-	}
-
-	off := driveBatch(t, w, c, Options{Policy: "model-aware", NoWaveMemo: true})
-	if h, m := off.WaveMemoStats(); h != 0 || m != 0 {
-		t.Errorf("NoWaveMemo engine reports hits=%d misses=%d, want zeros", h, m)
 	}
 }
 
@@ -260,6 +315,55 @@ func TestArriveDrainContract(t *testing.T) {
 	}
 	if _, err := e.Drain(); err == nil || !strings.Contains(err.Error(), "stalled with 1 of 2 jobs done") {
 		t.Errorf("Drain of an admitted but unplaced job = %v, want a stall", err)
+	}
+}
+
+// TestEarlyFinishRanksRetiredOnly: Finish before the run drains ranks only
+// the retired jobs in its percentiles, as its aggregates count only them.
+// Three one-step LSTM jobs 5 ms apart on one KNL node have retired nothing
+// at 1 ms, and a JCT read off an unretired job would be negative; once the
+// first job retires, every percentile is that job's.
+func TestEarlyFinishRanksRetiredOnly(t *testing.T) {
+	e, err := NewEngine(Cluster{Nodes: 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e.Arrive(JobSpec{Model: nn.LSTM, ArrivalNs: float64(i) * 5e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.AdvanceTo(1e6); err != nil {
+		t.Fatal(err)
+	}
+	if e.Completed() != 0 {
+		t.Fatalf("%d jobs retired by 1 ms; the probe needs none", e.Completed())
+	}
+	res := e.Finish()
+	if res.MeanJCTNs != 0 || res.TrainP50JCTNs != 0 || res.TrainP99JCTNs != 0 || res.QueuePercentileNs(1) != 0 {
+		t.Errorf("nothing retired, yet mean JCT %v, p50 %v, p99 %v, max queue %v; want all 0",
+			res.MeanJCTNs, res.TrainP50JCTNs, res.TrainP99JCTNs, res.QueuePercentileNs(1))
+	}
+	for e.Completed() == 0 {
+		if _, err := e.ProcessNextEvent(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res = e.Finish()
+	var done []PlacedJob
+	for _, p := range res.Jobs {
+		if p.StepsDone == p.Steps {
+			done = append(done, p)
+		}
+	}
+	if len(done) != 1 || len(res.Jobs) != 3 {
+		t.Fatalf("%d of %d jobs retired, want 1 of 3", len(done), len(res.Jobs))
+	}
+	jct, q := done[0].JCTNs(), done[0].QueueNs
+	if res.TrainP50JCTNs != jct || res.TrainP99JCTNs != jct || res.MeanJCTNs != jct ||
+		res.QueuePercentileNs(0) != q || res.QueuePercentileNs(1) != q {
+		t.Errorf("one job retired with JCT %v, queue %v; got p50 %v, p99 %v, mean %v, queue p0 %v, p100 %v",
+			jct, q, res.TrainP50JCTNs, res.TrainP99JCTNs, res.MeanJCTNs, res.QueuePercentileNs(0), res.QueuePercentileNs(1))
 	}
 }
 
@@ -459,7 +563,8 @@ func TestPlaceJobsUnsortedInputOrder(t *testing.T) {
 }
 
 // recordingRuntime is a NodeRuntime that keeps a copy of every wave it is
-// asked to price.
+// asked to price. It sits behind the engine's wave memo, so it sees only
+// the memo's misses.
 type recordingRuntime struct {
 	NodeRuntime
 	waves *[][]WaveJob
@@ -473,7 +578,9 @@ func (r recordingRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 // TestAdmitEchoesSpec: every JobSpec field reaches the run. Engine.Job
 // echoes the name (or the default label), the resolved model, arrival,
 // deadline, step count (0 meaning 1), effective class and SLO, and every
-// wave that prices a job carries its priority, weight and class.
+// wave that prices a job carries its priority, weight and class. The
+// recorder sees only memo misses; no two specs share a memo-key tuple, so
+// the first wave holding each job is a miss and every job is recorded.
 func TestAdmitEchoesSpec(t *testing.T) {
 	specs := []JobSpec{
 		{Name: "train", Model: "LSTM", ArrivalNs: 0, Priority: 3, Weight: 2.5, DeadlineNs: 9e9, Steps: 3,

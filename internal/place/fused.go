@@ -17,19 +17,19 @@ import (
 // policies' reference form — a materialized per-node snapshot each policy
 // ranks — which the fused scans are tested against.
 //
-// Each scan also knows its policy's floor: a lower bound on the key no node
-// can go below. Because a candidate is replaced only by a strictly smaller
+// Each policy also knows its floor: a lower bound on the key no node can
+// go below. Because a candidate is replaced only by a strictly smaller
 // key, once the running best reaches the floor no later node can displace
-// it, so the scan returns right there with exactly the node a full scan
-// would pick. A fleet with idle nodes thus stops at the first idle node it
-// reaches; a fleet with none still scans every node.
+// it. The binpack and spread scans return right there, with exactly the
+// node a full scan would pick, so a fleet with idle nodes stops at the
+// first idle node it reaches; a fleet with none still scans every node.
 //
 // The model-aware policy finds an arrival's floor node without walking the
 // busy nodes ahead of it: the engine keeps, per distinct runtime, a bitset
 // of its quiescent nodes (idleIndex), and floorNode reads the floor node
 // off it with a find-first-set. It answers only where it can prove the
-// scan would stop at that same node, and otherwise leaves the pick to the
-// scan (see floorNode).
+// scan would pick that same node, and otherwise leaves the pick to a scan
+// of every node (see floorNode).
 
 // The built-in placement policies, spelled as Options.Policy names them.
 const (
@@ -58,10 +58,10 @@ func checkPolicy(name string) error {
 // preferred-class candidate and the best fallback candidate seen so far,
 // with their comparison keys. Updates use strict key comparison after a
 // first-candidate test, so the lowest index wins ties — which is what makes
-// the floor cutoff exact: a best whose key equals the floor can never be
-// replaced, so a scan may stop the moment its best (preferred-class or,
-// for spread, fallback) key reaches the policy's floor. The key is compared
-// with <=, so a NaN key never stops a scan.
+// the floor exact: a best whose key equals the floor can never be
+// replaced, so a binpack or spread scan may stop the moment its best
+// (preferred-class or, for spread, fallback) key reaches the policy's
+// floor. The key is compared with <=, so a NaN key never stops a scan.
 type pickAcc struct {
 	best    int // preferred-class candidate, -1 none
 	bestKey float64
@@ -119,25 +119,25 @@ func (e *Engine) nodeLoadFree(i int, nowNs float64) (load int, freeNs float64) {
 // and alpha are all non-negative, and float rounding is monotone, so no
 // node's est falls below its runtime's nowNs + work[k] — and an idle, empty
 // node's est is exactly that. An arrival first asks the quiescent-node
-// index for the node the scan would stop at (floorNode); a restart, and an
-// arrival the index cannot answer, walks the nodes in index order.
+// index for the first node on the floor (floorNode); a restart, and an
+// arrival the index cannot answer, walks every node in index order.
 func (e *Engine) scanModelAware(nowNs float64, work []float64, src int, delayNs float64, acc *pickAcc) {
-	floor := math.Inf(1)
-	for _, w := range work {
-		floor = min(floor, nowNs+w)
-	}
 	if src < 0 && delayNs == 0 {
+		floor := math.Inf(1)
+		for _, w := range work {
+			floor = min(floor, nowNs+w)
+		}
 		if n := e.floorNode(nowNs, work, floor); n >= 0 {
 			acc.best, acc.bestKey = n, floor
 			return
 		}
 	}
-	e.walkModelAware(nowNs, work, src, delayNs, floor, acc)
+	e.walkModelAware(nowNs, work, src, delayNs, acc)
 }
 
-// walkModelAware is scanModelAware's linear scan: every node in index
-// order until the running best reaches floor.
-func (e *Engine) walkModelAware(nowNs float64, work []float64, src int, delayNs, floor float64, acc *pickAcc) {
+// walkModelAware is scanModelAware's linear scan over every node in index
+// order.
+func (e *Engine) walkModelAware(nowNs float64, work []float64, src int, delayNs float64, acc *pickAcc) {
 	delayed := nowNs + delayNs
 	for i := range e.nodes {
 		k := e.rtIdx[i]
@@ -165,9 +165,6 @@ func (e *Engine) walkModelAware(nowNs float64, work []float64, src int, delayNs,
 		}
 		if acc.best < 0 || est < acc.bestKey {
 			acc.best, acc.bestKey = i, est
-			if est <= floor {
-				return
-			}
 		}
 	}
 }
@@ -180,10 +177,10 @@ func finishEst(startNs, work, alpha float64, co int) float64 {
 }
 
 // floorNode returns the node the model-aware scan of an arrival at nowNs
-// (no source, no delay) stops at, read off the quiescent-node index: the
+// (no source, no delay) picks, read off the quiescent-node index: the
 // lowest-index quiescent node of a runtime k with nowNs + work[k] == floor.
 // It returns -1, leaving the pick to the scan, unless it can prove the scan
-// stops at that node:
+// picks that node:
 //
 //   - No node event is pending at or before nowNs. Arrive leaves events at
 //     exactly the arrival instant pending, and a wave whose round ends by
@@ -194,17 +191,19 @@ func finishEst(startNs, work, alpha float64, co int) float64 {
 //     occupied-node lower bound finishEst(nowNs, work[k], alpha[k], 1) lies
 //     strictly above floor. A node that is not quiescent starts at nowNs
 //     or later beside at least one co-runner (or is full, a fallback the
-//     scan never stops at), and finishEst is monotone in both, so its est
-//     is above floor and never NaN: the scan passes it. The bound rules
-//     out zero, negative and NaN work, alpha 0, and an alpha or work gap
-//     too small to survive rounding; +Inf work only keeps a runtime's
-//     nodes off the floor.
+//     scan never picks over a node with room), and finishEst is monotone
+//     in both, so its est is above floor and never NaN: the scan passes
+//     it. The bound rules out zero, negative and NaN work, alpha 0, and an
+//     alpha or work gap too small to survive rounding; +Inf work only
+//     keeps a runtime's nodes off the floor.
 //   - The node found is idle by nowNs (freeNs <= nowNs). Empty, it has
 //     room (every capacity is at least one), and its est is exactly floor.
 //     A quiescent node before it belongs to a runtime whose nowNs + work[k]
 //     is above floor, and so is its est.
 //
-// The scan then passes every node before the one found and stops there.
+// The scan then passes every node before the one found and takes it. No
+// later node displaces it: every est is at least floor, and the scan
+// replaces its best only on a strictly smaller est.
 func (e *Engine) floorNode(nowNs float64, work []float64, floor float64) int {
 	if _, t := e.events.top(); t <= nowNs {
 		return -1

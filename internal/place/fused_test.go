@@ -14,10 +14,10 @@ import (
 // inference batches folding) fusedPick returns exactly the node the
 // reference Views → Policy.Pick would, for every built-in policy. The
 // small fleet keeps every node busy; the wide one, under a dense stream,
-// leaves many nodes idle and tied, so the floor cutoff must fire — the
-// test counts the picks whose key reached the floor with later nodes left
-// unscanned and requires some per policy, and under model-aware some picks
-// the quiescent-node index answered. The third stream's arrivals land
+// leaves many nodes idle and tied, so picks must land on the floor — the
+// test counts the picks whose key reached the floor with later nodes
+// after them and requires some per policy, and under model-aware some
+// picks the quiescent-node index answered. The third stream's arrivals land
 // exactly on pending node events, advanced under Arrive's tie rule, so
 // the index's pending-event guard must hand some picks to the scan. After
 // every engine event the index must hold exactly the quiescent nodes.
@@ -94,7 +94,7 @@ func TestFusedPickMatchesPick(t *testing.T) {
 				checkIdleIndex(t, e)
 			}
 			if fl.wantFloor && floorHits == 0 {
-				t.Errorf("%s %s: no pick reached the floor before the last node; the cutoff never fired", fl.name, policy)
+				t.Errorf("%s %s: no pick reached the floor before the last node; the floor was never exercised", fl.name, policy)
 			}
 			if policy != policyModelAware {
 				continue
@@ -158,8 +158,9 @@ func pokeNode(e *Engine, n int, f func(ns *nodeState)) {
 }
 
 // atFloor reports whether the reference policy's pick among views carries
-// a key equal to the policy's floor — the condition under which the fused
-// scan stops at the pick without reading the nodes after it.
+// a key equal to the policy's floor — the condition under which no later
+// node can displace the pick, so binpack and spread stop there and the
+// quiescent-node index may answer a model-aware arrival.
 func atFloor(policy string, views []NodeView, nowNs float64, pick int) bool {
 	v := views[pick]
 	switch policy {
@@ -181,9 +182,9 @@ func atFloor(policy string, views []NodeView, nowNs float64, pick int) bool {
 	return false
 }
 
-// TestFusedPickFloorEdges pins the floor cutoff on hand-built fleet state,
-// each case checked against the reference policy and an expected node:
-// the scan must not stop at a runtime's own floor when a later node's
+// TestFusedPickFloorEdges pins the floor on hand-built fleet state, each
+// case checked against the reference policy and an expected node: the
+// pick must not settle on a runtime's own floor when a later node's
 // runtime has a lower one (binpack: only at the largest capacity's), must
 // run to the end of a full fleet where only the fallback applies, and must
 // stay exact at +Inf and zero work.
@@ -282,7 +283,7 @@ func TestFusedPickFloorEdges(t *testing.T) {
 // hand-built fleet state: each case is checked against the reference
 // policy, an expected node, and whether floorNode answered. Every declined
 // case is one where the index's node is wrong — the lowest quiescent node
-// of the floor runtime is not where the scan stops.
+// of the floor runtime is not the scan's pick.
 func TestFloorNodeGuards(t *testing.T) {
 	knl, p100 := hw.NewKNL(), gpu.NewP100()
 	// Nodes 0 and 2 share the CPU runtime, 1 and 3 the GPU runtime.

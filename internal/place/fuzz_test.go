@@ -3,12 +3,15 @@ package place
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"opsched/internal/gpu"
 	"opsched/internal/hw"
 	"opsched/internal/multijob"
+	"opsched/internal/nn"
 )
 
 // FuzzJobSpecCheck: Check never panics, and every spec it accepts places
@@ -160,7 +163,7 @@ func FuzzPickMatchesScan(f *testing.F) {
 			floor = min(floor, nowNs+w)
 		}
 		scan := pickAcc{best: -1, fall: -1}
-		e.walkModelAware(nowNs, work, -1, 0, floor, &scan)
+		e.walkModelAware(nowNs, work, -1, 0, &scan)
 		got := pickAcc{best: -1, fall: -1}
 		e.scanModelAware(nowNs, work, -1, 0, &got)
 		if got.pick() != scan.pick() {
@@ -168,3 +171,113 @@ func FuzzPickMatchesScan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEngineMatchesReference: every shortcut the engine takes on a wave
+// leaves the run unchanged. The fuzzer builds a fleet of 1–3 KNL and 0–3
+// P100 nodes, a policy, an arbiter and a trigger spec from four bytes, and
+// 1–12 LSTM/DCGAN jobs from five bytes each: model, class and steps 0–4
+// (at most 1 for a request), priority, a weight from 5e-324 to
+// multijob.MaxWeight, the gap to the previous arrival, and a deadline or
+// an SLO. The normal run is PlaceJobs. The reference run empties every
+// wave memo before each step (placeMemoFree) and prices each CPU wave,
+// a lone job's too, through the multi-job co-run (coRunRuntime). The two
+// Results must be deeply equal and render identically.
+func FuzzEngineMatchesReference(f *testing.F) {
+	// Two lone-priority pairs of one model on one KNL node under the
+	// priority arbiter: the second pair recurs the first's models with
+	// the priorities swapped.
+	f.Add(uint8(0), uint8(2), uint8(1), uint8(0), []byte{
+		0x04, 0, 1, 0, 0, 0x04, 5, 1, 0, 0,
+		0x04, 5, 1, 200, 0, 0x04, 0, 1, 0, 0,
+	})
+	// A mixed fleet under every trigger: multi-step training with
+	// deadlines beside SLO-bound requests at the weight extremes.
+	f.Add(uint8(7), uint8(2), uint8(1), uint8(15), []byte{
+		0x10, 3, 4, 0, 0x03, 0x0d, 0, 5, 2, 0x01,
+		0x02, 6, 3, 1, 0x30, 0x03, 1, 5, 0, 0x20,
+		0x08, 1, 0, 4, 0x0f, 0x11, 7, 2, 0, 0x02,
+		0x06, 2, 1, 3, 0x45, 0x0c, 0, 4, 9, 0x00,
+	})
+	// CPU-only lone waves under fair share, each arriving after the last
+	// drained, with steps up to 4 and a zero-step job.
+	f.Add(uint8(2), uint8(1), uint8(0), uint8(0), []byte{
+		0x10, 0, 2, 0, 0, 0x01, 1, 6, 200, 0, 0x00, 2, 4, 250, 0x01,
+	})
+	// GPU-heavy spread with load migration and "none".
+	f.Add(uint8(9), uint8(1), uint8(2), uint8(8), []byte{
+		0x0c, 0, 1, 0, 0, 0x0d, 0, 1, 0, 0, 0x0c, 0, 1, 0, 0, 0x0d, 0, 1, 0, 0,
+	})
+	f.Add(uint8(4), uint8(0), uint8(2), uint8(16), []byte{0x08, 7, 5, 0, 0x02, 0x09, 0, 4, 1, 0x01})
+	weights := []float64{0, 1, 0.5, 2.5, 5e-324, multijob.MaxWeight, 1e-3, 7}
+	f.Fuzz(func(t *testing.T, fleet, policy, arbiter, trig uint8, jobs []byte) {
+		n := min(len(jobs)/5, 12)
+		if n == 0 {
+			return
+		}
+		c := Cluster{Nodes: 1 + int(fleet%3), GPUs: int(fleet / 3 % 4)}
+		spec := "off"
+		switch m := trig % 17; m {
+		case 0:
+		case 16:
+			spec = "none"
+		default:
+			var names []string
+			for i, name := range triggerNames {
+				if m>>i&1 == 1 {
+					names = append(names, name)
+				}
+			}
+			spec = strings.Join(names, "+")
+		}
+		opts := Options{
+			Policy:  Policies()[int(policy)%len(Policies())],
+			Arbiter: multijob.Arbiters()[int(arbiter)%len(multijob.Arbiters())],
+			Preempt: spec,
+		}
+		w := make(Workload, n)
+		arrival := 0.0
+		for i := range w {
+			b := jobs[5*i : 5*i+5]
+			arrival += float64(b[3]) * 1e6
+			j := JobSpec{
+				Model:     []string{nn.LSTM, nn.DCGAN}[b[0]&1],
+				ArrivalNs: arrival,
+				Steps:     int(b[0]>>2) % 5,
+				Priority:  int(b[1] % 8),
+				Weight:    weights[b[2]%8],
+			}
+			if d := b[4] & 0xf; d > 0 {
+				j.DeadlineNs = arrival + float64(d)*20e6
+			}
+			if b[0]&2 != 0 {
+				j.Class, j.Steps = ClassInference, j.Steps%2
+				j.SLONs = float64(b[4]>>4) * 10e6
+			}
+			w[i] = j
+		}
+		got, err := PlaceJobs(w, c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := placeMemoFree(t, w, c, opts, func(e *Engine) {
+			for _, ns := range e.nodes {
+				if cpu, ok := ns.rt.(*cpuRuntime); ok {
+					ns.rt = coRunRuntime{cpu}
+				}
+			}
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v on %+v: result differs from the reference run:\n%s\nwant:\n%s", opts, c, got.Render(), want.Render())
+		}
+		if got.Render() != want.Render() {
+			t.Fatalf("%+v on %+v: render differs from the reference run", opts, c)
+		}
+	})
+}
+
+// coRunRuntime is a CPU runtime that prices every wave, a lone job's too,
+// through the multi-job co-run: the reference twin of RunWave's lone-wave
+// answer from the model's cached solo makespan.
+type coRunRuntime struct{ *cpuRuntime }
+
+func (r coRunRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) { return r.coRun(jobs) }

@@ -4,36 +4,36 @@ import "strconv"
 
 // Wave memoization.
 //
-// A node's RunWave is a pure, deterministic function of what its simulator
-// reads from the ordered resident job list: per job, the model key and — on
-// a CPU node — the arbiter priority, the normalized weight and whether the
-// slot is a latency-class (inference) slot; names never influence the
-// numbers. Service-scale streams recur the same gang compositions over and
-// over (every wave of k queued LSTMs prices identically), so the runtimes
-// memoize RunWave results fleet-wide: every node sharing a hardware
-// descriptor shares one runtime and therefore one cache, and a recurring
-// composition costs one simulation, not one per node per round.
+// A node's RunWave only simulates: it is a pure, deterministic function of
+// what its simulator reads from the ordered resident job list: per job,
+// the model key and — on a CPU node — the arbiter priority, the normalized
+// weight and whether the slot is a latency-class (inference) slot; names
+// never influence the numbers. Service-scale streams recur the same gang
+// compositions over and over (every wave of k queued LSTMs prices
+// identically), so the engine memoizes RunWave results fleet-wide: it
+// keeps one memo per distinct runtime, nodes sharing a hardware descriptor
+// share that runtime and therefore that memo, and a recurring composition
+// costs one simulation, not one per node per round.
 //
-// The cache key is that simulator input and nothing else: the hardware
-// kind, then per job in input order (Model, Priority, normalized Weight,
-// Class). Input order matters because the multijob arbiters break ties on
-// job index, so two orderings of the same jobs may price differently. A
-// hit therefore returns the byte-identical result a fresh simulation of
-// that exact input would produce, which keeps every determinism and
-// batch-vs-pipeline equivalence gate intact with memoization enabled. The
-// GPU simulator reads only Model, and so does the CPU simulator for a lone
-// job, whose wave is its cached solo step; the key keeps the shared tuple
-// on both kinds and at every gang size. The lone-job answer is cheap but
-// still goes through the memo, so hit and miss counts mean the same at
-// every gang size.
+// The cache key is that simulator input and nothing else: per job in input
+// order (Model, Priority, normalized Weight, Class). Each memo serves one
+// runtime, so the key needs no hardware field. Input order matters because
+// the multijob arbiters break ties on job index, so two orderings of the
+// same jobs may price differently. A hit therefore returns the
+// byte-identical result a fresh simulation of that exact input would
+// produce, which keeps every determinism and batch-vs-pipeline equivalence
+// gate intact. The GPU simulator reads only Model, and so does the CPU
+// simulator for a lone job, whose wave is its cached solo step; the key
+// keeps the shared tuple on both kinds and at every gang size. The
+// lone-job answer is cheap but still goes through the memo, so hit and
+// miss counts mean the same at every gang size.
 
 // appendWaveKey appends the memo key of one RunWave input to buf. Weight is
 // normalized the way the simulators read it (<= 0 means 1), and Class
-// enters only as the inference flag cpuRuntime.simulate tests. Model keys
+// enters only as the inference flag cpuWaveJob tests. Model keys
 // (canonical names and InferKeys) never contain ';' or '|', so two inputs
 // share a key only when every field the simulators read matches.
-func appendWaveKey(buf []byte, kind string, jobs []WaveJob) []byte {
-	buf = append(buf, kind...)
+func appendWaveKey(buf []byte, jobs []WaveJob) []byte {
 	for _, j := range jobs {
 		w := j.Weight
 		if w <= 0 {
@@ -52,24 +52,22 @@ func appendWaveKey(buf []byte, kind string, jobs []WaveJob) []byte {
 	return buf
 }
 
-// waveMemo is the fleet-wide RunWave cache one runtime carries. The engine
-// drives it from its single event-loop goroutine. Cached *WaveResult
-// values are shared across waves and must be treated as immutable by
-// every caller.
+// waveMemo is the RunWave cache of one runtime. The engine drives it from
+// its single event-loop goroutine. Cached *WaveResult values are shared
+// across waves and must be treated as immutable by every caller.
 type waveMemo struct {
 	entries map[string]*WaveResult
 	key     []byte // scratch the lookup key is built into
-	hits    int
-	misses  int
+	hits    int    // calls served from a cached simulation
+	misses  int    // simulations actually run
 }
 
-// do returns the cached result of this wave input on the given hardware
-// kind, simulating it with sim on first use (a miss). The lookup does not
-// allocate; the key is copied to a string only when a result is stored. A
-// failed simulation is not cached: the error propagates and the next call
-// retries.
-func (m *waveMemo) do(kind string, jobs []WaveJob, sim func([]WaveJob) (*WaveResult, error)) (*WaveResult, error) {
-	m.key = appendWaveKey(m.key[:0], kind, jobs)
+// do returns the cached result of this wave input, simulating it with sim
+// on first use (a miss). The lookup does not allocate; the key is copied
+// to a string only when a result is stored. A failed simulation is not
+// cached: the error propagates and the next call retries.
+func (m *waveMemo) do(jobs []WaveJob, sim func([]WaveJob) (*WaveResult, error)) (*WaveResult, error) {
+	m.key = appendWaveKey(m.key[:0], jobs)
 	if res, ok := m.entries[string(m.key)]; ok {
 		m.hits++
 		return res, nil
@@ -84,20 +82,4 @@ func (m *waveMemo) do(kind string, jobs []WaveJob, sim func([]WaveJob) (*WaveRes
 	}
 	m.entries[string(m.key)] = res
 	return res, nil
-}
-
-// stats reports the cache's hit/miss counters: hits are RunWave calls
-// served from a cached simulation, misses are simulations actually run.
-// A nil memo (memoization disabled) reports zeros.
-func (m *waveMemo) stats() (hits, misses int) {
-	if m == nil {
-		return 0, 0
-	}
-	return m.hits, m.misses
-}
-
-// waveMemoStats is the optional introspection interface memoizing runtimes
-// implement; Engine.WaveMemoStats sums it across the fleet.
-type waveMemoStats interface {
-	WaveMemoStats() (hits, misses int)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"opsched/internal/gpu"
@@ -13,15 +12,15 @@ import (
 	"opsched/internal/nn"
 )
 
-func waveKey(kind string, jobs []WaveJob) string {
-	return string(appendWaveKey(nil, kind, jobs))
+func waveKey(jobs []WaveJob) string {
+	return string(appendWaveKey(nil, jobs))
 }
 
 // TestGangSignatureCanonicalization is the canonicalization table of the
-// wave memo key: the key separates hardware kinds, normalizes weights and
-// classes the way the wave simulators read them, ignores job names, and
-// distinguishes every field the simulators do read. Order sensitivity is
-// TestGangKeysFingerprintOrder's.
+// wave memo key: the key normalizes weights and classes the way the wave
+// simulators read them, ignores job names, and distinguishes every field
+// the simulators do read. It carries no hardware kind, because each memo
+// serves one runtime. Order sensitivity is TestGangKeysFingerprintOrder's.
 func TestGangSignatureCanonicalization(t *testing.T) {
 	j := func(model string, prio int, weight float64) WaveJob {
 		return WaveJob{Model: model, Priority: prio, Weight: weight}
@@ -29,42 +28,26 @@ func TestGangSignatureCanonicalization(t *testing.T) {
 	inf := func(wj WaveJob) WaveJob { wj.Class = ClassInference; return wj }
 	base := []WaveJob{j("lstm", 0, 1), j("dcgan", 5, 2), j("lstm", 0, 1)}
 	cases := []struct {
-		name  string
-		kindA string
-		jobsA []WaveJob
-		kindB string
-		jobsB []WaveJob
-		equal bool
+		name         string
+		jobsA, jobsB []WaveJob
+		equal        bool
 	}{
-		{"identical", KindCPU, base, KindCPU, append([]WaveJob(nil), base...), true},
-		{"names ignored", KindCPU, []WaveJob{{Name: "a", Model: "lstm"}},
-			KindCPU, []WaveJob{{Name: "z", Model: "lstm"}}, true},
-		{"cpu vs gpu", KindCPU, base, KindGPU, base, false},
-		{"weight defaulted", KindCPU, []WaveJob{j("lstm", 0, 0)},
-			KindCPU, []WaveJob{j("lstm", 0, 1)}, true},
-		{"negative weight defaulted", KindCPU, []WaveJob{j("lstm", 0, -3)},
-			KindCPU, []WaveJob{j("lstm", 0, 1)}, true},
-		{"weight matters", KindCPU, []WaveJob{j("lstm", 0, 2)},
-			KindCPU, []WaveJob{j("lstm", 0, 1)}, false},
-		{"priority matters", KindCPU, []WaveJob{j("lstm", 5, 1)},
-			KindCPU, []WaveJob{j("lstm", 0, 1)}, false},
-		{"model matters", KindCPU, []WaveJob{j("lstm", 0, 1)},
-			KindCPU, []WaveJob{j("dcgan", 0, 1)}, false},
-		{"inference class matters", KindCPU, []WaveJob{inf(j("lstm", 0, 1))},
-			KindCPU, []WaveJob{j("lstm", 0, 1)}, false},
-		{"training class is the default", KindCPU, []WaveJob{{Model: "lstm", Class: ClassTraining}},
-			KindCPU, []WaveJob{{Model: "lstm"}}, true},
-		{"multiset not set", KindCPU, []WaveJob{j("lstm", 0, 1), j("lstm", 0, 1)},
-			KindCPU, []WaveJob{j("lstm", 0, 1)}, false},
+		{"identical", base, append([]WaveJob(nil), base...), true},
+		{"names ignored", []WaveJob{{Name: "a", Model: "lstm"}}, []WaveJob{{Name: "z", Model: "lstm"}}, true},
+		{"weight defaulted", []WaveJob{j("lstm", 0, 0)}, []WaveJob{j("lstm", 0, 1)}, true},
+		{"negative weight defaulted", []WaveJob{j("lstm", 0, -3)}, []WaveJob{j("lstm", 0, 1)}, true},
+		{"weight matters", []WaveJob{j("lstm", 0, 2)}, []WaveJob{j("lstm", 0, 1)}, false},
+		{"priority matters", []WaveJob{j("lstm", 5, 1)}, []WaveJob{j("lstm", 0, 1)}, false},
+		{"model matters", []WaveJob{j("lstm", 0, 1)}, []WaveJob{j("dcgan", 0, 1)}, false},
+		{"inference class matters", []WaveJob{inf(j("lstm", 0, 1))}, []WaveJob{j("lstm", 0, 1)}, false},
+		{"training class is the default", []WaveJob{{Model: "lstm", Class: ClassTraining}},
+			[]WaveJob{{Model: "lstm"}}, true},
+		{"multiset not set", []WaveJob{j("lstm", 0, 1), j("lstm", 0, 1)}, []WaveJob{j("lstm", 0, 1)}, false},
 	}
 	for _, tc := range cases {
-		a := waveKey(tc.kindA, tc.jobsA)
-		b := waveKey(tc.kindB, tc.jobsB)
+		a, b := waveKey(tc.jobsA), waveKey(tc.jobsB)
 		if (a == b) != tc.equal {
 			t.Errorf("%s: keys %q vs %q, want equal=%v", tc.name, a, b, tc.equal)
-		}
-		if !strings.HasPrefix(a, tc.kindA+";") {
-			t.Errorf("%s: key %q not prefixed by kind %q", tc.name, a, tc.kindA)
 		}
 	}
 }
@@ -77,57 +60,56 @@ func TestGangKeysFingerprintOrder(t *testing.T) {
 	a := WaveJob{Name: "x", Model: "dcgan", Priority: 1}
 	b := WaveJob{Name: "y", Model: "lstm"}
 	ab, ba := []WaveJob{a, b}, []WaveJob{b, a}
-	if k1, k2 := waveKey(KindCPU, ab), waveKey(KindCPU, []WaveJob{a, b}); k1 != k2 {
+	if k1, k2 := waveKey(ab), waveKey([]WaveJob{a, b}); k1 != k2 {
 		t.Errorf("same input, different keys: %q vs %q", k1, k2)
 	}
-	if kab, kba := waveKey(KindCPU, ab), waveKey(KindCPU, ba); kab == kba {
+	if kab, kba := waveKey(ab), waveKey(ba); kab == kba {
 		t.Errorf("keys collide across orderings: %q", kab)
 	}
 	// Moving a field across a job boundary must change the key too.
 	p1 := WaveJob{Model: "lstm", Priority: 1}
 	p0 := WaveJob{Model: "lstm"}
-	if k1, k2 := waveKey(KindCPU, []WaveJob{p1, p0}), waveKey(KindCPU, []WaveJob{p0, p1}); k1 == k2 {
+	if k1, k2 := waveKey([]WaveJob{p1, p0}), waveKey([]WaveJob{p0, p1}); k1 == k2 {
 		t.Errorf("keys collide across job boundaries: %q", k1)
 	}
 
 	m := &waveMemo{}
 	sims := 0
 	sim := func([]WaveJob) (*WaveResult, error) { sims++; return &WaveResult{TotalNs: float64(sims)}, nil }
-	rAB, err := m.do(KindCPU, ab, sim)
+	rAB, err := m.do(ab, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rBA, err := m.do(KindCPU, ba, sim)
+	rBA, err := m.do(ba, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rAB == rBA {
 		t.Error("two orderings served from one memo entry")
 	}
-	if again, err := m.do(KindCPU, ab, sim); err != nil || again != rAB {
+	if again, err := m.do(ab, sim); err != nil || again != rAB {
 		t.Errorf("repeated ordering not served from its entry: res=%v err=%v", again, err)
 	}
-	if hits, misses := m.stats(); hits != 1 || misses != 2 {
-		t.Errorf("stats = %d hits, %d misses; want 1, 2", hits, misses)
+	if m.hits != 1 || m.misses != 2 {
+		t.Errorf("counters = %d hits, %d misses; want 1, 2", m.hits, m.misses)
 	}
 }
 
-// memoTestRuntimes builds one memoized and one memo-free runtime pair (CPU
-// and GPU) over identical hardware, sharing nothing.
-func memoTestRuntimes(t *testing.T, noMemo bool) (cpu, gpuRt NodeRuntime) {
+// memoTestRuntimes builds a fresh CPU and GPU runtime pair, sharing
+// nothing with any other pair.
+func memoTestRuntimes(t *testing.T) (cpu, gpuRt NodeRuntime) {
 	t.Helper()
 	arb, err := multijob.NewArbiter("priority")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts := buildRuntimes([]Node{{CPU: hw.NewKNL()}, {GPU: gpu.NewP100()}},
-		arb, noMemo)
+	rts := buildRuntimes([]Node{{CPU: hw.NewKNL()}, {GPU: gpu.NewP100()}}, arb)
 	return rts[0], rts[1]
 }
 
 // TestWaveKeySoundness perturbs every WaveJob field of every job in a
-// base wave, one at a time, and simulates each perturbed wave memo-free on
-// both hardware kinds: whenever the key is unchanged the results must be
+// base wave, one at a time, and simulates each perturbed wave on both
+// hardware kinds: whenever the key is unchanged the results must be
 // deeply equal — the condition under which serving a memo hit is exact —
 // and a Name change never changes the key. Renames stay non-empty: the
 // engine labels every job, and the CPU simulator rejects an unnamed one
@@ -136,7 +118,7 @@ func TestWaveKeySoundness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates every perturbed wave on both runtimes")
 	}
-	cpuRt, gpuRt := memoTestRuntimes(t, true)
+	cpuRt, gpuRt := memoTestRuntimes(t)
 	base := []WaveJob{
 		{Name: "a", Model: nn.LSTM, Priority: 1, Weight: 1},
 		{Name: "b", Model: nn.DCGAN, Priority: 0, Weight: 0},
@@ -163,7 +145,7 @@ func TestWaveKeySoundness(t *testing.T) {
 	}
 	for _, rt := range []NodeRuntime{cpuRt, gpuRt} {
 		kind := rt.Kind()
-		baseKey := waveKey(kind, base)
+		baseKey := waveKey(base)
 		want, err := rt.RunWave(base)
 		if err != nil {
 			t.Fatalf("%s base wave: %v", kind, err)
@@ -173,7 +155,7 @@ func TestWaveKeySoundness(t *testing.T) {
 			for _, p := range perturbs {
 				wave := append([]WaveJob(nil), base...)
 				p.set(&wave[i])
-				key := waveKey(kind, wave)
+				key := waveKey(wave)
 				if p.field == "Name" && key != baseKey {
 					t.Errorf("%s job %d: renaming changed the key %q -> %q", kind, i, baseKey, key)
 				}
@@ -201,15 +183,16 @@ func TestWaveKeySoundness(t *testing.T) {
 
 // TestWaveMemoHitEquivalence is the memoization-hit property: replaying a
 // sequence of wave compositions — recurrences and permutations included —
-// through a memoized runtime returns results deeply equal to a fresh
-// memo-free simulation of the same sequence, and the recurrences actually
-// hit the cache.
+// through a memo in front of a runtime's RunWave, as the engine does,
+// returns results deeply equal to a fresh simulation of the same sequence
+// on a runtime that shares nothing with it, and the recurrences actually
+// hit the memo.
 func TestWaveMemoHitEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs CoTrain waves per composition")
 	}
-	memoCPU, memoGPU := memoTestRuntimes(t, false)
-	freshCPU, freshGPU := memoTestRuntimes(t, true)
+	memoCPU, memoGPU := memoTestRuntimes(t)
+	freshCPU, freshGPU := memoTestRuntimes(t)
 
 	j := func(model string, prio int) WaveJob {
 		return WaveJob{Name: model + "#x", Model: model, Priority: prio, Weight: 1}
@@ -231,8 +214,9 @@ func TestWaveMemoHitEquivalence(t *testing.T) {
 		name        string
 		memo, fresh NodeRuntime
 	}{{"cpu", memoCPU, freshCPU}, {"gpu", memoGPU, freshGPU}} {
+		var m waveMemo
 		for i, wjs := range waves {
-			got, err := pair.memo.RunWave(wjs)
+			got, err := m.do(wjs, pair.memo.RunWave)
 			if err != nil {
 				t.Fatalf("%s wave %d memoized: %v", pair.name, i, err)
 			}
@@ -244,16 +228,11 @@ func TestWaveMemoHitEquivalence(t *testing.T) {
 				t.Fatalf("%s wave %d: memoized result %+v != fresh %+v", pair.name, i, got, want)
 			}
 		}
-		hits, misses := pair.memo.(waveMemoStats).WaveMemoStats()
-		if misses != 3 {
-			t.Errorf("%s memo simulated %d distinct inputs, want 3 (ab, ba, lstm)", pair.name, misses)
+		if m.misses != 3 {
+			t.Errorf("%s memo simulated %d distinct inputs, want 3 (ab, ba, lstm)", pair.name, m.misses)
 		}
-		if hits+misses != len(waves) {
-			t.Errorf("%s memo counted %d lookups, want %d", pair.name, hits+misses, len(waves))
-		}
-		fh, fm := pair.fresh.(waveMemoStats).WaveMemoStats()
-		if fh != 0 || fm != 0 {
-			t.Errorf("%s memo-free runtime reports hits=%d misses=%d, want zeros", pair.name, fh, fm)
+		if m.hits+m.misses != len(waves) {
+			t.Errorf("%s memo counted %d lookups, want %d", pair.name, m.hits+m.misses, len(waves))
 		}
 	}
 }
@@ -267,22 +246,18 @@ func TestWaveMemoErrorNotCached(t *testing.T) {
 	boom := fmt.Errorf("transient")
 	fail := func([]WaveJob) (*WaveResult, error) { return nil, boom }
 	ok := func([]WaveJob) (*WaveResult, error) { return &WaveResult{TotalNs: 1}, nil }
-	if _, err := m.do(KindCPU, wave, fail); err != boom {
+	if _, err := m.do(wave, fail); err != boom {
 		t.Fatalf("want the simulation error, got %v", err)
 	}
-	res, err := m.do(KindCPU, wave, ok)
+	res, err := m.do(wave, ok)
 	if err != nil || res.TotalNs != 1 {
 		t.Fatalf("retry after failure: res=%v err=%v", res, err)
 	}
-	if again, err := m.do(KindCPU, wave, fail); err != nil || again != res {
+	if again, err := m.do(wave, fail); err != nil || again != res {
 		t.Fatalf("cached success not served: res=%v err=%v", again, err)
 	}
-	hits, misses := m.stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("counters after failure+retry+hit: hits=%d misses=%d, want 1/2", hits, misses)
-	}
-	if h, mi := (*waveMemo)(nil).stats(); h != 0 || mi != 0 {
-		t.Fatalf("disabled memo reports hits=%d misses=%d, want zeros", h, mi)
+	if m.hits != 1 || m.misses != 2 {
+		t.Fatalf("counters after failure+retry+hit: hits=%d misses=%d, want 1/2", m.hits, m.misses)
 	}
 }
 
@@ -295,11 +270,11 @@ func TestWaveMemoHitAllocs(t *testing.T) {
 		{Name: "b", Model: InferKey(nn.DCGAN, 4), Weight: 1, Class: ClassInference},
 	}
 	sim := func([]WaveJob) (*WaveResult, error) { return &WaveResult{}, nil }
-	if _, err := m.do(KindGPU, wave, sim); err != nil {
+	if _, err := m.do(wave, sim); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := m.do(KindGPU, wave, sim); err != nil {
+		if _, err := m.do(wave, sim); err != nil {
 			t.Fatal(err)
 		}
 	})

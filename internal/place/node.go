@@ -93,12 +93,14 @@ type WaveResult struct {
 // of a model cost alone here, and what does a wave of resident jobs
 // actually cost. A CPU node answers through the multi-job co-scheduling
 // engine; a GPU node through the occupancy/stream co-run model. Both
-// implementations are deterministic. Their only state across waves is
-// per-model front maps over values a wave would otherwise recompute
-// identically (predicted work, and on a CPU node the profiled runtime job
-// and its solo makespan). Those values are built once per process
-// (perfmodel.Derive) and shared by every runtime on equal hardware; nodes
-// sharing one hardware descriptor share one runtime and its front maps.
+// implementations are deterministic, and RunWave only simulates: caching
+// whole waves is the engine's (gangsig.go). A runtime's only state across
+// waves is per-model front maps over values a wave would otherwise
+// recompute identically (predicted work, and on a CPU node the profiled
+// runtime job and its solo makespan). Those values are built once per
+// process (perfmodel.Derive) and shared by every runtime on equal
+// hardware; nodes sharing one hardware descriptor share one runtime and
+// its front maps.
 type NodeRuntime interface {
 	// Kind is the hardware kind, KindCPU or KindGPU.
 	Kind() string
@@ -155,7 +157,6 @@ type cpuRuntime struct {
 	arb      multijob.Arbiter
 	work     workCache[float64]
 	models   workCache[cpuModel]
-	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
 }
 
 // cpuModel is what every wave of one model key shares on one machine: the
@@ -228,16 +229,6 @@ func (c *cpuRuntime) SoloWorkNs(model string) float64 {
 	})
 }
 
-// WaveMemoStats reports the runtime's wave-memo counters.
-func (c *cpuRuntime) WaveMemoStats() (hits, misses int) { return c.memo.stats() }
-
-func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
-	if c.memo != nil {
-		return c.memo.do(KindCPU, jobs, c.simulate)
-	}
-	return c.simulate(jobs)
-}
-
 // model returns the shared profiled job and solo makespan of a model key
 // on this runtime's machine.
 func (c *cpuRuntime) model(key string) cpuModel {
@@ -247,12 +238,12 @@ func (c *cpuRuntime) model(key string) cpuModel {
 	})
 }
 
-// simulate prices one wave fresh. A lone job's co-run is its solo step
+// RunWave prices one wave fresh. A lone job's co-run is its solo step
 // under every arbiter at any admissible priority and weight
 // (multijob.SoloNs), so a one-job wave is answered from the model's cached
 // solo makespan without running the op-event loop; a gang goes through
 // coRun.
-func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
+func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 	if len(jobs) != 1 {
 		return c.coRun(jobs)
 	}
@@ -328,7 +319,6 @@ type gpuRuntime struct {
 	d        *gpu.Device
 	hardware string // d.String(), rendered once
 	work     workCache[gpu.GraphWork]
-	memo     *waveMemo // fleet-wide RunWave cache; nil when disabled
 }
 
 // gpuWorkKey keys a model's predicted graph work on a GPU device in the
@@ -357,19 +347,8 @@ func (g *gpuRuntime) graphWork(model string) gpu.GraphWork {
 
 func (g *gpuRuntime) SoloWorkNs(model string) float64 { return g.graphWork(model).SoloNs }
 
-// WaveMemoStats reports the runtime's wave-memo counters.
-func (g *gpuRuntime) WaveMemoStats() (hits, misses int) { return g.memo.stats() }
-
+// RunWave prices one wave fresh through the occupancy/stream co-run model.
 func (g *gpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
-	if g.memo != nil {
-		return g.memo.do(KindGPU, jobs, g.simulate)
-	}
-	return g.simulate(jobs)
-}
-
-// simulate prices one wave fresh through the occupancy/stream co-run
-// model.
-func (g *gpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	works := make([]gpu.GraphWork, len(jobs))
 	for i, wj := range jobs {
 		works[i] = g.graphWork(wj.Model)

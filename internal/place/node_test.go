@@ -67,7 +67,7 @@ func TestCPUModelCacheExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := buildRuntimes([]Node{{CPU: m}}, arb, true)[0]
+		rt := buildRuntimes([]Node{{CPU: m}}, arb)[0]
 		check := func(wave []WaveJob) {
 			t.Helper()
 			got, err := rt.RunWave(wave)
@@ -110,7 +110,7 @@ func TestCPUModelCacheExact(t *testing.T) {
 // weight ceiling co-runs on a CPU node instead of failing multijob's
 // validation.
 func TestInferenceWeightBoostCapped(t *testing.T) {
-	rt := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, multijob.FairShare, true)[0]
+	rt := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, multijob.FairShare)[0]
 	wave := []WaveJob{
 		{Name: "infer", Model: InferKey(nn.DCGAN, 1), Weight: multijob.MaxWeight, Class: ClassInference},
 		{Name: "train", Model: nn.LSTM, Weight: multijob.MaxWeight, Class: ClassTraining},
@@ -144,13 +144,13 @@ func TestLoneCPUWaveIsSoloStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := buildRuntimes([]Node{{CPU: m}}, arb, true)[0].(*cpuRuntime)
+		rt := buildRuntimes([]Node{{CPU: m}}, arb)[0].(*cpuRuntime)
 		for _, key := range allModelKeys() {
 			for _, prio := range []int{0, 7} {
 				for _, w := range weights {
 					for _, class := range []string{ClassTraining, ClassInference} {
 						wave := []WaveJob{{Name: key, Model: key, Priority: prio, Weight: w, Class: class}}
-						got, err := rt.simulate(wave)
+						got, err := rt.RunWave(wave)
 						if err != nil {
 							t.Fatal(err)
 						}

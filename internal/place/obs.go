@@ -46,8 +46,8 @@ type engineObs struct {
 	queueDepth *obs.Gauge
 	queuedWork *obs.Gauge
 
-	// Deltas already folded into memoHits/memoMisses (the runtimes report
-	// cumulative counts; ObsSample re-publishes the difference).
+	// Deltas already folded into memoHits/memoMisses (the engine's memos
+	// count cumulatively; ObsSample re-publishes the difference).
 	lastMemoHits   int
 	lastMemoMisses int
 }

@@ -446,11 +446,6 @@ type Options struct {
 	// "all" arms every built-in trigger; otherwise a "+"-separated list
 	// of trigger names, e.g. "priority+deadline".
 	Preempt string
-	// NoWaveMemo disables the fleet-wide RunWave cache.
-	// Memoized and unmemoized runs are byte-identical — the cache only
-	// skips re-simulating a wave composition already priced — so this
-	// exists for benchmarks and equivalence tests, not correctness.
-	NoWaveMemo bool
 	// Workers is ignored: the engine is serial.
 	//
 	// Deprecated: kept only so existing callers still compile; it has no
@@ -548,6 +543,10 @@ type PlacedJob struct {
 
 // JCTNs is the job completion time: finish minus arrival.
 func (p PlacedJob) JCTNs() float64 { return p.FinishNs - p.ArrivalNs }
+
+// retired reports whether the engine retired every step of the job: only
+// retired jobs count in a Result's aggregates and percentiles.
+func (p PlacedJob) retired() bool { return p.StepsDone == p.Steps }
 
 // NodeStats summarizes one node's share of the run.
 type NodeStats struct {
@@ -712,8 +711,9 @@ func (t *Tally) MeanJCTNs() float64   { return t.JCTSumNs / float64(max(t.Comple
 func (t *Tally) MeanQueueNs() float64 { return t.QueueSumNs / float64(max(t.Completed(), 1)) }
 
 // finalize seals the result: the aggregate fields come from the tally t of
-// its completed jobs, the per-class JCT percentiles from sorting Jobs, and
-// each node's utilization from its busy time over the makespan.
+// its completed jobs, the per-class JCT percentiles from sorting the
+// retired Jobs, and each node's utilization from its busy time over the
+// makespan.
 func (r *Result) finalize(t *Tally) {
 	r.MakespanNs, r.MaxJCTNs = t.MakespanNs, t.MaxJCTNs
 	r.MeanJCTNs, r.MeanQueueNs = t.MeanJCTNs(), t.MeanQueueNs()
@@ -732,6 +732,9 @@ func (r *Result) finalize(t *Tally) {
 	var inferJCT []float64
 	for k := range r.Jobs {
 		p := &r.Jobs[k]
+		if !p.retired() {
+			continue
+		}
 		if p.Class == ClassInference {
 			inferJCT = append(inferJCT, p.JCTNs())
 		} else {
@@ -747,12 +750,14 @@ func (r *Result) finalize(t *Tally) {
 }
 
 // QueuePercentileNs returns the p-quantile (p in [0,1], nearest-rank) of
-// the per-job queueing delays — the tail-latency metric the preemption
-// experiments report alongside deadline-hit rate.
+// the retired jobs' queueing delays — the tail-latency metric the
+// preemption experiments report alongside deadline-hit rate.
 func (r *Result) QueuePercentileNs(p float64) float64 {
-	qs := make([]float64, len(r.Jobs))
-	for i, j := range r.Jobs {
-		qs[i] = j.QueueNs
+	qs := make([]float64, 0, len(r.Jobs))
+	for _, j := range r.Jobs {
+		if j.retired() {
+			qs = append(qs, j.QueueNs)
+		}
 	}
 	sort.Float64s(qs)
 	return stats.NearestRank(qs, p)

@@ -37,8 +37,8 @@ func TestSharedModelValuesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, d := hw.NewKNL(), gpu.NewP100()
-	rt := buildRuntimes([]Node{{CPU: m}}, arb, true)[0].(*cpuRuntime)
-	gpuRt := buildRuntimes([]Node{{GPU: d}}, arb, true)[0].(*gpuRuntime)
+	rt := buildRuntimes([]Node{{CPU: m}}, arb)[0].(*cpuRuntime)
+	gpuRt := buildRuntimes([]Node{{GPU: d}}, arb)[0].(*gpuRuntime)
 
 	for _, key := range allModelKeys() {
 		g, fresh := modelGraph(key), buildModelGraph(key)
@@ -68,7 +68,7 @@ func TestSharedModelValuesExact(t *testing.T) {
 			t.Errorf("%s: shared solo work %v, fresh %v", key, got, want)
 		}
 		// A second runtime on an equal machine reads the same entry.
-		other := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, arb, true)[0].(*cpuRuntime)
+		other := buildRuntimes([]Node{{CPU: hw.NewKNL()}}, arb)[0].(*cpuRuntime)
 		if other.model(key).job.Sched != mdl.job.Sched {
 			t.Errorf("%s: an equal runtime profiled the job again", key)
 		}
@@ -168,7 +168,7 @@ func TestSharedModelErrorNamesCaller(t *testing.T) {
 	bad := func() NodeRuntime {
 		m := hw.NewKNL()
 		m.Cores = 0
-		return buildRuntimes([]Node{{CPU: m}}, arb, true)[0]
+		return buildRuntimes([]Node{{CPU: m}}, arb)[0]
 	}
 	first := bad()
 	for _, tc := range []struct {

@@ -142,7 +142,7 @@ func (g ClusterGrid) points() []clusterPoint {
 							c: place.Cluster{Nodes: size, Machine: g.Machine,
 								GPUs: gcount, GPU: g.GPU, Interconnect: g.Interconnect},
 							opts: place.Options{Policy: pol, Arbiter: g.Arbiter,
-								Preempt: preemptOpt(pre), Obs: g.Obs},
+								Preempt: pre, Obs: g.Obs},
 						})
 					}
 				}
@@ -150,14 +150,6 @@ func (g ClusterGrid) points() []clusterPoint {
 		}
 	}
 	return pts
-}
-
-// preemptOpt maps the grid's "off" spelling to the engine's disabled spec.
-func preemptOpt(pre string) string {
-	if pre == "off" {
-		return ""
-	}
-	return pre
 }
 
 // Cells enumerates the grid points in deterministic workload-major,

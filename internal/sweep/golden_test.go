@@ -24,9 +24,11 @@ import (
 // byte. The rows are the paper's experiments (one golden each), the
 // multijob grid under every arbiter, and the cluster grids opsched-bench
 // documents. Each cluster row runs over engine {place.PlaceJobs,
-// pipeline.Replay} × obs {nil, metrics+tracer} × wave memo {on, off},
-// and every cell must equal the row's single golden, so a divergence
-// between paths and a drift from the last accepted output fail alike.
+// pipeline.Replay} × obs {nil, metrics+tracer}, and every cell must
+// equal the row's single golden, so a divergence between paths and a
+// drift from the last accepted output fail alike. The wave memo's
+// memo-free twin lives in internal/place
+// (TestWaveMemoEngineByteEquivalence).
 //
 // A golden holds a row's reports, each followed by a newline: what
 // `opsched-bench <flags> -json | jq -r '.cells[].report'` prints for the
@@ -252,16 +254,13 @@ func benchWorkload(t *testing.T, n int, models []string, gapMs float64, steps in
 type matrixAxis struct {
 	pipeline bool // pipeline.Replay instead of place.PlaceJobs
 	obs      bool // attach a metrics registry and a tracer
-	noMemo   bool // Options.NoWaveMemo
 }
 
 func matrixAxes() []matrixAxis {
 	var axes []matrixAxis
 	for _, p := range []bool{false, true} {
 		for _, o := range []bool{false, true} {
-			for _, m := range []bool{false, true} {
-				axes = append(axes, matrixAxis{pipeline: p, obs: o, noMemo: m})
-			}
+			axes = append(axes, matrixAxis{pipeline: p, obs: o})
 		}
 	}
 	return axes
@@ -273,7 +272,7 @@ func (ax matrixAxis) String() string {
 	if ax.pipeline {
 		engine = "Replay"
 	}
-	return fmt.Sprintf("engine=%s obs=%s memo=%s", engine, onOff[ax.obs], onOff[!ax.noMemo])
+	return fmt.Sprintf("engine=%s obs=%s", engine, onOff[ax.obs])
 }
 
 // run evaluates g on this axis. The plain axis goes through RunClusterGrid,
@@ -292,7 +291,7 @@ func (ax matrixAxis) run(ctx context.Context, g ClusterGrid, par int) ([]Cluster
 	}
 	cells, err := Map(ctx, par, g.points(), func(ctx context.Context, _ int, pt clusterPoint) (ClusterCell, error) {
 		opts := pt.opts
-		opts.Obs, opts.NoWaveMemo = o, ax.noMemo
+		opts.Obs = o
 		var err error
 		cell := pt.cell
 		if ax.pipeline {
