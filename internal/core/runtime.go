@@ -33,6 +33,9 @@ type Runtime struct {
 	// operations can be reused without repeatedly running Strategy 3".
 	// Fit and throughput checks remain per scheduling event.
 	plan []nodePlan
+	// prices holds the launch price of every configuration a plan can
+	// emit, so the op-event loop prices no launch of its own.
+	prices *exec.PriceTable
 }
 
 // nodePlan is one node's scheduling facts, derived from the frozen
@@ -59,14 +62,15 @@ type nodePlan struct {
 }
 
 // tables is the read-only state a runtime derives from its frozen profile
-// store: the Strategy-2 per-kind profiles and the per-node plans. It is
-// built once per (store, tablesKey) and shared by every runtime profiled
-// on an equal (machine, graph, interval) triple; an equal graph signature
-// means equal operations at every NodeID, so the plans fit every such
-// graph.
+// store: the Strategy-2 per-kind profiles, the per-node plans and their
+// launch prices. It is built once per (store, tablesKey) and shared by
+// every runtime profiled on an equal (machine, graph, interval) triple;
+// an equal graph signature means equal operations at every NodeID, so the
+// plans fit every such graph.
 type tables struct {
 	byKind map[op.Kind]*perfmodel.Profile
 	plan   []nodePlan
+	prices *exec.PriceTable
 }
 
 // tablesKey holds the configuration fields the tables depend on.
@@ -111,15 +115,15 @@ func (rt *Runtime) Profile(g *graph.Graph) error {
 	rt.graph = g
 	rt.store = perfmodel.CachedProfileGraph(rt.machine, g, ProfileInterval)
 	t := rt.store.Derive(rt.tablesKey(), func() any { return rt.buildTables(g) }).(*tables)
-	rt.byKind, rt.plan = t.byKind, t.plan
+	rt.byKind, rt.plan, rt.prices = t.byKind, t.plan, t.prices
 	return nil
 }
 
 // buildTables derives the tables for rt's store and configuration: the
-// per-kind largest-instance profiles and every node's plan. Candidate
-// lists are prepared once per tunable operation class, and only when
-// Strategy 3 can run (untunable operations only ever run at the baseline
-// width).
+// per-kind largest-instance profiles, every node's plan and the price of
+// every configuration the plan can emit. Candidate lists are prepared once
+// per tunable operation class, and only when Strategy 3 can run
+// (untunable operations only ever run at the baseline width).
 func (rt *Runtime) buildTables(g *graph.Graph) *tables {
 	rt.byKind = perfmodel.LargestInstanceProfiles(g, rt.store)
 	t := &tables{byKind: rt.byKind, plan: make([]nodePlan, g.Len())}
@@ -145,8 +149,26 @@ func (rt *Runtime) buildTables(g *graph.Graph) *tables {
 			p.cands = c
 		}
 	}
+	// The configurations scheduleSerial, scheduleCoRun and
+	// scheduleHyperThreading launch a node at. base is not among them:
+	// corunCandidate returns it only where chosenConfig is base too.
+	var buf []exec.Launch
+	t.prices = exec.NewPriceTable(rt.machine, g, func(id graph.NodeID) []exec.Launch {
+		p := &t.plan[id]
+		buf = append(buf[:0],
+			exec.Launch{Threads: p.chosen.Threads, Placement: p.chosen.Placement},
+			exec.Launch{Threads: p.htThreads, Placement: p.chosen.Placement})
+		for _, c := range p.cands {
+			buf = append(buf, exec.Launch{Threads: c.Threads, Placement: c.Placement})
+		}
+		return buf
+	})
 	return t
 }
+
+// Prices implements exec.Pricer: the launch prices of the profiled graph
+// on the runtime's machine, nil before Profile.
+func (rt *Runtime) Prices() *exec.PriceTable { return rt.prices }
 
 // planFor returns the node plans for scheduling g. It panics unless g is
 // the graph the runtime was profiled on or one with its signature: the

@@ -85,7 +85,8 @@ var uncapped = []Claim{{Job: 0, Cap: math.MaxInt}}
 // empty buffer the loop reuses. runs holds each job's completion records
 // so far, so a policy can rank jobs by their progress. Every job's
 // in-flight operations are priced together, so co-running jobs slow each
-// other down.
+// other down. A job whose scheduler is a Pricer with a table for its graph
+// on m reads its launch prices from the table.
 func CoRun(jobs []Job, m *hw.Machine, claims func(runs []Result, dst []Claim) []Claim) ([]Result, error) {
 	l := loop{m: m, claims: claims, lanes: make([]lane, len(jobs)), runs: make([]Result, len(jobs))}
 	for i, job := range jobs {
@@ -93,6 +94,7 @@ func CoRun(jobs []Job, m *hw.Machine, claims func(runs []Result, dst []Claim) []
 		ln := &l.lanes[i]
 		ln.view = State{Machine: m, Graph: job.Graph, Ready: make([]graph.NodeID, 0, n)}
 		ln.name, ln.sched, ln.in, ln.refused = job.Name, job.Sched, job.Graph.InDegrees(), -1
+		ln.prices = pricesFor(job.Sched, m, job.Graph)
 		for id, d := range ln.in {
 			if d == 0 {
 				ln.view.Ready = append(ln.view.Ready, graph.NodeID(id))
@@ -149,9 +151,10 @@ type lane struct {
 	view      State
 	name      string
 	sched     Scheduler
-	in        []int // outstanding dependency counts, by NodeID
-	cores     int   // physical cores the non-HT running operations occupy
-	saturated bool  // no more launches until the next completion event
+	prices    *PriceTable // the scheduler's launch prices; nil prices each launch
+	in        []int       // outstanding dependency counts, by NodeID
+	cores     int         // physical cores the non-HT running operations occupy
+	saturated bool        // no more launches until the next completion event
 
 	// refused is the limit the scheduler last launched nothing under while
 	// the lane had nothing in flight; -1 once the lane launches again.
@@ -294,7 +297,7 @@ func (l *loop) schedule(j, limit int) (bool, error) {
 }
 
 // launch starts one decision of lane ln: the node leaves the ready queue,
-// it is priced once on the machine (the context-free hw.OpPrice that every
+// it is priced once (the context-free hw.OpPrice that every
 // recomputeRates only rescales, its solo duration and its bandwidth
 // demand), and the resulting Running joins the union and the lane.
 func (l *loop) launch(ln *lane, d Decision) error {
@@ -302,21 +305,16 @@ func (l *loop) launch(ln *lane, d Decision) error {
 	if i < 0 {
 		return fmt.Errorf("node %d not in ready queue", d.Node)
 	}
-	cost := ln.view.Graph.Node(d.Node).Op.Cost()
-	if err := cost.Validate(); err != nil {
-		return fmt.Errorf("node %d: %w", d.Node, err)
+	lp, err := ln.price(l.m, d)
+	if err != nil {
+		return err
 	}
 	ln.view.Ready = append(ln.view.Ready[:i], ln.view.Ready[i+1:]...)
-	price := l.m.Price(cost, d.Threads, d.Placement)
-	solo := price.Time(l.m, hw.Solo())
 	r := l.newRunning()
 	*r = Running{
 		Node: d.Node, Job: d.Job, Threads: d.Threads, Placement: d.Placement,
 		HT: d.HT, Pinned: d.Pinned, StartNs: l.clockNs,
-		price: price, remaining: 1, nominal: solo,
-	}
-	if solo > 0 {
-		r.demand = price.Traffic() / solo
+		price: lp.price, remaining: 1, nominal: lp.solo, demand: lp.demand,
 	}
 	l.running = append(l.running, r)
 	ln.view.Running = append(ln.view.Running, r)
@@ -325,6 +323,19 @@ func (l *loop) launch(ln *lane, d Decision) error {
 		ln.cores += d.Placement.CoresUsed(l.m, d.Threads)
 	}
 	return nil
+}
+
+// price returns the launch price of decision d on m: the lane's table
+// entry when it has one, else priced fresh from the validated cost.
+func (ln *lane) price(m *hw.Machine, d Decision) (launchPrice, error) {
+	if lp := ln.prices.lookup(ln.view.Graph, d.Node, d.Threads, d.Placement); lp != nil {
+		return *lp, nil
+	}
+	cost := ln.view.Graph.Node(d.Node).Op.Cost()
+	if err := cost.Validate(); err != nil {
+		return launchPrice{}, fmt.Errorf("node %d: %w", d.Node, err)
+	}
+	return priceLaunch(m, cost, d.Threads, d.Placement), nil
 }
 
 // newRunning returns a Running to fill: one advance has retired, or the

@@ -2,12 +2,14 @@ package place
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"opsched/internal/exec"
 	"opsched/internal/gpu"
 	"opsched/internal/hw"
 	"opsched/internal/multijob"
@@ -180,7 +182,8 @@ func FuzzPickMatchesScan(f *testing.F) {
 // multijob.MaxWeight, the gap to the previous arrival, and a deadline or
 // an SLO. The normal run is PlaceJobs. The reference run empties every
 // wave memo before each step (placeMemoFree) and prices each CPU wave,
-// a lone job's too, through the multi-job co-run (coRunRuntime). The two
+// a lone job's too, through the multi-job co-run with every launch priced
+// fresh (coRunRuntime). The two
 // Results must be deeply equal and render identically.
 func FuzzEngineMatchesReference(f *testing.F) {
 	// Two lone-priority pairs of one model on one KNL node under the
@@ -276,8 +279,34 @@ func FuzzEngineMatchesReference(f *testing.F) {
 }
 
 // coRunRuntime is a CPU runtime that prices every wave, a lone job's too,
-// through the multi-job co-run: the reference twin of RunWave's lone-wave
-// answer from the model's cached solo makespan.
+// through the multi-job co-run, with every launch and every solo baseline
+// priced fresh: the reference twin of RunWave's lone-wave answer from the
+// model's cached solo makespan, and of the runtime's launch price tables.
 type coRunRuntime struct{ *cpuRuntime }
 
-func (r coRunRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) { return r.coRun(jobs) }
+func (r coRunRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
+	mj := make([]multijob.Job, len(jobs))
+	solos := make([]float64, len(jobs))
+	for i, wj := range jobs {
+		mdl := r.model(wj.Model)
+		if mdl.err != nil {
+			return nil, fmt.Errorf("place: job %s: %w", wj.Name, mdl.err)
+		}
+		mj[i] = cpuWaveJob(wj, mdl.job)
+		mj[i].Sched = unpriced{mdl.job.Sched}
+		solo, err := multijob.SoloNs(mj[i], r.m)
+		if err != nil {
+			return nil, err
+		}
+		solos[i] = solo
+	}
+	res, err := multijob.CoRun(mj, solos, r.arb, r.m)
+	if err != nil {
+		return nil, err
+	}
+	return cpuWaveResult(res), nil
+}
+
+// unpriced forwards only Name and Schedule, so it hides a scheduler's
+// price table: the op-event loop prices every launch of its job fresh.
+type unpriced struct{ exec.Scheduler }

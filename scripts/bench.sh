@@ -21,6 +21,10 @@
 # objects, which a 0% gate would read as a regression. ns/op, jobs/s and
 # B/op still come from the default pass.
 #
+# The JSON also records the host's core count (nproc) and the GOMAXPROCS the
+# default pass ran at (gomaxprocs, read from the -N suffix go test appends
+# to benchmark names; no suffix means 1).
+#
 # Environment:
 #   BENCH_SHORT=1       pass -short (skips the multi-minute scale gates —
 #                       CI's quick artifact regeneration)
@@ -61,7 +65,7 @@ grep -Ev '^title:|^#|^[[:space:]]*$' "$list" | while read -r pkg regex; do
 		-benchtime 1x -count 3 -benchmem -timeout 3600s "$pkg") >>"$raw1"
 done
 
-awk -v q='"' -v title="$title" '
+awk -v q='"' -v title="$title" -v nproc="$(nproc)" '
 # median and minimum pick among the n values v[name, 0..n-1] and return the
 # chosen value as printed by go test (awk would reformat a computed number).
 function median(v, name, n,    a, i, j, x) {
@@ -83,7 +87,9 @@ FNR == 1 { pass++ }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ {
-	name = $1; sub(/-[0-9]+$/, "", name)
+	name = $1
+	if (pass == 1 && match(name, /-[0-9]+$/)) gomaxprocs = substr(name, RSTART + 1)
+	sub(/-[0-9]+$/, "", name)
 	ns = ""; jobs = ""; bytes = ""; allocs = ""
 	for (i = 3; i < NF; i += 2) {
 		v = $i; u = $(i + 1)
@@ -110,6 +116,7 @@ END {
 	print "  " q "bench" q ": " q title q ","
 	print "  " q "goos" q ": " q goos q ", " q "goarch" q ": " q goarch q ","
 	print "  " q "cpu" q ": " q cpu q ","
+	print "  " q "nproc" q ": " nproc ", " q "gomaxprocs" q ": " (gomaxprocs == "" ? 1 : gomaxprocs) ","
 	print "  " q "benchmarks" q ": ["
 	for (i = 0; i < bn; i++) {
 		name = order[i]
